@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: ci fmt vet build test race bench bench-smoke serve-bench serve-bench-smoke procs-smoke adaptive-smoke serve-smoke fuzz-smoke policyselect-smoke prodday-smoke attrib-smoke cluster-smoke
+.PHONY: ci fmt vet build test race bench-smoke serve-bench-smoke procs-smoke adaptive-smoke serve-smoke fuzz-smoke policyselect-smoke prodday-smoke attrib-smoke cluster-smoke
 
 ci: fmt vet build race bench-smoke serve-bench-smoke
 
@@ -24,18 +24,9 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Full benchmark run, recorded in BENCH_hotpath.json.
-bench:
-	scripts/bench.sh
-
 # One iteration of every benchmark so they cannot bit-rot; part of ci.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x .
-
-# Full served-ingest benchmark (per-event path vs. block kernel), recorded
-# in BENCH_serve.json. Run on a quiet machine.
-serve-bench:
-	scripts/bench_serve.sh
 
 # One iteration of the served-ingest pair plus its equivalence anchor; part
 # of ci, so the acceptance benchmark cannot bit-rot.

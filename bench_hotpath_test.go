@@ -1,8 +1,9 @@
 // Hot-path benchmarks and allocation guards for the dispatch loop, the
-// arena's insert/evict churn, and the observer emit path. scripts/bench.sh
-// runs the benchmarks and records them in BENCH_hotpath.json; the Test*
-// ZeroAlloc guards run in every `go test` so the zero-allocation property of
-// the steady-state paths cannot regress silently.
+// arena's insert/evict churn, and the observer emit path. Run them with
+// `go test -bench . -benchmem`; the repository benchmark (perfbench) records
+// the end-to-end and per-layer numbers. The Test*ZeroAlloc guards run in
+// every `go test` so the zero-allocation property of the steady-state paths
+// cannot regress silently.
 package repro_test
 
 import (
@@ -113,7 +114,7 @@ func BenchmarkDispatchSteadyState(b *testing.B) {
 
 // newHotGraphEngine builds the same warmed engine over a three-tier graph
 // with the adaptive split controller attached — the dispatch path every
-// manager shares now that Unified and Generational are stock graphs, plus
+// manager shares now that every manager is a tier graph, plus
 // the controller's per-access sampling.
 func newHotGraphEngine(tb testing.TB, img *program.Image, warm []dbt.Step) *dbt.Engine {
 	tb.Helper()
@@ -221,7 +222,9 @@ func BenchmarkReplayObserverAttached(b *testing.B) {
 	c := stats.NewEventCounter()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sim.ReplayUnifiedObserved("bench", events, 32<<10, costmodel.DefaultModel, c); err != nil {
+		acc := costmodel.NewAccum(costmodel.DefaultModel)
+		mgr := core.NewUnified(32<<10, nil, obs.Combine(sim.CostObserver(acc), c))
+		if _, err := sim.Replay("bench", events, mgr, acc, c); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -23,10 +23,8 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 	"strings"
 
-	"repro/internal/attrib"
 	"repro/internal/buildinfo"
 	"repro/internal/core"
 	"repro/internal/costmodel"
@@ -34,6 +32,7 @@ import (
 	"repro/internal/pipeline"
 	"repro/internal/policy"
 	"repro/internal/profiling"
+	"repro/internal/server/api"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/tracelog"
@@ -124,30 +123,41 @@ func main() {
 	fmt.Fprintf(out, "%s: %s events, unbounded peak %s, simulated capacity %s\n",
 		h.Benchmark, stats.FmtCount(uint64(len(events))), stats.FmtBytes(sum.MaxLiveBytes), stats.FmtBytes(capacity))
 
-	fracs, err := parseLayout(*layout)
-	if err != nil {
-		fatal(err)
+	// The second configuration resolves the flags the way gencached resolves
+	// a session's query string: the stock generational chain, or a tier graph
+	// when -tiers, -adaptive, -policy, or -why asks for one.
+	settings := api.SessionConfig{
+		Layout:     *layout,
+		Threshold:  *threshold,
+		Tiers:      *tiers,
+		Policy:     *policyFlag,
+		SelEpoch:   *selEpoch,
+		Adaptive:   *adaptive,
+		AdaptEpoch: *epoch,
+		Attrib:     *why,
 	}
-	cfg := core.Config{
-		TotalCapacity:    capacity,
-		NurseryFrac:      fracs[0],
-		ProbationFrac:    fracs[1],
-		PersistentFrac:   fracs[2],
-		PromoteThreshold: *threshold,
-		PromoteOnAccess:  *threshold <= 1,
-	}
-
 	graphMode := *tiers != "" || *adaptive || *policyFlag != "" || *why
+	if *threshold == 0 {
+		fmt.Fprintln(os.Stderr, "ccsim: -threshold must be at least 1")
+		os.Exit(2)
+	}
 	if *why && *unified {
 		fmt.Fprintln(os.Stderr, "ccsim: -why attributes the tier-graph replay; it does not combine with -unified")
 		os.Exit(2)
+	}
+	spec, err := settings.GraphSpec(capacity, dump != nil)
+	if err != nil {
+		fatal(err)
+	}
+	if spec.Attrib != nil {
+		spec.Attrib.Epoch = *whyEpoch
 	}
 	if *procs > 1 {
 		if graphMode {
 			fmt.Fprintln(os.Stderr, "ccsim: -tiers, -adaptive, -policy, and -why do not combine with -procs")
 			os.Exit(2)
 		}
-		if err := runShared(h.Benchmark, events, cfg, *procs, *stagger, dump); err != nil {
+		if err := runShared(h.Benchmark, events, spec, *procs, *stagger, dump); err != nil {
 			fatal(err)
 		}
 		return
@@ -157,72 +167,34 @@ func main() {
 		os.Exit(2)
 	}
 
-	// The tier-graph path replaces the stock generational replay: the graph
-	// shape comes from -tiers (or the stock chain when only -adaptive is
-	// given), and -adaptive attaches the online split controller. The
-	// manager is built here rather than inside sim so its controller
-	// counters can be reported after the replay.
-	var spec core.GraphSpec
-	var graphMgr *core.Graph
-	if graphMode {
-		if *tiers != "" {
-			spec, err = core.ParseTierSpec(*tiers, capacity)
+	// job replays one configuration, its event dump tagged with the job's
+	// name. The manager is built here rather than inside sim and, when mgr is
+	// non-nil, kept there so its controller, selector, and ledger can be
+	// reported afterwards.
+	job := func(name string, spec core.GraphSpec, mgr **core.Graph) pipeline.Job[sim.Result] {
+		return pipeline.Job[sim.Result]{Name: name, Run: func(context.Context) (sim.Result, error) {
+			acc := costmodel.NewAccum(costmodel.DefaultModel)
+			o := dump.forConfig(name)
+			g, err := core.NewGraph(spec, obs.Combine(sim.CostObserver(acc), o))
 			if err != nil {
-				fatal(err)
+				return sim.Result{}, err
 			}
-		} else {
-			spec = cfg.GraphSpec()
-		}
-		if *adaptive {
-			spec.Adaptive = &core.AdaptiveConfig{Epoch: *epoch}
-		}
-		if *policyFlag != "" {
-			for i := range spec.Tiers {
-				if spec.Tiers[i].Policy == "" {
-					spec.Tiers[i].Policy = *policyFlag
-				}
+			if mgr != nil {
+				*mgr = g
 			}
-		}
-		if *selEpoch > 0 {
-			spec.Selector = &core.SelectorConfig{Epoch: *selEpoch}
-		}
-		if *why {
-			spec.Attrib = &attrib.Config{Epoch: *whyEpoch, EmitEvents: dump != nil}
-		}
-		if err := spec.Validate(); err != nil {
-			fatal(err)
-		}
+			return sim.Replay(h.Benchmark, events, g, acc, o)
+		}}
 	}
-
-	jobs := []pipeline.Job[sim.Result]{{
-		Name: "unified",
-		Run: func(context.Context) (sim.Result, error) {
-			return sim.ReplayUnifiedObserved(h.Benchmark, events, capacity, costmodel.DefaultModel, dump.forConfig("unified/pseudo-circular"))
-		},
-	}}
+	var graphMgr *core.Graph
+	jobs := []pipeline.Job[sim.Result]{job("unified/pseudo-circular", core.UnifiedSpec(capacity, nil), nil)}
 	if !*unified {
+		// The name tags the event dump, which keeps telling the stock chain
+		// ("generational") from a flag-shaped graph ("graph").
+		name := "generational"
 		if graphMode {
-			jobs = append(jobs, pipeline.Job[sim.Result]{
-				Name: "graph",
-				Run: func(context.Context) (sim.Result, error) {
-					acc := costmodel.NewAccum(costmodel.DefaultModel)
-					gd := dump.forConfig("graph")
-					mgr, err := core.NewGraph(spec, obs.Combine(sim.CostObserver(acc), gd))
-					if err != nil {
-						return sim.Result{}, err
-					}
-					graphMgr = mgr
-					return sim.ReplayObserved(h.Benchmark, events, mgr, acc, gd)
-				},
-			})
-		} else {
-			jobs = append(jobs, pipeline.Job[sim.Result]{
-				Name: "generational",
-				Run: func(context.Context) (sim.Result, error) {
-					return sim.ReplayGenerationalObserved(h.Benchmark, events, cfg, costmodel.DefaultModel, dump.forConfig("generational"))
-				},
-			})
+			name = "graph"
 		}
+		jobs = append(jobs, job(name, spec, &graphMgr))
 	}
 	results, err := pipeline.Map(ctx, pipeline.Options{Parallel: *parallel}, jobs)
 	if err != nil {
@@ -286,12 +258,12 @@ func main() {
 // traces instead of regenerating them), and compared against the isolated
 // aggregate — N independent replays, which all pay identical costs, so one
 // replay scaled by N is exact.
-func runShared(benchmark string, events []tracelog.Event, cfg core.Config, procs, stagger int, dump *eventDumper) error {
-	iso, err := sim.ReplayGenerational(benchmark, events, cfg, costmodel.DefaultModel)
+func runShared(benchmark string, events []tracelog.Event, spec core.GraphSpec, procs, stagger int, dump *eventDumper) error {
+	iso, err := sim.ReplayGraph(benchmark, events, spec, costmodel.DefaultModel)
 	if err != nil {
 		return err
 	}
-	sh, err := sim.ReplayShared(benchmark, events, cfg, costmodel.DefaultModel, procs, stagger, dump.forConfig("shared"))
+	sh, err := sim.ReplayShared(benchmark, events, spec, costmodel.DefaultModel, procs, stagger, dump.forConfig("shared"))
 	if err != nil {
 		return err
 	}
@@ -303,7 +275,7 @@ func runShared(benchmark string, events []tracelog.Event, cfg core.Config, procs
 	fmt.Fprintf(out, "  accesses %s   misses %s   miss rate %.3f%%\n",
 		stats.FmtCount(n*iso.Accesses), stats.FmtCount(n*iso.Misses), 100*iso.MissRate())
 	fmt.Fprintf(out, "  trace generations %s   overhead %.0f instructions   cache memory %s\n",
-		stats.FmtCount(isoGens), isoOverhead, stats.FmtBytes(n*cfg.TotalCapacity))
+		stats.FmtCount(isoGens), isoOverhead, stats.FmtBytes(n*spec.TotalCapacity))
 
 	fmt.Fprintf(out, "\n%s (%d procs over one shared persistent tier)\n", sh.Config, sh.Procs)
 	fmt.Fprintf(out, "  accesses %s   misses %s   miss rate %.3f%%\n",
@@ -384,27 +356,6 @@ func report(name string, r sim.Result) {
 	fmt.Fprintf(out, "  overhead: %.0f instructions (%s trace gens, %s evictions, %s promotions)\n",
 		r.Overhead.Total(), stats.FmtCount(r.Overhead.TraceGens),
 		stats.FmtCount(r.Overhead.Evictions), stats.FmtCount(r.Overhead.Promotions))
-}
-
-func parseLayout(s string) ([3]float64, error) {
-	var res [3]float64
-	parts := strings.Split(s, "-")
-	if len(parts) != 3 {
-		return res, fmt.Errorf("layout %q must be N-P-S percentages", s)
-	}
-	sum := 0.0
-	for i, p := range parts {
-		v, err := strconv.ParseFloat(p, 64)
-		if err != nil || v <= 0 {
-			return res, fmt.Errorf("bad layout component %q", p)
-		}
-		res[i] = v / 100
-		sum += v
-	}
-	if sum < 99.5 || sum > 100.5 {
-		return res, fmt.Errorf("layout %q must sum to 100", s)
-	}
-	return res, nil
 }
 
 // stopProfiles flushes any active pprof profiles; fatal must call it

@@ -33,7 +33,7 @@ func main() {
 	capacity := uint64(1 << 20)
 
 	run := func(preloaded int, warm []byte) (dbt.RunStats, []byte) {
-		mgr, err := core.NewGenerational(core.Layout451045Threshold1(capacity), nil)
+		mgr, err := core.NewGraph(core.Layout451045Threshold1(capacity).GraphSpec(), nil)
 		if err != nil {
 			log.Fatal(err)
 		}

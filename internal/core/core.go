@@ -15,8 +15,6 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/codecache"
 	"repro/internal/obs"
 	"repro/internal/policy"
@@ -54,7 +52,7 @@ type Stats struct {
 // Manager is a global code-cache management scheme. Every manager publishes
 // its trace lifecycle — insertions, capacity evictions, promotions, and
 // program-forced deletions — to the obs.Observer it was constructed with
-// (see NewUnified, NewGenerational, NewGraph); the simulator's cost
+// (see NewGraph, NewGraphShared, NewUnified); the simulator's cost
 // accounting and the experiment metrics both subscribe to that bus.
 type Manager interface {
 	// Name identifies the configuration in experiment output.
@@ -102,7 +100,7 @@ type RunAccessor interface {
 // NewUnified creates a unified cache of the given capacity with the given
 // local policy (nil defaults to pseudo-circular). Lifecycle events are
 // published to o (nil for none).
-func NewUnified(capacity uint64, local policy.Local, o obs.Observer) *Unified {
+func NewUnified(capacity uint64, local policy.Local, o obs.Observer) *Graph {
 	g, err := NewGraph(UnifiedSpec(capacity, local), o)
 	if err != nil {
 		// A one-tier spec can only fail on zero capacity, which the arena
@@ -116,9 +114,9 @@ func NewUnified(capacity uint64, local policy.Local, o obs.Observer) *Unified {
 // Legacy three-tier configuration
 
 // Config describes a generational layout. Fractions are of TotalCapacity
-// and should sum to 1; Validate checks this. It is the fixed three-tier
-// ancestor of GraphSpec, kept as the vocabulary of the paper's experiments;
-// GraphSpec generalizes it.
+// and should sum to 1; its GraphSpec's Validate checks this. It is the fixed three-tier
+// ancestor of GraphSpec, kept as the preset vocabulary of the paper's
+// experiments (Figure 9's layouts); managers are built from its GraphSpec.
 type Config struct {
 	TotalCapacity  uint64
 	NurseryFrac    float64
@@ -154,47 +152,6 @@ func Layout451045Threshold1(total uint64) Config {
 // Layout104545Threshold10 is Figure 9's 10%-45%-45% layout with threshold 10.
 func Layout104545Threshold10(total uint64) Config {
 	return Config{TotalCapacity: total, NurseryFrac: 0.10, ProbationFrac: 0.45, PersistentFrac: 0.45, PromoteThreshold: 10, PromoteOnAccess: false}
-}
-
-// Validate checks the configuration.
-func (c Config) Validate() error {
-	if c.TotalCapacity == 0 {
-		return fmt.Errorf("core: zero total capacity")
-	}
-	sum := c.NurseryFrac + c.ProbationFrac + c.PersistentFrac
-	if sum < 0.999 || sum > 1.001 {
-		return fmt.Errorf("core: cache fractions sum to %.3f, want 1", sum)
-	}
-	if c.NurseryFrac <= 0 || c.ProbationFrac <= 0 || c.PersistentFrac <= 0 {
-		return fmt.Errorf("core: every cache fraction must be positive")
-	}
-	return nil
-}
-
-// NewGenerational creates a generational manager from the configuration.
-// Lifecycle events are published to o (nil for none).
-func NewGenerational(cfg Config, o obs.Observer) (*Generational, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	return NewGraph(cfg.GraphSpec(), o)
-}
-
-// NewGenerationalShared creates the per-process half of a shared
-// generational manager for front-end process proc: a private nursery and
-// probation sized by the configuration's fractions, with the persistent tier
-// delegated to the given SharedPersistent. The configuration's
-// PersistentFrac describes the shared tier's share of a notional
-// per-process total; the shared tier itself is sized once at construction
-// by its creator.
-func NewGenerationalShared(cfg Config, shared *SharedPersistent, proc int, o obs.Observer) (*Generational, error) {
-	if shared == nil {
-		return nil, fmt.Errorf("core: shared generational manager needs a shared persistent tier")
-	}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	return NewGraphShared(cfg.GraphSpec(), shared, proc, o)
 }
 
 // Compile-time interface check.

@@ -103,7 +103,7 @@ func TestUnifiedPinning(t *testing.T) {
 
 func TestConfigValidate(t *testing.T) {
 	good := Layout451045Threshold1(1000)
-	if err := good.Validate(); err != nil {
+	if err := good.GraphSpec().Validate(); err != nil {
 		t.Errorf("good config rejected: %v", err)
 	}
 	bad := []Config{
@@ -112,11 +112,11 @@ func TestConfigValidate(t *testing.T) {
 		{TotalCapacity: 100, NurseryFrac: 1.0, ProbationFrac: 0.0, PersistentFrac: 0.0},
 	}
 	for i, c := range bad {
-		if err := c.Validate(); err == nil {
+		if err := c.GraphSpec().Validate(); err == nil {
 			t.Errorf("bad config %d accepted", i)
 		}
-		if _, err := NewGenerational(c, nil); err == nil {
-			t.Errorf("NewGenerational accepted bad config %d", i)
+		if _, err := NewGraph(c.GraphSpec(), nil); err == nil {
+			t.Errorf("NewGraph accepted bad config %d", i)
 		}
 	}
 }
@@ -127,10 +127,10 @@ func TestLayoutPresets(t *testing.T) {
 		Layout451045Threshold1(999),
 		Layout104545Threshold10(999),
 	} {
-		if err := cfg.Validate(); err != nil {
+		if err := cfg.GraphSpec().Validate(); err != nil {
 			t.Errorf("preset invalid: %v", err)
 		}
-		g, err := NewGenerational(cfg, nil)
+		g, err := NewGraph(cfg.GraphSpec(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,16 +145,16 @@ func TestLayoutPresets(t *testing.T) {
 
 // mkGen builds a small generational manager for behavioural tests:
 // 300-byte nursery, 300-byte probation, 400-byte persistent.
-func mkGen(t *testing.T, threshold uint64, promoteOnAccess bool, o obs.Observer) *Generational {
+func mkGen(t *testing.T, threshold uint64, promoteOnAccess bool, o obs.Observer) *Graph {
 	t.Helper()
-	g, err := NewGenerational(Config{
+	g, err := NewGraph(Config{
 		TotalCapacity:    1000,
 		NurseryFrac:      0.3,
 		ProbationFrac:    0.3,
 		PersistentFrac:   0.4,
 		PromoteThreshold: threshold,
 		PromoteOnAccess:  promoteOnAccess,
-	}, o)
+	}.GraphSpec(), o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,13 +388,13 @@ func TestGenerationalOversizedNurseryVictimDies(t *testing.T) {
 	// A 250-byte trace fits the 300-byte nursery but not probation once
 	// probation is crowded by pinned traces... simpler: make probation too
 	// small for the victim by using a custom config.
-	g, err := NewGenerational(Config{
+	g, err := NewGraph(Config{
 		TotalCapacity:    1000,
 		NurseryFrac:      0.5, // 500
 		ProbationFrac:    0.1, // 100
 		PersistentFrac:   0.4, // 400
 		PromoteThreshold: 1,
-	}, nil)
+	}.GraphSpec(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,7 +412,7 @@ func TestGenerationalOversizedNurseryVictimDies(t *testing.T) {
 }
 
 func TestGenerationalLocalPolicyOverride(t *testing.T) {
-	g, err := NewGenerational(Config{
+	g, err := NewGraph(Config{
 		TotalCapacity:    900,
 		NurseryFrac:      1.0 / 3,
 		ProbationFrac:    1.0 / 3,
@@ -424,7 +424,7 @@ func TestGenerationalLocalPolicyOverride(t *testing.T) {
 			}
 			return nil // default
 		},
-	}, nil)
+	}.GraphSpec(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -451,14 +451,14 @@ func TestGenerationalRandomized(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		r := rand.New(rand.NewSource(seed))
 		liveBytes := uint64(0)
-		g, err := NewGenerational(Config{
+		g, err := NewGraph(Config{
 			TotalCapacity:    8192,
 			NurseryFrac:      0.45,
 			ProbationFrac:    0.10,
 			PersistentFrac:   0.45,
 			PromoteThreshold: uint64(1 + r.Intn(3)),
 			PromoteOnAccess:  seed%2 == 0,
-		}, obs.Func(func(e obs.Event) {
+		}.GraphSpec(), obs.Func(func(e obs.Event) {
 			if e.Kind == obs.KindEvict {
 				liveBytes -= e.Size
 			}
@@ -507,7 +507,7 @@ func TestQuickConfigValidate(t *testing.T) {
 		p := float64(b%1000) / 1000
 		s := 1 - n - p
 		cfg := Config{TotalCapacity: 1000, NurseryFrac: n, ProbationFrac: p, PersistentFrac: s, PromoteThreshold: 1}
-		err := cfg.Validate()
+		err := cfg.GraphSpec().Validate()
 		legal := n > 0 && p > 0 && s > 0
 		return (err == nil) == legal
 	}
@@ -533,14 +533,14 @@ func TestObserverFanOutProperty(t *testing.T) {
 			if shape == "unified" {
 				mgr = NewUnified(4096, nil, bus)
 			} else {
-				g, err := NewGenerational(Config{
+				g, err := NewGraph(Config{
 					TotalCapacity:    4096,
 					NurseryFrac:      0.45,
 					ProbationFrac:    0.10,
 					PersistentFrac:   0.45,
 					PromoteThreshold: uint64(1 + r.Intn(2)),
 					PromoteOnAccess:  seed%2 == 0,
-				}, bus)
+				}.GraphSpec(), bus)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -264,8 +264,11 @@ type tier struct {
 	noopAccess bool
 }
 
-// Graph is a tier-graph manager. Unified and Generational are aliases of it;
-// NewGraph builds arbitrary shapes.
+// Graph is a tier-graph manager: the one-tier unified baseline, the paper's
+// three-tier generational design (§5, Figure 8), or any other shape its
+// GraphSpec describes. In shared mode (NewGraphShared) the leading tiers stay
+// process-private while the last one is a SharedPersistent serving every
+// front-end process of a dbt.System.
 type Graph struct {
 	spec   GraphSpec
 	tiers  []*tier
@@ -289,17 +292,6 @@ type Graph struct {
 	// (tier 0) reproduces the plain Access probe order.
 	hint []uint8
 }
-
-// Unified is a single trace cache with a pluggable local policy: the
-// one-tier stock graph.
-type Unified = Graph
-
-// Generational is the three-cache design of §5 driven by the Figure 8
-// algorithm: the three-tier stock graph. In shared mode
-// (NewGenerationalShared) the nursery and probation stay process-private
-// while the persistent tier is a SharedPersistent serving every front-end
-// process of a dbt.System.
-type Generational = Graph
 
 // NewGraph builds a private tier graph from the specification. Lifecycle
 // events are published to o (nil for none).

@@ -48,21 +48,10 @@ type Guest interface {
 
 // Config parameterizes the engine.
 type Config struct {
-	// Manager is the trace-cache manager. Either it or Tiers is required.
+	// Manager is the trace-cache manager (required): a core.NewGraph in
+	// single-process systems, a core.NewGraphShared over the system's shared
+	// tier in multi-process ones.
 	Manager core.Manager
-	// Tiers, when Manager is nil, describes a tier graph the engine builds
-	// itself at construction: a private core.NewGraph in single-process
-	// systems, a core.NewGraphShared over the system's shared tier in
-	// multi-process systems. The graph publishes its lifecycle events to
-	// Observer.
-	Tiers *core.GraphSpec
-	// Adaptive, when set alongside Tiers, attaches the adaptive split
-	// controller to the engine-built graph (overriding Tiers.Adaptive).
-	Adaptive *core.AdaptiveConfig
-	// Policy, when set alongside Tiers, applies a local-policy spec ("lru",
-	// "trrip:hot=8", "auto" for online selection) to every private tier of
-	// the engine-built graph that does not already name one.
-	Policy string
 	// HotThreshold is the trace creation threshold (default 50, DynamoRIO's
 	// value per §4.1).
 	HotThreshold uint64
@@ -267,7 +256,7 @@ func (e *Process) Preload(ts []*trace.Trace) error {
 			return fmt.Errorf("dbt: preload: duplicate trace head %#x", t.Head)
 		}
 		var err error
-		if g, ok := e.cfg.Manager.(*core.Generational); ok {
+		if g, ok := e.cfg.Manager.(*core.Graph); ok {
 			err = g.InsertPersistent(e.fragmentOf(t))
 		} else {
 			err = e.cfg.Manager.Insert(e.fragmentOf(t))

@@ -128,47 +128,11 @@ func (s *System) adopt(proc int, module uint16, head uint64) (*trace.Trace, bool
 
 // NewProcess creates a front-end process with the given ID over this
 // system. The configuration's Manager should be process-private (in shared
-// systems, a core.NewGenerationalShared over the system's tier); if the
-// manager supports process attribution, its events are stamped with the
-// process ID.
+// systems, a core.NewGraphShared over the system's tier); if the manager
+// supports process attribution, its events are stamped with the process ID.
 func (s *System) NewProcess(id int, img *program.Image, cfg Config) (*Process, error) {
-	if cfg.Manager == nil && cfg.Tiers != nil {
-		spec := *cfg.Tiers
-		if cfg.Adaptive != nil {
-			spec.Adaptive = cfg.Adaptive
-		}
-		if cfg.Policy != "" {
-			// Tiers share the spec's backing slice across processes; copy
-			// before writing per-tier policies.
-			tiers := make([]core.TierSpec, len(spec.Tiers))
-			copy(tiers, spec.Tiers)
-			nPriv := len(tiers)
-			if s.shared != nil {
-				nPriv-- // the shared tier keeps its own management
-			}
-			for i := 0; i < nPriv; i++ {
-				if tiers[i].Policy == "" {
-					tiers[i].Policy = cfg.Policy
-				}
-			}
-			spec.Tiers = tiers
-		}
-		var (
-			mgr *core.Graph
-			err error
-		)
-		if s.shared != nil {
-			mgr, err = core.NewGraphShared(spec, s.shared, id, cfg.Observer)
-		} else {
-			mgr, err = core.NewGraph(spec, cfg.Observer)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("dbt: building tier graph: %w", err)
-		}
-		cfg.Manager = mgr
-	}
 	if cfg.Manager == nil {
-		return nil, fmt.Errorf("dbt: config requires a Manager or Tiers")
+		return nil, fmt.Errorf("dbt: config requires a Manager")
 	}
 	if cfg.HotThreshold == 0 {
 		cfg.HotThreshold = 50

@@ -100,7 +100,7 @@ func sharedSystem(t *testing.T, img *program.Image, procs int, traceSize uint64,
 		PromoteOnAccess:  true,
 	}
 	for p := 0; p < procs; p++ {
-		mgr, err := core.NewGenerationalShared(cfg, sp, p, o)
+		mgr, err := core.NewGraphShared(cfg.GraphSpec(), sp, p, o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -300,7 +300,7 @@ func TestSingleProcSharedMatchesPlain(t *testing.T) {
 	}
 
 	plain := func() RunStats {
-		mgr, err := core.NewGenerational(cfg, nil)
+		mgr, err := core.NewGraph(cfg.GraphSpec(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -317,7 +317,7 @@ func TestSingleProcSharedMatchesPlain(t *testing.T) {
 	shared := func() RunStats {
 		sp := core.NewSharedPersistent(uint64(float64(cfg.TotalCapacity)*cfg.PersistentFrac), nil, nil)
 		sys := NewSystem(sp)
-		mgr, err := core.NewGenerationalShared(cfg, sp, 0, nil)
+		mgr, err := core.NewGraphShared(cfg.GraphSpec(), sp, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -336,83 +336,23 @@ func TestSingleProcSharedMatchesPlain(t *testing.T) {
 	}
 }
 
-// TestConfigTiersBuildsGraph covers the Config.Tiers construction path: an
-// engine handed a tier spec instead of a manager must build the graph
-// itself — privately in a single-process system, over the shared tier in a
-// multi-process one — and behave exactly like an engine handed the
-// equivalent prebuilt manager.
-func TestConfigTiersBuildsGraph(t *testing.T) {
+// TestConfigRequiresManager: the engine never builds a manager itself —
+// callers build one from a GraphSpec (core.NewGraph, or core.NewGraphShared
+// over a system's shared tier) — so a Config without one is rejected.
+func TestConfigRequiresManager(t *testing.T) {
 	img := buildPluginHotProgram(t)
-	size := maxTraceSize(t, img)
-	cfg := core.Config{
-		TotalCapacity:    size * 9 / 2,
-		NurseryFrac:      1.0 / 3,
-		ProbationFrac:    1.0 / 3,
-		PersistentFrac:   1.0 / 3,
-		PromoteThreshold: 1,
-		PromoteOnAccess:  true,
-	}
-
-	run := func(c Config) RunStats {
-		t.Helper()
-		e, err := New(img, c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := e.Run(VMGuest{M: vm.New(img)}, 0); err != nil {
-			t.Fatal(err)
-		}
-		return e.Stats()
-	}
-
-	mgr, err := core.NewGenerational(cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain := run(Config{Manager: mgr})
-	spec := cfg.GraphSpec()
-	viaTiers := run(Config{Tiers: &spec})
-	if plain != viaTiers {
-		t.Fatalf("Config.Tiers engine diverges from prebuilt manager:\nmanager: %+v\ntiers:   %+v", plain, viaTiers)
-	}
-
-	// Shared system: the Tiers path must route through NewGraphShared.
-	sharedRun := func(tiers bool) RunStats {
-		t.Helper()
-		sp := core.NewSharedPersistent(uint64(float64(cfg.TotalCapacity)*cfg.PersistentFrac), nil, nil)
-		sys := NewSystem(sp)
-		var pcfg Config
-		if tiers {
-			s := cfg.GraphSpec()
-			pcfg = Config{Tiers: &s}
-		} else {
-			m, err := core.NewGenerationalShared(cfg, sp, 0, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pcfg = Config{Manager: m}
-		}
-		p, err := sys.NewProcess(0, img, pcfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := p.Run(VMGuest{M: vm.New(img)}, 0); err != nil {
-			t.Fatal(err)
-		}
-		return p.Stats()
-	}
-	if m, g := sharedRun(false), sharedRun(true); m != g {
-		t.Fatalf("shared Config.Tiers engine diverges from prebuilt manager:\nmanager: %+v\ntiers:   %+v", m, g)
-	}
-
 	if _, err := New(img, Config{}); err == nil {
-		t.Error("Config without Manager or Tiers should fail")
+		t.Error("Config without a Manager should fail")
+	}
+	if _, err := NewSystem(core.NewSharedPersistent(1<<10, nil, nil)).NewProcess(0, img, Config{}); err == nil {
+		t.Error("shared-system process without a Manager should fail")
 	}
 }
 
-// TestConfigTiersAdaptive attaches the adaptive controller through
-// Config.Adaptive: the engine-built graph publishes its events to
-// Config.Observer, so applied capacity shifts surface as KindResize events.
+// TestConfigTiersAdaptive runs the engine over a tier graph whose spec
+// attaches the adaptive controller: the graph publishes its events to the
+// observer it was built with, so applied capacity shifts surface as
+// KindResize events during the engine run.
 // The guest is driven step-by-step: eight independent hot loops revisited in
 // rounds through a cache that holds only a few of their traces, so every
 // round churns traces out and back in — the eviction-then-re-access pattern
@@ -466,8 +406,7 @@ func TestConfigTiersAdaptive(t *testing.T) {
 		t.Fatal("no traces created")
 	}
 
-	// A graph holding roughly half the traces, short epochs, and the
-	// controller attached via Config.Adaptive rather than the spec.
+	// A graph holding roughly half the traces, with short controller epochs.
 	spec := core.Config{
 		TotalCapacity:    traceBytes / 2,
 		NurseryFrac:      1.0 / 3,
@@ -476,16 +415,17 @@ func TestConfigTiersAdaptive(t *testing.T) {
 		PromoteThreshold: 1,
 		PromoteOnAccess:  true,
 	}.GraphSpec()
+	spec.Adaptive = &core.AdaptiveConfig{Epoch: 32}
 	var resizes int
-	e, err := New(img, Config{
-		Tiers:    &spec,
-		Adaptive: &core.AdaptiveConfig{Epoch: 32},
-		Observer: obs.Func(func(ev obs.Event) {
-			if ev.Kind == obs.KindResize {
-				resizes++
-			}
-		}),
-	})
+	mgr, err := core.NewGraph(spec, obs.Func(func(ev obs.Event) {
+		if ev.Kind == obs.KindResize {
+			resizes++
+		}
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := New(img, Config{Manager: mgr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -494,6 +434,6 @@ func TestConfigTiersAdaptive(t *testing.T) {
 		t.Fatal("half-capacity run produced no conflict misses; workload too small to exercise the controller")
 	}
 	if resizes == 0 {
-		t.Error("adaptive controller applied no resizes; Config.Adaptive did not take effect")
+		t.Error("adaptive controller applied no resizes during the engine run")
 	}
 }

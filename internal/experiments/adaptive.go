@@ -87,7 +87,7 @@ func AdaptiveVsStatic(s *Suite) ([]AdaptiveRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		a, err := sim.Replay(r.Profile.Name, r.Events, mgr, acc)
+		a, err := sim.Replay(r.Profile.Name, r.Events, mgr, acc, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -25,7 +25,7 @@ func attribReplay(s *Suite, r *Run) (*attrib.Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := sim.Replay(r.Profile.Name, r.Events, mgr, acc); err != nil {
+	if _, err := sim.Replay(r.Profile.Name, r.Events, mgr, acc, nil); err != nil {
 		return nil, err
 	}
 	return mgr.Ledger().Snapshot(), nil

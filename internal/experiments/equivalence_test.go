@@ -76,7 +76,7 @@ func TestFastDispatchEquivalenceGenerational(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mgr, err := core.NewGenerational(core.Layout451045Threshold1(48<<10), nil)
+		mgr, err := core.NewGraph(core.Layout451045Threshold1(48<<10).GraphSpec(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -98,7 +98,7 @@ func PolicySelection(s *Suite) ([]PolicySelectRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		a, err := sim.Replay(r.Profile.Name, r.Events, mgr, acc)
+		a, err := sim.Replay(r.Profile.Name, r.Events, mgr, acc, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -234,7 +234,7 @@ func Ablations(s *Suite) ([]AblationRow, error) {
 		{"flush-unified", func(r *Run, c uint64, u sim.Result) (float64, error) {
 			acc := costmodel.NewAccum(s.Model)
 			mgr := core.NewUnified(c, &policy.FlushWhenFull{}, sim.CostObserver(acc))
-			g, err := sim.Replay(r.Profile.Name, r.Events, mgr, acc)
+			g, err := sim.Replay(r.Profile.Name, r.Events, mgr, acc, nil)
 			if err != nil {
 				return 0, err
 			}
@@ -248,7 +248,7 @@ func Ablations(s *Suite) ([]AblationRow, error) {
 			// evicting at the cursor.
 			acc := costmodel.NewAccum(s.Model)
 			mgr := core.NewUnified(c, &policy.CircularFirstFit{}, sim.CostObserver(acc))
-			g, err := sim.Replay(r.Profile.Name, r.Events, mgr, acc)
+			g, err := sim.Replay(r.Profile.Name, r.Events, mgr, acc, nil)
 			if err != nil {
 				return 0, err
 			}

@@ -33,18 +33,16 @@ import (
 	"repro/internal/trace"
 )
 
-// The current format is version 3: it carries, alongside the trace records,
-// the tier-graph specification the snapshot was taken under — including each
-// tier's local-policy spec, with "auto:NAME" recording the policy the online
-// selector had live at snapshot time — so a warm start rebuilds the same
-// cache geometry and resumes the selected policy without out-of-band
-// configuration. Version-2 files (spec without policies) and version-1 files
-// (traces only, no spec) still load; Image.Spec is nil for v1. Predictor
-// gates do not persist — a spec round-trips its threshold form, the only
-// gate the paper's configurations use.
+// The format is version 3, the only one this build reads: it carries,
+// alongside the trace records, the tier-graph specification the snapshot was
+// taken under — including each tier's local-policy spec, with "auto:NAME"
+// recording the policy the online selector had live at snapshot time — so a
+// warm start rebuilds the same cache geometry and resumes the selected
+// policy without out-of-band configuration. Earlier generations (version 1,
+// traces only; version 2, a spec without policies) fail with ErrVersion like
+// any other. Predictor gates do not persist — a spec round-trips its
+// threshold form, the only gate the paper's configurations use.
 const (
-	magicV1 = "CCPERSIST1\n"
-	magicV2 = "CCPERSIST2\n"
 	magicV3 = "CCPERSIST3\n"
 
 	// magicPrefix is common to every format generation; a file carrying it
@@ -132,7 +130,7 @@ func (si *SpecImage) GraphSpec() core.GraphSpec {
 // persistent cache (the traces that earned promotion). lookup resolves a
 // trace ID to its materialized trace (the engine's TraceByID); traces the
 // engine no longer knows are skipped.
-func Snapshot(benchmark string, g *core.Generational, lookup func(uint64) (*trace.Trace, bool)) Image {
+func Snapshot(benchmark string, g *core.Graph, lookup func(uint64) (*trace.Trace, bool)) Image {
 	img := Image{Benchmark: benchmark, Spec: SpecOf(g.Spec())}
 	// Record the live per-tier policies: a tier under online selection
 	// persists "auto:NAME" so the warm restart resumes the selected policy
@@ -269,16 +267,16 @@ func Save(w io.Writer, img Image) error {
 	return bw.Flush()
 }
 
-// Load reads an image in the version-1, version-2, or version-3 format.
+// Load reads an image in the version-3 format. Its input may come off the
+// peer network (cluster bootstrap), so every count is bounded before it
+// sizes anything.
 func Load(r io.Reader) (Image, error) {
 	br := bufio.NewReader(r)
 	got := make([]byte, len(magicV3))
 	if _, err := io.ReadFull(br, got); err != nil {
 		return Image{}, fmt.Errorf("persist: reading magic: %w", err)
 	}
-	v3 := string(got) == magicV3
-	hasSpec := v3 || string(got) == magicV2
-	if !hasSpec && string(got) != magicV1 {
+	if string(got) != magicV3 {
 		if strings.HasPrefix(string(got), magicPrefix) {
 			return Image{}, fmt.Errorf("persist: snapshot format %q: %w", got, ErrVersion)
 		}
@@ -297,47 +295,38 @@ func Load(r io.Reader) (Image, error) {
 		return Image{}, err
 	}
 	var spec *SpecImage
-	if hasSpec {
-		tiers, err := get()
-		if err != nil {
+	tiers, err := get()
+	if err != nil {
+		return Image{}, err
+	}
+	if tiers > 1<<10 {
+		return Image{}, errors.New("persist: unreasonable tier count")
+	}
+	if tiers > 0 {
+		spec = &SpecImage{}
+		if spec.TotalCapacity, err = get(); err != nil {
 			return Image{}, err
 		}
-		if tiers > 1<<10 {
-			return Image{}, errors.New("persist: unreasonable tier count")
-		}
-		if tiers > 0 {
-			spec = &SpecImage{}
-			if spec.TotalCapacity, err = get(); err != nil {
-				return Image{}, err
+		for i := uint64(0); i < tiers; i++ {
+			var vals [4]uint64
+			for j := range vals {
+				if vals[j], err = get(); err != nil {
+					return Image{}, fmt.Errorf("persist: spec tier %d: %w", i, err)
+				}
 			}
-			for i := uint64(0); i < tiers; i++ {
-				var vals [3]uint64
-				for j := range vals {
-					if vals[j], err = get(); err != nil {
-						return Image{}, fmt.Errorf("persist: spec tier %d: %w", i, err)
-					}
-				}
-				ti := TierImage{
-					Frac:            math.Float64frombits(vals[0]),
-					Threshold:       vals[1],
-					PromoteOnAccess: vals[2] != 0,
-				}
-				if v3 {
-					plen, err := get()
-					if err != nil {
-						return Image{}, fmt.Errorf("persist: spec tier %d: %w", i, err)
-					}
-					if plen > 1<<10 {
-						return Image{}, errors.New("persist: unreasonable policy length")
-					}
-					pol := make([]byte, plen)
-					if _, err := io.ReadFull(br, pol); err != nil {
-						return Image{}, fmt.Errorf("persist: spec tier %d policy: %w", i, err)
-					}
-					ti.Policy = string(pol)
-				}
-				spec.Tiers = append(spec.Tiers, ti)
+			if vals[3] > 1<<10 {
+				return Image{}, errors.New("persist: unreasonable policy length")
 			}
+			pol := make([]byte, vals[3])
+			if _, err := io.ReadFull(br, pol); err != nil {
+				return Image{}, fmt.Errorf("persist: spec tier %d policy: %w", i, err)
+			}
+			spec.Tiers = append(spec.Tiers, TierImage{
+				Frac:            math.Float64frombits(vals[0]),
+				Threshold:       vals[1],
+				PromoteOnAccess: vals[2] != 0,
+				Policy:          string(pol),
+			})
 		}
 	}
 	n, err := get()
@@ -347,7 +336,9 @@ func Load(r io.Reader) (Image, error) {
 	if n > 1<<24 {
 		return Image{}, errors.New("persist: unreasonable record count")
 	}
-	img := Image{Benchmark: string(name), Records: make([]Record, 0, n), Spec: spec}
+	// The count is only a claim until the records arrive: preallocate for
+	// at most a modest prefix, so a short forged image cannot demand memory.
+	img := Image{Benchmark: string(name), Records: make([]Record, 0, min(n, 1<<10)), Spec: spec}
 	for i := uint64(0); i < n; i++ {
 		var vals [5]uint64
 		for j := range vals {
@@ -427,7 +418,7 @@ type Validator func(Record) bool
 // Warm pre-populates a fresh generational manager's persistent cache from a
 // saved image. genCost gives the per-trace regeneration cost being avoided
 // (use costmodel.Model.TraceGen).
-func Warm(g *core.Generational, img Image, validate Validator, genCost func(sizeBytes int) float64) WarmStats {
+func Warm(g *core.Graph, img Image, validate Validator, genCost func(sizeBytes int) float64) WarmStats {
 	var ws WarmStats
 	for _, r := range img.Records {
 		if validate != nil && !validate(r) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -17,16 +18,16 @@ import (
 
 // populated builds a generational manager with some traces promoted into
 // the persistent cache.
-func populated(t *testing.T) *core.Generational {
+func populated(t testing.TB) *core.Graph {
 	t.Helper()
-	g, err := core.NewGenerational(core.Config{
+	g, err := core.NewGraph(core.Config{
 		TotalCapacity:    3000,
 		NurseryFrac:      0.3,
 		ProbationFrac:    0.3,
 		PersistentFrac:   0.4,
 		PromoteThreshold: 1,
 		PromoteOnAccess:  true,
-	}, nil)
+	}.GraphSpec(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,10 +86,26 @@ func TestLoadErrors(t *testing.T) {
 	}
 	// Valid magic, truncated payload.
 	var buf bytes.Buffer
-	buf.WriteString("CCPERSIST1\n")
+	buf.WriteString("CCPERSIST3\n")
 	buf.WriteByte(3) // claims a 3-byte name, then EOF
 	if _, err := Load(&buf); err == nil {
 		t.Error("truncated name accepted")
+	}
+	// A record count at the bound with no records behind it must fail
+	// without sizing memory from the claim.
+	buf.Reset()
+	buf.WriteString("CCPERSIST3\n")
+	putUvarint(&buf, 0)     // empty name
+	putUvarint(&buf, 0)     // no spec
+	putUvarint(&buf, 1<<24) // claimed records, then EOF
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := Load(&buf); err == nil {
+		t.Error("truncated records accepted")
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Errorf("forged record count allocated %d bytes", grew)
 	}
 }
 
@@ -115,7 +132,7 @@ func TestWarmRestoresTraces(t *testing.T) {
 	img := Snapshot("b", g, nil)
 	persisted := len(img.Records)
 
-	fresh, err := core.NewGenerational(core.Layout451045Threshold1(3000), nil)
+	fresh, err := core.NewGraph(core.Layout451045Threshold1(3000).GraphSpec(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +158,7 @@ func TestWarmRestoresTraces(t *testing.T) {
 func TestWarmValidatorRejects(t *testing.T) {
 	g := populated(t)
 	img := Snapshot("b", g, nil)
-	fresh, err := core.NewGenerational(core.Layout451045Threshold1(3000), nil)
+	fresh, err := core.NewGraph(core.Layout451045Threshold1(3000).GraphSpec(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,13 +177,13 @@ func TestWarmOverflowRejects(t *testing.T) {
 	g := populated(t)
 	img := Snapshot("b", g, nil)
 	// A tiny persistent cache cannot hold everything; Warm must cope.
-	tiny, err := core.NewGenerational(core.Config{
+	tiny, err := core.NewGraph(core.Config{
 		TotalCapacity:    300,
 		NurseryFrac:      0.34,
 		ProbationFrac:    0.33,
 		PersistentFrac:   0.33,
 		PromoteThreshold: 1,
-	}, nil)
+	}.GraphSpec(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,8 +227,8 @@ func TestWarmStartEndToEnd(t *testing.T) {
 	}
 	capacity := uint64(256 << 10)
 
-	runOnce := func(preloaded []*trace.Trace) (dbt.RunStats, *core.Generational, *dbt.Engine) {
-		g, err := core.NewGenerational(core.Layout451045Threshold1(capacity), nil)
+	runOnce := func(preloaded []*trace.Trace) (dbt.RunStats, *core.Graph, *dbt.Engine) {
+		g, err := core.NewGraph(core.Layout451045Threshold1(capacity).GraphSpec(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -278,7 +295,7 @@ func TestRebuildRejectsStaleImage(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	g, err := core.NewGenerational(core.Layout451045Threshold1(128<<10), nil)
+	g, err := core.NewGraph(core.Layout451045Threshold1(128<<10).GraphSpec(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +344,7 @@ func TestWarmSharedRefcounts(t *testing.T) {
 		sp := core.NewSharedPersistent(spCap, nil, nil)
 		sys := dbt.NewSystem(sp)
 		for proc := 0; proc < 2; proc++ {
-			mgr, err := core.NewGenerationalShared(cfg, sp, proc, nil)
+			mgr, err := core.NewGraphShared(cfg.GraphSpec(), sp, proc, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -465,28 +482,20 @@ func TestSpecRoundTrip(t *testing.T) {
 
 // TestLoadVersion1 rebuilds a version-1 byte stream (no spec block) and
 // checks it still loads, with a nil Spec.
+// TestLoadVersion1: the retired format generations — version 1 (traces
+// only) and version 2 (a spec without policies) — are stale snapshots, not
+// corruption: Load reports ErrVersion so a warm start logs and cold-starts.
 func TestLoadVersion1(t *testing.T) {
-	var buf bytes.Buffer
-	buf.WriteString("CCPERSIST1\n")
-	putUvarint(&buf, uint64(len("word")))
-	buf.WriteString("word")
-	putUvarint(&buf, 1) // one record
-	for _, v := range []uint64{7, 0x7000, 100, 2, 2, 0x7000, 0x7040} {
-		putUvarint(&buf, v)
-	}
-	img, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if img.Spec != nil {
-		t.Fatalf("version-1 image should have no spec, got %+v", img.Spec)
-	}
-	if img.Benchmark != "word" || len(img.Records) != 1 {
-		t.Fatalf("image = %+v", img)
-	}
-	r := img.Records[0]
-	if r.ID != 7 || r.HeadAddr != 0x7000 || r.Size != 100 || r.Module != 2 || len(r.Blocks) != 2 {
-		t.Fatalf("record = %+v", r)
+	for _, magic := range []string{"CCPERSIST1\n", "CCPERSIST2\n"} {
+		var buf bytes.Buffer
+		buf.WriteString(magic)
+		putUvarint(&buf, uint64(len("word")))
+		buf.WriteString("word")
+		putUvarint(&buf, 0) // v2: no spec; v1: no records
+		putUvarint(&buf, 0)
+		if _, err := Load(&buf); !errors.Is(err, ErrVersion) {
+			t.Errorf("%q: err = %v, want ErrVersion", magic, err)
+		}
 	}
 }
 
@@ -563,4 +572,39 @@ func TestSnapshotCarriesPolicies(t *testing.T) {
 	if live := g2.LivePolicies(); live[0] != "lru" || live[1] != "trrip" {
 		t.Errorf("rebuilt live policies = %v, want [lru trrip ...]", live)
 	}
+}
+
+// FuzzLoad: Load reads bytes straight off the peer network (cluster
+// bootstrap), so arbitrary input must fail cleanly — never panic or size an
+// allocation from an unchecked count — and anything it accepts must save
+// back to bytes that load to the same image (compared as saved bytes, since
+// a fraction may decode to NaN).
+func FuzzLoad(f *testing.F) {
+	var seed bytes.Buffer
+	if err := Save(&seed, Snapshot("b", populated(f), nil)); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed.Bytes())
+	f.Add([]byte("CCPERSIST3\n"))
+	f.Add([]byte("CCPERSIST2\n\x01b\x00\x00"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		img, err := Load(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var once, twice bytes.Buffer
+		if err := Save(&once, img); err != nil {
+			t.Fatal(err)
+		}
+		again, err := Load(bytes.NewReader(once.Bytes()))
+		if err != nil {
+			t.Fatalf("re-load of a saved image: %v", err)
+		}
+		if err := Save(&twice, again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(once.Bytes(), twice.Bytes()) {
+			t.Fatalf("save/load round trip is not stable: %d vs %d bytes", once.Len(), twice.Len())
+		}
+	})
 }

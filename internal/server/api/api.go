@@ -14,6 +14,8 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/attrib"
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
@@ -430,10 +432,106 @@ type StreamLine struct {
 	Error  string         `json:"error,omitempty"`
 }
 
+// SessionConfig is a session's configuration: the knobs the query string of
+// POST /v1/sessions carries, in the form in-process callers (the server's
+// ServeSession and OfflineReplay) and ccsim's flags use. Zero values mean the
+// service defaults.
+type SessionConfig struct {
+	// CapacityBytes, when >0, is the absolute simulated cache capacity.
+	CapacityBytes uint64
+	// CapFrac sizes the cache as a fraction of the log's unbounded peak when
+	// CapacityBytes is 0. Zero means the service default (0.5).
+	CapFrac float64
+	// Layout is the N-P-S percentage split; empty means "45-10-45".
+	Layout string
+	// Threshold is the probation promotion threshold; zero means 1.
+	Threshold uint64
+	// Tiers, when set, replays an arbitrary tier graph (core.ParseTierSpec).
+	Tiers string
+	// Policy applies a local-policy spec to tiers that don't name one.
+	Policy string
+	// SelEpoch overrides the online policy-selector epoch.
+	SelEpoch uint64
+	// Unified replays the single pseudo-circular baseline.
+	Unified bool
+	// Adaptive attaches the adaptive split controller.
+	Adaptive bool
+	// AdaptEpoch overrides the adaptive controller's decision epoch.
+	AdaptEpoch uint64
+	// Pressure is the load pressure in [0, 1] the session starts under.
+	// Callers must pass the same value to ServeSession and the verifying
+	// OfflineReplay, or the adaptive controller will decide differently.
+	Pressure float64
+	// Attrib attaches the attribution ledger: the result carries per-cause
+	// miss counts and the session folds into the server's /v1/attrib
+	// aggregate. The ledger only observes, so replay counters are unchanged.
+	Attrib bool
+	// Tenant is the opaque session label (?session=, ≤64 bytes): attribution
+	// folds into the tenant's aggregate as well as the server-wide one. It
+	// never influences the replay.
+	Tenant string
+}
+
+// GraphSpec turns the configuration into the tier graph a replay over
+// capacity bytes runs: the one-tier unified baseline (Unified), an arbitrary
+// graph (Tiers), or the stock generational chain from Layout and Threshold.
+// Policy then fills every tier that names none, and SelEpoch, Adaptive and
+// Attrib attach the selector epoch, the split controller, and the
+// attribution ledger; emit makes the ledger publish its cause events. ccsim's
+// flags and the session query string both resolve through it, so ccsim, a
+// served session, and its offline verification build the same graph.
+func (c SessionConfig) GraphSpec(capacity uint64, emit bool) (core.GraphSpec, error) {
+	var spec core.GraphSpec
+	switch {
+	case c.Unified:
+		spec = core.UnifiedSpec(capacity, nil)
+	case c.Tiers != "":
+		var err error
+		if spec, err = core.ParseTierSpec(c.Tiers, capacity); err != nil {
+			return spec, err
+		}
+	default:
+		layout := c.Layout
+		if layout == "" {
+			layout = "45-10-45"
+		}
+		fracs, err := ParseLayout(layout)
+		if err != nil {
+			return spec, err
+		}
+		threshold := max(c.Threshold, 1)
+		spec = core.Config{
+			TotalCapacity:    capacity,
+			NurseryFrac:      fracs[0],
+			ProbationFrac:    fracs[1],
+			PersistentFrac:   fracs[2],
+			PromoteThreshold: threshold,
+			PromoteOnAccess:  threshold == 1,
+		}.GraphSpec()
+	}
+	if c.Policy != "" {
+		for i := range spec.Tiers {
+			if spec.Tiers[i].Policy == "" {
+				spec.Tiers[i].Policy = c.Policy
+			}
+		}
+	}
+	if c.SelEpoch > 0 {
+		spec.Selector = &core.SelectorConfig{Epoch: c.SelEpoch}
+	}
+	if c.Adaptive {
+		spec.Adaptive = &core.AdaptiveConfig{Epoch: c.AdaptEpoch}
+	}
+	if c.Attrib {
+		spec.Attrib = &attrib.Config{EmitEvents: emit}
+	}
+	return spec, spec.Validate()
+}
+
 // ParseLayout parses an N-P-S percentage split ("45-10-45") into fractions.
-// It is the one layout grammar of the system: ccsim's -layout flag and the
-// service's layout parameter both resolve through it, so a served session
-// and its offline verification build byte-identical configurations.
+// It is the one layout grammar of the system: SessionConfig.GraphSpec
+// resolves Layout through it for ccsim's -layout flag and the service's
+// layout parameter alike.
 func ParseLayout(s string) ([3]float64, error) {
 	var res [3]float64
 	parts := strings.Split(s, "-")

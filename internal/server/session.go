@@ -22,172 +22,86 @@ import (
 	"repro/internal/tracelog"
 )
 
-// sessionParams is the parsed query-string configuration of one session.
-type sessionParams struct {
-	capacity   uint64 // absolute bytes; >0 selects the streaming path
-	capFrac    float64
-	layout     string
-	threshold  uint64
-	tiers      string
-	policy     string
-	selEpoch   uint64
-	unified    bool
-	events     bool
-	adaptive   bool
-	adaptEpoch uint64
-	pressure   float64 // initial load pressure for the adaptive controller
-	attrib     bool    // attach the attribution ledger
-	tenant     string  // opaque session label for per-tenant attribution
-}
-
 // maxTenantLen bounds the ?session= label; it is an opaque key into the
 // per-tenant attribution map, not a payload.
 const maxTenantLen = 64
 
-func parseParams(r *http.Request) (sessionParams, error) {
-	p := sessionParams{capFrac: 0.5, layout: "45-10-45", threshold: 1}
+// parseParams reads a session's configuration off the query string, and
+// whether the response streams NDJSON events (events=1).
+func parseParams(r *http.Request) (SessionConfig, bool, error) {
+	var c SessionConfig
+	var events bool
 	q := r.URL.Query()
 	if v := q.Get(api.ParamCapacity); v != "" {
 		n, err := strconv.ParseUint(v, 10, 64)
 		if err != nil || n == 0 {
-			return p, fmt.Errorf("bad %s %q", api.ParamCapacity, v)
+			return c, false, fmt.Errorf("bad %s %q", api.ParamCapacity, v)
 		}
-		p.capacity = n
+		c.CapacityBytes = n
 	}
 	if v := q.Get(api.ParamCapFrac); v != "" {
 		f, err := strconv.ParseFloat(v, 64)
 		if err != nil || f <= 0 || f > 16 {
-			return p, fmt.Errorf("bad %s %q", api.ParamCapFrac, v)
+			return c, false, fmt.Errorf("bad %s %q", api.ParamCapFrac, v)
 		}
-		p.capFrac = f
+		c.CapFrac = f
 	}
 	if v := q.Get(api.ParamLayout); v != "" {
 		if _, err := api.ParseLayout(v); err != nil {
-			return p, err
+			return c, false, err
 		}
-		p.layout = v
+		c.Layout = v
 	}
 	if v := q.Get(api.ParamThreshold); v != "" {
 		n, err := strconv.ParseUint(v, 10, 64)
-		if err != nil {
-			return p, fmt.Errorf("bad %s %q", api.ParamThreshold, v)
+		if err != nil || n == 0 {
+			return c, false, fmt.Errorf("bad %s %q", api.ParamThreshold, v)
 		}
-		p.threshold = n
+		c.Threshold = n
 	}
-	p.tiers = q.Get(api.ParamTiers)
+	c.Tiers = q.Get(api.ParamTiers)
 	if v := q.Get(api.ParamPolicy); v != "" {
 		// Reject unknown policies before admission; a one-tier probe spec
 		// exercises the same validation the manager build will.
 		probe := core.UnifiedSpec(1, nil)
 		probe.Tiers[0].Policy = v
 		if err := probe.Validate(); err != nil {
-			return p, fmt.Errorf("bad %s %q: %w", api.ParamPolicy, v, err)
+			return c, false, fmt.Errorf("bad %s %q: %w", api.ParamPolicy, v, err)
 		}
-		p.policy = v
+		c.Policy = v
 	}
-	if v := q.Get(api.ParamSelEpoch); v != "" {
-		n, err := strconv.ParseUint(v, 10, 64)
-		if err != nil || n == 0 {
-			return p, fmt.Errorf("bad %s %q", api.ParamSelEpoch, v)
+	for name, dst := range map[string]*uint64{api.ParamSelEpoch: &c.SelEpoch, api.ParamAdaptEpoch: &c.AdaptEpoch} {
+		if v := q.Get(name); v != "" {
+			n, err := strconv.ParseUint(v, 10, 64)
+			if err != nil || n == 0 {
+				return c, false, fmt.Errorf("bad %s %q", name, v)
+			}
+			*dst = n
 		}
-		p.selEpoch = n
-	}
-	if v := q.Get(api.ParamAdaptEpoch); v != "" {
-		n, err := strconv.ParseUint(v, 10, 64)
-		if err != nil || n == 0 {
-			return p, fmt.Errorf("bad %s %q", api.ParamAdaptEpoch, v)
-		}
-		p.adaptEpoch = n
 	}
 	if v := q.Get(api.ParamPressure); v != "" {
 		f, err := strconv.ParseFloat(v, 64)
 		if err != nil || f < 0 || f > 1 {
-			return p, fmt.Errorf("bad %s %q", api.ParamPressure, v)
+			return c, false, fmt.Errorf("bad %s %q", api.ParamPressure, v)
 		}
-		p.pressure = f
+		c.Pressure = f
 	}
 	if v := q.Get(api.ParamSession); v != "" {
 		if len(v) > maxTenantLen {
-			return p, fmt.Errorf("bad %s: label longer than %d bytes", api.ParamSession, maxTenantLen)
+			return c, false, fmt.Errorf("bad %s: label longer than %d bytes", api.ParamSession, maxTenantLen)
 		}
-		p.tenant = v
+		c.Tenant = v
 	}
-	for name, dst := range map[string]*bool{api.ParamUnified: &p.unified, api.ParamEvents: &p.events, api.ParamAdaptive: &p.adaptive, api.ParamAttrib: &p.attrib} {
+	for name, dst := range map[string]*bool{api.ParamUnified: &c.Unified, api.ParamEvents: &events, api.ParamAdaptive: &c.Adaptive, api.ParamAttrib: &c.Attrib} {
 		if v := q.Get(name); v != "" {
 			b, err := strconv.ParseBool(v)
 			if err != nil {
-				return p, fmt.Errorf("bad %s %q", name, v)
+				return c, false, fmt.Errorf("bad %s %q", name, v)
 			}
 			*dst = b
 		}
 	}
-	return p, nil
-}
-
-// buildManager constructs the session's private manager exactly as offline
-// ccsim would for the same flags, with the same observer topology the cost
-// accounting depends on.
-func (p sessionParams) buildManager(capacity uint64, acc *costmodel.Accum, extra obs.Observer) (core.Manager, error) {
-	o := obs.Combine(sim.CostObserver(acc), extra)
-	if p.unified {
-		if p.policy == "" && !p.adaptive && !p.attrib {
-			return core.NewUnified(capacity, nil, o), nil
-		}
-		spec := core.UnifiedSpec(capacity, nil)
-		p.applySpec(&spec)
-		return core.NewGraph(spec, o)
-	}
-	if p.tiers != "" {
-		spec, err := core.ParseTierSpec(p.tiers, capacity)
-		if err != nil {
-			return nil, err
-		}
-		p.applySpec(&spec)
-		return core.NewGraph(spec, o)
-	}
-	fracs, err := api.ParseLayout(p.layout)
-	if err != nil {
-		return nil, err
-	}
-	cfg := core.Config{
-		TotalCapacity:    capacity,
-		NurseryFrac:      fracs[0],
-		ProbationFrac:    fracs[1],
-		PersistentFrac:   fracs[2],
-		PromoteThreshold: p.threshold,
-		PromoteOnAccess:  p.threshold <= 1,
-	}
-	// NewGenerational is NewGraph over cfg.GraphSpec(), so the attrib branch
-	// below replays counter-identically — the ledger only observes.
-	if p.policy == "" && !p.adaptive && !p.attrib {
-		return core.NewGenerational(cfg, o)
-	}
-	spec := cfg.GraphSpec()
-	p.applySpec(&spec)
-	return core.NewGraph(spec, o)
-}
-
-// applySpec fills the policy param into every tier not already naming one
-// and attaches the selector-epoch and adaptive-controller overrides.
-func (p sessionParams) applySpec(spec *core.GraphSpec) {
-	if p.policy != "" {
-		for i := range spec.Tiers {
-			if spec.Tiers[i].Policy == "" {
-				spec.Tiers[i].Policy = p.policy
-			}
-		}
-	}
-	if p.selEpoch > 0 {
-		spec.Selector = &core.SelectorConfig{Epoch: p.selEpoch}
-	}
-	if p.adaptive {
-		spec.Adaptive = &core.AdaptiveConfig{Epoch: p.adaptEpoch}
-	}
-	if p.attrib {
-		// Cause events reach the NDJSON stream only in events mode; a plain
-		// attrib session aggregates silently.
-		spec.Attrib = &attrib.Config{EmitEvents: p.events}
-	}
+	return c, events, nil
 }
 
 // countingReader tallies how many body bytes a session consumed.
@@ -285,11 +199,10 @@ type sessionRun struct {
 	enc *ndjsonWriter // nil unless events mode
 }
 
-func newSessionRun(srv *Server, sess *dbt.Session, bench string, enc *ndjsonWriter) *sessionRun {
+func newSessionRun(srv *Server, sess *dbt.Session, enc *ndjsonWriter) *sessionRun {
 	return &sessionRun{
 		srv:    srv,
 		sess:   sess,
-		bench:  bench,
 		gmods:  make(map[uint16]uint16),
 		gmodOK: make(map[uint16]bool),
 		idents: make(map[identKey]*identState),
@@ -503,7 +416,7 @@ func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
 		jsonError(w, http.StatusServiceUnavailable, "server is draining")
 		return
 	}
-	p, err := parseParams(r)
+	cfg, events, err := parseParams(r)
 	if err != nil {
 		jsonError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -534,7 +447,7 @@ func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
 	body := &countingReader{r: http.MaxBytesReader(w, r.Body, s.cfg.MaxSessionBytes)}
 
 	var enc *ndjsonWriter
-	if p.events {
+	if events {
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		enc = newNDJSONWriter(w)
 		// Shared-tier events caused by this session's publishes, adoptions,
@@ -547,34 +460,12 @@ func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
 		defer s.router.detach(sess.ID())
 	}
 
-	sr, capacity, err := s.runSession(p, sess, body, enc)
+	out, err := s.serveSession(cfg, sess, body, enc)
 	if err != nil {
-		s.recordFailure()
 		s.failSession(w, enc, err)
 		return
 	}
-
-	res := sr.rep.Finish()
-	out := api.FromSim(res)
-	out.Session = sess.ID()
-	out.CapacityBytes = capacity
-	out.Events = sr.rep.Events()
-	out.Shared = api.SharedSavings{
-		Adoptions:            sr.adoptions,
-		Published:            sr.published,
-		PeerAdoptions:        sr.peerAdoptions,
-		SavedGenInstructions: sr.savedGen,
-	}
-	if sr.led != nil {
-		snap := sr.led.Snapshot()
-		out.Causes = causeCounts(snap)
-		s.attrib.Add(snap)
-		if p.tenant != "" {
-			s.tenantAggregate(p.tenant).Add(snap)
-		}
-	}
 	s.recordResult(out, body.n)
-	sr.recycle() // out is a value copy; the run's pooled scratch is done
 
 	if enc != nil {
 		enc.write(api.StreamLine{Result: &out})
@@ -594,49 +485,63 @@ func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
 	_ = json.NewEncoder(w).Encode(out)
 }
 
-// runSession decodes the body and drives the replay through the batched
-// kernel, returning the completed run and the capacity it simulated. Both
-// paths share one incremental decode loop (NextBlock); they differ only in
-// whether decoded blocks replay immediately (streaming, absolute capacity)
-// or are retained until the Summarizer has sized the cache (buffered,
-// fractional capacity — exactly offline ccsim's procedure, without ccsim's
-// full []Event materialization).
-func (s *Server) runSession(p sessionParams, sess *dbt.Session, body io.Reader, enc *ndjsonWriter) (*sessionRun, uint64, error) {
-	lr, err := tracelog.NewReader(body)
+// serveSession replays one opened session with the shared tier riding
+// alongside (handleSession and ServeSession), then fills in the service-side
+// fields and folds the session's attribution into the server-wide and tenant
+// aggregates. Failures are counted here; the caller records the result,
+// since only it knows how many body bytes the session consumed.
+func (s *Server) serveSession(cfg SessionConfig, sess *dbt.Session, body io.Reader, enc *ndjsonWriter) (api.SessionResult, error) {
+	sr := newSessionRun(s, sess, enc)
+	out, snap, err := replayLog(cfg, s.model, body, sr)
 	if err != nil {
-		return nil, 0, err
+		s.recordFailure()
+		return api.SessionResult{}, err
 	}
-
-	if p.capacity > 0 {
-		// Streaming: blocks replay as they decode off the wire.
-		sr, err := s.startRun(p, sess, lr.Header().Benchmark, p.capacity, enc)
-		if err != nil {
-			return nil, 0, err
-		}
-		b := tracelog.GetBlock()
-		defer tracelog.PutBlock(b)
-		for {
-			derr := lr.NextBlock(b)
-			if b.N > 0 {
-				if err := sr.rep.StepBlock(b); err != nil {
-					return nil, 0, err
-				}
-			}
-			if errors.Is(derr, io.EOF) {
-				return sr, p.capacity, nil
-			}
-			if derr != nil {
-				return nil, 0, derr
-			}
+	out.Session = sess.ID()
+	out.Shared = api.SharedSavings{
+		Adoptions:            sr.adoptions,
+		Published:            sr.published,
+		PeerAdoptions:        sr.peerAdoptions,
+		SavedGenInstructions: sr.savedGen,
+	}
+	if snap != nil {
+		s.attrib.Add(snap)
+		if cfg.Tenant != "" {
+			s.tenantAggregate(cfg.Tenant).Add(snap)
 		}
 	}
+	return out, nil
+}
 
-	// Buffered: the capacity is a fraction of the log's unbounded peak, so
-	// the whole log must be decoded before the first replay step. The
-	// decoded blocks are retained (pooled, struct-of-arrays) and the
-	// Summarizer scans them incrementally — no second decode, no full
-	// event-slice buffer.
-	z := tracelog.NewSummarizer(lr.Header())
+// accPool recycles cost accumulators across sessions; startReplay draws one
+// and replayLog returns it once the result has been copied out.
+var accPool = sync.Pool{New: func() any { return new(costmodel.Accum) }}
+
+// replayLog is the one path from a session's configuration and log bytes to
+// its result, shared by handleSession, ServeSession, and OfflineReplay, so a
+// served session and its offline verification agree by construction. It
+// decodes the log off body, sizes the cache, builds the manager from
+// cfg.GraphSpec, and replays the decoded blocks through the batched kernel.
+// With an absolute capacity, blocks replay as they decode off the wire; a
+// fractional capacity needs the log's unbounded peak first, so the blocks
+// are decoded and retained (pooled, struct-of-arrays) while the Summarizer
+// scans them — offline ccsim's procedure without its []Event buffer.
+//
+// sr is the served session riding alongside the replay: its observers and
+// shared-tier hooks are wired in, and in events mode it also receives the
+// progress stream (without a progress observer nothing else consumes one).
+// A nil sr replays offline against the private manager alone. The result's
+// Session and Shared fields are left zero; snap is the attribution ledger's
+// snapshot, nil unless cfg.Attrib.
+func replayLog(cfg SessionConfig, model costmodel.Model, body io.Reader, sr *sessionRun) (api.SessionResult, *attrib.Snapshot, error) {
+	// A *bytes.Reader (in-process callers) is a byte source tracelog would
+	// read directly, event by event, having no Peek window; the bufio wrap
+	// gives every source the zero-copy block decode HTTP bodies get.
+	lr, err := tracelog.NewReader(bufio.NewReaderSize(body, tracelog.DefaultBufSize))
+	if err != nil {
+		return api.SessionResult{}, nil, err
+	}
+	capacity := cfg.CapacityBytes
 	var blocks []*tracelog.EventBlock
 	defer func() {
 		for _, b := range blocks {
@@ -644,82 +549,115 @@ func (s *Server) runSession(p sessionParams, sess *dbt.Session, body io.Reader, 
 		}
 	}()
 	var total uint64
-	for {
-		b := tracelog.GetBlock()
-		derr := lr.NextBlock(b)
-		z.AddBlock(b)
-		total += uint64(b.N)
-		blocks = append(blocks, b)
-		if errors.Is(derr, io.EOF) {
-			break
-		}
-		if derr != nil {
-			return nil, 0, derr
-		}
-	}
-	capacity := uint64(float64(z.Summary().MaxLiveBytes) * p.capFrac)
 	if capacity == 0 {
-		return nil, 0, fmt.Errorf("log has no live trace bytes to size a cache from")
-	}
-	sr, err := s.startRun(p, sess, lr.Header().Benchmark, capacity, enc)
-	if err != nil {
-		return nil, 0, err
-	}
-	sr.rep.SetTotal(total)
-	for _, b := range blocks {
-		if err := sr.rep.StepBlock(b); err != nil {
-			return nil, 0, err
+		z := tracelog.NewSummarizer(lr.Header())
+		for {
+			b := tracelog.GetBlock()
+			derr := lr.NextBlock(b)
+			z.AddBlock(b)
+			total += uint64(b.N)
+			blocks = append(blocks, b)
+			if errors.Is(derr, io.EOF) {
+				break
+			}
+			if derr != nil {
+				return api.SessionResult{}, nil, derr
+			}
+		}
+		capFrac := cfg.CapFrac
+		if capFrac == 0 {
+			capFrac = 0.5
+		}
+		capacity = uint64(float64(z.Summary().MaxLiveBytes) * capFrac)
+		if capacity == 0 {
+			return api.SessionResult{}, nil, errors.New("log has no live trace bytes to size a cache from")
 		}
 	}
-	return sr, capacity, nil
+
+	rep, err := startReplay(cfg, model, lr.Header().Benchmark, capacity, sr)
+	if err != nil {
+		return api.SessionResult{}, nil, err
+	}
+	if cfg.CapacityBytes == 0 {
+		rep.SetTotal(total)
+		for _, b := range blocks {
+			if err := rep.StepBlock(b); err != nil {
+				return api.SessionResult{}, nil, err
+			}
+		}
+	} else {
+		b := tracelog.GetBlock()
+		defer tracelog.PutBlock(b)
+		for {
+			derr := lr.NextBlock(b)
+			if b.N > 0 {
+				if err := rep.StepBlock(b); err != nil {
+					return api.SessionResult{}, nil, err
+				}
+			}
+			if errors.Is(derr, io.EOF) {
+				break
+			}
+			if derr != nil {
+				return api.SessionResult{}, nil, derr
+			}
+		}
+	}
+
+	res := rep.Finish()
+	out := api.FromSim(res)
+	out.CapacityBytes = capacity
+	out.Events = rep.Events()
+	var snap *attrib.Snapshot
+	if led := rep.Ledger(); led != nil {
+		snap = led.Snapshot()
+		out.Causes = causeCounts(snap)
+	}
+	// out is a value copy: the accumulator and the replayer's tables can go
+	// back to their pools.
+	accPool.Put(res.Overhead)
+	rep.Recycle()
+	return out, snap, nil
 }
 
-// accPool recycles cost accumulators across sessions; startRun draws one,
-// recycleRun returns it with the rest of the replay scratch.
-var accPool = sync.Pool{New: func() any { return new(costmodel.Accum) }}
-
-// startRun builds the private manager and replayer for a session. The
-// replay progress observer is attached only in events mode: without one the
-// kernel takes its counter-only fast path, and nothing else consumes
-// progress events.
-func (s *Server) startRun(p sessionParams, sess *dbt.Session, bench string, capacity uint64, enc *ndjsonWriter) (*sessionRun, error) {
-	sr := newSessionRun(s, sess, bench, enc)
+// startReplay builds the manager from cfg over capacity bytes and the
+// replayer that drives it, wiring a served session (sr non-nil) in.
+func startReplay(cfg SessionConfig, model costmodel.Model, bench string, capacity uint64, sr *sessionRun) (*sim.Replayer, error) {
+	// Cause events reach the NDJSON stream only in events mode; a plain
+	// attrib session aggregates silently.
+	spec, err := cfg.GraphSpec(capacity, sr != nil && sr.enc != nil)
+	if err != nil {
+		return nil, err
+	}
 	acc := accPool.Get().(*costmodel.Accum)
-	acc.Reset(s.model)
-	mgr, err := p.buildManager(capacity, acc, obs.Combine(s.counter, obs.Func(s.trackPolicy), obs.Func(sr.observe)))
+	acc.Reset(model)
+	var extra, progress obs.Observer
+	if sr != nil {
+		extra = obs.Combine(sr.srv.counter, obs.Func(sr.srv.trackPolicy), obs.Func(sr.observe))
+		if sr.enc != nil {
+			progress = obs.Func(sr.observe)
+		}
+	}
+	mgr, err := core.NewGraph(spec, obs.Combine(sim.CostObserver(acc), extra))
 	if err != nil {
 		accPool.Put(acc)
 		return nil, err
 	}
-	if pm, ok := mgr.(interface{ SetProcID(int) }); ok {
-		pm.SetProcID(sess.ID())
+	if sr != nil {
+		mgr.SetProcID(sr.sess.ID())
 	}
-	if p.pressure > 0 {
+	if cfg.Pressure > 0 {
 		// The pressure the session was admitted under is part of its
 		// configuration: an offline verification replay passes the same
 		// value, so the adaptive controller decides identically.
-		if lp, ok := mgr.(interface{ SetLoadPressure(float64) }); ok {
-			lp.SetLoadPressure(p.pressure)
-		}
+		mgr.SetLoadPressure(cfg.Pressure)
 	}
-	var po obs.Observer
-	if enc != nil {
-		po = obs.Func(sr.observe)
+	rep := sim.NewReplayer(bench, mgr, acc, progress)
+	if sr != nil {
+		sr.bench, sr.rep, sr.led = bench, rep, rep.Ledger()
+		rep.SetHooks(sr)
 	}
-	sr.rep = sim.NewReplayer(bench, mgr, acc, po)
-	sr.rep.SetHooks(sr)
-	sr.led = sr.rep.Ledger()
-	return sr, nil
-}
-
-// recycle returns a finished run's pooled scratch — the replayer's meta
-// tables and the cost accumulator. Only safe once the response has been
-// built: the wire result is a value copy, nothing references the pools.
-func (sr *sessionRun) recycle() {
-	if res := sr.rep.Result(); res.Overhead != nil {
-		accPool.Put(res.Overhead)
-	}
-	sr.rep.Recycle()
+	return rep, nil
 }
 
 // failSession reports a terminal session error in whichever framing the

@@ -7,13 +7,15 @@
 // and accumulates the run's counters in registers, flushing them into the
 // Result once per run instead of once per event.
 //
-// Equivalence contract: with a progress observer attached, StepBlock
-// delegates to the per-event Step so the emitted event stream is
-// bit-identical, stride boundaries and all. Detached, it takes the
-// counter-only fast path — same counters, same manager call sequence, same
-// hook callouts, same errors at the same events; only the per-event progress
-// arithmetic is gone. The equivalence suite in block_test.go holds both
-// paths to that contract for every manager family.
+// Equivalence contract: StepBlock is the only production replay path, and
+// per-event Step is its reference. Both produce the same counters, the same
+// manager call sequence, the same hook callouts, the same errors at the same
+// events, and — with a progress observer attached — the same KindProgress
+// events at the same stream positions: the kernel emits progress itself at
+// each ProgressStride boundary, ending an access run there so the event
+// lands between the same two manager calls it does under Step. The
+// equivalence suite in block_test.go holds the kernel to that contract for
+// every manager family, observed and detached.
 package sim
 
 import (
@@ -29,20 +31,11 @@ import (
 // partial result the per-event path leaves — and the failing event is
 // included in Events(), as Step counts an event before rejecting it.
 func (r *Replayer) StepBlock(b *tracelog.EventBlock) error {
-	if r.o != nil {
-		// Observed replay: the per-event path is the only one that can
-		// reproduce the progress stream bit for bit.
-		for i := 0; i < b.N; i++ {
-			if err := r.Step(b.Event(i)); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	n := b.N
 	kinds := b.Kind
 	traces := b.Trace
 	for i := 0; i < n; {
+		r.progress()
 		if kinds[i] != tracelog.KindAccess {
 			e := b.Event(i)
 			r.count++
@@ -57,9 +50,16 @@ func (r *Replayer) StepBlock(b *tracelog.EventBlock) error {
 		// point, the leading hits of the run are absorbed in single calls;
 		// only misses (and unknown or dead traces, which a hit rules out —
 		// the manager can hold nothing the replay did not register) come
-		// back to the per-event path here.
+		// back to the per-event path here. An observed run stops at the next
+		// progress stride, so the progress event falls where Step puts it.
+		end := n
+		if r.o != nil {
+			if stride := i + int(ProgressStride-r.count%ProgressStride); stride < end {
+				end = stride
+			}
+		}
 		runEnd := i
-		for runEnd < n && kinds[runEnd] == tracelog.KindAccess {
+		for runEnd < end && kinds[runEnd] == tracelog.KindAccess {
 			runEnd++
 		}
 		var accesses, hits, misses uint64

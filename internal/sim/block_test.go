@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -96,7 +97,7 @@ func kernelConfigs(t *testing.T, extra obs.Observer) map[string]func() (core.Man
 		},
 		"generational": func() (core.Manager, *costmodel.Accum) {
 			acc := costmodel.NewAccum(costmodel.DefaultModel)
-			mgr, err := core.NewGenerational(cfg, obs.Combine(CostObserver(acc), extra))
+			mgr, err := core.NewGraph(cfg.GraphSpec(), obs.Combine(CostObserver(acc), extra))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -118,7 +119,7 @@ func kernelConfigs(t *testing.T, extra obs.Observer) map[string]func() (core.Man
 			acc := costmodel.NewAccum(costmodel.DefaultModel)
 			o := obs.Combine(CostObserver(acc), extra)
 			sp := core.NewSharedPersistent(2700, nil, o)
-			mgr, err := core.NewGenerationalShared(cfg, sp, 0, o)
+			mgr, err := core.NewGraphShared(cfg.GraphSpec(), sp, 0, o)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -222,42 +223,71 @@ func TestStepBlockMatchesStep(t *testing.T) {
 }
 
 // TestStepBlockObservedStream: the full observer event stream — manager
-// lifecycle events and replay progress — is identical between the paths,
-// both with a progress observer attached (the kernel delegates) and with
-// only the manager observer wired (the fast path's manager call sequence
-// must still match call for call).
+// lifecycle events and replay progress — is identical between the kernel and
+// per-event Step for every manager family and block size, both with a
+// progress observer attached (the kernel emits progress itself, ending
+// access runs at stride boundaries) and with only the manager observer
+// wired. The log spans several progress strides, so mid-replay progress
+// events and their positions among the manager's events are compared, and
+// the odd block sizes put stride boundaries inside blocks and access runs.
 func TestStepBlockObservedStream(t *testing.T) {
-	events := richLog(11, 90)
-	for _, withProgress := range []bool{true, false} {
-		var wantEvents, gotEvents []obs.Event
-		collect := func(dst *[]obs.Event) obs.Observer {
-			return obs.Func(func(e obs.Event) { *dst = append(*dst, e) })
-		}
-
-		mgr, acc := kernelConfigs(t, collect(&wantEvents))["generational"]()
+	events := richLog(11, 1700)
+	if len(events) < 3*ProgressStride {
+		t.Fatalf("log has %d events, want at least %d", len(events), 3*ProgressStride)
+	}
+	collect := func(dst *[]obs.Event) obs.Observer {
+		return obs.Func(func(e obs.Event) { *dst = append(*dst, e) })
+	}
+	// replay runs one family with both observers appending to one stream,
+	// through Step when blockCap is 0 and StepBlock otherwise.
+	replay := func(family string, withProgress bool, blockCap int) (Result, []obs.Event) {
+		var stream []obs.Event
+		mgr, acc := kernelConfigs(t, collect(&stream))[family]()
 		var po obs.Observer
 		if withProgress {
-			po = collect(&wantEvents)
+			po = collect(&stream)
 		}
-		want := NewReplayer("b", mgr, acc, po)
-		if err := replayPerEvent(want, events); err != nil {
-			t.Fatal(err)
+		rep := NewReplayer("b", mgr, acc, po)
+		defer rep.Recycle()
+		rep.SetTotal(uint64(len(events)))
+		var err error
+		if blockCap == 0 {
+			err = replayPerEvent(rep, events)
+		} else {
+			err = replayBlocks(rep, events, blockCap)
 		}
-		wantRes := want.Finish()
-
-		mgr, acc = kernelConfigs(t, collect(&gotEvents))["generational"]()
-		po = nil
-		if withProgress {
-			po = collect(&gotEvents)
+		if err != nil {
+			t.Fatalf("%s/cap=%d: %v", family, blockCap, err)
 		}
-		got := NewReplayer("b", mgr, acc, po)
-		if err := replayBlocks(got, events, 64); err != nil {
-			t.Fatal(err)
-		}
-		resultsEqual(t, "observed", got.Finish(), wantRes)
-		if !reflect.DeepEqual(gotEvents, wantEvents) {
-			t.Errorf("withProgress=%v: observer stream diverged (%d vs %d events)",
-				withProgress, len(gotEvents), len(wantEvents))
+		return rep.Finish(), stream
+	}
+	for family := range kernelConfigs(t, nil) {
+		for _, withProgress := range []bool{true, false} {
+			wantRes, wantEvents := replay(family, withProgress, 0)
+			if withProgress {
+				mid := 0
+				for _, e := range wantEvents {
+					if e.Kind == obs.KindProgress && e.Done < e.Total {
+						mid++
+					}
+				}
+				if mid < 3 {
+					t.Fatalf("%s: %d mid-replay progress events, want at least 3", family, mid)
+				}
+			}
+			for _, blockCap := range []int{1, 13, 4095, tracelog.BlockEvents} {
+				label := fmt.Sprintf("%s/progress=%v/cap=%d", family, withProgress, blockCap)
+				gotRes, gotEvents := replay(family, withProgress, blockCap)
+				resultsEqual(t, label, gotRes, wantRes)
+				if !reflect.DeepEqual(gotEvents, wantEvents) {
+					i := 0
+					for i < len(gotEvents) && i < len(wantEvents) && gotEvents[i] == wantEvents[i] {
+						i++
+					}
+					t.Errorf("%s: observer stream diverged at event %d (%d vs %d events)",
+						label, i, len(gotEvents), len(wantEvents))
+				}
+			}
 		}
 	}
 }
@@ -325,7 +355,7 @@ func TestStepBlockFigure9(t *testing.T) {
 	cfg.TotalCapacity = capacity
 	g := perEvent(func() (core.Manager, *costmodel.Accum) {
 		acc := costmodel.NewAccum(costmodel.DefaultModel)
-		mgr, err := core.NewGenerational(cfg, CostObserver(acc))
+		mgr, err := core.NewGraph(cfg.GraphSpec(), CostObserver(acc))
 		if err != nil {
 			t.Fatal(err)
 		}

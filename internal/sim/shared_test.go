@@ -46,7 +46,7 @@ func mkSharedLog(rounds int, unmapModule bool) []tracelog.Event {
 func TestReplaySharedAdoptionSavesGenerations(t *testing.T) {
 	evs := mkSharedLog(20, false)
 	const procs = 3
-	sh, err := ReplayShared("b", evs, sharedCfg(), costmodel.DefaultModel, procs, 0, nil)
+	sh, err := ReplayShared("b", evs, sharedCfg().GraphSpec(), costmodel.DefaultModel, procs, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestReplaySharedAdoptionSavesGenerations(t *testing.T) {
 
 func TestReplaySharedSingleProcMatchesGenerational(t *testing.T) {
 	evs := mkSharedLog(12, true)
-	sh, err := ReplayShared("b", evs, sharedCfg(), costmodel.DefaultModel, 1, 0, nil)
+	sh, err := ReplayShared("b", evs, sharedCfg().GraphSpec(), costmodel.DefaultModel, 1, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestReplaySharedSingleProcMatchesGenerational(t *testing.T) {
 func TestReplaySharedDeterminism(t *testing.T) {
 	evs := mkSharedLog(20, true)
 	run := func() SharedResult {
-		r, err := ReplayShared("b", evs, sharedCfg(), costmodel.DefaultModel, 4, 7, nil)
+		r, err := ReplayShared("b", evs, sharedCfg().GraphSpec(), costmodel.DefaultModel, 4, 7, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,7 +118,7 @@ func TestReplaySharedDeterminism(t *testing.T) {
 
 func TestReplaySharedUnmap(t *testing.T) {
 	evs := mkSharedLog(10, true)
-	sh, err := ReplayShared("b", evs, sharedCfg(), costmodel.DefaultModel, 2, 0, nil)
+	sh, err := ReplayShared("b", evs, sharedCfg().GraphSpec(), costmodel.DefaultModel, 2, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,19 +131,19 @@ func TestReplaySharedUnmap(t *testing.T) {
 
 func TestReplaySharedErrors(t *testing.T) {
 	evs := mkSharedLog(2, false)
-	if _, err := ReplayShared("b", evs, sharedCfg(), costmodel.DefaultModel, 0, 0, nil); err == nil {
+	if _, err := ReplayShared("b", evs, sharedCfg().GraphSpec(), costmodel.DefaultModel, 0, 0, nil); err == nil {
 		t.Error("procs=0 accepted")
 	}
 	bad := sharedCfg()
 	bad.NurseryFrac = 0
-	if _, err := ReplayShared("b", evs, bad, costmodel.DefaultModel, 2, 0, nil); err == nil {
+	if _, err := ReplayShared("b", evs, bad.GraphSpec(), costmodel.DefaultModel, 2, 0, nil); err == nil {
 		t.Error("invalid config accepted")
 	}
 	dup := []tracelog.Event{
 		{Kind: tracelog.KindCreate, Time: 1, Trace: 1, Size: 100, Head: 0x10},
 		{Kind: tracelog.KindCreate, Time: 2, Trace: 1, Size: 100, Head: 0x10},
 	}
-	if _, err := ReplayShared("b", dup, sharedCfg(), costmodel.DefaultModel, 2, 0, nil); err == nil {
+	if _, err := ReplayShared("b", dup, sharedCfg().GraphSpec(), costmodel.DefaultModel, 2, 0, nil); err == nil {
 		t.Error("duplicate create accepted")
 	}
 }

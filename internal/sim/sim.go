@@ -50,24 +50,16 @@ func (r Result) MissRate() float64 {
 	return float64(r.Misses) / float64(r.Accesses)
 }
 
-// Replay drives every event in the log through the manager. The manager
-// must be freshly constructed; Replay does not reset it. The observer wired
-// at manager construction time must be (or fan out to) the one returned by
-// CostObserver so evictions and promotions are charged to acc.
-func Replay(benchmark string, events []tracelog.Event, mgr core.Manager, acc *costmodel.Accum) (Result, error) {
-	return ReplayObserved(benchmark, events, mgr, acc, nil)
-}
-
 // ProgressStride is how many log events pass between KindProgress emissions
 // during an observed replay (a final event always fires at completion).
 const ProgressStride = 1 << 14
 
 // Replayer is the incremental form of a replay: the same accounting as
-// ReplayObserved, fed one event at a time. Batch replays (ReplayObserved)
-// and streaming consumers (the gencached session handler, which decodes
-// events straight off a network connection) share it, so a streamed replay
-// is bit-identical to an offline one by construction. A Replayer is
-// single-goroutine, like the manager it drives.
+// Replay, fed a block at a time. Batch replays (Replay) and streaming
+// consumers (the gencached session handler, which decodes events straight
+// off a network connection) share it, so a streamed replay is bit-identical
+// to an offline one by construction. A Replayer is single-goroutine, like
+// the manager it drives.
 type Replayer struct {
 	mgr core.Manager
 	// ra is mgr's batched access entry point, when it offers one; StepBlock
@@ -186,17 +178,29 @@ func (r *Replayer) store(id uint64, m meta) {
 	r.spill[id] = m
 }
 
-// Step feeds the next event through the replay.
+// Step feeds the next event through the replay. It is the per-event
+// reference form of StepBlock, which every replay path runs through; the
+// kernel's equivalence tests compare against it.
 func (r *Replayer) Step(e tracelog.Event) error {
-	if r.o != nil && r.count > 0 && r.count%ProgressStride == 0 {
-		total := r.total
-		if total == 0 {
-			total = r.count
-		}
-		r.o.Observe(obs.Event{Kind: obs.KindProgress, Benchmark: r.res.Benchmark, Done: r.count, Total: total})
-	}
+	r.progress()
 	r.count++
 	return r.step1(&e)
+}
+
+// progress publishes a KindProgress event when a progress observer is
+// attached and the next event to replay starts a new ProgressStride. Step
+// and StepBlock call it before every event (the kernel: before every access
+// run, which it ends at stride boundaries), so both emit at the same
+// positions.
+func (r *Replayer) progress() {
+	if r.o == nil || r.count == 0 || r.count%ProgressStride != 0 {
+		return
+	}
+	total := r.total
+	if total == 0 {
+		total = r.count
+	}
+	r.o.Observe(obs.Event{Kind: obs.KindProgress, Benchmark: r.res.Benchmark, Done: r.count, Total: total})
 }
 
 // step1 replays one event: the per-kind accounting shared by Step and the
@@ -331,14 +335,17 @@ func (r *Replayer) Finish() Result {
 	return r.res
 }
 
-// ReplayObserved is Replay plus a progress stream: every ProgressStride log
-// events (and once at the end) it publishes a KindProgress event to o. Cache
-// lifecycle events are published by the manager's own observer, not o.
+// Replay drives every event in the log through the manager. The manager
+// must be freshly constructed; Replay does not reset it. The observer wired
+// at manager construction time must be (or fan out to) the one returned by
+// CostObserver so evictions and promotions are charged to acc. A non-nil o
+// receives a KindProgress event every ProgressStride log events and once at
+// the end; cache lifecycle events come from the manager's own observer.
 //
 // The replay runs through the batched kernel — the same StepBlock path the
 // gencached ingest uses — packed from the in-memory slice a block at a time,
 // so offline results and served results come off one code path.
-func ReplayObserved(benchmark string, events []tracelog.Event, mgr core.Manager, acc *costmodel.Accum, o obs.Observer) (Result, error) {
+func Replay(benchmark string, events []tracelog.Event, mgr core.Manager, acc *costmodel.Accum, o obs.Observer) (Result, error) {
 	rep := NewReplayer(benchmark, mgr, acc, o)
 	defer rep.Recycle()
 	rep.SetTotal(uint64(len(events)))
@@ -368,52 +375,27 @@ func CostObserver(acc *costmodel.Accum) obs.Observer {
 	})
 }
 
-// ReplayUnified is a convenience: replay under a single pseudo-circular
-// cache of the given capacity.
-func ReplayUnified(benchmark string, events []tracelog.Event, capacity uint64, model costmodel.Model) (Result, error) {
-	return ReplayUnifiedObserved(benchmark, events, capacity, model, nil)
-}
-
-// ReplayUnifiedObserved is ReplayUnified with the manager's full event
-// stream (and replay progress) additionally fanned out to o.
-func ReplayUnifiedObserved(benchmark string, events []tracelog.Event, capacity uint64, model costmodel.Model, o obs.Observer) (Result, error) {
-	acc := costmodel.NewAccum(model)
-	mgr := core.NewUnified(capacity, nil, obs.Combine(CostObserver(acc), o))
-	return ReplayObserved(benchmark, events, mgr, acc, o)
-}
-
-// ReplayGenerational is a convenience: replay under a generational manager
-// with the given configuration.
-func ReplayGenerational(benchmark string, events []tracelog.Event, cfg core.Config, model costmodel.Model) (Result, error) {
-	return ReplayGenerationalObserved(benchmark, events, cfg, model, nil)
-}
-
-// ReplayGenerationalObserved is ReplayGenerational with the manager's full
-// event stream (and replay progress) additionally fanned out to o.
-func ReplayGenerationalObserved(benchmark string, events []tracelog.Event, cfg core.Config, model costmodel.Model, o obs.Observer) (Result, error) {
-	acc := costmodel.NewAccum(model)
-	mgr, err := core.NewGenerational(cfg, obs.Combine(CostObserver(acc), o))
-	if err != nil {
-		return Result{}, err
-	}
-	return ReplayObserved(benchmark, events, mgr, acc, o)
-}
-
-// ReplayGraph is a convenience: replay under an arbitrary tier graph
-// (N generations, alternative promotion predictors, adaptive split control).
+// ReplayGraph is a convenience: replay under a freshly built tier graph (N
+// generations, alternative promotion predictors, adaptive split control).
 func ReplayGraph(benchmark string, events []tracelog.Event, spec core.GraphSpec, model costmodel.Model) (Result, error) {
-	return ReplayGraphObserved(benchmark, events, spec, model, nil)
-}
-
-// ReplayGraphObserved is ReplayGraph with the manager's full event stream
-// (and replay progress) additionally fanned out to o.
-func ReplayGraphObserved(benchmark string, events []tracelog.Event, spec core.GraphSpec, model costmodel.Model, o obs.Observer) (Result, error) {
 	acc := costmodel.NewAccum(model)
-	mgr, err := core.NewGraph(spec, obs.Combine(CostObserver(acc), o))
+	mgr, err := core.NewGraph(spec, CostObserver(acc))
 	if err != nil {
 		return Result{}, err
 	}
-	return ReplayObserved(benchmark, events, mgr, acc, o)
+	return Replay(benchmark, events, mgr, acc, nil)
+}
+
+// ReplayUnified is ReplayGraph under a single pseudo-circular cache of the
+// given capacity.
+func ReplayUnified(benchmark string, events []tracelog.Event, capacity uint64, model costmodel.Model) (Result, error) {
+	return ReplayGraph(benchmark, events, core.UnifiedSpec(capacity, nil), model)
+}
+
+// ReplayGenerational is ReplayGraph under the three-tier layout cfg
+// describes.
+func ReplayGenerational(benchmark string, events []tracelog.Event, cfg core.Config, model costmodel.Model) (Result, error) {
+	return ReplayGraph(benchmark, events, cfg.GraphSpec(), model)
 }
 
 // Comparison pairs a unified baseline with a generational configuration on

@@ -99,13 +99,13 @@ var DefaultCostModel = costmodel.DefaultModel
 
 // NewUnified creates a single trace cache of the given capacity managed by
 // the §4.3 pseudo-circular policy (the paper's baseline). o may be nil.
-func NewUnified(capacity uint64, o Observer) *core.Unified {
+func NewUnified(capacity uint64, o Observer) *TierGraph {
 	return core.NewUnified(capacity, nil, o)
 }
 
 // NewUnifiedWithPolicy creates a unified cache with an explicit local
 // replacement policy. o may be nil.
-func NewUnifiedWithPolicy(capacity uint64, local LocalPolicy, o Observer) *core.Unified {
+func NewUnifiedWithPolicy(capacity uint64, local LocalPolicy, o Observer) *TierGraph {
 	return core.NewUnified(capacity, local, o)
 }
 
@@ -132,8 +132,8 @@ func ParsePolicy(spec string) (PolicyFactory, error) { return policy.Parse(spec)
 func Policies() []PolicyInfo { return policy.List() }
 
 // NewGenerational creates the paper's generational manager. o may be nil.
-func NewGenerational(cfg GenerationalConfig, o Observer) (*core.Generational, error) {
-	return core.NewGenerational(cfg, o)
+func NewGenerational(cfg GenerationalConfig, o Observer) (*TierGraph, error) {
+	return core.NewGraph(cfg.GraphSpec(), o)
 }
 
 // BestLayout returns the paper's best-overall configuration: 45% nursery,
@@ -143,8 +143,8 @@ func BestLayout(totalCapacity uint64) GenerationalConfig {
 }
 
 // The tier-graph API (internal/core): a manager as an arbitrary chain of
-// tiers with declarative eviction edges. The stock Unified and Generational
-// managers are prebuilt graphs; these exports build any other shape.
+// tiers with declarative eviction edges. NewUnified and NewGenerational
+// return prebuilt stock graphs; these exports build any other shape.
 type (
 	// TierGraph is a manager built from a declarative tier specification.
 	TierGraph = core.Graph
@@ -240,7 +240,7 @@ func ReplayGenerational(benchmark string, events []Event, cfg GenerationalConfig
 func ReplayWith(benchmark string, events []Event, mk func(Observer) Manager) (ReplayResult, error) {
 	acc := costmodel.NewAccum(costmodel.DefaultModel)
 	mgr := mk(sim.CostObserver(acc))
-	return sim.Replay(benchmark, events, mgr, acc)
+	return sim.Replay(benchmark, events, mgr, acc, nil)
 }
 
 // NewLifetimes returns an empty lifetime tracker.
@@ -266,7 +266,7 @@ type (
 
 // SnapshotPersistent captures a generational manager's persistent cache,
 // resolving trace bodies through the engine.
-func SnapshotPersistent(benchmark string, g *core.Generational, e *Engine) PersistImage {
+func SnapshotPersistent(benchmark string, g *TierGraph, e *Engine) PersistImage {
 	return persist.Snapshot(benchmark, g, e.TraceByID)
 }
 

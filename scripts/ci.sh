@@ -55,6 +55,10 @@ go test ./internal/server -run '^$' -fuzz FuzzAttribQuery -fuzztime 10s
 # Trace-exchange wire fuzz: a short run over every exchange message codec —
 # decoders must reject malformed frames and round-trip well-formed ones.
 go test ./internal/cluster -run '^$' -fuzz FuzzWire -fuzztime 10s
+# Snapshot-loader fuzz: a short run over persist.Load, which cluster bootstrap
+# feeds with bytes off the peer network — malformed images must fail cleanly
+# and accepted ones must round-trip through Save.
+go test ./internal/persist -run '^$' -fuzz FuzzLoad -fuzztime 10s
 # Cluster smoke: a 3-node distributed shared tier vs isolated nodes, under
 # the race detector — at least one cross-node adoption, zero verification
 # failures, deterministic across a double run.
