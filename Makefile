@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: ci fmt vet build test race bench-smoke serve-bench-smoke procs-smoke adaptive-smoke serve-smoke fuzz-smoke policyselect-smoke prodday-smoke attrib-smoke cluster-smoke
+.PHONY: ci fmt vet build test race bench-smoke serve-bench-smoke procs-smoke adaptive-smoke fuzz-smoke policyselect-smoke prodday-smoke attrib-smoke cluster-smoke
 
 ci: fmt vet build race bench-smoke serve-bench-smoke
 
@@ -39,12 +39,6 @@ procs-smoke:
 	$(GO) run ./cmd/tracegen -bench gzip -scale 0.03125 -o /tmp/procs-smoke.cclog
 	$(GO) run -race ./cmd/ccsim -log /tmp/procs-smoke.cclog -procs 4
 	rm -f /tmp/procs-smoke.cclog
-
-# Service smoke: start the gencached daemon under the race detector, drive
-# it with the bundled loadtest (429 overload check + 8 verified concurrent
-# sessions), SIGTERM it, and round-trip the shared tier through its snapshot.
-serve-smoke:
-	scripts/serve_smoke.sh
 
 # Short fuzz run over the tracelog decoder; seeds the corpus.
 fuzz-smoke:

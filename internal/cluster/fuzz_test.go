@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"reflect"
 	"testing"
 )
@@ -18,7 +17,7 @@ func FuzzWire(f *testing.F) {
 		{Key: Key{Bench: "gzip", Module: 1, Head: 0x10}, Size: 64, Shard: 1},
 	}}))
 	f.Add(EncodeReplicateResponse(ReplicateResponse{Accepted: 1, Rejected: 2}))
-	f.Add(append(EncodeModuleTable(ModuleTable{Entries: []ModuleEntry{{Global: 1, Local: 0, Bench: "gzip"}}}), 0xCC))
+	f.Add(append(EncodeReplicateResponse(ReplicateResponse{Accepted: 1}), 0xCC))
 	f.Add([]byte(Magic))
 	f.Add([]byte{})
 
@@ -41,12 +40,6 @@ func FuzzWire(f *testing.F) {
 		if p, err := DecodeReplicateResponse(data); err == nil {
 			if got, err2 := DecodeReplicateResponse(EncodeReplicateResponse(p)); err2 != nil || got != p {
 				t.Fatalf("replicate response round trip: %+v vs %+v (%v)", got, p, err2)
-			}
-		}
-		if tbl, rest, err := DecodeModuleTable(data); err == nil {
-			got, rest2, err2 := DecodeModuleTable(append(EncodeModuleTable(tbl), rest...))
-			if err2 != nil || !reflect.DeepEqual(got, tbl) || !bytes.Equal(rest2, rest) {
-				t.Fatalf("module table round trip: %+v vs %+v (%v)", got, tbl, err2)
 			}
 		}
 	})

@@ -107,32 +107,20 @@ func ParseShards(s string, ringShards int) ([]int, error) {
 }
 
 // Snapshot implements Transport: GET the peer's publications for the given
-// shards as a module table + persist image.
-func (t *HTTPTransport) Snapshot(ctx context.Context, shards []int) (ModuleTable, persist.Image, error) {
+// shards as a self-describing persist image.
+func (t *HTTPTransport) Snapshot(ctx context.Context, shards []int) (persist.Image, error) {
 	url := t.BaseURL + PeerSnapshotPath + "?shards=" + FormatShards(shards)
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
-		return ModuleTable{}, persist.Image{}, err
+		return persist.Image{}, err
 	}
 	resp, err := t.client().Do(req)
 	if err != nil {
-		return ModuleTable{}, persist.Image{}, err
+		return persist.Image{}, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return ModuleTable{}, persist.Image{}, fmt.Errorf("cluster: peer snapshot: HTTP %d", resp.StatusCode)
+		return persist.Image{}, fmt.Errorf("cluster: peer snapshot: HTTP %d", resp.StatusCode)
 	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, maxPeerBody))
-	if err != nil {
-		return ModuleTable{}, persist.Image{}, err
-	}
-	table, rest, err := DecodeModuleTable(body)
-	if err != nil {
-		return ModuleTable{}, persist.Image{}, err
-	}
-	img, err := persist.Load(bytes.NewReader(rest))
-	if err != nil {
-		return ModuleTable{}, persist.Image{}, err
-	}
-	return table, img, nil
+	return persist.Load(io.LimitReader(resp.Body, maxPeerBody))
 }

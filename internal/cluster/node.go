@@ -18,10 +18,9 @@ type Transport interface {
 	Lookup(ctx context.Context, q LookupRequest) (LookupResponse, error)
 	// Replicate pushes a batch of publications to the peer.
 	Replicate(ctx context.Context, q ReplicateRequest) (ReplicateResponse, error)
-	// Snapshot streams the peer's publications for the given shards in the
-	// persist format, prefixed by the module table that makes the records
-	// portable.
-	Snapshot(ctx context.Context, shards []int) (ModuleTable, persist.Image, error)
+	// Snapshot fetches the peer's publications for the given shards as a
+	// persist image, whose module table makes the records portable.
+	Snapshot(ctx context.Context, shards []int) (persist.Image, error)
 }
 
 // Peer names a cluster member and how to reach it.

@@ -40,8 +40,8 @@ func (p *fakePeer) Replicate(_ context.Context, q ReplicateRequest) (ReplicateRe
 	return ReplicateResponse{Accepted: uint32(len(q.Records))}, nil
 }
 
-func (p *fakePeer) Snapshot(context.Context, []int) (ModuleTable, persist.Image, error) {
-	return ModuleTable{}, persist.Image{}, errors.New("not implemented")
+func (p *fakePeer) Snapshot(context.Context, []int) (persist.Image, error) {
+	return persist.Image{}, errors.New("not implemented")
 }
 
 // keyOwnedBy hunts for a key whose shard the ring assigns to the wanted

@@ -25,9 +25,6 @@ const (
 	MaxNameLen = 255
 	// MaxBatch bounds the records of one replication batch.
 	MaxBatch = 4096
-	// MaxModuleEntries bounds a snapshot's module table (the global module
-	// space is 16-bit, so no honest table is larger).
-	MaxModuleEntries = 1 << 16
 	// MaxTraceBytes bounds a single trace's declared size.
 	MaxTraceBytes = 1 << 40
 )
@@ -38,7 +35,6 @@ const (
 	msgLookupResp
 	msgReplicateReq
 	msgReplicateResp
-	msgModuleTable
 )
 
 // ErrWire reports a malformed or out-of-bounds exchange message.
@@ -75,20 +71,6 @@ type ReplicateRequest struct {
 type ReplicateResponse struct {
 	Accepted uint32
 	Rejected uint32 // wrong shard, unmappable module, or no arena space
-}
-
-// ModuleEntry maps one sender-global module ID back to its portable
-// (benchmark, log-local) identity. Snapshot transfers carry the table so a
-// receiver can re-express the records in its own module namespace.
-type ModuleEntry struct {
-	Global uint16
-	Local  uint16
-	Bench  string
-}
-
-// ModuleTable prefixes a snapshot transfer body; the persist image follows.
-type ModuleTable struct {
-	Entries []ModuleEntry
 }
 
 // enc is a little append-only writer over the shared primitives.
@@ -308,43 +290,4 @@ func DecodeReplicateResponse(b []byte) (ReplicateResponse, error) {
 	p.Accepted = d.u32bound("accepted", 1<<32-1)
 	p.Rejected = d.u32bound("rejected", 1<<32-1)
 	return p, d.done()
-}
-
-// EncodeModuleTable renders the snapshot-transfer module table. The persist
-// image bytes follow it directly in a transfer body.
-func EncodeModuleTable(t ModuleTable) []byte {
-	b := encHeader(msgModuleTable)
-	b = encU64(b, uint64(len(t.Entries)))
-	for _, e := range t.Entries {
-		b = encU64(b, uint64(e.Global))
-		b = encU64(b, uint64(e.Local))
-		b = encStr(b, e.Bench)
-	}
-	return b
-}
-
-// DecodeModuleTable parses a module table from the head of a snapshot
-// transfer body and returns the remaining bytes (the persist image).
-func DecodeModuleTable(b []byte) (ModuleTable, []byte, error) {
-	d := newDec(b, msgModuleTable)
-	var t ModuleTable
-	n := d.u64()
-	if d.err == nil && n > MaxModuleEntries {
-		d.err = fmt.Errorf("%w: module table of %d exceeds %d", ErrWire, n, MaxModuleEntries)
-	}
-	if d.err != nil {
-		return t, nil, d.err
-	}
-	t.Entries = make([]ModuleEntry, 0, n)
-	for i := uint64(0); i < n && d.err == nil; i++ {
-		var e ModuleEntry
-		e.Global = d.u16("global module")
-		e.Local = d.u16("local module")
-		e.Bench = d.str("benchmark", MaxNameLen)
-		t.Entries = append(t.Entries, e)
-	}
-	if d.err != nil {
-		return t, nil, d.err
-	}
-	return t, d.buf, nil
 }

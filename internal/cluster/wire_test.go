@@ -34,16 +34,6 @@ func TestWireRoundTrip(t *testing.T) {
 	if got, err := DecodeReplicateResponse(EncodeReplicateResponse(rp)); err != nil || got != rp {
 		t.Fatalf("replicate response: %+v, %v", got, err)
 	}
-	mt := ModuleTable{Entries: []ModuleEntry{
-		{Global: 1, Local: 0, Bench: "gzip"},
-		{Global: 2, Local: 1, Bench: "gzip"},
-	}}
-	tail := []byte("PERSIST-BYTES")
-	body := append(EncodeModuleTable(mt), tail...)
-	got, rest, err := DecodeModuleTable(body)
-	if err != nil || !reflect.DeepEqual(got, mt) || string(rest) != string(tail) {
-		t.Fatalf("module table: %+v rest %q err %v", got, rest, err)
-	}
 }
 
 // TestWireBounds: out-of-bounds fields are rejected with ErrWire, not

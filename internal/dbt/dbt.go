@@ -81,8 +81,10 @@ type Config struct {
 	// enter the cache.
 	Optimize bool
 	// SlowDispatch forces the engine's original map-based dispatch path
-	// instead of the dense-index fast path. The two must produce identical
-	// run statistics and event streams; equivalence tests flip this flag.
+	// instead of the dense-index fast path: the reference the fast path is
+	// checked against. The two must produce identical run statistics and
+	// event streams; the equivalence tests and the slow dispatch benchmark
+	// set it.
 	SlowDispatch bool
 }
 

@@ -31,14 +31,9 @@ func (s *System) SetKeepWarm(v bool) {
 	s.keepWarm = v
 }
 
-// EnsureTraceIDAbove advances the system's trace-ID allocator past an
-// externally assigned ID, so traces restored from a warm-start snapshot
-// cannot collide with ones published later.
-func (s *System) EnsureTraceIDAbove(id uint64) { s.ensureIDAbove(id) }
-
 // NextTraceID allocates a fresh system-unique trace ID. Insertions that
-// happen outside any session — the cluster replication endpoint placing a
-// peer's publication into the local shard — draw from the same allocator as
+// happen outside any session — a warm start restoring a snapshot, a peer's
+// publication placed into the local shard — draw from the same allocator as
 // Publish, so IDs stay unique across every path into the shared tier.
 func (s *System) NextTraceID() uint64 { return s.nextTraceID() }
 

@@ -90,16 +90,6 @@ func (s *System) register(t *trace.Trace) {
 	s.bodies[t.ID] = t
 }
 
-// TraceByID returns the body of a trace registered with the system. Only
-// shared systems keep bodies (single-process systems keep them in the
-// process); persist.SnapshotShared uses this as its lookup.
-func (s *System) TraceByID(id uint64) (*trace.Trace, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	t, ok := s.bodies[id]
-	return t, ok
-}
-
 // adopt tries to attach process proc to a shared-tier trace for the given
 // guest code identity. On success the trace is owned by proc in the shared
 // tier and its body is returned for local registration.
@@ -182,39 +172,6 @@ func (e *Process) ID() int { return e.id }
 
 // System returns the process's back-end.
 func (e *Process) System() *System { return e.sys }
-
-// AttachShared attaches this process to already-resident shared-tier traces
-// — the multi-process warm-start path: persist.WarmShared populates the
-// tier once, then every process attaches to (and locally registers) the
-// traces it wants. Traces not resident in the shared tier are skipped. It
-// returns how many traces were attached.
-func (e *Process) AttachShared(ts []*trace.Trace) (int, error) {
-	if e.sys.shared == nil {
-		return 0, fmt.Errorf("dbt: AttachShared on a system without a shared tier")
-	}
-	attached := 0
-	for _, t := range ts {
-		if _, dup := e.byHead[t.Head]; dup {
-			continue
-		}
-		if !e.sys.shared.Attach(e.id, t.ID) {
-			continue
-		}
-		e.sys.ensureIDAbove(t.ID)
-		e.sys.register(t)
-		e.traces[t.ID] = t
-		e.byHead[t.Head] = t
-		e.byMod[t.Module] = append(e.byMod[t.Module], t.ID)
-		h := e.heads.Mark(t.Head, t.Module)
-		h.TraceID = t.ID
-		if hb, ok := e.img.Block(t.Head); ok {
-			e.headAt[hb.Index] = h
-			e.traceAt[hb.Index] = t
-		}
-		attached++
-	}
-	return attached, nil
-}
 
 // RunRoundRobin drives every process's guest to completion on one
 // goroutine, deterministically: processes execute quantum guest steps each

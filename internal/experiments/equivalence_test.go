@@ -6,31 +6,34 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/costmodel"
 	"repro/internal/dbt"
 	"repro/internal/workload"
 )
 
 // TestFastDispatchEquivalence is the contract behind the hot-path work: the
 // dense-index/inline-cache dispatch path is an implementation detail, so a
-// collection pass with SlowDispatch (the original map-based lookups) must be
+// collection pass with slow dispatch (the original map-based lookups) must be
 // bit-for-bit identical — same RunStats, same cache-event log, and therefore
 // the same Figure 9 rows after replaying through both the unified and the
 // generational cache managers.
 func TestFastDispatchEquivalence(t *testing.T) {
-	opts := Options{
-		Scale:      0.05,
-		Benchmarks: []string{"gzip", "solitaire", "word"},
-		Parallel:   1,
+	collect := func(slow bool) *Suite {
+		s := &Suite{Scale: 0.05, Model: costmodel.DefaultModel, Parallel: 1}
+		for _, name := range []string{"gzip", "solitaire", "word"} {
+			p, ok := workload.ByName(name)
+			if !ok {
+				t.Fatalf("%s profile missing", name)
+			}
+			run, err := collectOne(p, s.Scale, s.Model, slow)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.Runs = append(s.Runs, run)
+		}
+		return s
 	}
-	fast, err := Collect(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts.SlowDispatch = true
-	slow, err := Collect(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fast, slow := collect(false), collect(true)
 
 	if len(fast.Runs) != len(slow.Runs) {
 		t.Fatalf("run counts differ: %d vs %d", len(fast.Runs), len(slow.Runs))

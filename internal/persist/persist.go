@@ -11,11 +11,13 @@
 // many trace generations the second run avoids.
 //
 // The on-disk format is a small versioned binary file: a magic header, the
-// benchmark name, then one record per trace (ID, head address, size,
-// module, and the member-block addresses). Trace *bodies* are rebuilt from
-// the program image on reuse — exactly what a DBT must do anyway when it
-// revalidates a persisted trace against the current address space — so the
-// file stays compact and stale records are rejected by Rebuild.
+// benchmark name, the tier-graph spec, the module table naming the code the
+// records' module IDs refer to, then one record per trace (ID, head
+// address, size, module, and the member-block addresses). Trace *bodies*
+// are rebuilt from the program image on reuse — exactly what a DBT must do
+// anyway when it revalidates a persisted trace against the current address
+// space — so the file stays compact and stale records are rejected by
+// Rebuild.
 package persist
 
 import (
@@ -33,22 +35,32 @@ import (
 	"repro/internal/trace"
 )
 
-// The format is version 3, the only one this build reads: it carries,
-// alongside the trace records, the tier-graph specification the snapshot was
+// The format is version 4, the only one this build reads. Alongside the
+// trace records it carries the tier-graph specification the snapshot was
 // taken under — including each tier's local-policy spec, with "auto:NAME"
 // recording the policy the online selector had live at snapshot time — so a
 // warm start rebuilds the same cache geometry and resumes the selected
-// policy without out-of-band configuration. Earlier generations (version 1,
-// traces only; version 2, a spec without policies) fail with ErrVersion like
-// any other. Predictor gates do not persist — a spec round-trips its
-// threshold form, the only gate the paper's configurations use.
+// policy without out-of-band configuration. It also carries the module
+// table: which benchmark and log-local module each record's module ID
+// names, so an image is meaningful to a reader with a different module
+// namespace (a restarted service, a cluster peer) without any file beside
+// it. Earlier generations (version 1, traces only; version 2, a spec without
+// policies; version 3, no module table) fail with ErrVersion like any
+// other. Predictor gates do not persist — a spec round-trips its threshold
+// form, the only gate the paper's configurations use.
 const (
-	magicV3 = "CCPERSIST3\n"
+	magicV4 = "CCPERSIST4\n"
 
 	// magicPrefix is common to every format generation; a file carrying it
 	// under an unknown version digit is a snapshot from a different build,
 	// not corruption.
 	magicPrefix = "CCPERSIST"
+
+	// maxModules bounds the module table: module IDs are 16-bit, so no
+	// honest table is larger.
+	maxModules = 1 << 16
+	// maxModuleName bounds a module entry's benchmark name.
+	maxModuleName = 255
 )
 
 // ErrVersion marks a snapshot written in a format generation this build does
@@ -69,14 +81,27 @@ type Record struct {
 	Blocks []uint64
 }
 
+// Module names the code behind one module ID: the benchmark and the
+// module's number within that benchmark's event log.
+type Module struct {
+	ID    uint16 // the ID records carry in Record.Module
+	Bench string
+	Local uint16
+}
+
 // Image is a saved persistent-cache snapshot.
 type Image struct {
 	Benchmark string
 	Records   []Record
 
 	// Spec is the tier-graph geometry the snapshot was taken under; nil for
-	// version-1 files and shared-tier snapshots.
+	// shared-tier snapshots.
 	Spec *SpecImage
+
+	// Modules is the module table: what each record's Module ID names. It
+	// is empty for single-process snapshots, whose module IDs are the
+	// program's own; a shared tier serving many benchmarks needs it.
+	Modules []Module
 }
 
 // SpecImage is the serializable form of a tier-graph specification.
@@ -141,12 +166,7 @@ func Snapshot(benchmark string, g *core.Graph, lookup func(uint64) (*trace.Trace
 		}
 	}
 	for _, f := range g.PersistentFragments() {
-		rec := Record{
-			ID:       f.ID,
-			HeadAddr: f.HeadAddr,
-			Size:     uint32(f.Size),
-			Module:   f.Module,
-		}
+		rec := recordOf(f)
 		if lookup != nil {
 			t, ok := lookup(f.ID)
 			if !ok {
@@ -160,47 +180,47 @@ func Snapshot(benchmark string, g *core.Graph, lookup func(uint64) (*trace.Trace
 }
 
 // SnapshotShared captures the contents of a multi-process shared persistent
-// tier. lookup resolves a trace ID to its body (dbt.System keeps one via
-// trace registration); traces without a body are skipped, as in Snapshot.
-func SnapshotShared(benchmark string, sp *core.SharedPersistent, lookup func(uint64) (*trace.Trace, bool)) Image {
+// tier. Its records carry no member blocks: a shared tier is restored by
+// identity (module and head), not rebuilt from bodies. The caller fills in
+// the module table for the namespace the tier's module IDs live in.
+func SnapshotShared(benchmark string, sp *core.SharedPersistent) Image {
 	img := Image{Benchmark: benchmark}
 	for _, f := range sp.Fragments() {
-		rec := Record{
-			ID:       f.ID,
-			HeadAddr: f.HeadAddr,
-			Size:     uint32(f.Size),
-			Module:   f.Module,
-		}
-		if lookup != nil {
-			t, ok := lookup(f.ID)
-			if !ok {
-				continue
-			}
-			rec.Blocks = append(rec.Blocks, t.BlockAddrs...)
-		}
-		img.Records = append(img.Records, rec)
+		img.Records = append(img.Records, recordOf(f))
 	}
 	return img
 }
 
+func recordOf(f codecache.Fragment) Record {
+	return Record{ID: f.ID, HeadAddr: f.HeadAddr, Size: uint32(f.Size), Module: f.Module}
+}
+
 // FilterImage narrows an image to the records keep accepts, preserving
-// order. The cluster's shard-transfer endpoint reuses the snapshot format
-// for shard bootstrap: it snapshots the shared tier, filters to the
-// requested shards, and streams the result through Save.
+// order, and its module table to the entries those records use. The
+// cluster's shard-transfer endpoint reuses the snapshot format for shard
+// bootstrap: it snapshots the shared tier, filters to the requested shards,
+// and streams the result through Save.
 func FilterImage(img Image, keep func(Record) bool) Image {
 	out := Image{Benchmark: img.Benchmark, Spec: img.Spec}
+	used := make(map[uint16]bool)
 	for _, r := range img.Records {
 		if keep(r) {
 			out.Records = append(out.Records, r)
+			used[r.Module] = true
+		}
+	}
+	for _, m := range img.Modules {
+		if used[m.ID] {
+			out.Modules = append(out.Modules, m)
 		}
 	}
 	return out
 }
 
-// Save writes the image in the version-3 format.
+// Save writes the image in the version-4 format.
 func Save(w io.Writer, img Image) error {
 	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(magicV3); err != nil {
+	if _, err := bw.WriteString(magicV4); err != nil {
 		return err
 	}
 	var buf [binary.MaxVarintLen64]byte
@@ -249,6 +269,21 @@ func Save(w io.Writer, img Image) error {
 			}
 		}
 	}
+	// The module table: a count, then one (ID, local module, benchmark
+	// name) entry each.
+	if err := put(uint64(len(img.Modules))); err != nil {
+		return err
+	}
+	for _, m := range img.Modules {
+		for _, v := range []uint64{uint64(m.ID), uint64(m.Local), uint64(len(m.Bench))} {
+			if err := put(v); err != nil {
+				return err
+			}
+		}
+		if _, err := bw.WriteString(m.Bench); err != nil {
+			return err
+		}
+	}
 	if err := put(uint64(len(img.Records))); err != nil {
 		return err
 	}
@@ -267,16 +302,16 @@ func Save(w io.Writer, img Image) error {
 	return bw.Flush()
 }
 
-// Load reads an image in the version-3 format. Its input may come off the
+// Load reads an image in the version-4 format. Its input may come off the
 // peer network (cluster bootstrap), so every count is bounded before it
 // sizes anything.
 func Load(r io.Reader) (Image, error) {
 	br := bufio.NewReader(r)
-	got := make([]byte, len(magicV3))
+	got := make([]byte, len(magicV4))
 	if _, err := io.ReadFull(br, got); err != nil {
 		return Image{}, fmt.Errorf("persist: reading magic: %w", err)
 	}
-	if string(got) != magicV3 {
+	if string(got) != magicV4 {
 		if strings.HasPrefix(string(got), magicPrefix) {
 			return Image{}, fmt.Errorf("persist: snapshot format %q: %w", got, ErrVersion)
 		}
@@ -329,6 +364,10 @@ func Load(r io.Reader) (Image, error) {
 			})
 		}
 	}
+	mods, err := loadModules(br)
+	if err != nil {
+		return Image{}, err
+	}
 	n, err := get()
 	if err != nil {
 		return Image{}, err
@@ -338,7 +377,7 @@ func Load(r io.Reader) (Image, error) {
 	}
 	// The count is only a claim until the records arrive: preallocate for
 	// at most a modest prefix, so a short forged image cannot demand memory.
-	img := Image{Benchmark: string(name), Records: make([]Record, 0, min(n, 1<<10)), Spec: spec}
+	img := Image{Benchmark: string(name), Records: make([]Record, 0, min(n, 1<<10)), Spec: spec, Modules: mods}
 	for i := uint64(0); i < n; i++ {
 		var vals [5]uint64
 		for j := range vals {
@@ -367,6 +406,46 @@ func Load(r io.Reader) (Image, error) {
 		img.Records = append(img.Records, rec)
 	}
 	return img, nil
+}
+
+// loadModules reads the module table, rejecting an oversized table, an
+// oversized name, an out-of-range ID, or an ID named twice before any of
+// them sizes an allocation.
+func loadModules(br *bufio.Reader) ([]Module, error) {
+	n, err := binary.ReadUvarint(br)
+	if err != nil {
+		return nil, fmt.Errorf("persist: module count: %w", err)
+	}
+	if n > maxModules {
+		return nil, errors.New("persist: unreasonable module count")
+	}
+	var mods []Module
+	seen := make(map[uint16]bool)
+	for i := uint64(0); i < n; i++ {
+		var vals [3]uint64
+		for j := range vals {
+			if vals[j], err = binary.ReadUvarint(br); err != nil {
+				return nil, fmt.Errorf("persist: module %d: %w", i, err)
+			}
+		}
+		if vals[0] > 0xFFFF || vals[1] > 0xFFFF {
+			return nil, fmt.Errorf("persist: module %d: ID out of range", i)
+		}
+		if vals[2] > maxModuleName {
+			return nil, errors.New("persist: unreasonable module name length")
+		}
+		id := uint16(vals[0])
+		if seen[id] {
+			return nil, fmt.Errorf("persist: module %d named twice", id)
+		}
+		seen[id] = true
+		bench := make([]byte, vals[2])
+		if _, err := io.ReadFull(br, bench); err != nil {
+			return nil, fmt.Errorf("persist: module %d name: %w", i, err)
+		}
+		mods = append(mods, Module{ID: id, Bench: string(bench), Local: uint16(vals[1])})
+	}
+	return mods, nil
 }
 
 // Rebuild reconstructs real superblocks from a snapshot against the current
@@ -401,89 +480,4 @@ func Rebuild(img Image, prog *program.Image) (ok []*trace.Trace, rejected int) {
 		ok = append(ok, t)
 	}
 	return ok, rejected
-}
-
-// WarmStats reports what a warm start accomplished.
-type WarmStats struct {
-	Restored uint64  // traces pre-populated into the persistent cache
-	Rejected uint64  // records that did not fit or failed validation
-	SavedGen float64 // trace-generation instructions avoided (Table 2)
-}
-
-// Validator revalidates a record against the current program image; a DBT
-// must confirm the original code is still there before reusing a cached
-// trace. Return false to reject.
-type Validator func(Record) bool
-
-// Warm pre-populates a fresh generational manager's persistent cache from a
-// saved image. genCost gives the per-trace regeneration cost being avoided
-// (use costmodel.Model.TraceGen).
-func Warm(g *core.Graph, img Image, validate Validator, genCost func(sizeBytes int) float64) WarmStats {
-	var ws WarmStats
-	for _, r := range img.Records {
-		if validate != nil && !validate(r) {
-			ws.Rejected++
-			continue
-		}
-		err := g.InsertPersistent(codecache.Fragment{
-			ID:       r.ID,
-			Size:     uint64(r.Size),
-			Module:   r.Module,
-			HeadAddr: r.HeadAddr,
-		})
-		if err != nil {
-			ws.Rejected++
-			continue
-		}
-		ws.Restored++
-		if genCost != nil {
-			ws.SavedGen += genCost(int(r.Size))
-		}
-	}
-	return ws
-}
-
-// WarmShared pre-populates a shared persistent tier from a saved image. The
-// traces are inserted with no owners; each process attaches itself to the
-// ones it wants at startup (dbt.Process.AttachShared), taking a reference
-// that its own module unmaps later release. SavedGen counts the avoided
-// generation cost once per restored trace — each additional process that
-// attaches avoids another generation, which the run's adoption counters
-// capture.
-func WarmShared(sp *core.SharedPersistent, img Image, validate Validator, genCost func(sizeBytes int) float64) WarmStats {
-	return warmShared(sp, img, nil, validate, genCost)
-}
-
-// WarmSharedOwner is WarmShared with the restored traces owned by the given
-// process from the start. A resident service warming its tier uses its
-// keep-warm owner here: an ownerless trace would die the moment its first
-// adopting session unmapped it (the session would briefly be its only
-// owner), defeating the point of the snapshot.
-func WarmSharedOwner(sp *core.SharedPersistent, img Image, owner int, validate Validator, genCost func(sizeBytes int) float64) WarmStats {
-	return warmShared(sp, img, []int{owner}, validate, genCost)
-}
-
-func warmShared(sp *core.SharedPersistent, img Image, owners []int, validate Validator, genCost func(sizeBytes int) float64) WarmStats {
-	var ws WarmStats
-	for _, r := range img.Records {
-		if validate != nil && !validate(r) {
-			ws.Rejected++
-			continue
-		}
-		err := sp.InsertWarm(owners, codecache.Fragment{
-			ID:       r.ID,
-			Size:     uint64(r.Size),
-			Module:   r.Module,
-			HeadAddr: r.HeadAddr,
-		})
-		if err != nil {
-			ws.Rejected++
-			continue
-		}
-		ws.Restored++
-		if genCost != nil {
-			ws.SavedGen += genCost(int(r.Size))
-		}
-	}
-	return ws
 }

@@ -4,13 +4,13 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
 
 	"repro/internal/codecache"
 	"repro/internal/core"
-	"repro/internal/costmodel"
 	"repro/internal/dbt"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -52,6 +52,7 @@ func TestSnapshotSaveLoadRoundTrip(t *testing.T) {
 	if len(img.Records) == 0 || img.Benchmark != "word" {
 		t.Fatalf("snapshot = %+v", img)
 	}
+	img.Modules = tableImage().Modules
 	var buf bytes.Buffer
 	if err := Save(&buf, img); err != nil {
 		t.Fatal(err)
@@ -60,7 +61,7 @@ func TestSnapshotSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Benchmark != img.Benchmark || len(got.Records) != len(img.Records) {
+	if got.Benchmark != img.Benchmark || len(got.Records) != len(img.Records) || !reflect.DeepEqual(got.Modules, img.Modules) {
 		t.Fatalf("loaded = %+v", got)
 	}
 	for i := range img.Records {
@@ -86,7 +87,7 @@ func TestLoadErrors(t *testing.T) {
 	}
 	// Valid magic, truncated payload.
 	var buf bytes.Buffer
-	buf.WriteString("CCPERSIST3\n")
+	buf.WriteString(magicV4)
 	buf.WriteByte(3) // claims a 3-byte name, then EOF
 	if _, err := Load(&buf); err == nil {
 		t.Error("truncated name accepted")
@@ -94,9 +95,10 @@ func TestLoadErrors(t *testing.T) {
 	// A record count at the bound with no records behind it must fail
 	// without sizing memory from the claim.
 	buf.Reset()
-	buf.WriteString("CCPERSIST3\n")
+	buf.WriteString(magicV4)
 	putUvarint(&buf, 0)     // empty name
 	putUvarint(&buf, 0)     // no spec
+	putUvarint(&buf, 0)     // no modules
 	putUvarint(&buf, 1<<24) // claimed records, then EOF
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -106,6 +108,37 @@ func TestLoadErrors(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
 		t.Errorf("forged record count allocated %d bytes", grew)
+	}
+	// The module table comes off the peer network too: its count, names and
+	// IDs are checked before they size anything.
+	withTable := func(table func(*bytes.Buffer)) *bytes.Buffer {
+		var buf bytes.Buffer
+		buf.WriteString(magicV4)
+		putUvarint(&buf, 0) // empty name
+		putUvarint(&buf, 0) // no spec
+		table(&buf)
+		putUvarint(&buf, 0) // no records
+		return &buf
+	}
+	entry := func(buf *bytes.Buffer, id uint64, bench string) {
+		putUvarint(buf, id)
+		putUvarint(buf, 0)
+		putUvarint(buf, uint64(len(bench)))
+		buf.WriteString(bench)
+	}
+	if _, err := Load(withTable(func(b *bytes.Buffer) { putUvarint(b, 1); entry(b, 7, "gzip") })); err != nil {
+		t.Errorf("one-entry table rejected: %v", err)
+	}
+	for name, table := range map[string]func(*bytes.Buffer){
+		"oversized module count": func(b *bytes.Buffer) { putUvarint(b, maxModules+1) },
+		"oversized module name":  func(b *bytes.Buffer) { putUvarint(b, 1); entry(b, 7, strings.Repeat("x", maxModuleName+1)) },
+		"repeated module ID":     func(b *bytes.Buffer) { putUvarint(b, 2); entry(b, 7, "gzip"); entry(b, 7, "word") },
+		"module ID over 16 bits": func(b *bytes.Buffer) { putUvarint(b, 1); entry(b, 1<<16, "gzip") },
+		"truncated module table": func(b *bytes.Buffer) { putUvarint(b, 2); entry(b, 7, "gzip") },
+	} {
+		if _, err := Load(withTable(table)); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
 }
 
@@ -124,76 +157,6 @@ func TestLoadFutureVersion(t *testing.T) {
 	_, err = Load(strings.NewReader("NOTACCLOG1\npayload"))
 	if err == nil || errors.Is(err, ErrVersion) {
 		t.Fatalf("bad-magic error = %v, want non-ErrVersion failure", err)
-	}
-}
-
-func TestWarmRestoresTraces(t *testing.T) {
-	g := populated(t)
-	img := Snapshot("b", g, nil)
-	persisted := len(img.Records)
-
-	fresh, err := core.NewGraph(core.Layout451045Threshold1(3000).GraphSpec(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	model := costmodel.DefaultModel
-	ws := Warm(fresh, img, nil, model.TraceGen)
-	if ws.Restored != uint64(persisted) {
-		t.Fatalf("restored %d of %d", ws.Restored, persisted)
-	}
-	if ws.SavedGen <= 0 {
-		t.Error("no generation cost saved")
-	}
-	// Every restored trace is immediately hittable: no regeneration needed.
-	for _, r := range img.Records {
-		if !fresh.Access(r.ID) {
-			t.Errorf("restored trace %d not resident", r.ID)
-		}
-	}
-	if err := fresh.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestWarmValidatorRejects(t *testing.T) {
-	g := populated(t)
-	img := Snapshot("b", g, nil)
-	fresh, err := core.NewGraph(core.Layout451045Threshold1(3000).GraphSpec(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ws := Warm(fresh, img, func(r Record) bool { return r.Module != 0 }, nil)
-	if ws.Rejected == 0 {
-		t.Error("validator rejected nothing")
-	}
-	for _, r := range img.Records {
-		if r.Module == 0 && fresh.Contains(r.ID) {
-			t.Errorf("rejected trace %d was restored", r.ID)
-		}
-	}
-}
-
-func TestWarmOverflowRejects(t *testing.T) {
-	g := populated(t)
-	img := Snapshot("b", g, nil)
-	// A tiny persistent cache cannot hold everything; Warm must cope.
-	tiny, err := core.NewGraph(core.Config{
-		TotalCapacity:    300,
-		NurseryFrac:      0.34,
-		ProbationFrac:    0.33,
-		PersistentFrac:   0.33,
-		PromoteThreshold: 1,
-	}.GraphSpec(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ws := Warm(tiny, img, nil, nil)
-	// 99-byte persistent cache cannot hold a single 100-byte trace.
-	if ws.Restored != 0 || ws.Rejected != uint64(len(img.Records)) {
-		t.Errorf("warm stats = %+v", ws)
-	}
-	if err := tiny.CheckInvariants(); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -322,120 +285,6 @@ func TestRebuildRejectsStaleImage(t *testing.T) {
 	}
 }
 
-// TestWarmSharedRefcounts: a shared tier snapshotted from a multi-process
-// run warms a fresh tier; two new processes attach to the restored traces,
-// and the owner-aware refcounts drain correctly — the first process's unmap
-// leaves every trace resident, the second's kills them.
-func TestWarmSharedRefcounts(t *testing.T) {
-	p, ok := workload.ByName("solitaire")
-	if !ok {
-		t.Fatal("solitaire missing")
-	}
-	p = p.Scaled(0.05)
-	bench, err := workload.Synthesize(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	capacity := uint64(256 << 10)
-	cfg := core.Layout451045Threshold1(capacity)
-	spCap := 2 * uint64(float64(capacity)*cfg.PersistentFrac)
-
-	newSystem := func() (*dbt.System, *core.SharedPersistent) {
-		sp := core.NewSharedPersistent(spCap, nil, nil)
-		sys := dbt.NewSystem(sp)
-		for proc := 0; proc < 2; proc++ {
-			mgr, err := core.NewGraphShared(cfg.GraphSpec(), sp, proc, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := sys.NewProcess(proc, bench.Image, dbt.Config{Manager: mgr}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return sys, sp
-	}
-
-	// Cold multi-process run populates the shared tier.
-	sys, sp := newSystem()
-	guests := []dbt.Guest{bench.NewDriverProc(0), bench.NewDriverProc(1)}
-	if err := sys.RunRoundRobin(guests, 64, bench.TotalBudget()/4, 0); err != nil {
-		t.Fatal(err)
-	}
-	img := SnapshotShared(p.Name, sp, sys.TraceByID)
-	if len(img.Records) == 0 {
-		t.Fatal("empty shared snapshot")
-	}
-
-	// Round-trip through the on-disk format and rebuild real bodies.
-	var buf bytes.Buffer
-	if err := Save(&buf, img); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rebuilt, rejected := Rebuild(loaded, bench.Image)
-	if len(rebuilt) == 0 || rejected != 0 {
-		t.Fatalf("rebuilt %d traces, rejected %d against an unchanged image", len(rebuilt), rejected)
-	}
-
-	// Warm a fresh tier and attach two fresh processes to every trace.
-	sys2, sp2 := newSystem()
-	ws := WarmShared(sp2, loaded, nil, costmodel.DefaultModel.TraceGen)
-	if ws.Restored != uint64(len(loaded.Records)) || ws.Rejected != 0 {
-		t.Fatalf("warm stats = %+v, want %d restored", ws, len(loaded.Records))
-	}
-	if ws.SavedGen <= 0 {
-		t.Error("warm start saved no generation cost")
-	}
-	procs := sys2.Procs()
-	for _, proc := range procs {
-		n, err := proc.AttachShared(rebuilt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n != len(rebuilt) {
-			t.Fatalf("proc %d attached %d of %d traces", proc.ID(), n, len(rebuilt))
-		}
-	}
-	modules := make(map[uint16]bool)
-	for _, r := range loaded.Records {
-		if sp2.Owners(r.ID) != 2 {
-			t.Fatalf("trace %d has %d owners after both attaches, want 2", r.ID, sp2.Owners(r.ID))
-		}
-		modules[r.Module] = true
-	}
-
-	// Owner-aware drain: proc 0's unmaps leave everything resident...
-	for m := range modules {
-		sp2.UnmapModule(0, m)
-	}
-	for _, r := range loaded.Records {
-		if !sp2.Contains(r.ID) {
-			t.Fatalf("trace %d died while proc 1 still owned it", r.ID)
-		}
-		if sp2.Owners(r.ID) != 1 {
-			t.Fatalf("trace %d has %d owners after proc 0's unmap, want 1", r.ID, sp2.Owners(r.ID))
-		}
-	}
-	// ...and proc 1's unmaps drain the tier.
-	for m := range modules {
-		sp2.UnmapModule(1, m)
-	}
-	for _, r := range loaded.Records {
-		if sp2.Contains(r.ID) {
-			t.Fatalf("trace %d survived both owners' unmaps", r.ID)
-		}
-	}
-	if used := sp2.Used(); used != 0 {
-		t.Errorf("warmed tier still holds %d bytes", used)
-	}
-	if err := sp2.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestSpecRoundTrip(t *testing.T) {
 	g := populated(t)
 	img := Snapshot("word", g, nil)
@@ -480,22 +329,52 @@ func TestSpecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLoadVersion1 rebuilds a version-1 byte stream (no spec block) and
-// checks it still loads, with a nil Spec.
 // TestLoadVersion1: the retired format generations — version 1 (traces
-// only) and version 2 (a spec without policies) — are stale snapshots, not
-// corruption: Load reports ErrVersion so a warm start logs and cold-starts.
+// only), version 2 (a spec without policies) and version 3 (no module
+// table) — are stale snapshots, not corruption: Load reports ErrVersion so a
+// warm start logs and cold-starts.
 func TestLoadVersion1(t *testing.T) {
-	for _, magic := range []string{"CCPERSIST1\n", "CCPERSIST2\n"} {
+	for _, magic := range []string{"CCPERSIST1\n", "CCPERSIST2\n", "CCPERSIST3\n"} {
 		var buf bytes.Buffer
 		buf.WriteString(magic)
 		putUvarint(&buf, uint64(len("word")))
 		buf.WriteString("word")
-		putUvarint(&buf, 0) // v2: no spec; v1: no records
-		putUvarint(&buf, 0)
+		putUvarint(&buf, 0) // v2, v3: no spec; v1: no records
+		putUvarint(&buf, 0) // v3: no records
 		if _, err := Load(&buf); !errors.Is(err, ErrVersion) {
 			t.Errorf("%q: err = %v, want ErrVersion", magic, err)
 		}
+	}
+}
+
+// tableImage is a shared-tier-shaped image: two benchmarks reuse local
+// module 0, so only the module table tells their records apart.
+func tableImage() Image {
+	return Image{
+		Benchmark: "gencached",
+		Modules: []Module{
+			{ID: 1, Bench: "gzip", Local: 0},
+			{ID: 2, Bench: "word", Local: 0},
+			{ID: 3, Bench: "word", Local: 4},
+		},
+		Records: []Record{
+			{ID: 10, HeadAddr: 0x40, Size: 128, Module: 1},
+			{ID: 11, HeadAddr: 0x40, Size: 96, Module: 2},
+			{ID: 12, HeadAddr: 0x80, Size: 64, Module: 1},
+		},
+	}
+}
+
+// TestFilterImageTable: FilterImage keeps exactly the module-table entries
+// its kept records use, so a shard transfer names only what it ships.
+func TestFilterImageTable(t *testing.T) {
+	img := tableImage()
+	gzip := FilterImage(img, func(r Record) bool { return r.Module == 1 })
+	if want := img.Modules[:1]; !reflect.DeepEqual(gzip.Modules, want) || len(gzip.Records) != 2 {
+		t.Errorf("filtered image = %+v, want the two gzip records and table %+v", gzip, want)
+	}
+	if none := FilterImage(img, func(Record) bool { return false }); len(none.Modules) != 0 {
+		t.Errorf("empty filter kept table entries %+v", none.Modules)
 	}
 }
 
@@ -585,8 +464,13 @@ func FuzzLoad(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(seed.Bytes())
-	f.Add([]byte("CCPERSIST3\n"))
+	f.Add([]byte(magicV4))
 	f.Add([]byte("CCPERSIST2\n\x01b\x00\x00"))
+	var withTable bytes.Buffer
+	if err := Save(&withTable, tableImage()); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(withTable.Bytes())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		img, err := Load(bytes.NewReader(data))
 		if err != nil {

@@ -289,7 +289,8 @@ func (r SessionResult) MarshalBinary() ([]byte, error) {
 	return buf, nil
 }
 
-// UnmarshalBinary decodes the StatsContentType framing.
+// UnmarshalBinary decodes the StatsContentType framing. The frame must end
+// with its last field: trailing bytes are an error, as on the exchange wire.
 func (r *SessionResult) UnmarshalBinary(data []byte) error {
 	if len(data) < len(statsMagic) || string(data[:len(statsMagic)]) != statsMagic {
 		return fmt.Errorf("api: bad stats magic")
@@ -343,6 +344,9 @@ func (r *SessionResult) UnmarshalBinary(data []byte) error {
 	r.Shared.SavedGenInstructions = f64()
 	if data == nil {
 		return fmt.Errorf("api: truncated binary stats")
+	}
+	if len(data) != 0 {
+		return fmt.Errorf("api: %d trailing bytes after binary stats", len(data))
 	}
 	return nil
 }

@@ -1,11 +1,10 @@
 package server
 
 import (
-	"encoding/json"
-	"fmt"
-	"os"
 	"sort"
 	"sync"
+
+	"repro/internal/cluster"
 )
 
 // moduleSpace maps each session's (benchmark, local module) pair onto a
@@ -13,8 +12,9 @@ import (
 // (module, head address), and different benchmarks reuse the same small
 // local module numbers for entirely different code — without the remap, a
 // gzip session could "adopt" a trace published by a vortex session. The
-// mapping is append-only and persists alongside the snapshot so warm-started
-// records keep meaning the same code.
+// mapping is append-only and never persisted as such: a snapshot names each
+// record's (benchmark, local module) pair in its module table, and a warm
+// start maps the pairs afresh.
 type moduleSpace struct {
 	mu    sync.Mutex
 	byKey map[moduleKey]uint16
@@ -31,9 +31,10 @@ func newModuleSpace() *moduleSpace {
 }
 
 // global resolves (benchmark, local module) to its global ID, allocating one
-// on first sight. It fails only when the 16-bit global space is exhausted;
-// the caller then skips shared-tier interplay for that module (the private
-// replay is unaffected).
+// on first sight. It fails when the 16-bit global space is exhausted, or for
+// a benchmark name too long to be portable — longer than the exchange wire
+// and the snapshot module table carry; the caller then skips shared-tier
+// interplay for that module (the private replay is unaffected).
 func (ms *moduleSpace) global(bench string, local uint16) (uint16, bool) {
 	ms.mu.Lock()
 	defer ms.mu.Unlock()
@@ -41,7 +42,7 @@ func (ms *moduleSpace) global(bench string, local uint16) (uint16, bool) {
 	if g, ok := ms.byKey[k]; ok {
 		return g, true
 	}
-	if ms.next > 0xFFFF {
+	if ms.next > 0xFFFF || len(bench) > cluster.MaxNameLen {
 		return 0, false
 	}
 	g := uint16(ms.next)
@@ -61,24 +62,9 @@ func (ms *moduleSpace) lookup(bench string, local uint16) (uint16, bool) {
 	return g, ok
 }
 
-// identity is the reverse mapping: global ID back to its portable
-// (benchmark, local) pair. The shard-snapshot endpoint uses it to re-express
-// shared-tier records in the cluster's portable namespace. The mapping is
-// append-only and injective, so a linear scan under the lock is exact.
-func (ms *moduleSpace) identity(global uint16) (string, uint16, bool) {
-	ms.mu.Lock()
-	defer ms.mu.Unlock()
-	for k, g := range ms.byKey {
-		if g == global {
-			return k.Bench, k.Local, true
-		}
-	}
-	return "", 0, false
-}
-
-// identities returns the whole reverse map at once — the snapshot endpoint
-// resolves every record of an image, and one locked pass beats a scan per
-// record.
+// identities returns the reverse map, global ID back to its portable
+// (benchmark, local) pair, in one locked pass: a snapshot resolves every
+// record of the shared tier through it.
 func (ms *moduleSpace) identities() map[uint16]moduleKey {
 	ms.mu.Lock()
 	defer ms.mu.Unlock()
@@ -103,85 +89,4 @@ func (ms *moduleSpace) benchModules(bench string) []uint16 {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-// moduleSidecar is the JSON document saved next to a snapshot: the module
-// namespace the snapshot's records are expressed in, plus the trace-ID
-// watermark new publications must stay above.
-type moduleSidecar struct {
-	Version     int           `json:"version"`
-	NextModule  uint32        `json:"nextModule"`
-	MaxTraceID  uint64        `json:"maxTraceID"`
-	Assignments []moduleEntry `json:"assignments"`
-}
-
-type moduleEntry struct {
-	Bench  string `json:"bench"`
-	Local  uint16 `json:"local"`
-	Global uint16 `json:"global"`
-}
-
-const sidecarVersion = 1
-
-// snapshotSidecar captures the namespace for persistence, sorted for a
-// deterministic file.
-func (ms *moduleSpace) snapshotSidecar(maxTraceID uint64) moduleSidecar {
-	ms.mu.Lock()
-	defer ms.mu.Unlock()
-	sc := moduleSidecar{Version: sidecarVersion, NextModule: ms.next, MaxTraceID: maxTraceID}
-	for k, g := range ms.byKey {
-		sc.Assignments = append(sc.Assignments, moduleEntry{Bench: k.Bench, Local: k.Local, Global: g})
-	}
-	sort.Slice(sc.Assignments, func(i, j int) bool {
-		a, b := sc.Assignments[i], sc.Assignments[j]
-		if a.Bench != b.Bench {
-			return a.Bench < b.Bench
-		}
-		return a.Local < b.Local
-	})
-	return sc
-}
-
-// restore loads a persisted namespace into an empty moduleSpace.
-func (ms *moduleSpace) restore(sc moduleSidecar) error {
-	ms.mu.Lock()
-	defer ms.mu.Unlock()
-	if sc.Version != sidecarVersion {
-		return fmt.Errorf("server: module sidecar version %d, want %d", sc.Version, sidecarVersion)
-	}
-	for _, e := range sc.Assignments {
-		ms.byKey[moduleKey{Bench: e.Bench, Local: e.Local}] = e.Global
-	}
-	if sc.NextModule > ms.next {
-		ms.next = sc.NextModule
-	}
-	return nil
-}
-
-// sidecarPath names the module-namespace file that rides along with a
-// snapshot.
-func sidecarPath(snapshotPath string) string { return snapshotPath + ".modules.json" }
-
-func saveSidecar(path string, sc moduleSidecar) error {
-	data, err := json.MarshalIndent(sc, "", "  ")
-	if err != nil {
-		return err
-	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
-}
-
-func loadSidecar(path string) (moduleSidecar, error) {
-	var sc moduleSidecar
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return sc, err
-	}
-	if err := json.Unmarshal(data, &sc); err != nil {
-		return sc, fmt.Errorf("server: parsing module sidecar %s: %w", path, err)
-	}
-	return sc, nil
 }

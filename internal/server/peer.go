@@ -7,14 +7,15 @@
 //
 //	POST /v1/peer/lookup    — does your shard hold this publication?
 //	POST /v1/peer/replicate — take these publications, you own their shards
-//	GET  /v1/peer/snapshot  — your owned shards as a portable persist image
+//	GET  /v1/peer/snapshot  — your owned shards as a persist image
 //
 // Everything on the peer surface speaks the portable cluster identity
 // (benchmark, log-local module, head address): global module IDs are
 // allocated per node in arrival order and mean nothing across the wire.
-// Snapshot transfers therefore carry a module table mapping the sender's
-// global IDs back to portable pairs, and the receiver re-expresses every
-// record in its own namespace before warming its tier.
+// A snapshot transfer is the same self-describing persist image the server
+// writes to disk, whose module table maps the sender's global IDs back to
+// portable pairs; the receiver places every record through the one import
+// routine that warm start and replication use, in its own namespace.
 
 package server
 
@@ -211,8 +212,10 @@ func (s *Server) handlePeerReplicate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var resp cluster.ReplicateResponse
+	ring := s.cluster.Ring()
 	for _, rec := range q.Records {
-		if s.importReplica(rec) {
+		shard := rec.Key.Shard(ring.Shards())
+		if int(rec.Shard) == shard && ring.Owner(shard) == s.cluster.ID() && s.importRecord(rec.Key, rec.Size) {
 			resp.Accepted++
 		} else {
 			resp.Rejected++
@@ -221,22 +224,20 @@ func (s *Server) handlePeerReplicate(w http.ResponseWriter, r *http.Request) {
 	writeExchange(w, cluster.EncodeReplicateResponse(resp))
 }
 
-// importReplica places one replicated publication into the local shard.
-func (s *Server) importReplica(rec cluster.Replica) bool {
-	ring := s.cluster.Ring()
-	shard := rec.Key.Shard(ring.Shards())
-	if int(rec.Shard) != shard || ring.Owner(shard) != s.cluster.ID() {
-		return false
-	}
-	gmod, ok := s.mods.global(rec.Key.Bench, rec.Key.Module)
+// importRecord places one trace, named by its portable identity, into the
+// local shared tier under a fresh trace ID and this server's global module
+// ID for the identity. Warm start, shard bootstrap and replication all come
+// through here, so no trace ID from an earlier run or another node is ever
+// reused. A resident trace of the same identity stays: a size match is a
+// merge, a mismatch keeps the local copy — the tier never overwrites itself
+// on an import's say-so.
+func (s *Server) importRecord(k cluster.Key, size uint64) bool {
+	gmod, ok := s.mods.global(k.Bench, k.Module)
 	if !ok {
-		return false // 16-bit module space exhausted; cannot express the identity
+		return false // no global module for the identity (see moduleSpace.global)
 	}
-	if f, resident := s.sp.ResidentFragment(gmod, rec.Key.Head); resident {
-		// Already here (an earlier replication or a local publication).
-		// A size match is a merge; a mismatch keeps the local copy — the
-		// authoritative shard never overwrites itself on a peer's say-so.
-		return f.Size == rec.Size
+	if f, resident := s.sp.ResidentFragment(gmod, k.Head); resident {
+		return f.Size == size
 	}
 	id := s.sys.NextTraceID()
 	var owners []int
@@ -244,21 +245,59 @@ func (s *Server) importReplica(rec cluster.Replica) bool {
 		owners = []int{dbt.KeepWarmOwner}
 	}
 	err := s.sp.InsertWarm(owners, codecache.Fragment{
-		ID: id, Size: rec.Size, Module: gmod, HeadAddr: rec.Key.Head,
+		ID: id, Size: size, Module: gmod, HeadAddr: k.Head,
 	})
-	if err != nil {
-		return false
+	return err == nil
+}
+
+// image snapshots the shared tier as one self-describing persist image: the
+// resident records whose portable identity keep accepts (every one, when
+// keep is nil) and the module table naming the modules they use. It is both
+// the on-disk snapshot and the peer shard-transfer body.
+func (s *Server) image(keep func(cluster.Key) bool) persist.Image {
+	// Records first: a module is mapped before any record carries its ID, so
+	// the namespace read after them names every one.
+	img := persist.SnapshotShared("gencached", s.sp)
+	idents := s.mods.identities()
+	for g, k := range idents {
+		img.Modules = append(img.Modules, persist.Module{ID: g, Bench: k.Bench, Local: k.Local})
 	}
-	s.notePublished(id)
-	return true
+	sort.Slice(img.Modules, func(i, j int) bool { return img.Modules[i].ID < img.Modules[j].ID })
+	return persist.FilterImage(img, func(rec persist.Record) bool {
+		mk, ok := idents[rec.Module]
+		return ok && (keep == nil || keep(cluster.Key{Bench: mk.Bench, Module: mk.Local, Head: rec.HeadAddr}))
+	})
+}
+
+// importImage places an image's records through importRecord, each under
+// the portable identity its module table names — every record on a warm
+// start, the ones keep accepts on a shard bootstrap. A record whose module
+// the table does not name cannot be placed and counts as rejected.
+func (s *Server) importImage(img persist.Image, keep func(cluster.Key) bool) WarmStats {
+	mods := make(map[uint16]persist.Module, len(img.Modules))
+	for _, m := range img.Modules {
+		mods[m.ID] = m
+	}
+	var ws WarmStats
+	for _, rec := range img.Records {
+		m, named := mods[rec.Module]
+		k := cluster.Key{Bench: m.Bench, Module: m.Local, Head: rec.HeadAddr}
+		if named && keep != nil && !keep(k) {
+			continue
+		}
+		if named && s.importRecord(k, uint64(rec.Size)) {
+			ws.Restored++
+		} else {
+			ws.Rejected++
+		}
+	}
+	return ws
 }
 
 // handlePeerSnapshot serves GET /v1/peer/snapshot?shards=...: the requested
-// shards' publications as a module table followed by a persist image — the
-// same snapshot format the server already writes to disk, reused as the
-// shard transfer and bootstrap format. Records whose module has no portable
-// identity (impossible in practice: every mapped global came from a
-// (bench, local) pair) are skipped rather than shipped meaninglessly.
+// shards' publications as a persist image — the snapshot the server writes
+// to disk, narrowed to those shards, reused as the shard transfer and
+// bootstrap format.
 func (s *Server) handlePeerSnapshot(w http.ResponseWriter, r *http.Request) {
 	ring := s.cluster.Ring()
 	shards, err := cluster.ParseShards(r.URL.Query().Get("shards"), ring.Shards())
@@ -270,34 +309,9 @@ func (s *Server) handlePeerSnapshot(w http.ResponseWriter, r *http.Request) {
 	for _, sh := range shards {
 		wanted[sh] = true
 	}
-	idents := s.mods.identities()
-	img := persist.SnapshotShared("gencached", s.sp, nil)
-	used := make(map[uint16]bool)
-	filtered := persist.FilterImage(img, func(rec persist.Record) bool {
-		mk, ok := idents[rec.Module]
-		if !ok {
-			return false
-		}
-		k := cluster.Key{Bench: mk.Bench, Module: mk.Local, Head: rec.HeadAddr}
-		if !wanted[k.Shard(ring.Shards())] {
-			return false
-		}
-		used[rec.Module] = true
-		return true
-	})
-	var table cluster.ModuleTable
-	globals := make([]int, 0, len(used))
-	for g := range used {
-		globals = append(globals, int(g))
-	}
-	sort.Ints(globals)
-	for _, g := range globals {
-		mk := idents[uint16(g)]
-		table.Entries = append(table.Entries, cluster.ModuleEntry{Global: uint16(g), Local: mk.Local, Bench: mk.Bench})
-	}
+	img := s.image(func(k cluster.Key) bool { return wanted[k.Shard(ring.Shards())] })
 	var buf bytes.Buffer
-	buf.Write(cluster.EncodeModuleTable(table))
-	if err := persist.Save(&buf, filtered); err != nil {
+	if err := persist.Save(&buf, img); err != nil {
 		jsonError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
@@ -318,56 +332,26 @@ func (s *Server) BootstrapFromPeers(ctx context.Context) (restored int, err erro
 	if len(owned) == 0 {
 		return 0, nil
 	}
-	peers := s.cluster.Peers()
+	ownedSet := make(map[int]bool, len(owned))
+	for _, sh := range owned {
+		ownedSet[sh] = true
+	}
+	shards := s.cluster.Ring().Shards()
 	var firstErr error
-	for _, id := range peers {
+	for _, id := range s.cluster.Peers() {
 		tr := s.cluster.Transport(id)
 		if tr == nil {
 			continue
 		}
-		table, img, err := tr.Snapshot(ctx, owned)
+		img, err := tr.Snapshot(ctx, owned)
 		if err != nil {
 			if firstErr == nil {
 				firstErr = fmt.Errorf("server: bootstrap from %s: %w", id, err)
 			}
 			continue
 		}
-		restored += s.importImage(table, img, owned)
+		ws := s.importImage(img, func(k cluster.Key) bool { return ownedSet[k.Shard(shards)] })
+		restored += int(ws.Restored)
 	}
 	return restored, firstErr
-}
-
-// importImage warms the shared tier from a peer's shard snapshot: every
-// record is re-expressed in this node's module namespace through the
-// transfer's module table and inserted under a fresh local trace ID.
-func (s *Server) importImage(table cluster.ModuleTable, img persist.Image, owned []int) int {
-	ownedSet := make(map[int]bool, len(owned))
-	for _, sh := range owned {
-		ownedSet[sh] = true
-	}
-	// Sender-global → portable identity.
-	portable := make(map[uint16]cluster.ModuleEntry, len(table.Entries))
-	for _, e := range table.Entries {
-		portable[e.Global] = e
-	}
-	ring := s.cluster.Ring()
-	restored := 0
-	for _, rec := range img.Records {
-		e, ok := portable[rec.Module]
-		if !ok {
-			continue
-		}
-		k := cluster.Key{Bench: e.Bench, Module: e.Local, Head: rec.HeadAddr}
-		if !ownedSet[k.Shard(ring.Shards())] {
-			continue
-		}
-		if s.importReplica(cluster.Replica{
-			Key:   k,
-			Size:  uint64(rec.Size),
-			Shard: uint32(k.Shard(ring.Shards())),
-		}) {
-			restored++
-		}
-	}
-	return restored
 }

@@ -11,7 +11,7 @@
 // generation are published to the shared tier, later sessions adopt them
 // instead of paying their generation cost, and teardown releases the
 // session's references owner-aware. At shutdown the shared tier is written
-// to a persist v2 snapshot and reloaded warm on the next start.
+// to one self-describing persist image, and the next start restores it warm.
 package server
 
 import (
@@ -20,6 +20,7 @@ import (
 	"log"
 	"net/http"
 	"os"
+	"path/filepath"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -121,10 +122,6 @@ type Server struct {
 
 	draining atomic.Bool
 
-	// maxTraceID is the high-water mark of published trace IDs, persisted in
-	// the snapshot sidecar so a restart's allocator stays above it.
-	maxTraceID atomic.Uint64
-
 	// attrib aggregates every attribution-enabled session's ledger snapshot
 	// into the server-wide /v1/attrib report and miss-cause metrics.
 	attrib *attrib.Aggregate
@@ -135,7 +132,7 @@ type Server struct {
 	// each labelled attrib session folds into its tenant's aggregate as well
 	// as the server-wide one.
 	tenants map[string]*attrib.Aggregate
-	warm    persist.WarmStats
+	warm    WarmStats
 	// livePol maps a tier level name to the policy spec most recently made
 	// live there by any session's online selector (KindPolicySwitch events).
 	livePol map[string]string
@@ -143,22 +140,21 @@ type Server struct {
 
 // aggregate sums per-session results into the server-wide /metrics view.
 type aggregate struct {
-	sessionsServed   uint64
-	sessionsFailed   uint64
-	bytesIngested    uint64
-	eventsIngested   uint64
-	accesses         uint64
-	hits             uint64
-	misses           uint64
-	coldCreates      uint64
-	regenerations    uint64
-	forcedDeletes    uint64
-	adoptions        uint64
-	published        uint64
-	peerAdoptions    uint64
-	savedGenInstr    float64
-	overheadInstr    float64
-	snapshotRestores uint64
+	sessionsServed uint64
+	sessionsFailed uint64
+	bytesIngested  uint64
+	eventsIngested uint64
+	accesses       uint64
+	hits           uint64
+	misses         uint64
+	coldCreates    uint64
+	regenerations  uint64
+	forcedDeletes  uint64
+	adoptions      uint64
+	published      uint64
+	peerAdoptions  uint64
+	savedGenInstr  float64
+	overheadInstr  float64
 }
 
 // New builds a server over a fresh system, warm-starting the shared tier
@@ -213,8 +209,14 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// warmStart loads the snapshot and its module sidecar, if both exist and
-// are compatible.
+// WarmStats reports what a warm start accomplished.
+type WarmStats struct {
+	Restored uint64 // records placed into the shared tier
+	Rejected uint64 // records the tier could not take: unnamed in the table, or no room
+}
+
+// warmStart restores the shared tier from the snapshot, if one exists in
+// this build's format.
 func (s *Server) warmStart() error {
 	f, err := os.Open(s.cfg.SnapshotPath)
 	if errors.Is(err, os.ErrNotExist) {
@@ -233,60 +235,51 @@ func (s *Server) warmStart() error {
 	if err != nil {
 		return fmt.Errorf("server: corrupt snapshot %s: %w", s.cfg.SnapshotPath, err)
 	}
-	sc, err := loadSidecar(sidecarPath(s.cfg.SnapshotPath))
-	if errors.Is(err, os.ErrNotExist) {
-		// Records without their module namespace are meaningless to new
-		// sessions; treat the snapshot as stale.
-		s.cfg.Logf("gencached: snapshot %s has no module sidecar, cold start", s.cfg.SnapshotPath)
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	if err := s.mods.restore(sc); err != nil {
-		return err
-	}
-	if s.cfg.KeepWarm {
-		s.warm = persist.WarmSharedOwner(s.sp, img, dbt.KeepWarmOwner, nil, s.model.TraceGen)
-	} else {
-		// Without keep-warm the tier holds no server-owned references;
-		// restored traces sit ownerless until adopted.
-		s.warm = persist.WarmShared(s.sp, img, nil, s.model.TraceGen)
-	}
-	s.sys.EnsureTraceIDAbove(sc.MaxTraceID)
-	s.maxTraceID.Store(sc.MaxTraceID)
+	s.warm = s.importImage(img, nil)
 	s.cfg.Logf("gencached: warm start from %s: %d traces restored, %d rejected",
 		s.cfg.SnapshotPath, s.warm.Restored, s.warm.Rejected)
 	return nil
 }
 
-// SaveSnapshot writes the shared tier and its module namespace to the
-// configured snapshot path, atomically (tmp + rename), so a crash mid-write
-// leaves the previous snapshot intact. No-op without a SnapshotPath.
+// SaveSnapshot writes the shared tier to the configured snapshot path as one
+// self-describing persist image. The image goes to <path>.tmp, is synced,
+// renamed over the path, and the directory is synced, so a crash at any
+// point leaves either the previous snapshot or the new one. No-op without a
+// SnapshotPath.
 func (s *Server) SaveSnapshot() error {
-	if s.cfg.SnapshotPath == "" {
+	path := s.cfg.SnapshotPath
+	if path == "" {
 		return nil
 	}
-	img := persist.SnapshotShared("gencached", s.sp, nil)
-	tmp := s.cfg.SnapshotPath + ".tmp"
+	img := s.image(nil)
+	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
-	if err := persist.Save(f, img); err != nil {
-		f.Close()
+	err = persist.Save(f, img)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		_ = os.Remove(tmp) // best effort: the save has failed either way
 		return err
 	}
-	if err := f.Close(); err != nil {
+	dir, err := os.Open(filepath.Dir(path))
+	if err != nil {
 		return err
 	}
-	if err := os.Rename(tmp, s.cfg.SnapshotPath); err != nil {
+	defer dir.Close()
+	if err := dir.Sync(); err != nil {
 		return err
 	}
-	if err := saveSidecar(sidecarPath(s.cfg.SnapshotPath), s.mods.snapshotSidecar(s.maxTraceID.Load())); err != nil {
-		return err
-	}
-	s.cfg.Logf("gencached: snapshot %s: %d traces", s.cfg.SnapshotPath, len(img.Records))
+	s.cfg.Logf("gencached: snapshot %s: %d traces", path, len(img.Records))
 	return nil
 }
 
@@ -300,7 +293,7 @@ func (s *Server) StartDraining() { s.draining.Store(true) }
 func (s *Server) Draining() bool { return s.draining.Load() }
 
 // WarmStats reports what the startup warm start restored.
-func (s *Server) WarmStats() persist.WarmStats { return s.warm }
+func (s *Server) WarmStats() WarmStats { return s.warm }
 
 // System exposes the underlying dbt system (tests and diagnostics).
 func (s *Server) System() *dbt.System { return s.sys }
@@ -478,16 +471,6 @@ func (s *Server) recordFailure() {
 	s.mu.Lock()
 	s.agg.sessionsFailed++
 	s.mu.Unlock()
-}
-
-// notePublished advances the persisted trace-ID watermark.
-func (s *Server) notePublished(id uint64) {
-	for {
-		cur := s.maxTraceID.Load()
-		if id <= cur || s.maxTraceID.CompareAndSwap(cur, id) {
-			return
-		}
-	}
 }
 
 // obsRouter fans shared-tier events out to the session that caused them:

@@ -24,6 +24,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/costmodel"
+	"repro/internal/persist"
 	"repro/internal/server"
 	"repro/internal/server/api"
 	"repro/internal/server/client"
@@ -256,8 +257,10 @@ func TestOverloadRejectsWithoutDegrading(t *testing.T) {
 
 // TestSnapshotRoundTrip runs sessions against a snapshotting server, shuts
 // it down, and starts a successor over the same path: the successor must
-// warm-start with the published traces resident and serve a session that
-// adopts them immediately — while still matching the offline replay.
+// warm-start with exactly the published identities resident and serve a
+// session that adopts them immediately — while still matching the offline
+// replay. A successor whose tier cannot hold the image accounts for every
+// record as restored or rejected.
 func TestSnapshotRoundTrip(t *testing.T) {
 	snap := filepath.Join(t.TempDir(), "tier.ccpersist")
 	data := syntheticLog(t, "word")
@@ -275,16 +278,36 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err := srv1.SaveSnapshot(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(snap); err != nil {
-		t.Fatalf("snapshot file missing: %v", err)
+	saved, records := snapshotIdentities(t, snap)
+	if _, err := os.Stat(snap + ".modules.json"); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("snapshot left a module sidecar beside it: %v", err)
 	}
-	if _, err := os.Stat(snap + ".modules.json"); err != nil {
-		t.Fatalf("module sidecar missing: %v", err)
+
+	// A tier one byte short of the largest trace rejects that trace (and
+	// any of its size); the shared tier's pseudo-circular sweep makes room
+	// for the rest by evicting.
+	var largest uint32
+	for id := range saved {
+		largest = max(largest, id.Size)
+	}
+	small, err := server.New(server.Config{SnapshotPath: snap, KeepWarm: true, SharedCapacity: uint64(largest) - 1, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ws := small.WarmStats(); ws.Rejected == 0 || ws.Restored+ws.Rejected != uint64(records) {
+		t.Errorf("undersized successor: %+v for %d records", ws, records)
 	}
 
 	srv2, c2 := newTestServer(t, server.Config{SnapshotPath: snap, KeepWarm: true})
-	if got := srv2.WarmStats().Restored; got == 0 {
-		t.Fatal("successor restored nothing from the snapshot")
+	if got := srv2.WarmStats().Restored; got != uint64(records) {
+		t.Fatalf("successor restored %d of %d records", got, records)
+	}
+	if err := srv2.SaveSnapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if restored, _ := snapshotIdentities(t, snap); !reflect.DeepEqual(restored, saved) {
+		t.Errorf("successor holds %d identities, the saved server %d:\n  restored: %v\n  saved:    %v",
+			len(restored), len(saved), restored, saved)
 	}
 	res2, err := c2.Session(ctx, client.SessionOptions{}, bytes.NewReader(data))
 	if err != nil {
@@ -294,6 +317,22 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if res2.Shared.Adoptions == 0 {
 		t.Error("session against a warm-started tier adopted nothing")
 	}
+}
+
+// snapshotIdentities reads a snapshot file and names its records by
+// portable identity; it also returns the record count.
+func snapshotIdentities(t *testing.T, path string) (map[server.Identity]bool, int) {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	img, err := persist.Load(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return server.PortableIdentities(t, img), len(img.Records)
 }
 
 // TestStaleSnapshotSkipped: a snapshot in a future format generation is
@@ -441,6 +480,7 @@ func TestDrainingRefusesSessions(t *testing.T) {
 func TestBadRequests(t *testing.T) {
 	_, c := newTestServer(t, server.Config{})
 	base := c.BaseURL + api.SessionsPath
+	data := syntheticLog(t, "word")
 	for _, tc := range []struct {
 		name, url string
 		body      []byte
@@ -449,6 +489,9 @@ func TestBadRequests(t *testing.T) {
 		{"bad capfrac", base + "?" + api.ParamCapFrac + "=-1", nil, http.StatusBadRequest},
 		{"bad layout", base + "?" + api.ParamLayout + "=nope", nil, http.StatusBadRequest},
 		{"bad capacity", base + "?" + api.ParamCapacity + "=0", nil, http.StatusBadRequest},
+		{"bad tiers", base + "?" + api.ParamTiers + "=garbage", data, http.StatusBadRequest},
+		{"bad layout, unified", base + "?" + api.ParamUnified + "=1&" + api.ParamLayout + "=nope", data, http.StatusBadRequest},
+		{"bad policy, every tier named", base + "?" + api.ParamTiers + "=50@lru-50@trrip&" + api.ParamPolicy + "=nope", data, http.StatusBadRequest},
 		{"empty body", base, nil, http.StatusBadRequest},
 		{"garbage body", base, []byte("this is not a tracelog"), http.StatusBadRequest},
 	} {
@@ -562,5 +605,8 @@ func TestBinaryStatsRoundTrip(t *testing.T) {
 	}
 	if err := out.UnmarshalBinary([]byte("JSON{}")); err == nil {
 		t.Error("bad magic decoded without error")
+	}
+	if err := out.UnmarshalBinary(append(data, 0, 0)); err == nil {
+		t.Error("binary stats with a 2-byte tail decoded without error")
 	}
 }

@@ -46,12 +46,7 @@ func parseParams(r *http.Request) (SessionConfig, bool, error) {
 		}
 		c.CapFrac = f
 	}
-	if v := q.Get(api.ParamLayout); v != "" {
-		if _, err := api.ParseLayout(v); err != nil {
-			return c, false, err
-		}
-		c.Layout = v
-	}
+	c.Layout = q.Get(api.ParamLayout)
 	if v := q.Get(api.ParamThreshold); v != "" {
 		n, err := strconv.ParseUint(v, 10, 64)
 		if err != nil || n == 0 {
@@ -60,16 +55,7 @@ func parseParams(r *http.Request) (SessionConfig, bool, error) {
 		c.Threshold = n
 	}
 	c.Tiers = q.Get(api.ParamTiers)
-	if v := q.Get(api.ParamPolicy); v != "" {
-		// Reject unknown policies before admission; a one-tier probe spec
-		// exercises the same validation the manager build will.
-		probe := core.UnifiedSpec(1, nil)
-		probe.Tiers[0].Policy = v
-		if err := probe.Validate(); err != nil {
-			return c, false, fmt.Errorf("bad %s %q: %w", api.ParamPolicy, v, err)
-		}
-		c.Policy = v
-	}
+	c.Policy = q.Get(api.ParamPolicy)
 	for name, dst := range map[string]*uint64{api.ParamSelEpoch: &c.SelEpoch, api.ParamAdaptEpoch: &c.AdaptEpoch} {
 		if v := q.Get(name); v != "" {
 			n, err := strconv.ParseUint(v, 10, 64)
@@ -99,6 +85,15 @@ func parseParams(r *http.Request) (SessionConfig, bool, error) {
 				return c, false, fmt.Errorf("bad %s %q", name, v)
 			}
 			*dst = b
+		}
+	}
+	// Build the session's spec before admission, so a malformed tiers,
+	// layout or policy is a 400 that takes no replay slot and reads no body.
+	// The second build checks layout and policy where the session's own
+	// shape ignores them (unified=1, or tiers naming every tier's policy).
+	for _, probe := range []SessionConfig{c, {Layout: c.Layout, Policy: c.Policy}} {
+		if _, err := probe.GraphSpec(1, false); err != nil {
+			return c, false, err
 		}
 	}
 	return c, events, nil
@@ -267,7 +262,6 @@ func (sr *sessionRun) observe(e obs.Event) {
 		sr.published++
 	}
 	st.gid = gid
-	sr.srv.notePublished(gid)
 	if sr.srv.cluster != nil {
 		// Queue the publication for its shard owner in the portable cluster
 		// namespace (log-local module). Owned shards return false and need no

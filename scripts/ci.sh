@@ -52,6 +52,12 @@ make attrib-smoke
 # Attribution endpoint fuzz: a short run over the /v1/attrib query parser —
 # seeds the corpus, catches panics and half-validated filters.
 go test ./internal/server -run '^$' -fuzz FuzzAttribQuery -fuzztime 10s
+# Session-query fuzz: whatever the query parser accepts must build a tier
+# graph spec, so a malformed tiers/layout/policy is refused before admission.
+go test ./internal/server -run '^$' -fuzz FuzzSessionQuery -fuzztime 10s
+# Binary-stats fuzz: the client decodes GCST frames off the network — malformed
+# frames must fail cleanly and accepted ones must round-trip.
+go test ./internal/server/api -run '^$' -fuzz FuzzStatsBinary -fuzztime 10s
 # Trace-exchange wire fuzz: a short run over every exchange message codec —
 # decoders must reject malformed frames and round-trip well-formed ones.
 go test ./internal/cluster -run '^$' -fuzz FuzzWire -fuzztime 10s
