@@ -1,13 +1,14 @@
 // Hot-path benchmarks and allocation guards for the dispatch loop, the
-// arena's insert/evict churn, and the observer emit path. Run them with
-// `go test -bench . -benchmem`; the repository benchmark (perfbench) records
-// the end-to-end and per-layer numbers. The Test*ZeroAlloc guards run in
-// every `go test` so the zero-allocation property of the steady-state paths
-// cannot regress silently.
+// arena's insert/evict churn, the observer emit path and the event log
+// writer. Run them with `go test -bench . -benchmem`; the repository
+// benchmark (perfbench) records the end-to-end and per-layer numbers. The
+// Test*ZeroAlloc guards run in every `go test` so the zero-allocation
+// property of the steady-state paths cannot regress silently.
 package repro_test
 
 import (
 	"fmt"
+	"io"
 	"testing"
 
 	"repro/internal/codecache"
@@ -88,8 +89,8 @@ func newHotEngine(tb testing.TB, img *program.Image, warm []dbt.Step, slow bool)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	for _, s := range warm {
-		if err := eng.Observe(s); err != nil {
+	for i := range warm {
+		if err := eng.Observe(&warm[i]); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -106,7 +107,7 @@ func BenchmarkDispatchSteadyState(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := eng.Observe(steady[i%len(steady)]); err != nil {
+		if err := eng.Observe(&steady[i%len(steady)]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -131,8 +132,8 @@ func newHotGraphEngine(tb testing.TB, img *program.Image, warm []dbt.Step) *dbt.
 	if err != nil {
 		tb.Fatal(err)
 	}
-	for _, s := range warm {
-		if err := eng.Observe(s); err != nil {
+	for i := range warm {
+		if err := eng.Observe(&warm[i]); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -149,7 +150,7 @@ func BenchmarkDispatchGraphSteadyState(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := eng.Observe(steady[i%len(steady)]); err != nil {
+		if err := eng.Observe(&steady[i%len(steady)]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -165,7 +166,7 @@ func BenchmarkDispatchSteadyStateSlow(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := eng.Observe(steady[i%len(steady)]); err != nil {
+		if err := eng.Observe(&steady[i%len(steady)]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -262,8 +263,8 @@ func TestDispatchSteadyStateZeroAlloc(t *testing.T) {
 	warm, steady := hotLoopSteps(img)
 	eng := newHotEngine(t, img, warm, false)
 	allocs := testing.AllocsPerRun(20, func() {
-		for _, s := range steady {
-			if err := eng.Observe(s); err != nil {
+		for i := range steady {
+			if err := eng.Observe(&steady[i]); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -278,8 +279,8 @@ func TestDispatchGraphSteadyStateZeroAlloc(t *testing.T) {
 	warm, steady := hotLoopSteps(img)
 	eng := newHotGraphEngine(t, img, warm)
 	allocs := testing.AllocsPerRun(20, func() {
-		for _, s := range steady {
-			if err := eng.Observe(s); err != nil {
+		for i := range steady {
+			if err := eng.Observe(&steady[i]); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -310,6 +311,34 @@ func TestArenaChurnZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("arena churn allocated %.1f times per 64 inserts, want 0", allocs)
+	}
+}
+
+// TestLogWriterZeroAlloc guards the event log writer a collection pass
+// feeds on every trace event: encoding a create, an access and an unmap must
+// not allocate, in either wire framing.
+func TestLogWriterZeroAlloc(t *testing.T) {
+	for _, procs := range []int{1, 2} {
+		w, err := tracelog.NewWriter(io.Discard, tracelog.Header{Benchmark: "alloc", Procs: procs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var now uint64
+		allocs := testing.AllocsPerRun(100, func() {
+			now++
+			if err := w.Write(tracelog.Event{Kind: tracelog.KindCreate, Time: now, Trace: now, Size: 320, Module: 2, Head: 0x401000 + now, Proc: 1}); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Write(tracelog.Event{Kind: tracelog.KindAccess, Time: now, Trace: now, Proc: 1}); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Write(tracelog.Event{Kind: tracelog.KindUnmap, Time: now, Module: 2, Proc: 1}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("log writer (procs %d) allocated %.1f times per create+access+unmap, want 0", procs, allocs)
+		}
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"sort"
 	"strings"
@@ -20,7 +19,6 @@ import (
 	"repro/internal/server/client"
 	"repro/internal/simclock"
 	"repro/internal/stats"
-	"repro/internal/tracelog"
 )
 
 // loadtestMain drives N concurrent synthetic clients against a running
@@ -47,8 +45,6 @@ func loadtestMain(args []string) {
 	unified := fs.Bool("unified", false, "replay the unified baseline instead of the generational chain")
 	verify := fs.Bool("verify", true, "verify every served result against an offline replay of the same log")
 	minSessions := fs.Int("min-sessions", 0, "fail unless at least this many sessions completed")
-	expectWarm := fs.Bool("expect-warm", false, "fail unless the server warm-started and sessions adopted shared traces")
-	overloadHold := fs.Int("overload-hold", 0, "overload check: hold this many streaming sessions open, then require 429 on extra sessions")
 	timeout := fs.Duration("timeout", 2*time.Minute, "overall deadline")
 	fs.Parse(args)
 	if *addr == "" {
@@ -83,7 +79,6 @@ func loadtestMain(args []string) {
 		}
 		nodes = append(nodes, nc)
 	}
-	c := nodes[0]
 
 	opts := client.SessionOptions{
 		CapFrac:      *capFrac,
@@ -133,12 +128,6 @@ func loadtestMain(args []string) {
 	arrivals, err := loadtestSchedule(benches, total)
 	if err != nil {
 		fatal(err)
-	}
-
-	if *overloadHold > 0 {
-		if err := overloadCheck(ctx, clk, c, *overloadHold); err != nil {
-			fatal(err)
-		}
 	}
 
 	type outcome struct {
@@ -238,20 +227,6 @@ func loadtestMain(args []string) {
 		fmt.Fprintf(os.Stderr, "loadtest: only %d sessions completed, need %d\n", ok, *minSessions)
 		bad = true
 	}
-	if *expectWarm {
-		h, err := c.Health(ctx)
-		if err != nil {
-			fatal(err)
-		}
-		if h.WarmRestored == 0 {
-			fmt.Fprintln(os.Stderr, "loadtest: -expect-warm: server restored nothing from its snapshot")
-			bad = true
-		}
-		if adoptions == 0 {
-			fmt.Fprintln(os.Stderr, "loadtest: -expect-warm: no session adopted a warm trace")
-			bad = true
-		}
-	}
 	if bad {
 		os.Exit(1)
 	}
@@ -278,85 +253,4 @@ func loadtestSchedule(benches []string, total int) ([]dayload.Arrival, error) {
 		spec.Mixes = append(spec.Mixes, dayload.Mix{Bench: b, Sessions: n})
 	}
 	return spec.Arrivals()
-}
-
-// overloadCheck holds streaming sessions open until the server's replay
-// slots and queue are saturated, requires fresh sessions to be refused with
-// 429, then releases the held streams and requires every one of them to
-// complete cleanly — overload must shed new load, never degrade admitted
-// sessions.
-func overloadCheck(ctx context.Context, clk simclock.Clock, c *client.Client, hold int) error {
-	fmt.Printf("loadtest: overload check: holding %d streaming sessions open\n", hold)
-	release := make(chan struct{})
-	results := make(chan error, hold)
-	for i := 0; i < hold; i++ {
-		pr, pw := io.Pipe()
-		go func() {
-			res, err := c.Session(ctx, client.SessionOptions{CapacityBytes: 1 << 20}, pr)
-			pr.Close()
-			// The held log carries only its KindEnd marker.
-			if err == nil && res.Events > 1 {
-				err = fmt.Errorf("held session replayed %d events, want at most 1", res.Events)
-			}
-			results <- err
-		}()
-		go func() {
-			// The header flush blocks until the server admits the session
-			// and starts reading; queued sessions block here harmlessly.
-			w, err := tracelog.NewWriter(pw, tracelog.Header{Benchmark: "held"})
-			if err == nil {
-				err = w.Flush()
-			}
-			if err == nil {
-				<-release
-				if werr := w.Write(tracelog.Event{Kind: tracelog.KindEnd}); werr == nil {
-					err = w.Flush()
-				}
-			}
-			pw.CloseWithError(err)
-		}()
-	}
-
-	// Wait until the server reports every held session as running or queued.
-	saturated := false
-	for !saturated {
-		select {
-		case <-ctx.Done():
-			close(release)
-			return fmt.Errorf("loadtest: overload check: server never saturated: %w", ctx.Err())
-		case <-clk.After(50 * time.Millisecond):
-		}
-		h, err := c.Health(ctx)
-		if err != nil {
-			close(release)
-			return err
-		}
-		saturated = h.ActiveSessions+h.QueuedSessions >= hold
-	}
-
-	// Every slot and queue position is taken: new sessions must bounce.
-	var rejected int
-	for i := 0; i < 3; i++ {
-		_, err := c.Session(ctx, client.SessionOptions{CapacityBytes: 1 << 20}, bytes.NewReader(nil))
-		if errors.Is(err, client.ErrOverloaded) {
-			rejected++
-		}
-	}
-
-	close(release)
-	var failed int
-	for i := 0; i < hold; i++ {
-		if err := <-results; err != nil {
-			failed++
-			fmt.Fprintf(os.Stderr, "loadtest: held session failed: %v\n", err)
-		}
-	}
-	if rejected != 3 {
-		return fmt.Errorf("loadtest: overload check: %d/3 probes rejected with 429", rejected)
-	}
-	if failed > 0 {
-		return fmt.Errorf("loadtest: overload check: %d held sessions degraded", failed)
-	}
-	fmt.Printf("loadtest: overload check passed: 3/3 probes rejected, %d held sessions completed cleanly\n", hold)
-	return nil
 }

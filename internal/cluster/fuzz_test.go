@@ -44,3 +44,32 @@ func FuzzWire(f *testing.F) {
 		}
 	})
 }
+
+// FuzzParseShards drives the snapshot query's shard-list parser, which a
+// peer's snapshot handler feeds with the shards parameter off the network:
+// no input may panic it, an accepted list must be non-empty, no longer than
+// the ring and in range, and it must survive a format→parse round trip.
+func FuzzParseShards(f *testing.F) {
+	for _, s := range []string{"0,5,63", "", "64", "-1", "x", "1,,2"} {
+		f.Add(s, uint16(64))
+	}
+	f.Fuzz(func(t *testing.T, s string, ring uint16) {
+		ringShards := int(ring)
+		got, err := ParseShards(s, ringShards)
+		if err != nil {
+			return
+		}
+		if len(got) == 0 || len(got) > ringShards {
+			t.Fatalf("ParseShards(%q, %d) accepted %d shards", s, ringShards, len(got))
+		}
+		for _, v := range got {
+			if v < 0 || v >= ringShards {
+				t.Fatalf("ParseShards(%q, %d) accepted shard %d", s, ringShards, v)
+			}
+		}
+		again, err := ParseShards(FormatShards(got), ringShards)
+		if err != nil || !reflect.DeepEqual(again, got) {
+			t.Fatalf("round trip of %v: %v, %v", got, again, err)
+		}
+	})
+}

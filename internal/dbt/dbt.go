@@ -41,9 +41,13 @@ type Step struct {
 type Guest interface {
 	// Image returns the guest's program image.
 	Image() *program.Image
-	// Next executes one basic block and describes it. When execution has
-	// finished it returns a Step with Done set.
-	Next() (Step, error)
+	// Next executes one basic block and describes it in *st, which the
+	// engine owns and reuses for every step. On success Next must overwrite
+	// every field of *st: RunRoundRobin passes one Step to all its guests,
+	// so a field left over from another guest's step (a stale Unloaded
+	// would unmap a module in the wrong process) corrupts the run. When
+	// execution has finished it sets Done.
+	Next(st *Step) error
 }
 
 // Config parameterizes the engine.
@@ -336,25 +340,25 @@ func (e *Process) markHead(blk *program.Block) *bbcache.Head {
 // Run drives the guest to completion (or until maxBlocks guest blocks have
 // executed; 0 means no limit).
 func (e *Process) Run(g Guest, maxBlocks uint64) error {
+	var step Step
 	for {
 		if maxBlocks != 0 && e.stats.Blocks >= maxBlocks {
 			return nil
 		}
-		step, err := g.Next()
-		if err != nil {
+		if err := g.Next(&step); err != nil {
 			return err
 		}
 		if step.Done {
 			return e.finish()
 		}
-		if err := e.Observe(step); err != nil {
+		if err := e.Observe(&step); err != nil {
 			return err
 		}
 	}
 }
 
-// Observe processes one guest step.
-func (e *Process) Observe(step Step) error {
+// Observe processes one guest step. It reads step only during the call.
+func (e *Process) Observe(step *Step) error {
 	if step.Time > e.now {
 		e.now = step.Time
 	}

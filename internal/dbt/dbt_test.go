@@ -314,7 +314,7 @@ func TestEngineErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Observe(Step{Block: 0xdead}); err == nil {
+	if err := e.Observe(&Step{Block: 0xdead}); err == nil {
 		t.Error("unknown block accepted")
 	}
 }
@@ -511,7 +511,7 @@ func TestInterleavedThreads(t *testing.T) {
 	}
 	step := func(thread int, addr uint64) {
 		t.Helper()
-		if err := e.Observe(Step{Block: addr, Thread: thread}); err != nil {
+		if err := e.Observe(&Step{Block: addr, Thread: thread}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -195,6 +195,7 @@ func (s *System) RunRoundRobin(guests []Guest, quantum int, stagger uint64, maxB
 	remaining := len(procs)
 	admitted := 1
 	var total uint64
+	var step Step
 	for remaining > 0 {
 		for admitted < len(procs) && total >= uint64(admitted)*stagger {
 			admitted++
@@ -214,8 +215,7 @@ func (s *System) RunRoundRobin(guests []Guest, quantum int, stagger uint64, maxB
 					}
 					break
 				}
-				step, err := guests[i].Next()
-				if err != nil {
+				if err := guests[i].Next(&step); err != nil {
 					return err
 				}
 				if step.Done {
@@ -226,7 +226,7 @@ func (s *System) RunRoundRobin(guests []Guest, quantum int, stagger uint64, maxB
 					}
 					break
 				}
-				if err := p.Observe(step); err != nil {
+				if err := p.Observe(&step); err != nil {
 					return err
 				}
 				total++

@@ -386,10 +386,10 @@ func TestConfigTiersAdaptive(t *testing.T) {
 			for i := 0; i < loops; i++ {
 				a, bb := fns[i].Blocks[0].Addr, fns[i].Blocks[1].Addr
 				for j := 0; j < 60; j++ {
-					if err := e.Observe(Step{Block: a}); err != nil {
+					if err := e.Observe(&Step{Block: a}); err != nil {
 						t.Fatal(err)
 					}
-					if err := e.Observe(Step{Block: bb}); err != nil {
+					if err := e.Observe(&Step{Block: bb}); err != nil {
 						t.Fatal(err)
 					}
 				}

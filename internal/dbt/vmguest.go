@@ -17,19 +17,20 @@ type VMGuest struct {
 func (g VMGuest) Image() *program.Image { return g.M.Image() }
 
 // Next implements Guest.
-func (g VMGuest) Next() (Step, error) {
+func (g VMGuest) Next(st *Step) error {
 	if g.M.Halted() {
-		return Step{Done: true, Time: g.M.InstCount}, nil
+		*st = Step{Done: true, Time: g.M.InstCount}
+		return nil
 	}
 	info, err := g.M.Step()
 	if err != nil {
-		return Step{}, err
+		return err
 	}
-	return Step{
+	*st = Step{
 		Block:    info.Block,
 		Time:     g.M.InstCount,
 		Loaded:   info.Loaded,
 		Unloaded: info.Unloaded,
-		Done:     false,
-	}, nil
+	}
+	return nil
 }

@@ -238,7 +238,7 @@ func collectOne(p workload.Profile, scale float64, model costmodel.Model, slow b
 	if err := eng.Run(bench.NewDriver(), 0); err != nil {
 		return nil, fmt.Errorf("experiments: running %s: %w", p.Name, err)
 	}
-	h, events, err := tracelog.ReadAll(&buf)
+	h, events, err := tracelog.AppendAll(make([]tracelog.Event, 0, w.Events()), &buf)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: decoding %s log: %w", p.Name, err)
 	}

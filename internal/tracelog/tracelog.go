@@ -97,6 +97,10 @@ type Header struct {
 	Procs int
 }
 
+// maxEventLen bounds one encoded event: the kind byte, then at most six
+// varints (process, time delta, and a create's four payload fields).
+const maxEventLen = 1 + 6*binary.MaxVarintLen64
+
 // Writer encodes events to a stream.
 type Writer struct {
 	w        *bufio.Writer
@@ -104,6 +108,10 @@ type Writer struct {
 	lastTime uint64
 	events   uint64
 	closed   bool
+	// buf holds one event while it is encoded. It lives in the Writer
+	// because a stack buffer passed to bufio.Writer.Write escapes, which
+	// would cost one allocation per event.
+	buf [maxEventLen]byte
 }
 
 // NewWriter writes the header and returns a Writer buffered at
@@ -144,24 +152,11 @@ func NewWriterSize(w io.Writer, h Header, size int) (*Writer, error) {
 	return &Writer{w: bw, v2: v2}, nil
 }
 
-func (w *Writer) uvarint(v uint64) error {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	_, err := w.w.Write(buf[:n])
-	return err
-}
-
-func (w *Writer) varint(v int64) error {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutVarint(buf[:], v)
-	_, err := w.w.Write(buf[:n])
-	return err
-}
-
 // Write appends one event. Version-1 (single-process) events must be written
 // in non-decreasing time order; version-2 streams interleave per-process
 // clocks, so time may step backwards between events and deltas are
-// zigzag-signed.
+// zigzag-signed. A refused event writes nothing and leaves the writer's
+// clock where it was.
 func (w *Writer) Write(e Event) error {
 	if w.closed {
 		return errors.New("tracelog: write after close")
@@ -169,50 +164,35 @@ func (w *Writer) Write(e Event) error {
 	if !w.v2 && e.Time < w.lastTime {
 		return fmt.Errorf("tracelog: time went backwards (%d after %d)", e.Time, w.lastTime)
 	}
-	if err := w.w.WriteByte(byte(e.Kind)); err != nil {
-		return err
+	if e.Proc < 0 {
+		return fmt.Errorf("tracelog: negative process ID %d", e.Proc)
 	}
+	b := append(w.buf[:0], byte(e.Kind))
 	if w.v2 {
-		if e.Proc < 0 {
-			return fmt.Errorf("tracelog: negative process ID %d", e.Proc)
-		}
-		if err := w.uvarint(uint64(e.Proc)); err != nil {
-			return err
-		}
-		if err := w.varint(int64(e.Time) - int64(w.lastTime)); err != nil {
-			return err
-		}
-	} else if err := w.uvarint(e.Time - w.lastTime); err != nil {
-		return err
+		b = binary.AppendUvarint(b, uint64(e.Proc))
+		b = binary.AppendVarint(b, int64(e.Time)-int64(w.lastTime))
+	} else {
+		b = binary.AppendUvarint(b, e.Time-w.lastTime)
 	}
-	w.lastTime = e.Time
 	switch e.Kind {
 	case KindCreate, KindAdopt:
-		if err := w.uvarint(e.Trace); err != nil {
-			return err
-		}
-		if err := w.uvarint(uint64(e.Size)); err != nil {
-			return err
-		}
-		if err := w.uvarint(uint64(e.Module)); err != nil {
-			return err
-		}
-		if err := w.uvarint(e.Head); err != nil {
-			return err
-		}
+		b = binary.AppendUvarint(b, e.Trace)
+		b = binary.AppendUvarint(b, uint64(e.Size))
+		b = binary.AppendUvarint(b, uint64(e.Module))
+		b = binary.AppendUvarint(b, e.Head)
 	case KindAccess, KindPin, KindUnpin:
-		if err := w.uvarint(e.Trace); err != nil {
-			return err
-		}
+		b = binary.AppendUvarint(b, e.Trace)
 	case KindUnmap:
-		if err := w.uvarint(uint64(e.Module)); err != nil {
-			return err
-		}
+		b = binary.AppendUvarint(b, uint64(e.Module))
 	case KindEnd:
 		// no payload
 	default:
 		return fmt.Errorf("tracelog: unknown kind %d", e.Kind)
 	}
+	if _, err := w.w.Write(b); err != nil {
+		return err
+	}
+	w.lastTime = e.Time
 	w.events++
 	if e.Kind == KindEnd {
 		w.closed = true
@@ -411,20 +391,26 @@ func (r *Reader) readModule() (uint16, error) {
 
 // ReadAll decodes every event in the stream.
 func ReadAll(r io.Reader) (Header, []Event, error) {
+	return AppendAll(nil, r)
+}
+
+// AppendAll decodes every event in the stream and appends them to dst. A
+// caller that knows the event count, such as the Writer that produced the
+// stream, passes a dst of that capacity and decodes without regrowing.
+func AppendAll(dst []Event, r io.Reader) (Header, []Event, error) {
 	rd, err := NewReader(r)
 	if err != nil {
-		return Header{}, nil, err
+		return Header{}, dst, err
 	}
-	var out []Event
 	for {
 		e, err := rd.Next()
 		if errors.Is(err, io.EOF) {
-			return rd.Header(), out, nil
+			return rd.Header(), dst, nil
 		}
 		if err != nil {
-			return rd.Header(), out, err
+			return rd.Header(), dst, err
 		}
-		out = append(out, e)
+		dst = append(dst, e)
 	}
 }
 

@@ -327,6 +327,56 @@ func TestWriterV2RejectsNegativeProc(t *testing.T) {
 	}
 }
 
+// TestWriterRejectedWriteLeavesNoTrace checks that a refused event writes no
+// byte and does not move the writer's clock, in both framings: the valid
+// events around two refused ones decode back exactly.
+func TestWriterRejectedWriteLeavesNoTrace(t *testing.T) {
+	for _, procs := range []int{1, 2} {
+		var buf bytes.Buffer
+		w, err := NewWriter(&buf, Header{Benchmark: "b", Procs: procs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		valid := []Event{
+			{Kind: KindCreate, Time: 5, Trace: 1, Size: 64, Module: 1, Head: 0x40},
+			{Kind: KindAccess, Time: 6, Trace: 1},
+			{Kind: KindEnd, Time: 7},
+		}
+		if err := w.Write(valid[0]); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Write(Event{Kind: Kind(99), Time: 9}); err == nil {
+			t.Errorf("procs %d: unknown kind accepted", procs)
+		}
+		if err := w.Write(Event{Kind: KindAccess, Time: 9, Trace: 1, Proc: -1}); err == nil {
+			t.Errorf("procs %d: negative process ID accepted", procs)
+		}
+		for _, e := range valid[1:] {
+			if err := w.Write(e); err != nil {
+				t.Fatalf("procs %d: write %+v after a refused one: %v", procs, e, err)
+			}
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if w.Events() != uint64(len(valid)) {
+			t.Errorf("procs %d: Events = %d, want %d", procs, w.Events(), len(valid))
+		}
+		_, got, err := ReadAll(&buf)
+		if err != nil {
+			t.Fatalf("procs %d: %v", procs, err)
+		}
+		if len(got) != len(valid) {
+			t.Fatalf("procs %d: decoded %d events, want %d", procs, len(got), len(valid))
+		}
+		for i := range valid {
+			if got[i] != valid[i] {
+				t.Errorf("procs %d: event %d: %+v != %+v", procs, i, got[i], valid[i])
+			}
+		}
+	}
+}
+
 func TestSummarizeCountsAdoptions(t *testing.T) {
 	h := Header{Benchmark: "b", Procs: 2}
 	evs := []Event{

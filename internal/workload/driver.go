@@ -21,6 +21,9 @@ import (
 type Driver struct {
 	b *Bench
 	r *rand.Rand
+	// dur is the profile's duration in virtual microseconds, computed once:
+	// now runs on every step.
+	dur uint64
 
 	phase        int
 	stepsInPhase uint64
@@ -67,7 +70,10 @@ func (b *Bench) NewDriverProc(proc int) *Driver {
 	if n < 1 {
 		n = 1
 	}
-	d := &Driver{b: b, r: b.rng(1 + int64(proc)*15485863), warming: len(b.core) > 0, walks: make([]walk, n)}
+	d := &Driver{
+		b: b, r: b.rng(1 + int64(proc)*15485863), dur: b.Profile.DurationMicros(),
+		warming: len(b.core) > 0, walks: make([]walk, n),
+	}
 	if len(b.phaseModule) > 0 {
 		d.pendingLoad = []program.ModuleID{b.phaseModule[0]}
 	}
@@ -79,21 +85,21 @@ func (d *Driver) Image() *program.Image { return d.b.Image }
 
 // now maps step count onto the benchmark's declared duration.
 func (d *Driver) now() uint64 {
-	dur := d.b.Profile.DurationMicros()
 	if d.b.totalBudget == 0 {
 		return 0
 	}
-	t := d.stepCount * dur / d.b.totalBudget
-	if t > dur {
-		t = dur
+	t := d.stepCount * d.dur / d.b.totalBudget
+	if t > d.dur {
+		t = d.dur
 	}
 	return t
 }
 
 // Next implements dbt.Guest.
-func (d *Driver) Next() (dbt.Step, error) {
+func (d *Driver) Next(st *dbt.Step) error {
 	if d.done {
-		return dbt.Step{Done: true, Time: d.now()}, nil
+		*st = dbt.Step{Done: true, Time: d.now()}
+		return nil
 	}
 	// Warmup (application startup) runs on thread 0 only; afterwards the
 	// driver time-slices the guest threads.
@@ -124,7 +130,8 @@ func (d *Driver) Next() (dbt.Step, error) {
 			if d.stepsInPhase >= d.b.phaseBudget[d.phase] {
 				d.advancePhase()
 				if d.done {
-					return dbt.Step{Done: true, Time: d.now()}, nil
+					*st = dbt.Step{Done: true, Time: d.now()}
+					return nil
 				}
 			}
 			d.expandVisit(w, d.pickFunction())
@@ -136,15 +143,15 @@ func (d *Driver) Next() (dbt.Step, error) {
 		d.stepsInPhase++
 	}
 	d.stepCount++
-	st := dbt.Step{
-		Block:    blk,
-		Time:     d.now(),
-		Thread:   d.curThread,
-		Unloaded: d.pendingUnload,
-		Loaded:   d.pendingLoad,
-	}
+	// Field by field: assigning a composite literal through st would build
+	// the Step in a temporary and copy it, on every guest block.
+	st.Block = blk
+	st.Time = d.now()
+	st.Thread = d.curThread
+	st.Loaded, st.Unloaded = d.pendingLoad, d.pendingUnload
+	st.Done = false
 	d.pendingUnload, d.pendingLoad = nil, nil
-	return st, nil
+	return nil
 }
 
 func (d *Driver) advancePhase() {

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -167,19 +168,25 @@ func TestSynthesizeErrors(t *testing.T) {
 	}
 }
 
+// TestDriverDeterminism also checks Next's overwrite contract: d1 writes
+// into a Step poisoned in every field before each call, d2 into a fresh one,
+// and the two must match field for field.
 func TestDriverDeterminism(t *testing.T) {
 	b, err := Synthesize(tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
 	d1, d2 := b.NewDriver(), b.NewDriver()
-	for i := 0; i < 5000; i++ {
-		s1, err1 := d1.Next()
-		s2, err2 := d2.Next()
+	for i := 0; ; i++ {
+		s1 := dbt.Step{Block: ^uint64(0), Time: ^uint64(0), Thread: -1,
+			Loaded: []program.ModuleID{99}, Unloaded: []program.ModuleID{99}, Done: true}
+		var s2 dbt.Step
+		err1 := d1.Next(&s1)
+		err2 := d2.Next(&s2)
 		if err1 != nil || err2 != nil {
 			t.Fatal(err1, err2)
 		}
-		if s1.Block != s2.Block || s1.Time != s2.Time || s1.Done != s2.Done {
+		if !reflect.DeepEqual(s1, s2) {
 			t.Fatalf("step %d diverges: %+v vs %+v", i, s1, s2)
 		}
 		if s1.Done {
@@ -199,9 +206,9 @@ func TestDriverEmitsValidControlFlow(t *testing.T) {
 	d := b.NewDriver()
 	var prev *program.Block
 	steps := 0
+	var s dbt.Step
 	for {
-		s, err := d.Next()
-		if err != nil {
+		if err := d.Next(&s); err != nil {
 			t.Fatal(err)
 		}
 		if s.Done {
@@ -250,9 +257,9 @@ func TestDriverTimeMonotonicAndBounded(t *testing.T) {
 	}
 	d := b.NewDriver()
 	var lastT uint64
+	var s dbt.Step
 	for {
-		s, err := d.Next()
-		if err != nil {
+		if err := d.Next(&s); err != nil {
 			t.Fatal(err)
 		}
 		if s.Time < lastT {
@@ -278,9 +285,9 @@ func TestDriverUnloadsModules(t *testing.T) {
 	}
 	d := b.NewDriver()
 	unloaded := map[program.ModuleID]bool{}
+	var s dbt.Step
 	for {
-		s, err := d.Next()
-		if err != nil {
+		if err := d.Next(&s); err != nil {
 			t.Fatal(err)
 		}
 		if s.Done {
@@ -360,9 +367,9 @@ func TestMultithreadedDriver(t *testing.T) {
 	// thread must be legal CFG edges or visit boundaries.
 	prev := map[int]*program.Block{}
 	steps := 0
+	var s dbt.Step
 	for {
-		s, err := d.Next()
-		if err != nil {
+		if err := d.Next(&s); err != nil {
 			t.Fatal(err)
 		}
 		if s.Done {
@@ -441,9 +448,10 @@ func TestSingleThreadUnchangedByThreadField(t *testing.T) {
 		t.Fatal(err)
 	}
 	d1, d2 := b1.NewDriver(), b2.NewDriver()
+	var s1, s2 dbt.Step
 	for i := 0; i < 20000; i++ {
-		s1, _ := d1.Next()
-		s2, _ := d2.Next()
+		d1.Next(&s1)
+		d2.Next(&s2)
 		if s1.Block != s2.Block || s1.Done != s2.Done || s1.Thread != s2.Thread {
 			t.Fatalf("step %d diverges: %+v vs %+v", i, s1, s2)
 		}
@@ -461,9 +469,10 @@ func TestMultithreadedDriverDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	d1, d2 := b.NewDriver(), b.NewDriver()
+	var s1, s2 dbt.Step
 	for i := 0; i < 30000; i++ {
-		s1, _ := d1.Next()
-		s2, _ := d2.Next()
+		d1.Next(&s1)
+		d2.Next(&s2)
 		if s1.Block != s2.Block || s1.Thread != s2.Thread || s1.Done != s2.Done {
 			t.Fatalf("step %d diverges: %+v vs %+v", i, s1, s2)
 		}

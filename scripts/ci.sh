@@ -61,6 +61,10 @@ go test ./internal/server/api -run '^$' -fuzz FuzzStatsBinary -fuzztime 10s
 # Trace-exchange wire fuzz: a short run over every exchange message codec —
 # decoders must reject malformed frames and round-trip well-formed ones.
 go test ./internal/cluster -run '^$' -fuzz FuzzWire -fuzztime 10s
+# Shard-list fuzz: the peer snapshot handler parses the shards query off the
+# peer network — no input may panic it, and an accepted list must be in range
+# and round-trip through FormatShards.
+go test ./internal/cluster -run '^$' -fuzz FuzzParseShards -fuzztime 10s
 # Snapshot-loader fuzz: a short run over persist.Load, which cluster bootstrap
 # feeds with bytes off the peer network — malformed images must fail cleanly
 # and accepted ones must round-trip through Save.
