@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: ci fmt vet build test race bench-smoke serve-bench-smoke procs-smoke adaptive-smoke fuzz-smoke policyselect-smoke prodday-smoke attrib-smoke cluster-smoke
+.PHONY: ci fmt vet build test race bench-smoke serve-bench-smoke procs-smoke adaptive-smoke fuzz-smoke prodday-smoke attrib-smoke cluster-smoke
 
 ci: fmt vet build race bench-smoke serve-bench-smoke
 
@@ -43,15 +43,6 @@ procs-smoke:
 # Short fuzz run over the tracelog decoder; seeds the corpus.
 fuzz-smoke:
 	$(GO) test ./internal/tracelog -run '^$$' -fuzz FuzzReader -fuzztime 10s
-
-# Policy-selection smoke: replay a log whose best static policy is not the
-# selector's starting one (eon favors the pseudo-circular sweep), under the
-# race detector, and require that the selector actually switched.
-policyselect-smoke:
-	$(GO) run ./cmd/tracegen -bench eon -scale 0.05 -o /tmp/policyselect-smoke.cclog
-	$(GO) run -race ./cmd/ccsim -log /tmp/policyselect-smoke.cclog -tiers 100 -policy auto -selepoch 256 | tee /tmp/policyselect-smoke.out
-	grep -q 'selector: [1-9][0-9]* switches' /tmp/policyselect-smoke.out
-	rm -f /tmp/policyselect-smoke.cclog /tmp/policyselect-smoke.out
 
 # Production-day smoke: the compressed standard day (24h in ~2 virtual
 # minutes: diurnal mixes, a 4am deploy, an evening flash crowd) under the

@@ -1,6 +1,6 @@
 // Hot-path benchmarks and allocation guards for the dispatch loop, the
-// arena's insert/evict churn, the observer emit path and the event log
-// writer. Run them with `go test -bench . -benchmem`; the repository
+// arena's insert/evict churn, the policy zoo's evicting inserts, the
+// observer emit path and the event log writer. Run them with `go test -bench . -benchmem`; the repository
 // benchmark (perfbench) records the end-to-end and per-layer numbers. The
 // Test*ZeroAlloc guards run in every `go test` so the zero-allocation
 // property of the steady-state paths cannot regress silently.
@@ -17,6 +17,7 @@ import (
 	"repro/internal/dbt"
 	"repro/internal/isa"
 	"repro/internal/obs"
+	"repro/internal/policy"
 	"repro/internal/program"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -185,6 +186,65 @@ func BenchmarkArenaChurn(b *testing.B) {
 	}
 }
 
+// policyChurn drives one policy through steady evicting inserts: trace IDs
+// cycle through a space several times the arena's resident count (so every
+// insert evicts and the per-ID tables are sized after one cycle), sizes vary
+// so the arena fragments, and each insert is followed by one access to a
+// recent trace so recency and re-reference state move as in a replay.
+type policyChurn struct {
+	a    *codecache.Arena
+	p    policy.Local
+	next uint64
+}
+
+// policyChurnIDs is the trace ID space policyChurn cycles through.
+const policyChurnIDs = 1 << 14
+
+func newPolicyChurn(tb testing.TB, spec string, capacity uint64) *policyChurn {
+	tb.Helper()
+	fac, err := policy.Parse(spec)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	c := &policyChurn{a: codecache.New(capacity), p: fac.New()}
+	for i := 0; i < 2*policyChurnIDs; i++ {
+		c.step(tb)
+	}
+	return c
+}
+
+func (c *policyChurn) step(tb testing.TB) {
+	id := c.next%policyChurnIDs + 1
+	c.next++
+	f := codecache.Fragment{ID: id, Size: 64 + (c.next*37)%448, AccessCount: c.next % 3}
+	if err := c.p.Insert(c.a, f, nil); err != nil {
+		tb.Fatal(err)
+	}
+	recent := (c.next-1-(c.next*7919)%64)%policyChurnIDs + 1
+	if c.a.Access(recent) {
+		c.p.OnAccess(c.a, recent)
+	}
+}
+
+// BenchmarkPolicyInsert measures one evicting insert (and its one access)
+// under LRU and TRRIP at two arena sizes. With first fit indexed, LRU's list
+// and TRRIP's resumable victim search, the time per insert stays roughly flat
+// as the arena grows.
+func BenchmarkPolicyInsert(b *testing.B) {
+	for _, spec := range []string{"lru", "trrip"} {
+		for _, capacity := range []uint64{64 << 10, 1 << 20} {
+			b.Run(fmt.Sprintf("%s/%dKiB", spec, capacity>>10), func(b *testing.B) {
+				c := newPolicyChurn(b, spec, capacity)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					c.step(b)
+				}
+			})
+		}
+	}
+}
+
 // churnLog builds a replay log with enough accesses that observer cost is
 // visible next to replay bookkeeping.
 func churnLog() []tracelog.Event {
@@ -311,6 +371,59 @@ func TestArenaChurnZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("arena churn allocated %.1f times per 64 inserts, want 0", allocs)
+	}
+}
+
+// TestPolicyInsertZeroAlloc guards the policy zoo's steady-state evicting
+// inserts: LRU's recency list and TRRIP's victim search reuse their tables,
+// and the arena recycles its nodes.
+func TestPolicyInsertZeroAlloc(t *testing.T) {
+	for _, spec := range []string{"lru", "trrip"} {
+		c := newPolicyChurn(t, spec, 64<<10)
+		allocs := testing.AllocsPerRun(100, func() {
+			for i := 0; i < 64; i++ {
+				c.step(t)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%s: steady evicting inserts allocated %.1f times per 64, want 0", spec, allocs)
+		}
+	}
+}
+
+// TestPlaceFirstFitZeroAlloc guards first fit on a fragmented arena whose
+// free-run index is built: placing into a hole and freeing it again recycles
+// nodes and index links alike.
+func TestPlaceFirstFitZeroAlloc(t *testing.T) {
+	a := codecache.New(1 << 20)
+	for id := uint64(1); id <= 2048; id++ {
+		if err := a.PlaceFirstFit(codecache.Fragment{ID: id, Size: 64 + id%7*64}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for id := uint64(1); id <= 2048; id += 2 {
+		if _, err := a.Delete(id, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if a.FragmentationRatio() == 0 {
+		t.Fatal("arena not fragmented")
+	}
+	size := uint64(0)
+	allocs := testing.AllocsPerRun(100, func() {
+		for i := 0; i < 64; i++ {
+			size = size%384 + 32
+			f := codecache.Fragment{ID: 1 << 20, Size: size}
+			if err := a.PlaceFirstFit(f); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := a.Delete(f.ID, true); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("indexed first fit allocated %.1f times per 64 place/delete pairs, want 0", allocs)
 	}
 }
 

@@ -40,9 +40,13 @@ type AdoptionCache struct {
 	arena  *codecache.Arena
 	pol    policy.Local
 	nextID uint64
-	byKey  map[Key]uint64 // cluster key → arena-local ID
-	info   map[uint64]Remote
-	stats  AdoptionStats
+	// freeIDs holds the IDs of records that left. Put reuses them, so the
+	// ID space, and with it the arena's and the policy's per-ID tables,
+	// stays the size of the cache instead of growing with its traffic.
+	freeIDs []uint64
+	byKey   map[Key]uint64 // cluster key → arena-local ID
+	info    map[uint64]Remote
+	stats   AdoptionStats
 }
 
 // NewAdoptionCache builds a cache of capacityBytes governed by the policy
@@ -95,13 +99,19 @@ func (c *AdoptionCache) Put(r Remote) {
 	if id, ok := c.byKey[r.Key]; ok {
 		c.dropLocked(id)
 	}
-	c.nextID++
-	id := c.nextID
+	var id uint64
+	if n := len(c.freeIDs); n > 0 {
+		id, c.freeIDs = c.freeIDs[n-1], c.freeIDs[:n-1]
+	} else {
+		c.nextID++
+		id = c.nextID
+	}
 	f := codecache.Fragment{ID: id, Size: r.Size, Module: r.Key.Module, HeadAddr: r.Key.Head}
 	err := c.pol.Insert(c.arena, f, func(victim codecache.Fragment) {
 		c.evictLocked(victim.ID)
 	})
 	if err != nil {
+		c.freeIDs = append(c.freeIDs, id)
 		return
 	}
 	c.byKey[r.Key] = id
@@ -152,6 +162,7 @@ func (c *AdoptionCache) evictLocked(id uint64) {
 	if cur, ok := c.byKey[r.Key]; ok && cur == id {
 		delete(c.byKey, r.Key)
 	}
+	c.freeIDs = append(c.freeIDs, id)
 	c.stats.Evicted++
 }
 

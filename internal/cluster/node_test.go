@@ -249,6 +249,11 @@ func TestAdoptionCacheEviction(t *testing.T) {
 	if s.Resident > 4 {
 		t.Fatalf("resident %d records of 64 bytes in a 256-byte cache", s.Resident)
 	}
+	// IDs of departed records are reused: the ID space stays one past the
+	// resident count, however many records have passed through.
+	if c.nextID > 5 {
+		t.Fatalf("%d IDs handed out for at most 4 residents", c.nextID)
+	}
 	// The newest key must be resident; a hit refreshes it.
 	last := Key{Bench: "gzip", Module: 1, Head: 15}
 	if _, ok := c.Get(last, 64); !ok {

@@ -61,6 +61,13 @@ type node struct {
 	off, size  uint64
 	frag       *Fragment // nil for free space, &fragVal otherwise
 	fragVal    Fragment
+
+	// Free-run index links (freeindex.go), meaningful only for free nodes of
+	// an indexed arena: treap children and parent, the treap priority, and
+	// the largest free run in this node's subtree.
+	left, right, up *node
+	prio            uint32
+	maxRun          uint64
 }
 
 // Stats aggregates arena activity since construction.
@@ -104,6 +111,13 @@ type Arena struct {
 
 	// pool is the free list of recycled nodes, linked through next.
 	pool *node
+
+	// root is the free-run index (freeindex.go), maintained only once
+	// indexed is set by the first first-fit query; prio is its priority
+	// generator's state.
+	root    *node
+	indexed bool
+	prio    uint32
 
 	// o, when non-nil, receives program-forced deletion events; level names
 	// this arena in them, proc the owning front-end process. Managers attach
@@ -339,9 +353,12 @@ func (a *Arena) wrap(n *node) *node {
 
 // freeNode converts a fragment node to free space and merges it with free
 // neighbours. It returns the merged free node. The caller must have removed
-// the fragment from the index already.
+// the fragment from the ID index already.
 func (a *Arena) freeNode(n *node) *node {
 	n.frag = nil
+	if a.indexed {
+		a.indexFreed(n)
+	}
 	// Merge with next.
 	if nx := n.next; nx != nil && nx.frag == nil {
 		n.size += nx.size
@@ -367,7 +384,27 @@ func (a *Arena) freeNode(n *node) *node {
 		a.recycleNode(n)
 		n = pv
 	}
+	if a.indexed {
+		a.fixUp(n) // the merged run grew
+	}
 	return n
+}
+
+// indexFreed brings the free-run index up to date, ahead of the merge, for
+// n turning free: a lone run joins it; a run absorbing its free successor
+// takes the successor's place; a run absorbed by its free predecessor only
+// grows the predecessor, and a free successor absorbed with it leaves.
+func (a *Arena) indexFreed(n *node) {
+	pvFree := n.prev != nil && n.prev.frag == nil
+	nxFree := n.next != nil && n.next.frag == nil
+	switch {
+	case pvFree && nxFree:
+		a.idxDelete(n.next)
+	case nxFree:
+		a.idxReplace(n.next, n)
+	case !pvFree:
+		a.idxInsert(n)
+	}
 }
 
 // remove unlinks the fragment with node n from the arena, accounting it as
@@ -526,6 +563,9 @@ func (a *Arena) place(n *node, f Fragment) {
 	size := f.Size
 
 	if n.size == size {
+		if a.indexed {
+			a.idxDelete(n)
+		}
 		n.frag = &n.fragVal
 		a.cursor = a.wrap(n.next)
 	} else {
@@ -541,6 +581,11 @@ func (a *Arena) place(n *node, f Fragment) {
 		n.size = size
 		n.frag = &n.fragVal
 		a.cursor = rest
+		if a.indexed {
+			// The remainder keeps n's place among the free runs.
+			a.idxReplace(n, rest)
+			a.fixUp(rest)
+		}
 	}
 	a.indexNode(f.ID, n)
 	a.used += size
@@ -574,12 +619,18 @@ func (a *Arena) Resize(newCapacity uint64, onEvict func(Fragment)) error {
 		}
 		if last.frag == nil {
 			last.size += delta
+			if a.indexed {
+				a.fixUp(last)
+			}
 		} else {
 			n := a.allocNode()
 			n.prev = last
 			n.off = a.capacity
 			n.size = delta
 			last.next = n
+			if a.indexed {
+				a.idxInsert(n)
+			}
 		}
 		a.capacity = newCapacity
 		obs.Emit(a.o, obs.Event{Kind: obs.KindResize, Size: newCapacity, From: a.level, Proc: a.proc})
@@ -611,9 +662,15 @@ func (a *Arena) Resize(newCapacity uint64, onEvict func(Fragment)) error {
 	}
 	if last.off < newCapacity {
 		last.size = newCapacity - last.off
+		if a.indexed {
+			a.fixUp(last)
+		}
 	} else {
 		// The surviving fragments end exactly at the cut: drop the tail node.
 		// last.off == newCapacity > 0 implies a predecessor exists.
+		if a.indexed {
+			a.idxDelete(last)
+		}
 		pv := last.prev
 		pv.next = nil
 		if a.cursor == last {
@@ -626,9 +683,11 @@ func (a *Arena) Resize(newCapacity uint64, onEvict func(Fragment)) error {
 	return nil
 }
 
-// PlaceFirstFit inserts f into the first free run large enough, without
-// evicting anything. It returns ErrNoSpace when no run fits. Local policies
-// that select victims themselves (LRU, flush) use this after clearing space.
+// PlaceFirstFit inserts f into the lowest-offset free run large enough,
+// without evicting anything, in O(log n) through the free-run index (built
+// on first use). It returns ErrNoSpace when no run fits. Local policies that
+// select victims themselves (LRU, TRRIP, flush) use this after clearing
+// space.
 func (a *Arena) PlaceFirstFit(f Fragment) error {
 	if f.Size == 0 {
 		return fmt.Errorf("codecache: place: zero-sized fragment %d", f.ID)
@@ -639,26 +698,36 @@ func (a *Arena) PlaceFirstFit(f Fragment) error {
 	if a.lookupNode(f.ID) != nil {
 		return ErrDup
 	}
-	for n := a.head; n != nil; n = n.next {
-		if n.frag == nil {
-			// Extend across adjacent free nodes (there should be none after
-			// merging, but be safe).
-			if n.size >= f.Size {
-				a.place(n, f)
-				return nil
-			}
-		}
+	n := a.firstFit(f.Size)
+	if n == nil {
+		return ErrNoSpace
 	}
-	return ErrNoSpace
+	a.place(n, f)
+	return nil
 }
 
 // Visit calls fn for each resident fragment in address order, stopping early
 // when fn returns false. Unlike Fragments it allocates nothing, so eviction
-// scans on the insert path (TRRIP's victim search, the LRU fallback) and the
-// policy selector's shadow priming can walk residents without garbage. fn
-// must not mutate the arena.
+// scans on the insert path (TRRIP's victim search) and policy adoption can
+// walk residents without garbage. fn must not mutate the arena.
 func (a *Arena) Visit(fn func(*Fragment) bool) {
-	for n := a.head; n != nil; n = n.next {
+	a.visitFrom(a.head, fn)
+}
+
+// VisitAfter is Visit starting just past the resident fragment id, provided
+// it still sits at offset off. It reports whether it did; when the fragment
+// is gone or has moved it visits nothing and returns false.
+func (a *Arena) VisitAfter(id, off uint64, fn func(*Fragment) bool) bool {
+	n := a.lookupNode(id)
+	if n == nil || n.off != off {
+		return false
+	}
+	a.visitFrom(n.next, fn)
+	return true
+}
+
+func (a *Arena) visitFrom(n *node, fn func(*Fragment) bool) {
+	for ; n != nil; n = n.next {
 		if n.frag != nil && !fn(n.frag) {
 			return
 		}
@@ -676,32 +745,20 @@ func (a *Arena) Fragments() []*Fragment {
 	return out
 }
 
-// FreeRuns returns the sizes of the free runs in address order.
-func (a *Arena) FreeRuns() []uint64 {
-	var out []uint64
-	for n := a.head; n != nil; n = n.next {
-		if n.frag == nil && n.size > 0 {
-			out = append(out, n.size)
-		}
-	}
-	return out
-}
-
-// LargestFreeRun returns the size of the largest contiguous free run.
+// LargestFreeRun returns the size of the largest contiguous free run, in
+// O(1) from the free-run index (built on first use).
 func (a *Arena) LargestFreeRun() uint64 {
-	var best uint64
-	for _, r := range a.FreeRuns() {
-		if r > best {
-			best = r
-		}
+	if r := a.freeRoot(); r != nil {
+		return r.maxRun
 	}
-	return best
+	return 0
 }
 
 // CheckInvariants validates the arena's internal structure: nodes tile the
-// address space exactly, used bytes match fragment sizes, the index maps
-// every fragment and nothing else, and no two free nodes are adjacent. Tests
-// and the property-based suite call this after every operation.
+// address space exactly, used bytes match fragment sizes, the ID index maps
+// every fragment and nothing else, no two free nodes are adjacent, and, once
+// built, the free-run index holds exactly the free runs. Tests and the
+// property-based suite call this after every operation.
 func (a *Arena) CheckInvariants() error {
 	var off, used uint64
 	seen := make(map[uint64]bool)
@@ -773,6 +830,9 @@ func (a *Arena) CheckInvariants() error {
 	}
 	if !found {
 		return fmt.Errorf("codecache: cursor points at dead node")
+	}
+	if a.indexed {
+		return a.checkIndex()
 	}
 	return nil
 }

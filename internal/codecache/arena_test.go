@@ -373,17 +373,16 @@ func TestFreeRuns(t *testing.T) {
 	mustInsert(t, a, Fragment{ID: 2, Size: 100})
 	mustInsert(t, a, Fragment{ID: 3, Size: 100})
 	a.Delete(2, false)
-	runs := a.FreeRuns()
-	if len(runs) != 2 || runs[0] != 100 || runs[1] != 100 {
-		t.Errorf("free runs = %v", runs)
-	}
-	if a.LargestFreeRun() != 100 {
-		t.Errorf("largest = %d", a.LargestFreeRun())
+	// Two 100-byte runs: the hole at 100 and the tail at 300.
+	if a.Free() != 200 || a.LargestFreeRun() != 100 {
+		t.Errorf("free %d, largest run %d; want 200 in two runs of 100", a.Free(), a.LargestFreeRun())
 	}
 	a.Delete(3, false) // merges hole with tail free space
-	runs = a.FreeRuns()
-	if len(runs) != 1 || runs[0] != 300 {
-		t.Errorf("free runs after merge = %v", runs)
+	if a.LargestFreeRun() != 300 {
+		t.Errorf("largest run after merge = %d, want 300", a.LargestFreeRun())
+	}
+	if err := a.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -419,10 +418,25 @@ func TestUnbounded(t *testing.T) {
 	}
 }
 
+// linearFirstFit is the reference first fit: the offset of the first free
+// node, in address order, of at least size bytes.
+func linearFirstFit(a *Arena, size uint64) (uint64, bool) {
+	for n := a.head; n != nil; n = n.next {
+		if n.frag == nil && n.size >= size {
+			return n.off, true
+		}
+	}
+	return 0, false
+}
+
 // TestRandomizedInvariants hammers the arena with a random operation mix and
 // validates the full structural invariant set after every operation. This is
-// the property-based core of the storage-layer test suite.
+// the property-based core of the storage-layer test suite. First-fit
+// placements join the mix only after indexFrom operations, so the free-run
+// index is built lazily over an arena that already has history, and every
+// placement must land where a linear walk would put it.
 func TestRandomizedInvariants(t *testing.T) {
+	const indexFrom = 1000
 	seeds := []int64{1, 2, 3, 4, 5}
 	for _, seed := range seeds {
 		r := rand.New(rand.NewSource(seed))
@@ -430,9 +444,20 @@ func TestRandomizedInvariants(t *testing.T) {
 		live := map[uint64]bool{}
 		nextID := uint64(1)
 		pinned := map[uint64]bool{}
+		drop := func(id uint64) {
+			if !live[id] {
+				t.Fatalf("seed %d: removed dead fragment %d", seed, id)
+			}
+			delete(live, id)
+			delete(pinned, id)
+		}
 
 		for op := 0; op < 3000; op++ {
-			switch k := r.Intn(10); {
+			k := r.Intn(14)
+			if op < indexFrom && k >= 10 {
+				k = 7 // access instead, until the index may be built
+			}
+			switch {
 			case k < 5: // insert
 				f := Fragment{
 					ID:     nextID,
@@ -444,13 +469,10 @@ func TestRandomizedInvariants(t *testing.T) {
 				}
 				nextID++
 				err := a.Insert(f, func(v Fragment) {
-					if !live[v.ID] {
-						t.Fatalf("seed %d op %d: evicted dead fragment %d", seed, op, v.ID)
-					}
 					if v.Undeletable {
 						t.Fatalf("seed %d op %d: evicted pinned fragment %d", seed, op, v.ID)
 					}
-					delete(live, v.ID)
+					drop(v.ID)
 				})
 				switch {
 				case err == nil:
@@ -469,18 +491,13 @@ func TestRandomizedInvariants(t *testing.T) {
 					if err != nil {
 						t.Fatalf("seed %d op %d: delete %d: %v", seed, op, id, err)
 					}
-					delete(live, id)
-					delete(pinned, id)
+					drop(id)
 					break
 				}
 			case k < 7: // delete module
 				m := uint16(r.Intn(4))
 				for _, f := range a.DeleteModule(m) {
-					if !live[f.ID] {
-						t.Fatalf("seed %d op %d: module delete of dead fragment %d", seed, op, f.ID)
-					}
-					delete(live, f.ID)
-					delete(pinned, f.ID)
+					drop(f.ID)
 				}
 			case k < 9: // access random live
 				for id := range live {
@@ -489,7 +506,7 @@ func TestRandomizedInvariants(t *testing.T) {
 					}
 					break
 				}
-			default: // toggle pin
+			case k < 10: // toggle pin
 				for id := range live {
 					want := !pinned[id]
 					a.SetUndeletable(id, want)
@@ -500,6 +517,36 @@ func TestRandomizedInvariants(t *testing.T) {
 					}
 					break
 				}
+			case k < 12: // first-fit placement, checked against a linear walk
+				f := Fragment{ID: nextID, Size: uint64(16 + r.Intn(600)), Module: uint16(r.Intn(4))}
+				nextID++
+				want, fits := linearFirstFit(a, f.Size)
+				if largest := a.LargestFreeRun(); (largest >= f.Size) != fits {
+					t.Fatalf("seed %d op %d: largest free run %d, linear walk fits %d bytes: %v", seed, op, largest, f.Size, fits)
+				}
+				err := a.PlaceFirstFit(f)
+				switch {
+				case !fits:
+					if !errors.Is(err, ErrNoSpace) {
+						t.Fatalf("seed %d op %d: place %d bytes with no fitting run = %v, want ErrNoSpace", seed, op, f.Size, err)
+					}
+				case err != nil:
+					t.Fatalf("seed %d op %d: place: %v", seed, op, err)
+				default:
+					if off, _ := a.Offset(f.ID); off != want {
+						t.Fatalf("seed %d op %d: first fit placed %d bytes at %d, linear walk says %d", seed, op, f.Size, off, want)
+					}
+					live[f.ID] = true
+				}
+			case k < 13: // resize within [2048, 6144]; a pinned tail refuses
+				err := a.Resize(uint64(2048+r.Intn(4097)), func(v Fragment) { drop(v.ID) })
+				if err != nil && !errors.Is(err, ErrResizePinned) {
+					t.Fatalf("seed %d op %d: resize: %v", seed, op, err)
+				}
+			default: // occasional flush
+				if r.Intn(8) == 0 {
+					a.Flush(func(v Fragment) { drop(v.ID) })
+				}
 			}
 			if err := a.CheckInvariants(); err != nil {
 				t.Fatalf("seed %d op %d: %v", seed, op, err)
@@ -507,6 +554,12 @@ func TestRandomizedInvariants(t *testing.T) {
 			if a.Len() != len(live) {
 				t.Fatalf("seed %d op %d: arena has %d, model has %d", seed, op, a.Len(), len(live))
 			}
+			if a.indexed && op < indexFrom {
+				t.Fatalf("seed %d op %d: free-run index built before any first-fit query", seed, op)
+			}
+		}
+		if !a.indexed {
+			t.Fatalf("seed %d: free-run index never built", seed)
 		}
 	}
 }
@@ -609,6 +662,10 @@ func TestResizeShrinkExactCut(t *testing.T) {
 	a := New(400)
 	for id := uint64(1); id <= 4; id++ {
 		mustInsert(t, a, Fragment{ID: id, Size: 100})
+	}
+	// Build the free-run index: dropping the tail node must drop its run.
+	if a.LargestFreeRun() != 0 {
+		t.Fatal("full arena reports a free run")
 	}
 	var ev []Fragment
 	if err := a.Resize(200, func(v Fragment) { ev = append(ev, v) }); err != nil {

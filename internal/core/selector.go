@@ -106,7 +106,7 @@ const selectorSwitchMargin = 16
 
 // selectorAdoptiveMarginFactor scales the margin when the challenger
 // implements policy.Adopter. Needing adoption marks exactly the policies
-// whose decisions depend on history they did not witness (recency heaps,
+// whose decisions depend on history they did not witness (recency order,
 // re-reference predictions): installed mid-run they keep paying for an
 // arena laid out by someone else's sweep, a transient measured several
 // times larger than for the stateless cursor policies, so the evidence bar

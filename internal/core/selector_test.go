@@ -149,7 +149,7 @@ func TestAutoTierAccessAllocationFree(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Warm up through several epochs so lazy heaps and shadow state settle.
+	// Warm up through several epochs so policy tables and shadow state settle.
 	for i := 0; i < 8192; i++ {
 		g.Access(uint64(1 + i%8))
 	}

@@ -71,11 +71,14 @@ func TestFigure9DeterministicAcrossParallelism(t *testing.T) {
 // online policy selector: shadow racing and switch decisions are keyed to
 // the graph's access counter, so the full static-vs-selector comparison —
 // miss rates, switch counts, final live policies — must be bit-identical run
-// over run and at parallel=1 versus parallel=8.
+// over run and at parallel=1 versus parallel=8. eon's row is also the live
+// switch check: its best static policy is not the selector's starting one
+// (eon favors the pseudo-circular sweep), so a selector that never switches
+// fails here.
 func TestPolicySelectionDeterministicAcrossParallelism(t *testing.T) {
 	s, err := Collect(Options{
 		Scale:      0.05,
-		Benchmarks: []string{"art", "gzip", "solitaire"},
+		Benchmarks: []string{"art", "gzip", "solitaire", "eon"},
 		Parallel:   4,
 	})
 	if err != nil {
@@ -105,10 +108,21 @@ func TestPolicySelectionDeterministicAcrossParallelism(t *testing.T) {
 	}
 
 	// The determinism claim is only interesting if the selector actually
-	// swapped a live policy during the replays.
+	// swapped a live policy during the replays, and on eon (one tier at half
+	// the peak footprint, epoch 256) it must.
 	var switches uint64
+	eon := false
 	for _, r := range seq {
 		switches += r.Switches
+		if r.Name == "eon" {
+			eon = true
+			if r.Switches == 0 {
+				t.Errorf("eon: selector applied no switches (final %s); its best static policy is %s", r.Final, r.Configs[r.BestStatic])
+			}
+		}
+	}
+	if !eon {
+		t.Error("no eon row")
 	}
 	if switches == 0 {
 		t.Error("selector applied no switches at this scale; test exercises nothing")

@@ -6,7 +6,9 @@
 package policy
 
 import (
+	"cmp"
 	"errors"
+	"slices"
 
 	"repro/internal/codecache"
 	"repro/internal/obs"
@@ -59,200 +61,207 @@ func (PseudoCircular) OnAccess(*codecache.Arena, uint64) {}
 // somewhere. The paper's prior work found it competitive on miss rate but
 // fragmentation-prone and expensive; it is here as a baseline and as the
 // alternate local policy for the generational ablation.
+//
+// The recency order is an intrusive list threaded through a table indexed by
+// trace ID, so an access and an eviction each cost O(1). The arena stamps a
+// unique LastAccess on every placement and access, and every caller that
+// accesses an LRU tier's arena then calls OnAccess, so the list orders the
+// residents exactly by LastAccess.
 type LRU struct {
-	h lruHeap
+	// links is the dense table (IDs below denseIDs); spill holds the rest.
+	links []lruLink
+	spill map[uint64]*lruLink
 
-	// held is victim()'s reusable scratch for entries set aside because their
-	// fragments are currently pinned or referenced.
-	held []lruEntry
+	// oldest and newest are the list's ends; n counts linked entries.
+	oldest, newest uint64
+	n              int
+}
+
+// lruLink is one trace's place in the recency list.
+type lruLink struct {
+	prev, next uint64 // neighbours toward the oldest and newest ends
+	linked     bool
 }
 
 // NewLRU returns an empty LRU policy.
 func NewLRU() *LRU { return &LRU{} }
 
-type lruEntry struct {
-	id   uint64
-	last uint64
-}
-
-// lruHeap is a hand-rolled min-heap on last-access time. container/heap
-// would box every entry into an interface on Push — one allocation per cache
-// hit, twice over once the online selector shadows the policy — so the sift
-// loops are written out here and the hot path stays allocation-free.
-type lruHeap []lruEntry
-
-func (h *lruHeap) push(e lruEntry) {
-	*h = append(*h, e)
-	s := *h
-	for i := len(s) - 1; i > 0; {
-		parent := (i - 1) / 2
-		if s[parent].last <= s[i].last {
-			break
-		}
-		s[parent], s[i] = s[i], s[parent]
-		i = parent
-	}
-}
-
-func (h *lruHeap) popMin() (lruEntry, bool) {
-	s := *h
-	if len(s) == 0 {
-		return lruEntry{}, false
-	}
-	min := s[0]
-	n := len(s) - 1
-	s[0] = s[n]
-	*h = s[:n]
-	h.siftDown(0)
-	return min, true
-}
-
-func (h *lruHeap) siftDown(i int) {
-	s := *h
-	n := len(s)
-	for {
-		child := 2*i + 1
-		if child >= n {
-			return
-		}
-		if r := child + 1; r < n && s[r].last < s[child].last {
-			child = r
-		}
-		if s[i].last <= s[child].last {
-			return
-		}
-		s[i], s[child] = s[child], s[i]
-		i = child
-	}
-}
-
-func (h *lruHeap) init() {
-	for i := len(*h)/2 - 1; i >= 0; i-- {
-		h.siftDown(i)
-	}
-}
-
 // Name implements Local.
 func (l *LRU) Name() string { return "lru" }
 
-// OnAccess implements Local. Entries are pushed lazily; stale heap entries
-// are discarded at pop time by comparing against the arena's current state.
-func (l *LRU) OnAccess(a *codecache.Arena, id uint64) {
-	if f, ok := a.Lookup(id); ok {
-		l.h.push(lruEntry{id: id, last: f.LastAccess})
-		l.maybeCompact(a)
+// entry returns the list entry for an ID, growing the table on demand.
+func (l *LRU) entry(id uint64) *lruLink {
+	if id < uint64(len(l.links)) {
+		return &l.links[id]
 	}
+	return l.grow(id)
 }
 
-// lruCompactSlack is how far past twice the resident count the heap may grow
-// before compaction; the slack keeps tiny caches from compacting on every
-// access.
-const lruCompactSlack = 64
-
-// maybeCompact bounds the heap. Pushes are lazy, so every re-access of a
-// resident fragment leaves a stale entry behind; a hot working set accessed
-// many times between evictions would otherwise grow the heap without bound.
-// Once stale entries outnumber live ones, rebuild the heap in place keeping
-// only entries that still record a resident fragment's current recency —
-// each resident has at most one such entry, so the compacted heap is
-// O(resident) and the retained capacity makes subsequent pushes
-// allocation-free.
-func (l *LRU) maybeCompact(a *codecache.Arena) {
-	if len(l.h) <= lruCompactSlack+2*a.Len() {
-		return
+// grow is entry's slow path, for an ID past the dense table's length.
+func (l *LRU) grow(id uint64) *lruLink {
+	if id < denseIDs {
+		l.links = growDense(l.links, id)
+		return &l.links[id]
 	}
-	live := l.h[:0]
-	for _, e := range l.h {
-		if f, ok := a.Lookup(e.id); ok && f.LastAccess == e.last {
-			live = append(live, e)
+	e := l.spill[id]
+	if e == nil {
+		if l.spill == nil {
+			l.spill = make(map[uint64]*lruLink)
 		}
+		e = &lruLink{}
+		l.spill[id] = e
 	}
-	l.h = live
-	l.h.init()
+	return e
 }
 
-// Adopt implements Adopter: seed one current entry per resident so a freshly
-// installed LRU ranks the existing cache contents by their true recency.
+// push links id at the newest end, first unlinking it if it is listed.
+func (l *LRU) push(id uint64) {
+	e := l.entry(id)
+	if e.linked {
+		l.unlink(id, e)
+	}
+	if l.n == 0 {
+		l.oldest = id
+	} else {
+		l.entry(l.newest).next = id
+		e.prev = l.newest
+	}
+	l.newest = id
+	e.linked = true
+	l.n++
+}
+
+// unlink removes id, whose entry is e, from the list.
+func (l *LRU) unlink(id uint64, e *lruLink) {
+	if id == l.oldest {
+		l.oldest = e.next
+	} else {
+		l.entry(e.prev).next = e.next
+	}
+	if id == l.newest {
+		l.newest = e.prev
+	} else {
+		l.entry(e.next).prev = e.prev
+	}
+	e.linked = false
+	l.n--
+}
+
+// OnAccess implements Local: the trace becomes the most recent.
+func (l *LRU) OnAccess(a *codecache.Arena, id uint64) {
+	if a.Contains(id) {
+		l.push(id)
+	}
+}
+
+// Adopt implements Adopter: link the residents in LastAccess order so a
+// freshly installed LRU ranks the existing cache contents by their true
+// recency.
 func (l *LRU) Adopt(a *codecache.Arena) {
+	var rs []codecache.Fragment
 	a.Visit(func(f *codecache.Fragment) bool {
-		l.h.push(lruEntry{id: f.ID, last: f.LastAccess})
+		rs = append(rs, *f)
 		return true
 	})
+	slices.SortFunc(rs, func(x, y codecache.Fragment) int { return cmp.Compare(x.LastAccess, y.LastAccess) })
+	for _, f := range rs {
+		l.push(f.ID)
+	}
 }
 
 // Insert implements Local.
 func (l *LRU) Insert(a *codecache.Arena, f codecache.Fragment, onEvict func(codecache.Fragment)) error {
-	if f.Size > a.Capacity() {
-		return codecache.ErrTooBig
+	if err := insertEvicting(a, f, onEvict, l); err != nil {
+		return err
 	}
-	for {
-		err := a.PlaceFirstFit(f)
-		if err == nil {
-			l.h.push(lruEntry{id: f.ID, last: a.Clock()})
-			return nil
+	l.push(f.ID)
+	return nil
+}
+
+// victim walks the list from the oldest end and takes the first evictable
+// resident off it. Entries whose traces have left the arena are unlinked on
+// the way. Pinned and process-referenced residents are stepped past and keep
+// their place, so a lifted pin or a released reference restores the trace's
+// standing; they count as pinned because Delete(id, false) refuses them.
+func (l *LRU) victim(a *codecache.Arena) (uint64, bool) {
+	id := l.oldest
+	for left := l.n; left > 0; left-- {
+		e := l.entry(id)
+		next := e.next
+		f, ok := a.Lookup(id)
+		switch {
+		case !ok:
+			l.drop(id, e)
+		case !f.Undeletable && f.Refs == 0:
+			l.drop(id, e)
+			return id, true
 		}
-		if !errors.Is(err, codecache.ErrNoSpace) {
-			return err
-		}
-		victim, ok := l.victim(a)
+		id = next
+	}
+	return 0, false
+}
+
+// drop unlinks id for good; a spilled ID's entry leaves the map too, so the
+// map holds only listed traces.
+func (l *LRU) drop(id uint64, e *lruLink) {
+	l.unlink(id, e)
+	if id >= denseIDs {
+		delete(l.spill, id)
+	}
+}
+
+// evictor is a policy that picks its own victims for insertEvicting.
+type evictor interface {
+	// victim returns an evictable resident of a, or false when none is left.
+	victim(a *codecache.Arena) (uint64, bool)
+}
+
+// insertEvicting is the insert loop LRU and TRRIP share. A fragment the
+// arena would refuse (zero-sized, ErrTooBig, ErrDup) is refused before
+// anything is evicted; otherwise the policy's victims go until the largest
+// free run fits f, and f is placed first fit once.
+func insertEvicting(a *codecache.Arena, f codecache.Fragment, onEvict func(codecache.Fragment), p evictor) error {
+	if f.Size == 0 || f.Size > a.Capacity() || a.Contains(f.ID) {
+		return a.PlaceFirstFit(f) // returns the arena's refusal
+	}
+	for a.LargestFreeRun() < f.Size {
+		id, ok := p.victim(a)
 		if !ok {
 			return codecache.ErrNoSpace
 		}
-		v, derr := a.Delete(victim, false)
-		if derr != nil {
-			continue // raced with staleness; try the next candidate
+		v, err := a.Delete(id, false)
+		if err != nil {
+			return err
 		}
 		if onEvict != nil {
 			onEvict(v)
 		}
 	}
+	return a.PlaceFirstFit(f)
 }
 
-// victim pops heap entries until one matches a live, evictable fragment
-// whose recorded recency is current. Entries whose fragments are merely
-// pinned or process-referenced right now are held aside and re-pushed before
-// returning: the pin may be lifted later, and a discarded entry would leave
-// the fragment invisible to the heap — exempt from eviction in its proper
-// LRU slot until the heap drains and the fallback scan rediscovers it.
-// Process-referenced fragments count as pinned here because Delete(id, false)
-// refuses them; returning one would make Insert retry forever once only
-// referenced fragments remain.
-func (l *LRU) victim(a *codecache.Arena) (uint64, bool) {
-	l.held = l.held[:0]
-	defer func() {
-		for _, e := range l.held {
-			l.h.push(e)
-		}
-	}()
-	for {
-		e, ok := l.h.popMin()
-		if !ok {
-			// Heap exhausted; fall back to a scan (covers fragments whose
-			// heap entries were all stale).
-			var bestID uint64
-			var bestLast uint64
-			found := false
-			a.Visit(func(f *codecache.Fragment) bool {
-				if f.Undeletable || f.Refs > 0 {
-					return true
-				}
-				if !found || f.LastAccess < bestLast {
-					bestID, bestLast, found = f.ID, f.LastAccess, true
-				}
-				return true
-			})
-			return bestID, found
-		}
-		f, ok := a.Lookup(e.id)
-		if !ok || f.LastAccess != e.last {
-			continue // stale entry
-		}
-		if f.Undeletable || f.Refs > 0 {
-			l.held = append(l.held, e)
-			continue
-		}
-		return e.id, true
+// denseIDs bounds the policies' dense per-trace tables, mirroring the
+// arena's dense fragment index: trace IDs are assigned sequentially, so in
+// practice every ID lands in the table, and IDs at or past the bound spill
+// into a map.
+const denseIDs = 1 << 21
+
+// growDense returns a copy of s long enough to index id (which must be
+// below denseIDs): doubling, at least 64 entries, clamped to the bound.
+func growDense[T any](s []T, id uint64) []T {
+	n := len(s) * 2
+	if n < 64 {
+		n = 64
 	}
+	if uint64(n) <= id {
+		n = int(id) + 1
+	}
+	if n > denseIDs {
+		n = denseIDs
+	}
+	grown := make([]T, n)
+	copy(grown, s)
+	return grown
 }
 
 // FlushWhenFull deletes every deletable fragment when an insertion fails,

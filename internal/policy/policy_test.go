@@ -101,9 +101,9 @@ func TestLRUSkipsPinned(t *testing.T) {
 	}
 }
 
-// TestLRUPinnedEntryRegainsStanding is a regression test: a heap entry
-// popped while its fragment was pinned must not be discarded, or the
-// fragment silently loses its LRU standing once unpinned.
+// TestLRUPinnedEntryRegainsStanding is a regression test: a trace the
+// victim search passes over while it is pinned must keep its place in the
+// recency order, or it silently loses its LRU standing once unpinned.
 func TestLRUPinnedEntryRegainsStanding(t *testing.T) {
 	p := NewLRU()
 	a := codecache.New(300)
@@ -179,8 +179,8 @@ func TestLRUReferencedEntryRegainsStanding(t *testing.T) {
 }
 
 // TestLRUNoSpaceAllReferenced is a regression test for an unbounded retry:
-// the fallback scan used to return referenced fragments, which Delete
-// refuses, so Insert spun forever once only referenced fragments remained.
+// a victim search that returned referenced fragments, which Delete refuses,
+// made Insert spin forever once only referenced fragments remained.
 func TestLRUNoSpaceAllReferenced(t *testing.T) {
 	p := NewLRU()
 	a := codecache.New(200)
@@ -208,7 +208,7 @@ func TestLRUNoSpaceAllReferenced(t *testing.T) {
 	}
 }
 
-// TestLRUProgramForcedHoles drives LRU across module unmaps: stale heap
+// TestLRUProgramForcedHoles drives LRU across module unmaps: stale recency
 // entries for unmapped fragments must be skipped, holes must be reusable,
 // and eviction must still pick the live LRU fragment.
 func TestLRUProgramForcedHoles(t *testing.T) {
@@ -461,6 +461,8 @@ func TestPoliciesRandomized(t *testing.T) {
 		func() Local { return NewLRU() },
 		func() Local { return &FlushWhenFull{} },
 		func() Local { return NewPreemptiveFlush() },
+		func() Local { return NewTRRIP() },
+		func() Local { return &CircularFirstFit{} },
 	}
 	for _, make := range mk {
 		p := make()

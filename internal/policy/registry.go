@@ -8,6 +8,7 @@ package policy
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -179,6 +180,17 @@ func (p *paramSet) uint(key string, def uint64) uint64 {
 	return n
 }
 
+// uintIn reads an unsigned parameter that must lie in [lo, hi], or its
+// default when absent. Out-of-range values are refused rather than wrapped
+// by a narrowing conversion.
+func (p *paramSet) uintIn(key string, def, lo, hi uint64) uint64 {
+	n := p.uint(key, def)
+	if (n < lo || n > hi) && p.err == nil {
+		p.err = fmt.Errorf("parameter %s=%d: want an integer in [%d, %d]", key, n, lo, hi)
+	}
+	return n
+}
+
 // float reads a float parameter, or its default when absent.
 func (p *paramSet) float(key string, def float64) float64 {
 	v, ok := p.lookup(key)
@@ -213,7 +225,7 @@ func init() {
 
 	Default.Register(Info{
 		Name: "lru",
-		Desc: "evict the least-recently-executed trace first (heap-backed, lazily compacted)",
+		Desc: "evict the least-recently-executed trace first (O(1) recency list)",
 	}, func(*paramSet) Local { return NewLRU() })
 
 	Default.Register(Info{
@@ -235,7 +247,7 @@ func init() {
 		Desc:    "Dynamo's scheme: flush on trace-creation-rate spikes (phase changes) and when full",
 	}, func(p *paramSet) Local {
 		return &PreemptiveFlush{
-			Window:      int(p.uint("window", 32)),
+			Window:      int(p.uintIn("window", 32, 1, math.MaxInt)),
 			SpikeFactor: p.float("spike", 4),
 		}
 	})

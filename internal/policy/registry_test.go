@@ -79,6 +79,30 @@ func TestRegistryParseErrors(t *testing.T) {
 			t.Errorf("Parse(%q) succeeded, want error", spec)
 		}
 	}
+	// Out-of-range values are refused, naming the parameter, instead of
+	// crashing the replay (an empty or negative window) or wrapping through
+	// a narrowing conversion (an RRPV above 255).
+	for _, c := range []struct{ spec, param string }{
+		{"preemptive-flush:window=0", "window"},
+		{"preflush:window=9223372036854775808", "window"},
+		{"preemptive-flush:window=18446744073709551615", "window"},
+		{"trrip:max=263", "max"},
+		{"trrip:cold=256", "cold"},
+		{"trrip:warm=1000", "warm"},
+	} {
+		_, err := Parse(c.spec)
+		if err == nil {
+			t.Errorf("Parse(%q) succeeded, want a range error", c.spec)
+		} else if !strings.Contains(err.Error(), c.param+"=") {
+			t.Errorf("Parse(%q) = %v, want the error to name %s", c.spec, err, c.param)
+		}
+	}
+	// The range edges are accepted.
+	for _, spec := range []string{"preemptive-flush:window=1", "preflush:window=9223372036854775807", "trrip:max=255,cold=255,warm=255"} {
+		if _, err := Parse(spec); err != nil {
+			t.Errorf("Parse(%q): %v", spec, err)
+		}
+	}
 }
 
 func TestRegistryListAndDescribe(t *testing.T) {

@@ -1,10 +1,6 @@
 package policy
 
-import (
-	"errors"
-
-	"repro/internal/codecache"
-)
+import "repro/internal/codecache"
 
 // TRRIP is a trace-cache adaptation of re-reference interval prediction
 // (SRRIP with temperature-seeded insertion). Every resident trace carries a
@@ -30,14 +26,24 @@ type TRRIP struct {
 
 	// rrpv is the dense prediction table, indexed by fragment ID (trace IDs
 	// are assigned sequentially); spill holds IDs past the dense bound. Only
-	// entries for resident fragments are meaningful.
+	// entries for resident fragments are meaningful. Entries are stored
+	// relative to bias, so aging every evictable resident by k is bias += k
+	// plus restoring the residents aging skips. The uint8 arithmetic wraps,
+	// which is exact because every resident's RRPV stays within [0, Max].
 	rrpv  []uint8
 	spill map[uint64]uint8
-}
+	bias  uint8
 
-// trripDenseIDs bounds the dense RRPV table, mirroring the arena's dense
-// fragment index.
-const trripDenseIDs = 1 << 21
+	// unaged is the current search's pinned and referenced residents with
+	// their RRPVs: aging leaves them alone.
+	unaged []trripEntry
+
+	// The victim search resumes after the resident resumeID at arena offset
+	// resumeOff when resumeOK is set. Invariant: every resident at or below
+	// that point, evictable or not, holds an RRPV below Max.
+	resumeID, resumeOff uint64
+	resumeOK            bool
+}
 
 // NewTRRIP returns a TRRIP policy with the default geometry (3-bit RRPV:
 // max 7, cold 6, warm 4, hot threshold 2).
@@ -49,9 +55,9 @@ func NewTRRIP() *TRRIP {
 // values above max clamp to max.
 func newTRRIPFrom(p *paramSet) *TRRIP {
 	t := &TRRIP{
-		Max:  uint8(p.uint("max", 7)),
-		Cold: uint8(p.uint("cold", 6)),
-		Warm: uint8(p.uint("warm", 4)),
+		Max:  uint8(p.uintIn("max", 7, 0, 255)),
+		Cold: uint8(p.uintIn("cold", 6, 0, 255)),
+		Warm: uint8(p.uintIn("warm", 4, 0, 255)),
 		Hot:  p.uint("hot", 2),
 	}
 	if t.Max == 0 {
@@ -70,31 +76,26 @@ func newTRRIPFrom(p *paramSet) *TRRIP {
 // Name implements Local.
 func (t *TRRIP) Name() string { return t.spec }
 
-// get returns the RRPV recorded for an ID (0 when never set).
+// trripEntry is a resident and its RRPV.
+type trripEntry struct {
+	id uint64
+	v  uint8
+}
+
+// get returns the RRPV recorded for a resident.
 func (t *TRRIP) get(id uint64) uint8 {
 	if id < uint64(len(t.rrpv)) {
-		return t.rrpv[id]
+		return t.rrpv[id] + t.bias
 	}
-	return t.spill[id]
+	return t.spill[id] + t.bias
 }
 
 // set records the RRPV for an ID, growing the dense table on demand.
 func (t *TRRIP) set(id uint64, v uint8) {
-	if id < trripDenseIDs {
+	v -= t.bias
+	if id < denseIDs {
 		if id >= uint64(len(t.rrpv)) {
-			n := len(t.rrpv) * 2
-			if n < 64 {
-				n = 64
-			}
-			if uint64(n) <= id {
-				n = int(id) + 1
-			}
-			if n > trripDenseIDs {
-				n = trripDenseIDs
-			}
-			grown := make([]uint8, n)
-			copy(grown, t.rrpv)
-			t.rrpv = grown
+			t.rrpv = growDense(t.rrpv, id)
 		}
 		t.rrpv[id] = v
 		return
@@ -125,6 +126,7 @@ func (t *TRRIP) OnAccess(a *codecache.Arena, id uint64) {
 // Adopt implements Adopter: classify the residents a freshly installed
 // instance inherits by the heat they accumulated in place.
 func (t *TRRIP) Adopt(a *codecache.Arena) {
+	t.resumeOK = false
 	a.Visit(func(f *codecache.Fragment) bool {
 		t.set(f.ID, t.classify(*f))
 		return true
@@ -133,72 +135,109 @@ func (t *TRRIP) Adopt(a *codecache.Arena) {
 
 // Insert implements Local.
 func (t *TRRIP) Insert(a *codecache.Arena, f codecache.Fragment, onEvict func(codecache.Fragment)) error {
-	if f.Size > a.Capacity() {
-		return codecache.ErrTooBig
+	if err := insertEvicting(a, f, onEvict, t); err != nil {
+		return err
 	}
-	for {
-		err := a.PlaceFirstFit(f)
-		if err == nil {
-			t.set(f.ID, t.classify(f))
-			return nil
-		}
-		if !errors.Is(err, codecache.ErrNoSpace) {
-			return err
-		}
-		victim, ok := t.victim(a)
-		if !ok {
-			return codecache.ErrNoSpace
-		}
-		v, derr := a.Delete(victim, false)
-		if derr != nil {
-			continue // pinned or referenced since selection; rescan
-		}
-		if onEvict != nil {
-			onEvict(v)
+	v := t.classify(f)
+	t.set(f.ID, v)
+	if v == t.Max && t.resumeOK {
+		// First fit takes the lowest hole, so a trace inserted at Max may
+		// land at or below the resume point.
+		if off, _ := a.Offset(f.ID); off <= t.resumeOff {
+			t.resumeOK = false
 		}
 	}
+	return nil
 }
 
 // victim picks the first evictable fragment, in address order, holding the
 // largest RRPV currently present, then ages every other evictable resident
 // by the distance to Max — the single-step equivalent of RRIP's "increment
 // all and rescan" loop, without the rescans. Address order keeps the choice
-// deterministic.
+// deterministic. No evictable resident can pass Max by aging, since the
+// victim holds the largest value.
+//
+// No resident at or below the resume point holds Max, so a search starts
+// after it and usually meets a Max there. Only when it reaches the end
+// without one, or there is no resume point, does the search scan from the
+// lowest address; aging then costs one bias update instead of a second walk.
 func (t *TRRIP) victim(a *codecache.Arena) (uint64, bool) {
-	var bestID uint64
-	var bestVal uint8
-	found := false
-	a.Visit(func(f *codecache.Fragment) bool {
-		if f.Undeletable || f.Refs > 0 {
-			return true
+	if t.resumeOK {
+		s := trripScan{t: t, clean: t.resumeID, cleanOK: true}
+		if a.VisitAfter(t.resumeID, t.resumeOff, s.visit) && s.found && s.bestVal == t.Max {
+			t.resumeAt(a, &s)
+			return s.best, true
 		}
-		v := t.get(f.ID)
-		if v > t.Max {
-			v = t.Max
-		}
-		if !found || v > bestVal {
-			bestID, bestVal, found = f.ID, v, true
-			if bestVal == t.Max {
-				return false // nothing can outrank Max; stop at the first
-			}
-		}
-		return true
-	})
-	if !found {
+	}
+	t.unaged = t.unaged[:0]
+	s := trripScan{t: t, full: true}
+	a.Visit(s.visit)
+	if !s.found {
 		return 0, false
 	}
-	if age := t.Max - bestVal; age > 0 {
-		a.Visit(func(f *codecache.Fragment) bool {
-			if f.Undeletable || f.Refs > 0 || f.ID == bestID {
-				return true
-			}
-			v := uint16(t.get(f.ID)) + uint16(age)
-			if v > uint16(t.Max) {
-				v = uint16(t.Max)
-			}
-			t.set(f.ID, uint8(v))
-			return true
-		})
+	if age := t.Max - s.bestVal; age > 0 {
+		// The victim ages too, harmlessly: it is about to leave.
+		t.bias += age
+		for _, e := range t.unaged {
+			t.set(e.id, e.v)
+		}
 	}
-	return bestID, true
+	t.resumeAt(a, &s)
+	return s.best, true
+}
+
+// resumeAt moves the resume point to the last resident the search saw before
+// its victim, but never past a resident at Max: a pinned or referenced one
+// becomes evictable through an unpin or release TRRIP never sees. Aging
+// keeps the invariant, since every evictable resident before the victim,
+// the first holding the largest value, stays below Max.
+func (t *TRRIP) resumeAt(a *codecache.Arena, s *trripScan) {
+	t.resumeID, t.resumeOK = s.resume, s.resumeOK
+	if s.resumeOK {
+		t.resumeOff, _ = a.Offset(s.resume)
+	}
+}
+
+// trripScan is one victim search's state as it walks residents in address
+// order.
+type trripScan struct {
+	t *TRRIP
+	// best is the first evictable resident holding the largest RRPV seen.
+	best    uint64
+	bestVal uint8
+	found   bool
+	// clean is the last resident of the scanned prefix holding no Max; dirty
+	// is set once a resident at Max is seen. resume is clean as of best.
+	clean, resume     uint64
+	cleanOK, resumeOK bool
+	dirty             bool
+	// full marks a scan from the lowest address, which collects the pinned
+	// and referenced residents into t.unaged.
+	full bool
+}
+
+func (s *trripScan) visit(f *codecache.Fragment) bool {
+	v := s.t.get(f.ID)
+	if v > s.t.Max {
+		v = s.t.Max
+	}
+	evictable := !f.Undeletable && f.Refs == 0
+	if !evictable && s.full {
+		s.t.unaged = append(s.t.unaged, trripEntry{f.ID, v})
+	}
+	if evictable && (!s.found || v > s.bestVal) {
+		s.best, s.bestVal, s.found = f.ID, v, true
+		s.resume, s.resumeOK = s.clean, s.cleanOK
+		if v == s.t.Max {
+			return false // nothing can outrank Max; stop at the first
+		}
+	}
+	if !s.dirty {
+		if v == s.t.Max {
+			s.dirty = true
+		} else {
+			s.clean, s.cleanOK = f.ID, true
+		}
+	}
+	return true
 }

@@ -122,6 +122,11 @@ func TestTRRIPSkipsPinnedAndReferenced(t *testing.T) {
 	if len(ev) != 1 || ev[0] != 3 {
 		t.Fatalf("evicted %v, want [3] (1 pinned, 2 referenced)", ev)
 	}
+	// No resident was at Max, so the search aged the evictable ones; the
+	// pinned and referenced residents keep their predictions.
+	if p.get(1) != p.Cold || p.get(2) != p.Cold {
+		t.Errorf("pinned and referenced residents aged to %d and %d, want cold %d", p.get(1), p.get(2), p.Cold)
+	}
 }
 
 // TestTRRIPAdopt: a freshly installed instance (an online-selector switch)

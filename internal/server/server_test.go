@@ -492,6 +492,8 @@ func TestBadRequests(t *testing.T) {
 		{"bad tiers", base + "?" + api.ParamTiers + "=garbage", data, http.StatusBadRequest},
 		{"bad layout, unified", base + "?" + api.ParamUnified + "=1&" + api.ParamLayout + "=nope", data, http.StatusBadRequest},
 		{"bad policy, every tier named", base + "?" + api.ParamTiers + "=50@lru-50@trrip&" + api.ParamPolicy + "=nope", data, http.StatusBadRequest},
+		{"empty preemptive-flush window", base + "?" + api.ParamPolicy + "=preemptive-flush:window=0", data, http.StatusBadRequest},
+		{"trrip max past 255", base + "?" + api.ParamPolicy + "=trrip:max=263", data, http.StatusBadRequest},
 		{"empty body", base, nil, http.StatusBadRequest},
 		{"garbage body", base, []byte("this is not a tracelog"), http.StatusBadRequest},
 	} {

@@ -23,10 +23,10 @@ make serve-bench-smoke
 # Short fuzz run over the tracelog decoder: seeds the corpus and catches
 # regressions in the malformed-input hardening without a long fuzz budget.
 go test ./internal/tracelog -run '^$' -fuzz FuzzReader -fuzztime 10s
-# Policy-selection smoke: the online selector must actually switch, under the
-# race detector, on a log whose best static policy differs from its starting
-# one.
-make policyselect-smoke
+# Policy differential fuzz: every op sequence must drive the indexed first
+# fit, the recency-list LRU and the resumable TRRIP search to the same
+# victims, errors and layout as the straightforward reference versions.
+go test ./internal/policy -run '^$' -fuzz FuzzPolicyOps -fuzztime 10s
 # Virtual-time gate: nothing on the virtual-clock plane may touch the wall
 # clock. simclock/real.go is the single allowed call site (the Real clock);
 # everything else must go through an injected simclock.Clock, or a virtual
