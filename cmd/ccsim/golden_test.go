@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"flag"
 	"net/http"
 	"net/http/httptest"
@@ -45,20 +46,13 @@ func TestMain(m *testing.M) {
 const goldenScale = 0.01
 
 // TestGoldenOutputs pins every replay surface to recorded digests: ccsim's
-// report and -events JSONL for six flag sets, and one served session in each
+// report and -events JSONL for eight flag sets, and one served session in each
 // response framing (events=1 NDJSON, JSON, binary stats) on the same log.
 // Any change to a counter, an event, or its position in a stream shows up as
 // a digest mismatch.
 func TestGoldenOutputs(t *testing.T) {
-	logData, err := client.SyntheticLog("mpeg", goldenScale)
-	if err != nil {
-		t.Fatal(err)
-	}
 	dir := t.TempDir()
-	logPath := filepath.Join(dir, "mpeg.cclog")
-	if err := os.WriteFile(logPath, logData, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	logPath, logData := goldenLog(t, dir)
 	got := make(map[string]string)
 
 	runs := []struct {
@@ -71,16 +65,15 @@ func TestGoldenOutputs(t *testing.T) {
 		{"policy-auto", []string{"-policy", "auto", "-selepoch", "256"}},
 		{"why", []string{"-why"}},
 		{"procs2", []string{"-procs", "2"}},
+		{"procs4", []string{"-procs", "4"}},
+		{"adaptive", []string{"-adaptive", "-epoch", "512"}},
 	}
 	for _, r := range runs {
 		events := filepath.Join(dir, r.name+".jsonl")
 		args := append([]string{"-log", logPath, "-events", events}, r.flags...)
-		cmd := exec.Command(os.Args[0])
-		cmd.Env = append(os.Environ(), runMainEnv+"="+strings.Join(args, "\n"))
-		var stdout, stderr bytes.Buffer
-		cmd.Stdout, cmd.Stderr = &stdout, &stderr
-		if err := cmd.Run(); err != nil {
-			t.Fatalf("ccsim %s: %v\n%s", strings.Join(r.flags, " "), err, stderr.String())
+		stdout, stderr, code := ccsim(t, args...)
+		if code != 0 {
+			t.Fatalf("ccsim %s: exit status %d\n%s", strings.Join(r.flags, " "), code, stderr)
 		}
 		jsonl, err := os.ReadFile(events)
 		if err != nil {
@@ -89,7 +82,7 @@ func TestGoldenOutputs(t *testing.T) {
 		if r.name == "stock" {
 			requireProgress(t, jsonl)
 		}
-		got["ccsim/"+r.name+"/stdout"] = digest(stdout.Bytes())
+		got["ccsim/"+r.name+"/stdout"] = digest(stdout)
 		got["ccsim/"+r.name+"/events"] = digest(jsonl)
 	}
 
@@ -151,6 +144,55 @@ func TestGoldenOutputs(t *testing.T) {
 	if len(got) != len(want) {
 		t.Errorf("%d outputs hashed, %d recorded", len(got), len(want))
 	}
+}
+
+// TestRefusedFlagCombinations checks that ccsim exits 2, before replaying
+// anything, on flag sets it cannot honour.
+func TestRefusedFlagCombinations(t *testing.T) {
+	logPath, _ := goldenLog(t, t.TempDir())
+	for _, flags := range [][]string{
+		{"-why", "-unified"},
+		{"-procs", "2", "-unified"},
+		{"-procs", "2", "-tiers", "30-10-20-40@1,2"},
+	} {
+		stdout, stderr, code := ccsim(t, append([]string{"-log", logPath}, flags...)...)
+		if code != 2 {
+			t.Errorf("ccsim %s: exit status %d, want 2\nstdout:\n%s\nstderr:\n%s",
+				strings.Join(flags, " "), code, stdout, stderr)
+		}
+	}
+}
+
+// goldenLog writes the generated mpeg log into dir and returns its path and
+// bytes.
+func goldenLog(t *testing.T, dir string) (string, []byte) {
+	t.Helper()
+	data, err := client.SyntheticLog("mpeg", goldenScale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "mpeg.cclog")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path, data
+}
+
+// ccsim re-executes the test binary as ccsim with args and returns what it
+// printed and its exit status.
+func ccsim(t *testing.T, args ...string) (stdout, stderr []byte, code int) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0])
+	cmd.Env = append(os.Environ(), runMainEnv+"="+strings.Join(args, "\n"))
+	var out, errOut bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &out, &errOut
+	if err := cmd.Run(); err != nil {
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) {
+			t.Fatal(err)
+		}
+	}
+	return out.Bytes(), errOut.Bytes(), cmd.ProcessState.ExitCode()
 }
 
 // requireProgress checks that the stream carries progress events before its

@@ -145,6 +145,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, "ccsim: -why attributes the tier-graph replay; it does not combine with -unified")
 		os.Exit(2)
 	}
+	// A shared replay pools the last tier of a chain of at least two across
+	// processes; the one-tier unified cache has no such tier to share.
+	if *procs > 1 && (graphMode || *unified) {
+		fmt.Fprintln(os.Stderr, "ccsim: -tiers, -adaptive, -policy, -why, and -unified do not combine with -procs")
+		os.Exit(2)
+	}
 	spec, err := settings.GraphSpec(capacity, dump != nil)
 	if err != nil {
 		fatal(err)
@@ -153,10 +159,6 @@ func main() {
 		spec.Attrib.Epoch = *whyEpoch
 	}
 	if *procs > 1 {
-		if graphMode {
-			fmt.Fprintln(os.Stderr, "ccsim: -tiers, -adaptive, -policy, and -why do not combine with -procs")
-			os.Exit(2)
-		}
 		if err := runShared(h.Benchmark, events, spec, *procs, *stagger, dump); err != nil {
 			fatal(err)
 		}

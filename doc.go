@@ -33,6 +33,6 @@
 //	bench, _ := repro.Synthesize(profile.Scaled(0.125))
 //	... run via repro.NewEngine, capture a log, replay with repro.Compare ...
 //
-// See examples/ for complete programs and EXPERIMENTS.md for the
-// paper-versus-measured record.
+// The package examples are complete programs, each checked against its
+// recorded output; EXPERIMENTS.md is the paper-versus-measured record.
 package repro

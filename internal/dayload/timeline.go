@@ -47,8 +47,9 @@ type rowState struct {
 	sharedUsed      uint64
 }
 
-// CSVHeader is the timeline CSV schema, exported so scripts and CI can
-// assert it. ci.sh greps for it verbatim — keep additive changes at the end.
+// CSVHeader is the timeline CSV schema, exported so scripts and tests can
+// assert it. TestProductionDayAutoWins pins it verbatim — keep additive
+// changes at the end.
 const CSVHeader = "hour,arrivals,admitted,rejected,completed,queued,slots,queue_cap,resizes,accesses,misses,miss_rate,adoptions,published,shared_used,mean_latency_ms,cold,capacity,premature_demotion,never_promoted,unmap_forced,adoption_miss"
 
 // tlEvent is one merged-stream NDJSON line. Field order is the wire order;

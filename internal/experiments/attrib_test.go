@@ -7,7 +7,10 @@ import (
 	"repro/internal/attrib"
 	"repro/internal/core"
 	"repro/internal/costmodel"
+	"repro/internal/server/api"
+	"repro/internal/server/client"
 	"repro/internal/sim"
+	"repro/internal/tracelog"
 )
 
 // attribReplay replays one collected run through a unified cache at half its
@@ -115,5 +118,48 @@ func TestAttribReportDeterministicAcrossParallelism(t *testing.T) {
 			t.Errorf("%s: why report differs between parallel=1 and parallel=8:\n--- seq ---\n%s\n--- par ---\n%s",
 				name, seq[i], par[i])
 		}
+	}
+}
+
+// TestWhyFindsPrematureDemotion replays gzip at 1/16 scale under the graph
+// `ccsim -why` builds: the stock 45-10-45 chain at half the unbounded peak,
+// with the ledger attached. The ledger must conserve, count exactly the
+// replay's regenerations, and charge some middle-tier deaths to premature
+// demotion; gzip's probation gate reliably deletes traces that re-heat.
+func TestWhyFindsPrematureDemotion(t *testing.T) {
+	data, err := client.SyntheticLog("gzip", 1.0/16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, events, err := tracelog.ReadAll(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	capacity := tracelog.Summarize(h, events).MaxLiveBytes / 2
+	spec, err := api.SessionConfig{Attrib: true}.GraphSpec(capacity, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	acc := costmodel.NewAccum(costmodel.DefaultModel)
+	g, err := core.NewGraph(spec, sim.CostObserver(acc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sim.Replay(h.Benchmark, events, g, acc, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := g.Ledger().Snapshot()
+	if res.Regenerations == 0 {
+		t.Fatal("no regenerations; conservation unexercised")
+	}
+	if !snap.Conserved() || snap.Regens != res.Regenerations {
+		t.Errorf("conservation violated: %d cause counts, %d ledger regenerations, %d replay regenerations",
+			snap.RegenCauses(), snap.Regens, res.Regenerations)
+	}
+	prem, middle, share := snap.PrematureShare()
+	t.Logf("%d regenerations; %d of %d middle-tier deaths premature (%.1f%%)", res.Regenerations, prem, middle, share)
+	if middle == 0 || prem == 0 {
+		t.Errorf("premature demotion not found: %d of %d middle-tier deaths", prem, middle)
 	}
 }

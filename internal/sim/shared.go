@@ -129,9 +129,9 @@ func ReplayShared(benchmark string, events []tracelog.Event, spec core.GraphSpec
 	metas := make(map[uint64]meta, 1024)
 	byModule := make(map[uint16][]uint64)
 	for _, e := range events {
-		if e.Kind == tracelog.KindCreate {
+		if e.Kind == tracelog.KindCreate || e.Kind == tracelog.KindAdopt {
 			if _, dup := metas[e.Trace]; dup {
-				return res, fmt.Errorf("sim: duplicate create of trace %d", e.Trace)
+				return res, fmt.Errorf("sim: duplicate %s of trace %d", e.Kind, e.Trace)
 			}
 			metas[e.Trace] = meta{size: e.Size, module: e.Module, head: e.Head}
 			byModule[e.Module] = append(byModule[e.Module], e.Trace)
@@ -141,29 +141,51 @@ func ReplayShared(benchmark string, events []tracelog.Event, spec core.GraphSpec
 	ownID := func(p int, orig uint64) uint64 {
 		return orig*uint64(procs) + uint64(p)
 	}
-	// generate pays for a private copy of the trace in process p's nursery.
-	generate := func(p int, sp2 *sharedProc, orig uint64, m meta) {
+	// place inserts process p's own copy of the trace into its nursery.
+	place := func(p int, sp2 *sharedProc, orig uint64, m meta) {
 		id := ownID(p, orig)
 		sp2.binding[orig] = id
-		acc.ChargeTraceGen(int(m.size))
 		_ = sp2.mgr.Insert(codecache.Fragment{
 			ID: id, Size: uint64(m.size), Module: m.module, HeadAddr: m.head,
 		})
+	}
+	// generate pays for a private copy of the trace and places it.
+	generate := func(p int, sp2 *sharedProc, orig uint64, m meta) {
+		acc.ChargeTraceGen(int(m.size))
+		place(p, sp2, orig, m)
+	}
+	// adopt binds process p to a peer's copy of the trace when the shared
+	// tier publishes one for the same guest code: an adoption, not a
+	// generation.
+	adopt := func(p int, sp2 *sharedProc, orig uint64, m meta) bool {
+		id, ok := sp.ResidentKey(m.module, m.head)
+		if !ok || !sp.Attach(p, id) {
+			return false
+		}
+		sp2.binding[orig] = id
+		res.Adoptions++
+		return true
 	}
 
 	step := func(p int, sp2 *sharedProc, e tracelog.Event) error {
 		switch e.Kind {
 		case tracelog.KindCreate:
 			m := metas[e.Trace]
-			// Adoption check: a peer may already have published this guest
-			// code in the shared tier.
-			if id, ok := sp.ResidentKey(m.module, m.head); ok && sp.Attach(p, id) {
-				sp2.binding[e.Trace] = id
-				res.Adoptions++
+			if adopt(p, sp2, e.Trace, m) {
 				return nil
 			}
 			res.ColdCreates++
 			generate(p, sp2, e.Trace, m)
+
+		case tracelog.KindAdopt:
+			// The logged process adopted this trace, so no generation was
+			// paid. Without a resident peer copy to attach to, the process
+			// places its own, still uncharged, as Replayer does.
+			m := metas[e.Trace]
+			if !adopt(p, sp2, e.Trace, m) {
+				res.Adoptions++
+				place(p, sp2, e.Trace, m)
+			}
 
 		case tracelog.KindAccess:
 			m, ok := metas[e.Trace]
@@ -184,11 +206,8 @@ func ReplayShared(benchmark string, events []tracelog.Event, spec core.GraphSpec
 			}
 			res.Misses++
 			// The bound copy is gone. Before regenerating, check whether a
-			// peer's copy survives in the shared tier — rediscovery through
-			// the publish table is an adoption, not a generation.
-			if id, ok := sp.ResidentKey(m.module, m.head); ok && sp.Attach(p, id) {
-				sp2.binding[e.Trace] = id
-				res.Adoptions++
+			// peer's copy survives in the shared tier.
+			if adopt(p, sp2, e.Trace, m) {
 				return nil
 			}
 			res.Regenerations++

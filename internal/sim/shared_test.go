@@ -98,6 +98,47 @@ func TestReplaySharedSingleProcMatchesGenerational(t *testing.T) {
 	}
 }
 
+// TestReplaySharedAdoptLog replays a log carrying adopt events, as every
+// process's log from a multi-process run does: traces 5 and 6 were adopted
+// from a peer rather than generated.
+func TestReplaySharedAdoptLog(t *testing.T) {
+	evs := mkSharedLog(12, true)
+	for i := range evs {
+		if evs[i].Kind == tracelog.KindCreate && evs[i].Trace >= 5 {
+			evs[i].Kind = tracelog.KindAdopt
+		}
+	}
+	one, err := ReplayShared("b", evs, sharedCfg().GraphSpec(), costmodel.DefaultModel, 1, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := ReplayGenerational("b", evs, sharedCfg(), costmodel.DefaultModel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain.Adoptions != 2 {
+		t.Fatalf("plain replay counted %d adoptions, want 2", plain.Adoptions)
+	}
+	if one.Accesses != plain.Accesses || one.Hits != plain.Hits || one.Misses != plain.Misses ||
+		one.ColdCreates != plain.ColdCreates || one.Regenerations != plain.Regenerations ||
+		one.Adoptions != plain.Adoptions || one.ForcedDeletes != plain.ForcedDeletes {
+		t.Errorf("single-process shared replay diverges:\nshared: %+v\nplain:  %+v", one, plain)
+	}
+	if one.Overhead.Total() != plain.Overhead.Total() {
+		t.Errorf("overhead %v != %v", one.Overhead.Total(), plain.Overhead.Total())
+	}
+
+	const procs = 3
+	sh, err := ReplayShared("b", evs, sharedCfg().GraphSpec(), costmodel.DefaultModel, procs, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sh.Generations()+sh.Adoptions < uint64(procs)*6 {
+		t.Errorf("generations %d + adoptions %d do not cover %d per-process creates and adopts",
+			sh.Generations(), sh.Adoptions, procs*6)
+	}
+}
+
 func TestReplaySharedDeterminism(t *testing.T) {
 	evs := mkSharedLog(20, true)
 	run := func() SharedResult {
@@ -145,5 +186,9 @@ func TestReplaySharedErrors(t *testing.T) {
 	}
 	if _, err := ReplayShared("b", dup, sharedCfg().GraphSpec(), costmodel.DefaultModel, 2, 0, nil); err == nil {
 		t.Error("duplicate create accepted")
+	}
+	dup[1].Kind = tracelog.KindAdopt
+	if _, err := ReplayShared("b", dup, sharedCfg().GraphSpec(), costmodel.DefaultModel, 2, 0, nil); err == nil {
+		t.Error("adopt of a created trace accepted")
 	}
 }

@@ -3,8 +3,8 @@ package simclock
 import "time"
 
 // Real is the wall clock: the live daemon's Clock. This file is the single
-// place in the repository (outside tests) allowed to call time.Now — the CI
-// grep gate holds every virtual-clock code path to that.
+// place under internal/ (outside tests) allowed to read the wall clock;
+// TestNoWallClockOutsideReal holds every other file there to that.
 type Real struct{}
 
 // Now implements Clock.
