@@ -9,6 +9,7 @@ package repro_test
 import (
 	"fmt"
 	"io"
+	"math"
 	"testing"
 
 	"repro/internal/codecache"
@@ -22,6 +23,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/tracelog"
+	"repro/internal/workload"
 )
 
 // hotLoops is how many independent two-block loops the dispatch benchmarks
@@ -62,21 +64,38 @@ func buildHotLoopImage(tb testing.TB) *program.Image {
 // threshold so every trace materializes, then two full steady cycles to
 // settle heads and links) and one steady cycle: A0,B0,A1,B1,... — per pair,
 // one in-trace step and one dispatcher entry into the next loop's trace.
+// Every step is a one-block run, so the dispatch benchmarks measure the
+// engine per block.
 func hotLoopSteps(img *program.Image) (warm, steady []dbt.Step) {
 	fns := img.Modules[0].Functions
 	for i := 0; i < hotLoops; i++ {
 		a, b := fns[i].Blocks[0].Addr, fns[i].Blocks[1].Addr
 		for j := 0; j < 60; j++ {
-			warm = append(warm, dbt.Step{Block: a}, dbt.Step{Block: b})
+			warm = append(warm, oneBlock(a), oneBlock(b))
 		}
 	}
 	for i := 0; i < hotLoops; i++ {
 		a, b := fns[i].Blocks[0].Addr, fns[i].Blocks[1].Addr
-		steady = append(steady, dbt.Step{Block: a}, dbt.Step{Block: b})
+		steady = append(steady, oneBlock(a), oneBlock(b))
 	}
 	warm = append(warm, steady...)
 	warm = append(warm, steady...)
 	return warm, steady
+}
+
+// oneBlock returns a one-block run of addr at virtual time 0.
+func oneBlock(addr uint64) dbt.Step {
+	return dbt.Step{Blocks: []uint64{addr}, Times: []uint64{0}}
+}
+
+// asRun joins one-block steps into a single run.
+func asRun(steps []dbt.Step) dbt.Step {
+	var run dbt.Step
+	for _, st := range steps {
+		run.Blocks = append(run.Blocks, st.Blocks...)
+		run.Times = append(run.Times, st.Times...)
+	}
+	return run
 }
 
 // newHotEngine builds an engine over the loop image, warmed to steady state:
@@ -318,6 +337,10 @@ func BenchmarkObserverEmitDetached(b *testing.B) {
 // Allocation regression guards. These are tests, not benchmarks, so `go
 // test ./...` fails if the steady-state paths start allocating again.
 
+// TestDispatchSteadyStateZeroAlloc guards the warmed engine's steady cycle,
+// fed as one-block runs (the dispatch path) and as one long run (the
+// in-trace path too), and the workload driver's steady-state Next, which
+// hands the collection pass its runs.
 func TestDispatchSteadyStateZeroAlloc(t *testing.T) {
 	img := buildHotLoopImage(t)
 	warm, steady := hotLoopSteps(img)
@@ -331,6 +354,39 @@ func TestDispatchSteadyStateZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state dispatch allocated %.1f times per cycle, want 0", allocs)
+	}
+	run := asRun(steady)
+	allocs = testing.AllocsPerRun(20, func() {
+		if err := eng.Observe(&run); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state dispatch of one long run allocated %.1f times per cycle, want 0", allocs)
+	}
+
+	p, _ := workload.ByName("gzip")
+	bench, err := workload.Synthesize(p.Scaled(0.05))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := bench.NewDriver()
+	var st dbt.Step
+	next := func() {
+		if err := d.Next(&st, math.MaxInt); err != nil || st.Done {
+			t.Fatalf("driver stopped early: %v", err)
+		}
+	}
+	for i := 0; i < 300; i++ { // past warmup and several phase ends
+		next()
+	}
+	allocs = testing.AllocsPerRun(20, func() {
+		for i := 0; i < 16; i++ {
+			next()
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state Driver.Next allocated %.1f times per 16 runs, want 0", allocs)
 	}
 }
 

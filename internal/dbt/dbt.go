@@ -10,6 +10,7 @@ package dbt
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/bbcache"
 	"repro/internal/codecache"
@@ -24,12 +25,17 @@ import (
 	"repro/internal/tracelog"
 )
 
-// Step is one unit of guest execution: a basic block, plus any module
-// mapping changes its execution caused.
+// Step is one run of guest execution: consecutive basic blocks of one
+// thread, plus any module mapping changes that take effect before the first
+// of them.
 type Step struct {
-	Block    uint64
-	Time     uint64 // virtual microseconds since the start of the run
-	Thread   int    // guest thread executing the block (single-threaded guests use 0)
+	// Blocks holds the run's block addresses in execution order, and
+	// Times[i] is the virtual time of Blocks[i], in microseconds since the
+	// start of the run. Both may alias guest-owned memory: they stay valid
+	// only until that guest's next Next call.
+	Blocks   []uint64
+	Times    []uint64
+	Thread   int // guest thread executing the run (single-threaded guests use 0)
 	Loaded   []program.ModuleID
 	Unloaded []program.ModuleID
 	Done     bool
@@ -41,13 +47,15 @@ type Step struct {
 type Guest interface {
 	// Image returns the guest's program image.
 	Image() *program.Image
-	// Next executes one basic block and describes it in *st, which the
-	// engine owns and reuses for every step. On success Next must overwrite
-	// every field of *st: RunRoundRobin passes one Step to all its guests,
-	// so a field left over from another guest's step (a stale Unloaded
-	// would unmap a module in the wrong process) corrupts the run. When
-	// execution has finished it sets Done.
-	Next(st *Step) error
+	// Next executes a run of at most max (>= 1) basic blocks of one thread
+	// and describes it in *st, which the engine owns and reuses for every
+	// call. On success Next must overwrite every field of *st: RunRoundRobin
+	// passes one Step to all its guests, so a field left over from another
+	// guest's run (a stale Unloaded would unmap a module in the wrong
+	// process) corrupts the run. For the same reason a guest never writes
+	// into the slices it finds in *st; it points Blocks and Times at memory
+	// of its own. When execution has finished it sets Done.
+	Next(st *Step, max int) error
 }
 
 // Config parameterizes the engine.
@@ -85,10 +93,11 @@ type Config struct {
 	// enter the cache.
 	Optimize bool
 	// SlowDispatch forces the engine's original map-based dispatch path
-	// instead of the dense-index fast path: the reference the fast path is
-	// checked against. The two must produce identical run statistics and
-	// event streams; the equivalence tests and the slow dispatch benchmark
-	// set it.
+	// instead of the dense-index fast path, and observes every block of a
+	// run one at a time instead of following trace bodies by address: the
+	// reference the fast paths are checked against. The two must produce
+	// identical run statistics and event streams; the equivalence tests and
+	// the slow dispatch benchmark set it.
 	SlowDispatch bool
 }
 
@@ -261,6 +270,9 @@ func (e *Process) Preload(ts []*trace.Trace) error {
 		if _, dup := e.byHead[t.Head]; dup {
 			return fmt.Errorf("dbt: preload: duplicate trace head %#x", t.Head)
 		}
+		if len(t.BlockInstrs) != len(t.BlockAddrs) {
+			return fmt.Errorf("dbt: preload: trace %d has %d instruction counts for %d blocks (not built by trace.Build)", t.ID, len(t.BlockInstrs), len(t.BlockAddrs))
+		}
 		var err error
 		if g, ok := e.cfg.Manager.(*core.Graph); ok {
 			err = g.InsertPersistent(e.fragmentOf(t))
@@ -342,25 +354,67 @@ func (e *Process) markHead(blk *program.Block) *bbcache.Head {
 func (e *Process) Run(g Guest, maxBlocks uint64) error {
 	var step Step
 	for {
-		if maxBlocks != 0 && e.stats.Blocks >= maxBlocks {
+		max, ok := e.runCap(math.MaxInt, maxBlocks)
+		if !ok {
 			return nil
 		}
-		if err := g.Next(&step); err != nil {
-			return err
-		}
-		if step.Done {
-			return e.finish()
-		}
-		if err := e.Observe(&step); err != nil {
+		if done, err := e.step(g, &step, max); done || err != nil {
 			return err
 		}
 	}
 }
 
-// Observe processes one guest step. It reads step only during the call.
+// runCap lowers a run's cap max to what is left of a budget of maxBlocks
+// executed blocks (0 means none). It reports false once the budget is spent.
+func (e *Process) runCap(max int, maxBlocks uint64) (int, bool) {
+	if maxBlocks == 0 {
+		return max, true
+	}
+	if e.stats.Blocks >= maxBlocks {
+		return 0, false
+	}
+	if left := maxBlocks - e.stats.Blocks; left < uint64(max) {
+		max = int(left)
+	}
+	return max, true
+}
+
+// step asks g for a run of at most max blocks and observes it. It reports
+// whether the guest has finished, in which case the log is flushed.
+func (e *Process) step(g Guest, st *Step, max int) (done bool, err error) {
+	if err := g.Next(st, max); err != nil {
+		return false, err
+	}
+	if st.Done {
+		return true, e.finish()
+	}
+	if len(st.Blocks) > max {
+		return false, fmt.Errorf("dbt: guest ran %d blocks, at most %d allowed", len(st.Blocks), max)
+	}
+	return false, e.Observe(st)
+}
+
+// Observe processes one run of guest blocks. It reads step only during the
+// call.
+//
+// While the thread executes inside a trace body, a block that continues the
+// body only advances the trace index and the counters, so such blocks are
+// followed by address compares against the trace (followTrace) without a
+// block lookup. Every other block takes the per-block path (observeBlock).
+// The engine's clock moves to a block's time only before a block on that
+// path, which is where every event is stamped, and to the run's last time at
+// the end: times never decrease, so each event carries the time it would
+// carry if the run were observed one block at a time.
 func (e *Process) Observe(step *Step) error {
-	if step.Time > e.now {
-		e.now = step.Time
+	blocks, times := step.Blocks, step.Times
+	if len(times) != len(blocks) {
+		return fmt.Errorf("dbt: step has %d blocks but %d times", len(blocks), len(times))
+	}
+	if len(blocks) == 0 {
+		return fmt.Errorf("dbt: step has no blocks")
+	}
+	if times[0] > e.now {
+		e.now = times[0]
 	}
 	for _, m := range step.Unloaded {
 		if err := e.unloadModule(m); err != nil {
@@ -371,10 +425,67 @@ func (e *Process) Observe(step *Step) error {
 
 	c := e.threadFor(step.Thread)
 	e.cur = c
+	for i := 0; i < len(blocks); i++ {
+		if c.inTrace != nil && !e.slow {
+			if i += e.followTrace(c, blocks[i:]); i == len(blocks) {
+				break
+			}
+		}
+		if times[i] > e.now {
+			e.now = times[i]
+		}
+		if err := e.observeBlock(c, blocks[i]); err != nil {
+			return err
+		}
+	}
+	if last := times[len(times)-1]; last > e.now {
+		e.now = last
+	}
+	return nil
+}
 
-	blk := e.lookupBlock(step.Block)
+// followTrace consumes the longest prefix of blocks that continues thread
+// c's current trace body — the next member, or the head again after the
+// last member (the self-link) — and returns its length. It counts the
+// prefix's instructions from the trace's per-member counts and sets c.prev
+// once, to the last member executed. SlowDispatch disables it: the
+// per-block path is the reference it is checked against.
+func (e *Process) followTrace(c *threadCtx, blocks []uint64) int {
+	t := c.inTrace
+	addrs, instrs := t.BlockAddrs, t.BlockInstrs
+	idx, n := c.traceIdx, 0
+	var guest uint64
+	for _, a := range blocks {
+		if idx < len(addrs) {
+			if addrs[idx] != a {
+				break
+			}
+		} else if a == t.Head {
+			idx = 0 // the self-link wraps to the head, member 0
+		} else {
+			break
+		}
+		guest += uint64(instrs[idx])
+		idx++
+		n++
+	}
+	if n == 0 {
+		return 0
+	}
+	c.traceIdx = idx
+	c.prev = e.img.BlockFast(addrs[idx-1])
+	e.stats.Blocks += uint64(n)
+	e.stats.InTraceSteps += uint64(n)
+	e.stats.GuestInstrs += guest
+	return n
+}
+
+// observeBlock processes one guest block of thread c (e.cur) on the
+// per-block path.
+func (e *Process) observeBlock(c *threadCtx, addr uint64) error {
+	blk := e.lookupBlock(addr)
 	if blk == nil {
-		return fmt.Errorf("dbt: guest executed unknown block %#x", step.Block)
+		return fmt.Errorf("dbt: guest executed unknown block %#x", addr)
 	}
 	e.stats.Blocks++
 	e.stats.GuestInstrs += uint64(len(blk.Code))

@@ -9,6 +9,7 @@ import (
 	"repro/internal/isa"
 	"repro/internal/program"
 	"repro/internal/stats"
+	"repro/internal/trace"
 	"repro/internal/tracelog"
 	"repro/internal/vm"
 )
@@ -48,7 +49,7 @@ func runUnderEngine(t *testing.T, img *program.Image, cfg Config) (*Engine, *vm.
 		t.Fatal(err)
 	}
 	m := vm.New(img)
-	if err := e.Run(VMGuest{M: m}, 0); err != nil {
+	if err := e.Run(&VMGuest{M: m}, 0); err != nil {
 		t.Fatal(err)
 	}
 	return e, m
@@ -192,7 +193,7 @@ func TestModuleUnloadForcesEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := vm.New(img)
-	if err := e.Run(VMGuest{M: m}, 0); err != nil {
+	if err := e.Run(&VMGuest{M: m}, 0); err != nil {
 		t.Fatal(err)
 	}
 	s := e.Stats()
@@ -314,9 +315,25 @@ func TestEngineErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Observe(&Step{Block: 0xdead}); err == nil {
+	if err := e.Observe(runOf(0, 0xdead)); err == nil {
 		t.Error("unknown block accepted")
 	}
+	if err := e.Observe(&Step{Blocks: []uint64{img.Entry}, Times: []uint64{0, 0}}); err == nil {
+		t.Error("step with more times than blocks accepted")
+	}
+	if err := e.Observe(runOf(0)); err == nil {
+		t.Error("empty step accepted")
+	}
+	// The in-trace path counts instructions from BlockInstrs, which only
+	// trace.Build fills.
+	if err := e.Preload([]*trace.Trace{{ID: 1, Head: img.Entry, BlockAddrs: []uint64{img.Entry}}}); err == nil {
+		t.Error("trace without member instruction counts preloaded")
+	}
+}
+
+// runOf returns a step running blocks on thread at virtual time 0.
+func runOf(thread int, blocks ...uint64) *Step {
+	return &Step{Blocks: blocks, Times: make([]uint64, len(blocks)), Thread: thread}
 }
 
 func TestMaxBlocksBudget(t *testing.T) {
@@ -327,7 +344,7 @@ func TestMaxBlocksBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := vm.New(img)
-	if err := e.Run(VMGuest{M: m}, 5000); err != nil {
+	if err := e.Run(&VMGuest{M: m}, 5000); err != nil {
 		t.Fatal(err)
 	}
 	if s := e.Stats(); s.Blocks != 5000 {
@@ -373,7 +390,7 @@ func TestExceptionPinning(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := vm.New(img)
-	if err := e.Run(VMGuest{M: m}, 0); err != nil {
+	if err := e.Run(&VMGuest{M: m}, 0); err != nil {
 		t.Fatal(err)
 	}
 	s := e.Stats()
@@ -511,7 +528,7 @@ func TestInterleavedThreads(t *testing.T) {
 	}
 	step := func(thread int, addr uint64) {
 		t.Helper()
-		if err := e.Observe(&Step{Block: addr, Thread: thread}); err != nil {
+		if err := e.Observe(runOf(thread, addr)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -578,7 +595,7 @@ func TestEngineDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		m := vm.New(img)
-		if err := e.Run(VMGuest{M: m}, 0); err != nil {
+		if err := e.Run(&VMGuest{M: m}, 0); err != nil {
 			t.Fatal(err)
 		}
 		return e.Stats()

@@ -185,7 +185,7 @@ func TestProcessClose(t *testing.T) {
 	sys, sp := sharedSystem(t, img, 2, traceSize, nil, nil)
 
 	procs := sys.Procs()
-	guests := []Guest{VMGuest{M: vm.New(img)}, VMGuest{M: vm.New(img)}}
+	guests := []Guest{&VMGuest{M: vm.New(img)}, &VMGuest{M: vm.New(img)}}
 	if err := sys.RunRoundRobin(guests, 64, 0, 2000); err != nil {
 		t.Fatal(err)
 	}

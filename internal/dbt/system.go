@@ -174,9 +174,9 @@ func (e *Process) ID() int { return e.id }
 func (e *Process) System() *System { return e.sys }
 
 // RunRoundRobin drives every process's guest to completion on one
-// goroutine, deterministically: processes execute quantum guest steps each
+// goroutine, deterministically: processes execute quantum guest blocks each
 // in rotation, and process p is admitted into the rotation only once
-// stagger×p total steps have executed system-wide (so earlier processes
+// stagger×p total blocks have executed system-wide (so earlier processes
 // warm the shared tier before later ones start — the arrival pattern that
 // makes adoption observable). A fixed seed plus this fixed schedule gives
 // bit-identical aggregate statistics and event logs across runs.
@@ -206,8 +206,9 @@ func (s *System) RunRoundRobin(guests []Guest, quantum int, stagger uint64, maxB
 				continue
 			}
 			p := procs[i]
-			for q := 0; q < quantum; q++ {
-				if maxBlocksPerProc != 0 && p.stats.Blocks >= maxBlocksPerProc {
+			for q := 0; q < quantum; {
+				max, ok := p.runCap(quantum-q, maxBlocksPerProc)
+				if !ok {
 					done[i] = true
 					remaining--
 					if err := p.finish(); err != nil {
@@ -215,21 +216,17 @@ func (s *System) RunRoundRobin(guests []Guest, quantum int, stagger uint64, maxB
 					}
 					break
 				}
-				if err := guests[i].Next(&step); err != nil {
+				finished, err := p.step(guests[i], &step, max)
+				if err != nil {
 					return err
 				}
-				if step.Done {
+				if finished {
 					done[i] = true
 					remaining--
-					if err := p.finish(); err != nil {
-						return err
-					}
 					break
 				}
-				if err := p.Observe(&step); err != nil {
-					return err
-				}
-				total++
+				q += len(step.Blocks)
+				total += uint64(len(step.Blocks))
 				progressed = true
 			}
 		}

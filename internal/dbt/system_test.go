@@ -129,7 +129,7 @@ func TestSharedAdoptionAndOwnerAwareUnmap(t *testing.T) {
 	})
 	sys, sp := sharedSystem(t, img, 2, size, o, nil)
 	vms := []*vm.Machine{vm.New(img), vm.New(img)}
-	guests := []Guest{VMGuest{M: vms[0]}, VMGuest{M: vms[1]}}
+	guests := []Guest{&VMGuest{M: vms[0]}, &VMGuest{M: vms[1]}}
 
 	// Process 0 warms the tier alone for the first 1500 steps; process 1
 	// then runs interleaved, crosses the hot threshold on the plugin loop,
@@ -200,7 +200,7 @@ func TestRunConcurrentShared(t *testing.T) {
 	vms := make([]*vm.Machine, procs)
 	for i := range guests {
 		vms[i] = vm.New(img)
-		guests[i] = VMGuest{M: vms[i]}
+		guests[i] = &VMGuest{M: vms[i]}
 	}
 	if err := sys.RunConcurrent(guests, 0); err != nil {
 		t.Fatal(err)
@@ -239,7 +239,7 @@ func TestRoundRobinDeterminism(t *testing.T) {
 		sys, _ := sharedSystem(t, img, procs, size, nil, logs)
 		guests := make([]Guest, procs)
 		for i := range guests {
-			guests[i] = VMGuest{M: vm.New(img)}
+			guests[i] = &VMGuest{M: vm.New(img)}
 		}
 		if err := sys.RunRoundRobin(guests, 32, 900, 0); err != nil {
 			t.Fatal(err)
@@ -308,7 +308,7 @@ func TestSingleProcSharedMatchesPlain(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := e.Run(VMGuest{M: vm.New(img)}, 0); err != nil {
+		if err := e.Run(&VMGuest{M: vm.New(img)}, 0); err != nil {
 			t.Fatal(err)
 		}
 		return e.Stats()
@@ -325,7 +325,7 @@ func TestSingleProcSharedMatchesPlain(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := p.Run(VMGuest{M: vm.New(img)}, 0); err != nil {
+		if err := p.Run(&VMGuest{M: vm.New(img)}, 0); err != nil {
 			t.Fatal(err)
 		}
 		return p.Stats()
@@ -386,10 +386,10 @@ func TestConfigTiersAdaptive(t *testing.T) {
 			for i := 0; i < loops; i++ {
 				a, bb := fns[i].Blocks[0].Addr, fns[i].Blocks[1].Addr
 				for j := 0; j < 60; j++ {
-					if err := e.Observe(&Step{Block: a}); err != nil {
+					if err := e.Observe(runOf(0, a)); err != nil {
 						t.Fatal(err)
 					}
-					if err := e.Observe(&Step{Block: bb}); err != nil {
+					if err := e.Observe(runOf(0, bb)); err != nil {
 						t.Fatal(err)
 					}
 				}

@@ -216,10 +216,10 @@ func (b *Builder) Build() (*Image, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
-	img := &Image{blocks: make(map[uint64]*Block)}
-
 	// Phase 1: assign addresses. Block sizes depend only on opcodes, so a
 	// single forward pass suffices.
+	img := &Image{}
+	nblocks := 0
 	for mi, mb := range b.modules {
 		base := uint64(mi+1) * moduleStride
 		mod := &Module{
@@ -245,18 +245,23 @@ func (b *Builder) Build() (*Image, error) {
 					cursor += uint64(p.inst.Size())
 				}
 			}
+			nblocks += len(fb.blocks)
 		}
 		mod.size = cursor - base
 		img.Modules = append(img.Modules, mod)
 	}
 
-	// Phase 2: materialize blocks with resolved targets.
+	// Phase 2: materialize blocks with resolved targets, appending them to
+	// the dense list in layout order, which is address order.
+	img.blocks = make(map[uint64]*Block, nblocks)
+	img.list = make([]*Block, 0, nblocks)
 	for mi, mb := range b.modules {
 		mod := img.Modules[mi]
+		mod.Functions = make([]*Function, 0, len(mb.funcs))
 		for _, fb := range mb.funcs {
-			fn := &Function{Name: fb.name, Module: mod.ID, Entry: fb.blocks[0].addr}
+			fn := &Function{Name: fb.name, Module: mod.ID, Entry: fb.blocks[0].addr, Blocks: make([]*Block, 0, len(fb.blocks))}
 			for _, pb := range fb.blocks {
-				blk := &Block{Addr: pb.addr, Module: mod.ID}
+				blk := &Block{Addr: pb.addr, Module: mod.ID, Code: make([]isa.Inst, 0, len(pb.insts))}
 				for _, p := range pb.insts {
 					in := p.inst
 					if p.label >= 0 {
@@ -281,6 +286,7 @@ func (b *Builder) Build() (*Image, error) {
 					return nil, fmt.Errorf("program: duplicate block address %#x", blk.Addr)
 				}
 				img.blocks[blk.Addr] = blk
+				img.list = append(img.list, blk)
 				fn.Blocks = append(fn.Blocks, blk)
 			}
 			mod.Functions = append(mod.Functions, fn)
@@ -297,10 +303,10 @@ func (b *Builder) Build() (*Image, error) {
 		img.Entry = img.Modules[0].Functions[0].Entry
 	}
 
+	img.buildIndex()
 	if err := img.Validate(); err != nil {
 		return nil, err
 	}
-	img.buildIndex()
 	return img, nil
 }
 

@@ -172,13 +172,14 @@ func (img *Image) BlockByIndex(i int32) *Block {
 
 // buildIndex assigns every block its dense Index (in address order) and
 // builds the per-module O(1) lookup tables BlockFast uses. Build calls it
-// once the block map is final.
+// once the block list is final; the list arrives in layout order, which is
+// address order under the builder's layout, so it is sorted only if a check
+// finds it out of order.
 func (img *Image) buildIndex() {
-	img.list = make([]*Block, 0, len(img.blocks))
-	for _, b := range img.blocks {
-		img.list = append(img.list, b)
+	byAddr := func(i, j int) bool { return img.list[i].Addr < img.list[j].Addr }
+	if !sort.SliceIsSorted(img.list, byAddr) {
+		sort.Slice(img.list, byAddr)
 	}
-	sort.Slice(img.list, func(i, j int) bool { return img.list[i].Addr < img.list[j].Addr })
 	for i, b := range img.list {
 		b.Index = int32(i)
 	}
@@ -258,13 +259,16 @@ func (img *Image) FindFunction(name string) (*Function, bool) {
 // Validate checks the structural invariants of the image: blocks do not
 // overlap, every block terminator is a real terminator, every direct branch
 // target is a block address inside the image, and fall-through addresses of
-// conditional branches are block starts.
+// conditional branches are block starts. It walks the address-sorted block
+// list, so overlaps are checked between neighbours.
 func (img *Image) Validate() error {
-	type span struct{ lo, hi uint64 }
-	var spans []span
-	for addr, b := range img.blocks {
-		if addr != b.Addr {
-			return fmt.Errorf("program: block indexed at %#x has Addr %#x", addr, b.Addr)
+	if len(img.list) != len(img.blocks) {
+		return fmt.Errorf("program: %d blocks listed, %d indexed", len(img.list), len(img.blocks))
+	}
+	for i, b := range img.list {
+		addr := b.Addr
+		if img.blocks[addr] != b {
+			return fmt.Errorf("program: block at %#x is not indexed at its address", addr)
 		}
 		if len(b.Code) == 0 {
 			return fmt.Errorf("program: empty block at %#x", addr)
@@ -273,9 +277,9 @@ func (img *Image) Validate() error {
 		if !last.EndsBlock() {
 			return fmt.Errorf("program: block at %#x ends with non-terminator %s", addr, last)
 		}
-		for i, in := range b.Code[:len(b.Code)-1] {
+		for j, in := range b.Code[:len(b.Code)-1] {
 			if in.EndsBlock() {
-				return fmt.Errorf("program: block at %#x has terminator %s at position %d", addr, in, i)
+				return fmt.Errorf("program: block at %#x has terminator %s at position %d", addr, in, j)
 			}
 		}
 		if last.IsDirect() {
@@ -289,12 +293,8 @@ func (img *Image) Validate() error {
 				return fmt.Errorf("program: block at %#x falls through to %#x which is not a block", addr, ft)
 			}
 		}
-		spans = append(spans, span{b.Addr, b.End()})
-	}
-	sort.Slice(spans, func(i, j int) bool { return spans[i].lo < spans[j].lo })
-	for i := 1; i < len(spans); i++ {
-		if spans[i].lo < spans[i-1].hi {
-			return fmt.Errorf("program: blocks overlap at %#x", spans[i].lo)
+		if i > 0 && addr < img.list[i-1].End() {
+			return fmt.Errorf("program: blocks overlap at %#x", addr)
 		}
 	}
 	if _, ok := img.blocks[img.Entry]; !ok && len(img.blocks) > 0 {

@@ -27,14 +27,18 @@ const (
 	DefaultMaxBlocks = 32
 )
 
-// Trace is a superblock resident in (or evicted from) the trace cache.
+// Trace is a superblock resident in (or evicted from) the trace cache. Build
+// is its only constructor; persisted traces are restored through it too.
 type Trace struct {
 	ID     uint64
 	Head   uint64
 	Module program.ModuleID
 	// BlockAddrs lists the original addresses of the member blocks in
-	// execution order.
-	BlockAddrs []uint64
+	// execution order, and BlockInstrs[i] is the guest instruction count of
+	// member i: the engine counts the instructions of blocks it follows
+	// inside the body without looking the blocks up.
+	BlockAddrs  []uint64
+	BlockInstrs []uint32
 	// Code is the straightened instruction sequence.
 	Code []isa.Inst
 	// Exits is the number of off-trace edges (each costs an exit stub).
@@ -171,9 +175,11 @@ func Build(id uint64, blocks []*program.Block) (*Trace, error) {
 		return nil, fmt.Errorf("trace: empty block list")
 	}
 	t := &Trace{
-		ID:     id,
-		Head:   blocks[0].Addr,
-		Module: blocks[0].Module,
+		ID:          id,
+		Head:        blocks[0].Addr,
+		Module:      blocks[0].Module,
+		BlockAddrs:  make([]uint64, 0, len(blocks)),
+		BlockInstrs: make([]uint32, 0, len(blocks)),
 	}
 	member := make(map[uint64]bool, len(blocks))
 	for _, b := range blocks {
@@ -188,6 +194,7 @@ func Build(id uint64, blocks []*program.Block) (*Trace, error) {
 
 	for i, b := range blocks {
 		t.BlockAddrs = append(t.BlockAddrs, b.Addr)
+		t.BlockInstrs = append(t.BlockInstrs, uint32(len(b.Code)))
 		body := b.Code[:len(b.Code)-1]
 		t.Code = append(t.Code, body...)
 		term := b.Last()

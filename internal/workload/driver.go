@@ -8,7 +8,7 @@ import (
 	"repro/internal/program"
 )
 
-// Driver replays a Bench's execution plan as a stream of guest steps. It
+// Driver replays a Bench's execution plan as a stream of guest runs. It
 // implements dbt.Guest: the engine under test observes exactly the block
 // stream, module churn, and virtual timing the plan dictates.
 //
@@ -21,8 +21,7 @@ import (
 type Driver struct {
 	b *Bench
 	r *rand.Rand
-	// dur is the profile's duration in virtual microseconds, computed once:
-	// now runs on every step.
+	// dur is the profile's duration in virtual microseconds, computed once.
 	dur uint64
 
 	phase        int
@@ -41,6 +40,10 @@ type Driver struct {
 	warmFn    int
 	warmRound int
 
+	// times backs the Times of the run Next hands out, and the pending
+	// slices its Loaded and Unloaded; like the walks, they are reused from
+	// run to run, so a warmed driver does not allocate.
+	times         []uint64
 	pendingUnload []program.ModuleID
 	pendingLoad   []program.ModuleID
 	done          bool
@@ -83,32 +86,24 @@ func (b *Bench) NewDriverProc(proc int) *Driver {
 // Image implements dbt.Guest.
 func (d *Driver) Image() *program.Image { return d.b.Image }
 
-// now maps step count onto the benchmark's declared duration.
-func (d *Driver) now() uint64 {
-	if d.b.totalBudget == 0 {
-		return 0
-	}
-	t := d.stepCount * d.dur / d.b.totalBudget
-	if t > d.dur {
-		t = d.dur
-	}
-	return t
-}
-
-// Next implements dbt.Guest.
-func (d *Driver) Next(st *dbt.Step) error {
+// Next implements dbt.Guest. A run is the rest of the current thread's walk,
+// cut at max and at the thread's remaining time slice, so it never crosses
+// a visit boundary: the random draws for the next visit, the phase-budget
+// check and the unload at a phase end happen at the start of a call, in the
+// order a block-at-a-time walk makes them.
+func (d *Driver) Next(st *dbt.Step, max int) error {
 	if d.done {
-		*st = dbt.Step{Done: true, Time: d.now()}
+		*st = dbt.Step{Done: true}
 		return nil
 	}
 	// Warmup (application startup) runs on thread 0 only; afterwards the
 	// driver time-slices the guest threads.
-	if !d.warming && len(d.walks) > 1 {
+	sliced := !d.warming && len(d.walks) > 1
+	if sliced {
 		if d.sliceLeft <= 0 {
 			d.curThread = (d.curThread + 1) % len(d.walks)
 			d.sliceLeft = 30 + d.r.Intn(90)
 		}
-		d.sliceLeft--
 	} else {
 		d.curThread = 0
 	}
@@ -124,34 +119,72 @@ func (d *Driver) Next(st *dbt.Step) error {
 				d.warmRound++
 				if d.warmRound >= warmupVisits {
 					d.warming = false
+					// Slicing starts with the block after this one, which
+					// may belong to another thread.
+					max = 1
 				}
 			}
 		default:
 			if d.stepsInPhase >= d.b.phaseBudget[d.phase] {
 				d.advancePhase()
 				if d.done {
-					*st = dbt.Step{Done: true, Time: d.now()}
+					*st = dbt.Step{Done: true}
 					return nil
 				}
 			}
 			d.expandVisit(w, d.pickFunction())
 		}
 	}
-	blk := w.seq[w.idx]
-	w.idx++
-	if !d.warming {
-		d.stepsInPhase++
+	n := len(w.seq) - w.idx
+	if n > max {
+		n = max
 	}
-	d.stepCount++
+	if sliced {
+		if n > d.sliceLeft {
+			n = d.sliceLeft
+		}
+		d.sliceLeft -= n
+	}
+	d.fillTimes(n)
 	// Field by field: assigning a composite literal through st would build
-	// the Step in a temporary and copy it, on every guest block.
-	st.Block = blk
-	st.Time = d.now()
+	// the Step in a temporary and copy it, on every run.
+	st.Blocks = w.seq[w.idx : w.idx+n : w.idx+n]
+	st.Times = d.times
 	st.Thread = d.curThread
 	st.Loaded, st.Unloaded = d.pendingLoad, d.pendingUnload
 	st.Done = false
-	d.pendingUnload, d.pendingLoad = nil, nil
+	d.pendingUnload, d.pendingLoad = d.pendingUnload[:0], d.pendingLoad[:0]
+	w.idx += n
+	if !d.warming {
+		d.stepsInPhase += uint64(n)
+	}
+	d.stepCount += uint64(n)
 	return nil
+}
+
+// fillTimes sets d.times to the virtual times of the next n steps: step s
+// runs at s*dur/totalBudget microseconds, capped at dur, which maps the
+// planned step count onto the benchmark's declared duration. It steps the
+// quotient and remainder of that division instead of dividing per step.
+func (d *Driver) fillTimes(n int) {
+	if cap(d.times) < n {
+		d.times = make([]uint64, 2*n)
+	}
+	times, dur, total := d.times[:n], d.dur, d.b.totalBudget
+	d.times = times
+	if total == 0 {
+		clear(times)
+		return
+	}
+	q, r := d.stepCount*dur/total, d.stepCount*dur%total
+	dq, dr := dur/total, dur%total
+	for i := range times {
+		q, r = q+dq, r+dr
+		if r >= total {
+			q, r = q+1, r-total
+		}
+		times[i] = min(q, dur)
+	}
 }
 
 func (d *Driver) advancePhase() {
@@ -160,7 +193,7 @@ func (d *Driver) advancePhase() {
 		// Threads mid-visit in the dying phase finish instantly: their
 		// remaining walks are dropped so no unloaded code executes.
 		for i := range d.walks {
-			d.walks[i] = walk{}
+			d.walks[i].seq, d.walks[i].idx = d.walks[i].seq[:0], 0
 		}
 	}
 	d.phase++

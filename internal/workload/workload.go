@@ -156,11 +156,21 @@ func Synthesize(p Profile) (*Bench, error) {
 		bench.unloadAtEnd[ph] = r.Float64() < p.UnloadProb
 	}
 
-	// Resolve walk templates and compute per-phase budgets.
+	// Resolve walk templates and compute per-phase budgets. Functions are
+	// found through a name index built once; like FindFunction, it keeps
+	// the first function of each name.
+	byName := make(map[string]*program.Function, bench.NumFunctions())
+	for _, m := range img.Modules {
+		for _, f := range m.Functions {
+			if _, dup := byName[f.Name]; !dup {
+				byName[f.Name] = f
+			}
+		}
+	}
 	var sumCost, nFns int
 	resolve := func(fns []*fnSpec) error {
 		for _, fn := range fns {
-			if err := fn.resolve(img); err != nil {
+			if err := fn.resolve(byName); err != nil {
 				return err
 			}
 			sumCost += fn.stepsPV
@@ -219,8 +229,8 @@ func Synthesize(p Profile) (*Bench, error) {
 // resolve fills in the runtime addresses of a function's walk template.
 // Layout order inside a function is emission order: entry block, then per
 // loop [head, bodies..., tail], then the return block.
-func (fn *fnSpec) resolve(img *program.Image) error {
-	f, ok := img.FindFunction(fn.name)
+func (fn *fnSpec) resolve(byName map[string]*program.Function) error {
+	f, ok := byName[fn.name]
 	if !ok {
 		return fmt.Errorf("workload: function %s missing from image", fn.name)
 	}

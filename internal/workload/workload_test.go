@@ -1,11 +1,14 @@
 package workload
 
 import (
+	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/dbt"
+	"repro/internal/isa"
 	"repro/internal/program"
 	"repro/internal/stats"
 )
@@ -170,24 +173,30 @@ func TestSynthesizeErrors(t *testing.T) {
 
 // TestDriverDeterminism also checks Next's overwrite contract: d1 writes
 // into a Step poisoned in every field before each call, d2 into a fresh one,
-// and the two must match field for field.
+// and the two must match field for field. The poison slices must come back
+// untouched: a guest never writes into the slices it finds in the Step.
 func TestDriverDeterminism(t *testing.T) {
 	b, err := Synthesize(tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
 	d1, d2 := b.NewDriver(), b.NewDriver()
+	poison := func() []uint64 { return []uint64{^uint64(0), ^uint64(0)} }
 	for i := 0; ; i++ {
-		s1 := dbt.Step{Block: ^uint64(0), Time: ^uint64(0), Thread: -1,
+		pb, pt := poison(), poison()
+		s1 := dbt.Step{Blocks: pb, Times: pt, Thread: -1,
 			Loaded: []program.ModuleID{99}, Unloaded: []program.ModuleID{99}, Done: true}
 		var s2 dbt.Step
-		err1 := d1.Next(&s1)
-		err2 := d2.Next(&s2)
+		err1 := d1.Next(&s1, math.MaxInt)
+		err2 := d2.Next(&s2, math.MaxInt)
 		if err1 != nil || err2 != nil {
 			t.Fatal(err1, err2)
 		}
 		if !reflect.DeepEqual(s1, s2) {
-			t.Fatalf("step %d diverges: %+v vs %+v", i, s1, s2)
+			t.Fatalf("run %d diverges: %+v vs %+v", i, s1, s2)
+		}
+		if !reflect.DeepEqual(pb, poison()) || !reflect.DeepEqual(pt, poison()) {
+			t.Fatalf("run %d: Next wrote into the slices it found in the Step", i)
 		}
 		if s1.Done {
 			break
@@ -208,35 +217,37 @@ func TestDriverEmitsValidControlFlow(t *testing.T) {
 	steps := 0
 	var s dbt.Step
 	for {
-		if err := d.Next(&s); err != nil {
+		if err := d.Next(&s, math.MaxInt); err != nil {
 			t.Fatal(err)
 		}
 		if s.Done {
 			break
 		}
-		blk, ok := b.Image.Block(s.Block)
-		if !ok {
-			t.Fatalf("driver emitted unknown block %#x", s.Block)
-		}
-		if prev != nil {
-			last := prev.Last()
-			legal := false
-			switch {
-			case last.IsDirect() && last.Target == blk.Addr:
-				legal = true
-			case last.IsConditional() && prev.FallThrough() == blk.Addr:
-				legal = true
-			case last.IsIndirect():
-				legal = true // returns end a visit; any next block is fine
-			case last.Op.Size() > 0 && prev.FallThrough() == blk.Addr:
-				legal = true
+		for _, addr := range s.Blocks {
+			blk, ok := b.Image.Block(addr)
+			if !ok {
+				t.Fatalf("driver emitted unknown block %#x", addr)
 			}
-			if !legal {
-				t.Fatalf("illegal edge %#x (%s) -> %#x", prev.Addr, last, blk.Addr)
+			if prev != nil {
+				last := prev.Last()
+				legal := false
+				switch {
+				case last.IsDirect() && last.Target == blk.Addr:
+					legal = true
+				case last.IsConditional() && prev.FallThrough() == blk.Addr:
+					legal = true
+				case last.IsIndirect():
+					legal = true // returns end a visit; any next block is fine
+				case last.Op.Size() > 0 && prev.FallThrough() == blk.Addr:
+					legal = true
+				}
+				if !legal {
+					t.Fatalf("illegal edge %#x (%s) -> %#x", prev.Addr, last, blk.Addr)
+				}
 			}
+			prev = blk
+			steps++
 		}
-		prev = blk
-		steps++
 		if steps > 3_000_000 {
 			t.Fatal("driver did not terminate")
 		}
@@ -250,31 +261,43 @@ func TestDriverEmitsValidControlFlow(t *testing.T) {
 	}
 }
 
+// TestDriverTimeMonotonicAndBounded checks the time of every block of every
+// run, on a four-thread driver whose runs are cut at time slices as well as
+// at walk ends.
 func TestDriverTimeMonotonicAndBounded(t *testing.T) {
-	b, err := Synthesize(tiny())
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := b.NewDriver()
-	var lastT uint64
-	var s dbt.Step
-	for {
-		if err := d.Next(&s); err != nil {
+	for _, threads := range []int{1, 4} {
+		p := tiny()
+		p.Threads = threads
+		b, err := Synthesize(p)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if s.Time < lastT {
-			t.Fatalf("time went backwards: %d after %d", s.Time, lastT)
+		d := b.NewDriver()
+		var lastT uint64
+		var s dbt.Step
+		for {
+			if err := d.Next(&s, math.MaxInt); err != nil {
+				t.Fatal(err)
+			}
+			if s.Done {
+				break
+			}
+			if len(s.Times) != len(s.Blocks) || len(s.Blocks) == 0 {
+				t.Fatalf("threads %d: run of %d blocks has %d times", threads, len(s.Blocks), len(s.Times))
+			}
+			for _, tm := range s.Times {
+				if tm < lastT {
+					t.Fatalf("threads %d: time went backwards: %d after %d", threads, tm, lastT)
+				}
+				lastT = tm
+			}
 		}
-		lastT = s.Time
-		if s.Done {
-			break
+		if lastT > p.DurationMicros() {
+			t.Errorf("threads %d: final time %d exceeds duration %d", threads, lastT, p.DurationMicros())
 		}
-	}
-	if lastT > tiny().DurationMicros() {
-		t.Errorf("final time %d exceeds duration %d", lastT, tiny().DurationMicros())
-	}
-	if lastT < tiny().DurationMicros()/2 {
-		t.Errorf("final time %d far below duration %d", lastT, tiny().DurationMicros())
+		if lastT < p.DurationMicros()/2 {
+			t.Errorf("threads %d: final time %d far below duration %d", threads, lastT, p.DurationMicros())
+		}
 	}
 }
 
@@ -287,7 +310,7 @@ func TestDriverUnloadsModules(t *testing.T) {
 	unloaded := map[program.ModuleID]bool{}
 	var s dbt.Step
 	for {
-		if err := d.Next(&s); err != nil {
+		if err := d.Next(&s, math.MaxInt); err != nil {
 			t.Fatal(err)
 		}
 		if s.Done {
@@ -296,8 +319,10 @@ func TestDriverUnloadsModules(t *testing.T) {
 		for _, m := range s.Unloaded {
 			unloaded[m] = true
 		}
-		if blk, ok := b.Image.Block(s.Block); ok && unloaded[blk.Module] {
-			t.Fatalf("driver executed unloaded module %d", blk.Module)
+		for _, addr := range s.Blocks {
+			if blk, ok := b.Image.Block(addr); ok && unloaded[blk.Module] {
+				t.Fatalf("driver executed unloaded module %d", blk.Module)
+			}
 		}
 	}
 	// All phase modules except possibly the last must have been unloaded.
@@ -353,6 +378,11 @@ func TestEndToEndShape(t *testing.T) {
 	}
 }
 
+// TestMultithreadedDriver checks per-thread control flow: each block must
+// follow the previous block of the same thread along a direct branch, a
+// conditional fall-through or a return (a visit boundary). A run that
+// handed one thread's blocks to another would break a walk here. A phase
+// unload clears every walk, so the step carrying it resets every thread.
 func TestMultithreadedDriver(t *testing.T) {
 	p := tiny()
 	p.Threads = 3
@@ -363,13 +393,11 @@ func TestMultithreadedDriver(t *testing.T) {
 	d := b.NewDriver()
 	unloaded := map[program.ModuleID]bool{}
 	threadsSeen := map[int]bool{}
-	// Per-thread control-flow consistency: consecutive blocks of the SAME
-	// thread must be legal CFG edges or visit boundaries.
 	prev := map[int]*program.Block{}
 	steps := 0
 	var s dbt.Step
 	for {
-		if err := d.Next(&s); err != nil {
+		if err := d.Next(&s, math.MaxInt); err != nil {
 			t.Fatal(err)
 		}
 		if s.Done {
@@ -379,24 +407,29 @@ func TestMultithreadedDriver(t *testing.T) {
 		for _, m := range s.Unloaded {
 			unloaded[m] = true
 		}
-		blk, ok := b.Image.Block(s.Block)
-		if !ok {
-			t.Fatalf("unknown block %#x", s.Block)
+		if len(s.Unloaded) > 0 {
+			clear(prev)
 		}
-		if unloaded[blk.Module] {
-			t.Fatalf("thread %d executed unloaded module %d", s.Thread, blk.Module)
+		for _, addr := range s.Blocks {
+			blk, ok := b.Image.Block(addr)
+			if !ok {
+				t.Fatalf("unknown block %#x", addr)
+			}
+			if unloaded[blk.Module] {
+				t.Fatalf("thread %d executed unloaded module %d", s.Thread, blk.Module)
+			}
+			if p := prev[s.Thread]; p != nil {
+				last := p.Last()
+				legal := last.Op == isa.OpRet ||
+					(last.IsDirect() && last.Target == blk.Addr) ||
+					(last.IsConditional() && p.FallThrough() == blk.Addr)
+				if !legal {
+					t.Fatalf("thread %d: illegal edge %#x (%s) -> %#x", s.Thread, p.Addr, last, blk.Addr)
+				}
+			}
+			prev[s.Thread] = blk
+			steps++
 		}
-		if p := prev[s.Thread]; p != nil {
-			last := p.Last()
-			legal := last.IsIndirect() ||
-				(last.IsDirect() && last.Target == blk.Addr) ||
-				p.FallThrough() == blk.Addr ||
-				len(prev) == 0
-			// A cleared walk (phase unload) may restart anywhere.
-			_ = legal
-		}
-		prev[s.Thread] = blk
-		steps++
 		if steps > 5_000_000 {
 			t.Fatal("driver did not terminate")
 		}
@@ -450,10 +483,10 @@ func TestSingleThreadUnchangedByThreadField(t *testing.T) {
 	d1, d2 := b1.NewDriver(), b2.NewDriver()
 	var s1, s2 dbt.Step
 	for i := 0; i < 20000; i++ {
-		d1.Next(&s1)
-		d2.Next(&s2)
-		if s1.Block != s2.Block || s1.Done != s2.Done || s1.Thread != s2.Thread {
-			t.Fatalf("step %d diverges: %+v vs %+v", i, s1, s2)
+		d1.Next(&s1, math.MaxInt)
+		d2.Next(&s2, math.MaxInt)
+		if !slices.Equal(s1.Blocks, s2.Blocks) || s1.Done != s2.Done || s1.Thread != s2.Thread {
+			t.Fatalf("run %d diverges: %+v vs %+v", i, s1, s2)
 		}
 		if s1.Done {
 			break
@@ -471,10 +504,10 @@ func TestMultithreadedDriverDeterminism(t *testing.T) {
 	d1, d2 := b.NewDriver(), b.NewDriver()
 	var s1, s2 dbt.Step
 	for i := 0; i < 30000; i++ {
-		d1.Next(&s1)
-		d2.Next(&s2)
-		if s1.Block != s2.Block || s1.Thread != s2.Thread || s1.Done != s2.Done {
-			t.Fatalf("step %d diverges: %+v vs %+v", i, s1, s2)
+		d1.Next(&s1, math.MaxInt)
+		d2.Next(&s2, math.MaxInt)
+		if !slices.Equal(s1.Blocks, s2.Blocks) || s1.Thread != s2.Thread || s1.Done != s2.Done {
+			t.Fatalf("run %d diverges: %+v vs %+v", i, s1, s2)
 		}
 		if s1.Done {
 			break

@@ -202,7 +202,7 @@ func NewEngine(img *Image, cfg EngineConfig) (*Engine, error) { return dbt.New(i
 func NewInterpreter(img *Image) *Machine { return vm.New(img) }
 
 // VMGuest adapts an interpreter to the engine's Guest interface.
-func VMGuest(m *Machine) Guest { return dbt.VMGuest{M: m} }
+func VMGuest(m *Machine) Guest { return &dbt.VMGuest{M: m} }
 
 // NewLogWriter opens a cache-event log for writing.
 func NewLogWriter(w io.Writer, benchmark string, durationMicros uint64) (*tracelog.Writer, error) {

@@ -25,6 +25,10 @@ go test ./internal/tracelog -run '^$' -fuzz FuzzReader -fuzztime 10s
 # Block-decoder fuzz: NextBlock, which every served session body goes
 # through, must decode exactly what per-event Next does, windowed or not.
 go test ./internal/tracelog -run '^$' -fuzz FuzzNextBlock -fuzztime 10s
+# Run-cut differential fuzz: capping every guest run at fuzzed lengths must
+# leave a collection's log, statistics and lifetimes, and a round robin's
+# per-process logs, byte-identical to the uncut run's.
+go test ./internal/workload -run '^$' -fuzz FuzzStepCuts -fuzztime 10s
 # Policy differential fuzz: every op sequence must drive the indexed first
 # fit, the recency-list LRU and the resumable TRRIP search to the same
 # victims, errors and layout as the straightforward reference versions.
