@@ -17,6 +17,10 @@
 //     through the manager's batched entry point, shared-tier interplay via
 //     sim.Hooks.
 //
+// Both paths attach a benchSink, the stand-in for the one observer a served
+// session's manager has (cost charge, session tally, policy and publish
+// checks), so neither comparison side skips the observation a session pays.
+//
 // TestServePathsAgree pins both to the same counters, so the benchmarks
 // compare two shapes of one computation (on a 1-core host, 2026-08-08, the
 // kernel ran 5.92x the per-event path's events/sec). The Parallel variants
@@ -35,6 +39,7 @@ import (
 	"repro/internal/costmodel"
 	"repro/internal/obs"
 	"repro/internal/sim"
+	"repro/internal/stats"
 	"repro/internal/tracelog"
 )
 
@@ -122,20 +127,46 @@ func buildServeLog(tb testing.TB) ([]byte, int) {
 }
 
 // serveMgr builds the session's default manager shape (generational,
-// 45-10-45, promote on access) over the given capacity, with an extra
-// observer standing in for the server's counter/policy/session observer
-// chain — both paths carry it, as both the old and new handlers do.
-func serveMgr(tb testing.TB, capacity uint64, acc *costmodel.Accum, extra obs.Observer) core.Manager {
+// 45-10-45, promote on access) over the given capacity, observed by the
+// session's one observer: both paths attach a benchSink, as the server
+// attaches its session sink.
+func serveMgr(tb testing.TB, capacity uint64, sink *benchSink) core.Manager {
 	tb.Helper()
 	mgr, err := core.NewGraph(core.Config{
 		TotalCapacity: capacity,
 		NurseryFrac:   0.45, ProbationFrac: 0.10, PersistentFrac: 0.45,
 		PromoteThreshold: 1, PromoteOnAccess: true,
-	}.GraphSpec(), obs.Combine(sim.CostObserver(acc), extra))
+	}.GraphSpec(), sink)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	return mgr
+}
+
+// benchSink stands in for a served session's sink, the private manager's
+// one observer: it charges the cost model and counts the event in a session
+// tally exactly as the server's sink does, then counts policy switches and
+// persistent promotions where the server records the live policy and
+// publishes to its shared tier.
+type benchSink struct {
+	acc                 *costmodel.Accum
+	tally               stats.Tally
+	switches, publishes int
+}
+
+func newBenchSink() *benchSink {
+	return &benchSink{acc: costmodel.NewAccum(costmodel.DefaultModel)}
+}
+
+func (s *benchSink) Observe(e obs.Event) {
+	sim.Charge(s.acc, &e)
+	s.tally.Add(&e)
+	if e.Kind == obs.KindPolicySwitch {
+		s.switches++
+	}
+	if e.Kind == obs.KindPromote && e.To == obs.LevelPersistent {
+		s.publishes++
+	}
 }
 
 // netReader strips the bytes.Reader down to a plain io.Reader, so NewReader
@@ -151,14 +182,8 @@ type oldLocalTrace struct {
 	head   uint64
 }
 
-// stubObserver stands in for one server-side observer.
+// stubObserver stands in for the old handler's progress observer.
 func stubObserver() obs.Observer { return obs.Func(func(obs.Event) {}) }
-
-// stubChain mirrors the manager observer chain both session handlers attach
-// (event counter, policy tracker, session observer) with equal-cost stubs.
-func stubChain() obs.Observer {
-	return obs.Combine(stubObserver(), stubObserver(), stubObserver())
-}
 
 // replayStepPath reproduces the pre-kernel served ingest path over one log:
 // ReadAll, Summarize, then the old per-event session loop.
@@ -170,11 +195,11 @@ func replayStepPath(tb testing.TB, data []byte) (sim.Result, uint64) {
 	}
 	sum := tracelog.Summarize(h, events)
 	capacity := uint64(float64(sum.MaxLiveBytes) * serveCapFrac)
-	acc := costmodel.NewAccum(costmodel.DefaultModel)
-	mgr := serveMgr(tb, capacity, acc, stubChain())
+	sink := newBenchSink()
+	mgr := serveMgr(tb, capacity, sink)
 	// The old path attached the session's observer to replay progress
 	// unconditionally, events mode or not.
-	rep := sim.NewReplayer(h.Benchmark, mgr, acc, stubObserver())
+	rep := sim.NewReplayer(h.Benchmark, mgr, sink.acc, stubObserver())
 	rep.SetTotal(uint64(len(events)))
 	local := make(map[uint64]oldLocalTrace)
 	adoptProbes := 0
@@ -203,6 +228,7 @@ func replayStepPath(tb testing.TB, data []byte) (sim.Result, uint64) {
 			tb.Fatal(err)
 		}
 	}
+	sink.tally.Fold(stats.NewEventCounter())
 	return rep.Finish(), capacity
 }
 
@@ -245,9 +271,10 @@ func replayBlockPath(tb testing.TB, data []byte) (sim.Result, uint64) {
 		}
 	}
 	capacity := uint64(float64(z.Summary().MaxLiveBytes) * serveCapFrac)
-	acc := costmodel.NewAccum(costmodel.DefaultModel)
-	mgr := serveMgr(tb, capacity, acc, stubChain())
-	rep := sim.NewReplayer(lr.Header().Benchmark, mgr, acc, nil)
+	sink := newBenchSink()
+	counter := stats.NewEventCounter()
+	mgr := serveMgr(tb, capacity, sink)
+	rep := sim.NewReplayer(lr.Header().Benchmark, mgr, sink.acc, nil)
 	rep.SetHooks(&benchHooks{})
 	rep.SetTotal(uint64(total))
 	defer rep.Recycle()
@@ -255,6 +282,8 @@ func replayBlockPath(tb testing.TB, data []byte) (sim.Result, uint64) {
 		if err := rep.StepBlock(b); err != nil {
 			tb.Fatal(err)
 		}
+		// The server folds a session's tally into its counter per block.
+		sink.tally.Fold(counter)
 	}
 	return rep.Finish(), capacity
 }

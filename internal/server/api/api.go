@@ -9,6 +9,7 @@ package api
 
 import (
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"math"
 	"strconv"
@@ -434,6 +435,59 @@ type StreamLine struct {
 	Event  *Event         `json:"event,omitempty"`
 	Result *SessionResult `json:"result,omitempty"`
 	Error  string         `json:"error,omitempty"`
+}
+
+// AppendEventLine appends to dst the NDJSON line a default json.Encoder
+// writes for StreamLine{Event: e}: Event's fields in struct order, zero
+// values omitted, and the trailing newline. A string holding a byte outside
+// printable ASCII, or one of " \ < > &, is encoded by json.Marshal, so
+// escaping (HTML-safe, as the encoder's default) cannot drift; everything
+// else is written by hand, and a line into a buffer with room allocates
+// nothing. FuzzEventLine holds it to the encoder's bytes.
+func AppendEventLine(dst []byte, e *Event) []byte {
+	dst = appendJSONString(append(dst, `{"event":{"kind":`...), e.Kind)
+	dst = appendUintField(dst, `,"trace":`, e.Trace)
+	dst = appendUintField(dst, `,"size":`, e.Size)
+	dst = appendUintField(dst, `,"module":`, uint64(e.Module))
+	dst = appendStringField(dst, `,"from":`, e.From)
+	dst = appendStringField(dst, `,"to":`, e.To)
+	if e.Proc != 0 {
+		dst = strconv.AppendInt(append(dst, `,"proc":`...), int64(e.Proc), 10)
+	}
+	dst = appendUintField(dst, `,"done":`, e.Done)
+	dst = appendUintField(dst, `,"total":`, e.Total)
+	dst = appendStringField(dst, `,"policy":`, e.Policy)
+	dst = appendStringField(dst, `,"reason":`, e.Reason)
+	dst = appendStringField(dst, `,"node":`, e.Node)
+	return append(dst, "}}\n"...)
+}
+
+func appendUintField(dst []byte, key string, v uint64) []byte {
+	if v == 0 {
+		return dst
+	}
+	return strconv.AppendUint(append(dst, key...), v, 10)
+}
+
+func appendStringField(dst []byte, key, s string) []byte {
+	if s == "" {
+		return dst
+	}
+	return appendJSONString(append(dst, key...), s)
+}
+
+// appendJSONString appends s as a JSON string, quoting it by hand when no
+// byte needs escaping and through json.Marshal otherwise.
+func appendJSONString(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always marshals
+			return append(dst, q...)
+		}
+	}
+	dst = append(dst, '"')
+	dst = append(dst, s...)
+	return append(dst, '"')
 }
 
 // SessionConfig is a session's configuration: the knobs the query string of

@@ -396,13 +396,10 @@ func (s *Server) DeployUnmap(bench string) int {
 	return len(mods)
 }
 
-// trackPolicy records live-policy switches for the /metrics tier-policy
-// gauge. Sessions run concurrently, so the map holds the most recent switch
-// seen per level across all of them.
-func (s *Server) trackPolicy(e obs.Event) {
-	if e.Kind != obs.KindPolicySwitch {
-		return
-	}
+// trackPolicy records a live-policy switch (a KindPolicySwitch event) for
+// the /metrics tier-policy gauge. Sessions run concurrently, so the map holds
+// the most recent switch seen per level across all of them.
+func (s *Server) trackPolicy(e *obs.Event) {
 	s.mu.Lock()
 	s.livePol[e.From.String()] = e.Policy
 	s.mu.Unlock()

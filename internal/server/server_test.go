@@ -18,6 +18,9 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -526,12 +529,70 @@ func TestBodyLimit(t *testing.T) {
 }
 
 // TestMetricsExposed: after a session, /metrics carries the aggregate
-// counters in Prometheus text form.
+// counters in Prometheus text form, and the cache-event series carry the
+// right values. After one events=1 session on a fresh server, every
+// gencached_cache_events_total{kind,level} must equal the session's event
+// lines tallied by kind and level (the to level for insert and promote, the
+// from level otherwise, no level counting as unified). The one exception is
+// {unmap,persistent}: the traces Session.Close drains from the shared tier
+// leave after the stream's closing line, so that series is the stream's
+// count plus gencached_shared_tier_drained_total. A lost or doubled fold of
+// a session's event tally breaks the equality.
 func TestMetricsExposed(t *testing.T) {
 	_, c := newTestServer(t, server.Config{})
 	ctx := context.Background()
-	if _, err := c.Session(ctx, client.SessionOptions{}, bytes.NewReader(syntheticLog(t, "word"))); err != nil {
+	resp, err := http.Post(c.BaseURL+api.SessionsPath+"?"+api.ParamEvents+"=1", "application/octet-stream",
+		bytes.NewReader(syntheticLog(t, "word")))
+	if err != nil {
 		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	streamed := make(map[string]uint64)
+	results := 0
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		var line api.StreamLine
+		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
+			t.Fatalf("bad NDJSON line %q: %v", sc.Bytes(), err)
+		}
+		switch {
+		case line.Error != "":
+			t.Fatalf("stream error: %s", line.Error)
+		case line.Result != nil:
+			results++
+		case line.Event == nil:
+			t.Fatalf("NDJSON line %q carries nothing", sc.Bytes())
+		case line.Event.Kind != "progress":
+			level := line.Event.From
+			if line.Event.Kind == "insert" || line.Event.Kind == "promote" {
+				level = line.Event.To
+			}
+			if level == "" {
+				level = "unified"
+			}
+			streamed[line.Event.Kind+"/"+level]++
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if results != 1 {
+		t.Fatalf("stream carried %d result lines, want 1", results)
+	}
+
+	// The handler closes the session (draining the shared tier) after the
+	// closing line and before it releases the admission slot.
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		h, err := c.Health(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h.ActiveSessions == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("session still active 10s after its closing line")
+		}
 	}
 	text, err := c.Metrics(ctx)
 	if err != nil {
@@ -541,12 +602,43 @@ func TestMetricsExposed(t *testing.T) {
 		"gencached_sessions_served_total 1",
 		"gencached_replay_accesses_total",
 		"gencached_shared_published_total",
-		"gencached_cache_events_total{",
 	} {
-		if !bytes.Contains([]byte(text), []byte(want)) {
+		if !strings.Contains(text, want) {
 			t.Errorf("/metrics missing %q", want)
 		}
 	}
+	series := make(map[string]uint64)
+	var drained uint64
+	seriesRE := regexp.MustCompile(`(?m)^gencached_cache_events_total\{kind="([^"]+)",level="([^"]+)"\} (\d+)$`)
+	for _, m := range seriesRE.FindAllStringSubmatch(text, -1) {
+		n, _ := strconv.ParseUint(m[3], 10, 64)
+		series[m[1]+"/"+m[2]] = n
+	}
+	if m := regexp.MustCompile(`(?m)^gencached_shared_tier_drained_total (\d+)$`).FindStringSubmatch(text); m != nil {
+		drained, _ = strconv.ParseUint(m[1], 10, 64)
+	} else {
+		t.Fatal("/metrics has no gencached_shared_tier_drained_total")
+	}
+
+	want := make(map[string]uint64, len(streamed)+1)
+	for k, n := range streamed {
+		want[k] = n
+	}
+	want["unmap/persistent"] += drained
+	if len(want) < 4 {
+		t.Fatalf("stream tallied only %v; the session should evict, insert, promote and unmap", streamed)
+	}
+	for k := range series {
+		if _, ok := want[k]; !ok {
+			want[k] = 0
+		}
+	}
+	for k, n := range want {
+		if series[k] != n {
+			t.Errorf("gencached_cache_events_total %s = %d, want %d (stream %d, drained %d)", k, series[k], n, streamed[k], drained)
+		}
+	}
+	t.Logf("stream tally %v, drained %d", streamed, drained)
 }
 
 // TestBinaryStatsMatchesJSON: a session requesting the compact binary result

@@ -19,6 +19,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/server/api"
 	"repro/internal/sim"
+	"repro/internal/stats"
 	"repro/internal/tracelog"
 )
 
@@ -27,7 +28,9 @@ import (
 const maxTenantLen = 64
 
 // parseParams reads a session's configuration off the query string, and
-// whether the response streams NDJSON events (events=1).
+// whether the response streams NDJSON events (events=1). It walks the
+// parameters in a fixed order, the order package api declares them, so a
+// query with several malformed parameters always names the same one.
 func parseParams(r *http.Request) (SessionConfig, bool, error) {
 	var c SessionConfig
 	var events bool
@@ -56,13 +59,14 @@ func parseParams(r *http.Request) (SessionConfig, bool, error) {
 	}
 	c.Tiers = q.Get(api.ParamTiers)
 	c.Policy = q.Get(api.ParamPolicy)
-	for name, dst := range map[string]*uint64{api.ParamSelEpoch: &c.SelEpoch, api.ParamAdaptEpoch: &c.AdaptEpoch} {
+	epochs := [...]*uint64{&c.SelEpoch, &c.AdaptEpoch}
+	for i, name := range [...]string{api.ParamSelEpoch, api.ParamAdaptEpoch} {
 		if v := q.Get(name); v != "" {
 			n, err := strconv.ParseUint(v, 10, 64)
 			if err != nil || n == 0 {
 				return c, false, fmt.Errorf("bad %s %q", name, v)
 			}
-			*dst = n
+			*epochs[i] = n
 		}
 	}
 	if v := q.Get(api.ParamPressure); v != "" {
@@ -78,13 +82,14 @@ func parseParams(r *http.Request) (SessionConfig, bool, error) {
 		}
 		c.Tenant = v
 	}
-	for name, dst := range map[string]*bool{api.ParamUnified: &c.Unified, api.ParamEvents: &events, api.ParamAdaptive: &c.Adaptive, api.ParamAttrib: &c.Attrib} {
+	bools := [...]*bool{&c.Unified, &events, &c.Adaptive, &c.Attrib}
+	for i, name := range [...]string{api.ParamUnified, api.ParamEvents, api.ParamAdaptive, api.ParamAttrib} {
 		if v := q.Get(name); v != "" {
 			b, err := strconv.ParseBool(v)
 			if err != nil {
 				return c, false, fmt.Errorf("bad %s %q", name, v)
 			}
-			*dst = b
+			*bools[i] = b
 		}
 	}
 	// Build the session's spec before admission, so a malformed tiers,
@@ -115,27 +120,51 @@ func (c *countingReader) Read(p []byte) (int, error) {
 // written only from the session's own goroutine: private-manager events fire
 // inside the replay, and shared-tier events routed to this session are, by
 // construction, caused by this session's own calls.
+//
+// Event lines, from the private manager and from the router alike, go
+// through Observe and api.AppendEventLine into a reused line buffer, so they
+// allocate nothing; the closing result or error line goes through the JSON
+// encoder.
 type ndjsonWriter struct {
+	srv     *Server // stamps event lines with its node ID
 	bw      *bufio.Writer
 	enc     *json.Encoder
+	line    []byte
 	flusher http.Flusher
 	err     error
-	lines   uint64
 }
 
-func newNDJSONWriter(w http.ResponseWriter) *ndjsonWriter {
-	nw := &ndjsonWriter{bw: bufio.NewWriterSize(w, 32<<10)}
+func newNDJSONWriter(srv *Server, w http.ResponseWriter) *ndjsonWriter {
+	nw := &ndjsonWriter{srv: srv, bw: bufio.NewWriterSize(w, 32<<10)}
 	nw.enc = json.NewEncoder(nw.bw)
 	nw.flusher, _ = w.(http.Flusher)
 	return nw
 }
 
+// Observe implements obs.Observer: it writes e as an event line, flushing
+// the response on progress events so the client sees the replay advance.
+func (nw *ndjsonWriter) Observe(e obs.Event) { nw.event(&e) }
+
+// event is Observe for a caller that holds the event by pointer.
+func (nw *ndjsonWriter) event(e *obs.Event) {
+	if nw.err != nil {
+		return
+	}
+	w := api.FromObs(*e)
+	nw.srv.tagNode(&w)
+	nw.line = api.AppendEventLine(nw.line[:0], &w)
+	_, nw.err = nw.bw.Write(nw.line)
+	if e.Kind == obs.KindProgress {
+		nw.flush()
+	}
+}
+
+// write encodes a closing line: the result or a terminal error.
 func (nw *ndjsonWriter) write(line api.StreamLine) {
 	if nw.err != nil {
 		return
 	}
 	nw.err = nw.enc.Encode(line)
-	nw.lines++
 }
 
 func (nw *ndjsonWriter) flush() {
@@ -191,6 +220,12 @@ type sessionRun struct {
 	peerAdoptions uint64 // distinct identities served by a peer node
 	savedGen      float64
 
+	// acc is the replay's cost accumulator, charged by Observe; tally counts
+	// the private manager's events until fold adds them to the server's
+	// counter.
+	acc   *costmodel.Accum
+	tally stats.Tally
+
 	enc *ndjsonWriter // nil unless events mode
 }
 
@@ -218,27 +253,43 @@ func (sr *sessionRun) globalModule(local uint16) (uint16, bool) {
 	return g, ok
 }
 
-// observe is the private manager's observer hook. Promotions that land a
-// trace in the session's persistent generation are the paper's signal that
-// it earned long-term residency, so they publish it to the shared tier; the
-// same event stream also feeds the session's NDJSON feed and the server-wide
-// event counter (wired separately in the observer chain).
-func (sr *sessionRun) observe(e obs.Event) {
+// Observe implements obs.Observer as the private manager's one observer,
+// the session's sink. In order, it charges the event to the cost model
+// (sim.Charge, as offline replay's CostObserver does), counts it in the
+// session's tally, records a live-policy switch, writes the NDJSON line in
+// events mode, and publishes a promotion into the persistent generation.
+func (sr *sessionRun) Observe(e obs.Event) {
+	sim.Charge(sr.acc, &e)
+	sr.tally.Add(&e)
+	if e.Kind == obs.KindPolicySwitch {
+		sr.srv.trackPolicy(&e)
+	}
 	if sr.enc != nil {
-		w := api.FromObs(e)
-		sr.srv.tagNode(&w)
-		sr.enc.write(api.StreamLine{Event: &w})
-		if e.Kind == obs.KindProgress {
-			sr.enc.flush()
-		}
+		sr.enc.event(&e)
 	}
-	if e.Kind != obs.KindPromote || e.To != obs.LevelPersistent {
-		return
+	if e.Kind == obs.KindPromote && e.To == obs.LevelPersistent {
+		sr.publish(e.Trace)
 	}
+}
+
+// fold adds the session's tally to the server's event counter. replayLog
+// calls it after every block and once when the replay ends, so /metrics
+// trails a running session by at most one block. A nil sr (offline replay)
+// has nothing to fold.
+func (sr *sessionRun) fold() {
+	if sr != nil {
+		sr.tally.Fold(sr.srv.counter)
+	}
+}
+
+// publish offers the shared tier a trace the private manager promoted into
+// the session's persistent generation: that promotion is the paper's signal
+// that the trace earned long-term residency.
+func (sr *sessionRun) publish(trace uint64) {
 	if sr.rep == nil {
 		return
 	}
-	size, module, head, ok := sr.rep.TraceInfo(e.Trace)
+	size, module, head, ok := sr.rep.TraceInfo(trace)
 	if !ok {
 		return
 	}
@@ -443,14 +494,12 @@ func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
 	var enc *ndjsonWriter
 	if events {
 		w.Header().Set("Content-Type", "application/x-ndjson")
-		enc = newNDJSONWriter(w)
+		enc = newNDJSONWriter(s, w)
 		// Shared-tier events caused by this session's publishes, adoptions,
-		// and unmaps carry its ID; route them into the merged feed.
-		s.router.attach(sess.ID(), obs.Func(func(e obs.Event) {
-			we := api.FromObs(e)
-			s.tagNode(&we)
-			enc.write(api.StreamLine{Event: &we})
-		}))
+		// and unmaps carry its ID; route them into the merged feed. The
+		// traces Session.Close drains leave after the closing line, so the
+		// server's counter sees them and the stream never does.
+		s.router.attach(sess.ID(), enc)
 		defer s.router.detach(sess.ID())
 	}
 
@@ -572,12 +621,14 @@ func replayLog(cfg SessionConfig, model costmodel.Model, body io.Reader, sr *ses
 	if err != nil {
 		return api.SessionResult{}, nil, err
 	}
+	defer sr.fold()
 	if cfg.CapacityBytes == 0 {
 		rep.SetTotal(total)
 		for _, b := range blocks {
 			if err := rep.StepBlock(b); err != nil {
 				return api.SessionResult{}, nil, err
 			}
+			sr.fold()
 		}
 	} else {
 		b := tracelog.GetBlock()
@@ -588,6 +639,7 @@ func replayLog(cfg SessionConfig, model costmodel.Model, body io.Reader, sr *ses
 				if err := rep.StepBlock(b); err != nil {
 					return api.SessionResult{}, nil, err
 				}
+				sr.fold()
 			}
 			if errors.Is(derr, io.EOF) {
 				break
@@ -625,14 +677,19 @@ func startReplay(cfg SessionConfig, model costmodel.Model, bench string, capacit
 	}
 	acc := accPool.Get().(*costmodel.Accum)
 	acc.Reset(model)
-	var extra, progress obs.Observer
+	// A served session's manager has one observer, the session's sink; an
+	// offline replay only charges costs.
+	o := sim.CostObserver(acc)
+	var progress obs.Observer
 	if sr != nil {
-		extra = obs.Combine(sr.srv.counter, obs.Func(sr.srv.trackPolicy), obs.Func(sr.observe))
+		sr.acc = acc
+		sr.tally.Proc = sr.sess.ID()
+		o = sr
 		if sr.enc != nil {
-			progress = obs.Func(sr.observe)
+			progress = sr.enc
 		}
 	}
-	mgr, err := core.NewGraph(spec, obs.Combine(sim.CostObserver(acc), extra))
+	mgr, err := core.NewGraph(spec, o)
 	if err != nil {
 		accPool.Put(acc)
 		return nil, err

@@ -121,8 +121,8 @@ const maxDenseTrace = 1 << 22
 
 // NewReplayer starts a replay of one event stream against a freshly
 // constructed manager. The manager's observer must be (or fan out to)
-// CostObserver(acc) so evictions and promotions are charged; o receives
-// KindProgress events only.
+// CostObserver(acc), or pass every event through Charge(acc, ...), so
+// evictions and promotions are charged; o receives KindProgress events only.
 //
 // The replayer's meta tables come from a pool; a caller that is done with
 // the replayer (and its Result) may return them with Recycle.
@@ -365,14 +365,18 @@ func Replay(benchmark string, events []tracelog.Event, mgr core.Manager, acc *co
 // deliberately not charged here: Replay charges their eviction labor itself,
 // keeping unified and generational configurations on the same footing.
 func CostObserver(acc *costmodel.Accum) obs.Observer {
-	return obs.Func(func(e obs.Event) {
-		switch e.Kind {
-		case obs.KindEvict:
-			acc.ChargeEviction(int(e.Size))
-		case obs.KindPromote:
-			acc.ChargePromotion(int(e.Size))
-		}
-	})
+	return obs.Func(func(e obs.Event) { Charge(acc, &e) })
+}
+
+// Charge is CostObserver's accounting for one event, for observers that do
+// more than charge (gencached's session sink) and must charge identically.
+func Charge(acc *costmodel.Accum, e *obs.Event) {
+	switch e.Kind {
+	case obs.KindEvict:
+		acc.ChargeEviction(int(e.Size))
+	case obs.KindPromote:
+		acc.ChargePromotion(int(e.Size))
+	}
 }
 
 // ReplayGraph is a convenience: replay under a freshly built tier graph (N

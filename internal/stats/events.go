@@ -45,19 +45,33 @@ func NewEventCounter() *EventCounter { return &EventCounter{} }
 // Observe implements obs.Observer. Progress events are not counted: they
 // report position, not a cache-lifecycle occurrence.
 func (c *EventCounter) Observe(e obs.Event) {
-	if e.Kind == obs.KindProgress || int(e.Kind) >= obs.NumKinds {
+	lvl, ok := counted(&e)
+	if !ok {
 		return
 	}
 	c.counts[e.Kind].Add(1)
 	c.bytes[e.Kind].Add(e.Size)
+	if lvl >= 0 {
+		c.levels[e.Kind][lvl].Add(1)
+	}
+	c.procs[e.Kind][procSlot(e.Proc)].Add(1)
+}
+
+// counted reports whether a counter counts e, and the cache level it
+// charges e to: To for inserts and promotes, From otherwise (a zero From is
+// LevelUnified), or -1 when that level is out of range.
+func counted(e *obs.Event) (obs.Level, bool) {
+	if e.Kind == obs.KindProgress || int(e.Kind) >= obs.NumKinds {
+		return -1, false
+	}
 	lvl := e.From
 	if e.Kind == obs.KindInsert || e.Kind == obs.KindPromote {
 		lvl = e.To
 	}
-	if lvl >= 0 && int(lvl) < obs.NumLevels {
-		c.levels[e.Kind][lvl].Add(1)
+	if lvl < 0 || int(lvl) >= obs.NumLevels {
+		lvl = -1
 	}
-	c.procs[e.Kind][procSlot(e.Proc)].Add(1)
+	return lvl, true
 }
 
 // CountForProc returns how many events of kind k were caused by the given
@@ -93,6 +107,54 @@ func (c *EventCounter) Bytes(k obs.Kind) uint64 {
 		return 0
 	}
 	return c.bytes[k].Load()
+}
+
+// Tally is EventCounter's single-goroutine front for one process's event
+// stream: it counts with the same kind, byte and level rules in plain
+// fields, and Fold adds the counts into a shared counter. A served session's
+// private manager stamps every event with the session's ID, so a Tally has
+// one process slot: Fold charges every counted event to Proc, whatever the
+// event's own Proc field says.
+type Tally struct {
+	Proc   int
+	counts [obs.NumKinds]uint64
+	bytes  [obs.NumKinds]uint64
+	levels [obs.NumKinds][obs.NumLevels]uint64
+}
+
+// Add counts e as EventCounter.Observe would.
+func (t *Tally) Add(e *obs.Event) {
+	lvl, ok := counted(e)
+	if !ok {
+		return
+	}
+	t.counts[e.Kind]++
+	t.bytes[e.Kind] += e.Size
+	if lvl >= 0 {
+		t.levels[e.Kind][lvl]++
+	}
+}
+
+// Fold adds the tally's counts into c, charged to t.Proc, and zeroes them,
+// so folding again adds only what was counted since.
+func (t *Tally) Fold(c *EventCounter) {
+	slot := procSlot(t.Proc)
+	for k := range t.counts {
+		n := t.counts[k]
+		if n == 0 {
+			continue
+		}
+		c.counts[k].Add(n)
+		c.bytes[k].Add(t.bytes[k])
+		c.procs[k][slot].Add(n)
+		for l, m := range t.levels[k] {
+			if m != 0 {
+				c.levels[k][l].Add(m)
+			}
+		}
+	}
+	proc := t.Proc
+	*t = Tally{Proc: proc}
 }
 
 // Table renders the non-zero counts as a plain-text table.

@@ -240,10 +240,11 @@ func (r *Reader) decodeWindow(pk peeker, win []byte, b *EventBlock) error {
 		k := Kind(win[pos])
 		p := pos + 1
 		// Time (and proc, in version-2 framing). Almost every varint in a
-		// real log is one or two bytes — small time deltas, sequentially
-		// assigned trace IDs — so the hot fields decode through an inlined
-		// short-varint fast path and only spill into the general decoder
-		// for wide values.
+		// real log is one or two bytes — time deltas under 16384,
+		// sequentially assigned trace IDs — so the hot fields decode
+		// through an inlined one- and two-byte fast path and only spill
+		// into the general decoder for wide values. The window holds a
+		// whole event, so the second byte is always in it.
 		if v2 {
 			var proc uint64
 			if c := win[p]; c < 0x80 {
@@ -263,21 +264,25 @@ func (r *Reader) decodeWindow(pk peeker, win []byte, b *EventBlock) error {
 				}
 			}
 			procs[i] = int32(proc)
-			var dt int64
+			var zz uint64 // the zigzag-encoded delta
 			if c := win[p]; c < 0x80 {
-				dt = int64(c >> 1)
-				if c&1 != 0 {
-					dt = ^dt
-				}
+				zz = uint64(c)
 				p++
+			} else if c2 := win[p+1]; c2 < 0x80 {
+				zz = uint64(c&0x7f) | uint64(c2)<<7
+				p += 2
 			} else {
 				var n int
-				dt, n = varint(win[p:])
+				zz, n = uvarint(win[p:])
 				if n <= 0 {
 					pos = p + varintLen(win[p:])
 					return fmt.Errorf("tracelog: reading time: %w", errVarintOverflow)
 				}
 				p += n
+			}
+			dt := int64(zz >> 1)
+			if zz&1 != 0 {
+				dt = ^dt
 			}
 			last = uint64(int64(last) + dt)
 		} else {
@@ -285,6 +290,9 @@ func (r *Reader) decodeWindow(pk peeker, win []byte, b *EventBlock) error {
 			if c := win[p]; c < 0x80 {
 				dt = uint64(c)
 				p++
+			} else if c2 := win[p+1]; c2 < 0x80 {
+				dt = uint64(c&0x7f) | uint64(c2)<<7
+				p += 2
 			} else {
 				var n int
 				dt, n = uvarint(win[p:])
@@ -431,19 +439,6 @@ func uvarint(buf []byte) (uint64, int) {
 		s += 7
 	}
 	return 0, 0 // cannot happen: callers guarantee >= 10 bytes
-}
-
-// varint decodes a zigzag-signed varint from buf.
-func varint(buf []byte) (int64, int) {
-	uv, n := uvarint(buf)
-	if n <= 0 {
-		return 0, n
-	}
-	v := int64(uv >> 1)
-	if uv&1 != 0 {
-		v = ^v
-	}
-	return v, n
 }
 
 // varintLen reports how many bytes a varint decode would consume before

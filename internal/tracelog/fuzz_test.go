@@ -102,6 +102,29 @@ func FuzzNextBlock(f *testing.F) {
 	f.Add(v2.Bytes())
 	f.Add(v2.Bytes()[:len(v2.Bytes())-2])
 
+	// Wide time deltas in both framings: one-, two- and three-byte varints
+	// on either side of the window decoder's short fast paths, enough events
+	// that the window path decodes most of them.
+	deltas := []uint64{1, 63, 64, 127, 128, 200, 8191, 8192, 16383, 16384, 1 << 20}
+	for _, procs := range []int{1, 2} {
+		var wide bytes.Buffer
+		ww, _ := NewWriter(&wide, Header{Benchmark: "wide", DurationMicros: 3, Procs: procs})
+		now := uint64(1 << 21)
+		ww.Write(Event{Kind: KindCreate, Time: now, Trace: 1, Size: 64, Module: 1, Head: 0x40})
+		for i := 0; i < 3*len(deltas); i++ {
+			d := deltas[i%len(deltas)]
+			if procs > 1 && i%2 == 1 {
+				now -= d // version 2 steps back: a negative zigzag delta
+			} else {
+				now += d
+			}
+			ww.Write(Event{Kind: KindAccess, Time: now, Proc: i % procs, Trace: 1})
+		}
+		ww.Write(Event{Kind: KindEnd, Time: now})
+		ww.Flush()
+		f.Add(wide.Bytes())
+	}
+
 	// Implausible-bounds seeds: a huge module ID and a clock-wrapping delta
 	// hand-assembled past a valid v1 header.
 	head := []byte("CCLOG1\n\x03bad\x05")

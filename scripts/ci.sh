@@ -39,6 +39,9 @@ go test ./internal/server -run '^$' -fuzz FuzzAttribQuery -fuzztime 10s
 # Session-query fuzz: whatever the query parser accepts must build a tier
 # graph spec, so a malformed tiers/layout/policy is refused before admission.
 go test ./internal/server -run '^$' -fuzz FuzzSessionQuery -fuzztime 10s
+# Event-line fuzz: the hand-written NDJSON appender must write exactly the
+# bytes json.Encoder writes for every event field, escaping included.
+go test ./internal/server/api -run '^$' -fuzz FuzzEventLine -fuzztime 10s
 # Binary-stats fuzz: the client decodes GCST frames off the network — malformed
 # frames must fail cleanly and accepted ones must round-trip.
 go test ./internal/server/api -run '^$' -fuzz FuzzStatsBinary -fuzztime 10s
