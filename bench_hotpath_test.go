@@ -100,7 +100,7 @@ func asRun(steps []dbt.Step) dbt.Step {
 
 // newHotEngine builds an engine over the loop image, warmed to steady state:
 // every loop's trace exists and every cross-loop link is in place.
-func newHotEngine(tb testing.TB, img *program.Image, warm []dbt.Step, slow bool) *dbt.Engine {
+func newHotEngine(tb testing.TB, img *program.Image, warm []dbt.Step, slow bool) *dbt.Process {
 	tb.Helper()
 	eng, err := dbt.New(img, dbt.Config{
 		Manager:      core.NewUnified(1<<30, nil, nil),
@@ -137,7 +137,7 @@ func BenchmarkDispatchSteadyState(b *testing.B) {
 // with the adaptive split controller attached — the dispatch path every
 // manager shares now that every manager is a tier graph, plus
 // the controller's per-access sampling.
-func newHotGraphEngine(tb testing.TB, img *program.Image, warm []dbt.Step) *dbt.Engine {
+func newHotGraphEngine(tb testing.TB, img *program.Image, warm []dbt.Step) *dbt.Process {
 	tb.Helper()
 	spec, err := core.ParseTierSpec("45-10-45@1", 1<<30)
 	if err != nil {

@@ -154,6 +154,9 @@ func TestRefusedFlagCombinations(t *testing.T) {
 		{"-why", "-unified"},
 		{"-procs", "2", "-unified"},
 		{"-procs", "2", "-tiers", "30-10-20-40@1,2"},
+		{"-capfrac", "NaN"},
+		{"-capfrac", "-1"},
+		{"-capfrac", "0"},
 	} {
 		stdout, stderr, code := ccsim(t, append([]string{"-log", logPath}, flags...)...)
 		if code != 2 {

@@ -92,6 +92,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "ccsim: -log is required")
 		os.Exit(2)
 	}
+	if !api.ValidCapFrac(*capFrac) {
+		fmt.Fprintln(os.Stderr, "ccsim: -capfrac must be above 0 and at most 16")
+		os.Exit(2)
+	}
 	f, err := os.Open(*logPath)
 	if err != nil {
 		fatal(err)

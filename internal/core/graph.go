@@ -3,11 +3,11 @@
 // connected by eviction edges: a victim leaving tier i is offered to tier
 // i+1 when the edge's predictor admits it and leaves the system otherwise;
 // victims of the last tier always die. The paper's Unified baseline is a
-// one-tier graph and its Generational design (Figure 8) is the stock
-// three-tier graph with a hit-threshold gate on the probation edge — both
-// are now type aliases of Graph — but the same machinery runs N-generation
-// chains, alternative promotion predictors (TRRIP-style temperature), and
-// the adaptive split controller in adaptive.go.
+// one-tier graph (UnifiedSpec) and its Generational design (Figure 8) is the
+// stock three-tier graph with a hit-threshold gate on the probation edge
+// (Config.GraphSpec); the same machinery runs N-generation chains,
+// alternative promotion predictors (TRRIP-style temperature), and the
+// adaptive split controller in adaptive.go.
 package core
 
 import (
@@ -571,20 +571,6 @@ func (g *Graph) Name() string { return g.name }
 
 // Spec returns the graph's specification.
 func (g *Graph) Spec() GraphSpec { return g.spec }
-
-// Config returns the legacy three-tier view of the graph's specification
-// (zero-valued fractions for other shapes).
-func (g *Graph) Config() Config {
-	c := Config{TotalCapacity: g.spec.TotalCapacity, Local: g.spec.Local}
-	if len(g.spec.Tiers) == 3 {
-		c.NurseryFrac = g.spec.Tiers[0].Frac
-		c.ProbationFrac = g.spec.Tiers[1].Frac
-		c.PersistentFrac = g.spec.Tiers[2].Frac
-		c.PromoteThreshold = g.spec.Tiers[1].Threshold
-		c.PromoteOnAccess = g.spec.Tiers[1].PromoteOnAccess
-	}
-	return c
-}
 
 // NumTiers returns the number of tiers in the graph (counting a shared
 // persistent tier).

@@ -197,11 +197,6 @@ type Process struct {
 	links *linker.Table
 }
 
-// Engine is the historical name for the single-process front-end; existing
-// callers and tests keep using it. New multi-process code should say
-// Process.
-type Engine = Process
-
 // threadCtx is one guest thread's translation state: where it is inside a
 // trace, what it is recording, and its linking candidate.
 type threadCtx struct {
@@ -223,7 +218,7 @@ type threadCtx struct {
 // New creates a single-process engine for the guest's image: one Process
 // over a fresh System with no shared persistent tier. Multi-process systems
 // construct a System explicitly and call NewProcess on it.
-func New(img *program.Image, cfg Config) (*Engine, error) {
+func New(img *program.Image, cfg Config) (*Process, error) {
 	return NewSystem(nil).NewProcess(0, img, cfg)
 }
 

@@ -39,7 +39,7 @@ func buildLoopProgram(t *testing.T, iters int64) *program.Image {
 	return img
 }
 
-func runUnderEngine(t *testing.T, img *program.Image, cfg Config) (*Engine, *vm.Machine) {
+func runUnderEngine(t *testing.T, img *program.Image, cfg Config) (*Process, *vm.Machine) {
 	t.Helper()
 	if cfg.Manager == nil {
 		cfg.Manager = core.NewUnified(1<<20, nil, nil)

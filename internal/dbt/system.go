@@ -31,13 +31,6 @@ type System struct {
 	// exists; a single-process system would pay the map for nothing.
 	bodies map[uint64]*trace.Trace
 	procs  []*Process
-
-	// Service-session state (session.go): open-session count, the session-ID
-	// allocator (0 is reserved for KeepWarmOwner), and whether the system
-	// keeps its own reference on published traces.
-	sessions int
-	nextSess int
-	keepWarm bool
 }
 
 // NewSystem creates a system over the given shared persistent tier (nil for

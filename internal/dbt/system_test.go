@@ -2,45 +2,46 @@ package dbt
 
 import (
 	"bytes"
+	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/isa"
 	"repro/internal/obs"
 	"repro/internal/program"
+	"repro/internal/trace"
 	"repro/internal/tracelog"
 	"repro/internal/vm"
 )
 
-// buildPluginHotProgram: main calls a plugin function 30 times (the outer
-// loop stays below the hot threshold), then unloads the plugin. The plugin
-// runs two hot 60-iteration loops, so it contributes exactly two traces,
-// both from the unloadable module.
-func buildPluginHotProgram(t *testing.T) *program.Image {
+// buildPluginHotProgram: main calls plugins 1..n (modules 1..n) in turn, 30
+// times (the outer loop stays below the hot threshold), then unloads plugin 1
+// and halts with any others still mapped. Each plugin runs two hot
+// 60-iteration loops, so it contributes exactly two traces, both from its
+// own module.
+func buildPluginHotProgram(t *testing.T, n int) *program.Image {
 	t.Helper()
 	b := program.NewBuilder()
 	m := b.Module("main", false)
-	dll := b.Module("plugin", true)
-
-	pb, pluginFn := dll.Function("plugin")
-	pb.Block()
-	pb.I(isa.Inst{Op: isa.OpMovImm, Rd: 3, Imm: 0})
-	p1 := pb.NewBlock()
-	pb.Jmp(p1)
-	pb.StartBlock(p1)
-	pb.I(isa.Inst{Op: isa.OpAddImm, Rd: 3, Rs1: 3, Imm: 1})
-	pb.I(isa.Inst{Op: isa.OpCmpImm, Rs1: 3, Imm: 60})
-	pb.Jcc(isa.CondLT, p1)
-	pb.Block()
-	pb.I(isa.Inst{Op: isa.OpMovImm, Rd: 4, Imm: 0})
-	p2 := pb.NewBlock()
-	pb.Jmp(p2)
-	pb.StartBlock(p2)
-	pb.I(isa.Inst{Op: isa.OpAddImm, Rd: 4, Rs1: 4, Imm: 1})
-	pb.I(isa.Inst{Op: isa.OpCmpImm, Rs1: 4, Imm: 60})
-	pb.Jcc(isa.CondLT, p2)
-	pb.Block()
-	pb.Ret()
+	var plugins []*program.FuncSym
+	for i := 1; i <= n; i++ {
+		name := fmt.Sprintf("plugin%d", i)
+		pb, fn := b.Module(name, true).Function(name)
+		for _, r := range []isa.Reg{3, 4} {
+			pb.Block()
+			pb.I(isa.Inst{Op: isa.OpMovImm, Rd: r, Imm: 0})
+			loop := pb.NewBlock()
+			pb.Jmp(loop)
+			pb.StartBlock(loop)
+			pb.I(isa.Inst{Op: isa.OpAddImm, Rd: r, Rs1: r, Imm: 1})
+			pb.I(isa.Inst{Op: isa.OpCmpImm, Rs1: r, Imm: 60})
+			pb.Jcc(isa.CondLT, loop)
+		}
+		pb.Block()
+		pb.Ret()
+		plugins = append(plugins, fn)
+	}
 
 	fb, mainFn := m.Function("main")
 	fb.Block()
@@ -48,8 +49,10 @@ func buildPluginHotProgram(t *testing.T) *program.Image {
 	outer := fb.NewBlock()
 	fb.Jmp(outer)
 	fb.StartBlock(outer)
-	fb.Call(pluginFn)
-	fb.Block()
+	for _, fn := range plugins {
+		fb.Call(fn)
+		fb.Block()
+	}
 	fb.I(isa.Inst{Op: isa.OpAddImm, Rd: 5, Rs1: 5, Imm: 1})
 	fb.I(isa.Inst{Op: isa.OpCmpImm, Rs1: 5, Imm: 30})
 	fb.Jcc(isa.CondLT, outer)
@@ -91,7 +94,20 @@ func sharedSystem(t *testing.T, img *program.Image, procs int, traceSize uint64,
 	t.Helper()
 	sp := core.NewSharedPersistent(10*traceSize, nil, o)
 	sys := NewSystem(sp)
-	cfg := core.Config{
+	for p := 0; p < procs; p++ {
+		var log *tracelog.Writer
+		if logs != nil {
+			log = logs[p]
+		}
+		addSharedProcess(t, sys, p, img, oneTraceTiers(traceSize), o, log)
+	}
+	return sys, sp
+}
+
+// oneTraceTiers is sharedSystem's private-tier configuration: a nursery and
+// a probation that each hold one trace of traceSize bytes.
+func oneTraceTiers(traceSize uint64) core.Config {
+	return core.Config{
 		TotalCapacity:    traceSize * 9 / 2,
 		NurseryFrac:      1.0 / 3,
 		ProbationFrac:    1.0 / 3,
@@ -99,24 +115,25 @@ func sharedSystem(t *testing.T, img *program.Image, procs int, traceSize uint64,
 		PromoteThreshold: 1,
 		PromoteOnAccess:  true,
 	}
-	for p := 0; p < procs; p++ {
-		mgr, err := core.NewGraphShared(cfg.GraphSpec(), sp, p, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pcfg := Config{Manager: mgr}
-		if logs != nil {
-			pcfg.Log = logs[p]
-		}
-		if _, err := sys.NewProcess(p, img, pcfg); err != nil {
-			t.Fatal(err)
-		}
+}
+
+// addSharedProcess adds process p, with private tiers cfg, to a system with
+// a shared tier.
+func addSharedProcess(t *testing.T, sys *System, p int, img *program.Image, cfg core.Config, o obs.Observer, log *tracelog.Writer) *Process {
+	t.Helper()
+	mgr, err := core.NewGraphShared(cfg.GraphSpec(), sys.Shared(), p, o)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return sys, sp
+	proc, err := sys.NewProcess(p, img, Config{Manager: mgr, Log: log})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return proc
 }
 
 func TestSharedAdoptionAndOwnerAwareUnmap(t *testing.T) {
-	img := buildPluginHotProgram(t)
+	img := buildPluginHotProgram(t, 1)
 	size := maxTraceSize(t, img)
 
 	// Record every shared-tier unmap event: owner-aware unmapping must emit
@@ -187,12 +204,228 @@ func TestSharedAdoptionAndOwnerAwareUnmap(t *testing.T) {
 	}
 }
 
+// The TestSession tests follow a process's session on the shared tier — its
+// guest's run, from its first publication to its module unloads — one block
+// at a time and check owner counts between steps;
+// TestSharedAdoptionAndOwnerAwareUnmap checks only the end of a run.
+
+// stepUntil runs p's guest one block at a time until cond holds after a
+// block (nil: never) or the guest finishes. It reports whether cond held.
+func stepUntil(t *testing.T, p *Process, g Guest, cond func() bool) bool {
+	t.Helper()
+	var st Step
+	for {
+		done, err := p.step(g, &st, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if done {
+			return false
+		}
+		if cond != nil && cond() {
+			return true
+		}
+	}
+}
+
+// residentIDs returns the IDs of the shared tier's resident traces.
+func residentIDs(sp *core.SharedPersistent) []uint64 {
+	var ids []uint64
+	for _, f := range sp.Fragments() {
+		ids = append(ids, f.ID)
+	}
+	return ids
+}
+
+// TestSessionPublishAdoptDrain: a published trace gets a nonzero ID and its
+// publisher as sole owner; a second process adopts it under that ID and the
+// publisher's body, adding an owner; the publisher's unmap leaves it
+// resident on the adopter's reference, and the adopter's unmap drains it.
+func TestSessionPublishAdoptDrain(t *testing.T) {
+	img := buildPluginHotProgram(t, 1)
+	sys, sp := sharedSystem(t, img, 2, maxTraceSize(t, img), nil, nil)
+	procs := sys.Procs()
+	g0, g1 := &VMGuest{M: vm.New(img)}, &VMGuest{M: vm.New(img)}
+
+	if !stepUntil(t, procs[0], g0, func() bool { return sp.Used() > 0 }) {
+		t.Fatal("process 0 finished without publishing a trace")
+	}
+	published := make(map[uint64]*trace.Trace)
+	for _, id := range residentIDs(sp) {
+		body, ok := procs[0].TraceByID(id)
+		if id == 0 || !ok || sp.Owners(id) != 1 {
+			t.Fatalf("published trace %d: body known to its publisher %v, %d owners; want a nonzero ID, a body and 1 owner",
+				id, ok, sp.Owners(id))
+		}
+		published[id] = body
+	}
+
+	if !stepUntil(t, procs[1], g1, func() bool { return procs[1].Stats().SharedAdopted > 0 }) {
+		t.Fatal("process 1 finished without adopting a trace")
+	}
+	var adopted uint64
+	for _, id := range residentIDs(sp) {
+		if sp.Owners(id) == 2 {
+			if adopted != 0 {
+				t.Fatalf("traces %d and %d both have 2 owners after one adoption", adopted, id)
+			}
+			adopted = id
+		}
+	}
+	body, ok := procs[1].TraceByID(adopted)
+	if adopted == 0 || published[adopted] == nil || !ok || body != published[adopted] {
+		t.Fatalf("adopted trace %d: published by process 0 %v, adopter runs the publisher's body %v",
+			adopted, published[adopted] != nil, ok && body == published[adopted])
+	}
+
+	// The publisher's guest unloads the plugin and halts: only its own
+	// references drop, so the adopted trace stays on process 1's.
+	stepUntil(t, procs[0], g0, nil)
+	if !sp.Contains(adopted) || sp.Owners(adopted) != 1 {
+		t.Fatalf("after the publisher's unmap, adopted trace %d resident %v with %d owners; want resident with 1",
+			adopted, sp.Contains(adopted), sp.Owners(adopted))
+	}
+	// The adopter unloads it too: last owner, so the tier drains empty.
+	stepUntil(t, procs[1], g1, nil)
+	if sp.Contains(adopted) || sp.Used() != 0 {
+		t.Fatalf("after the last owner's unmap, trace %d resident %v, tier holds %d bytes; want drained",
+			adopted, sp.Contains(adopted), sp.Used())
+	}
+	if err := sp.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSessionKeepWarmSurvivesTeardown: a reference held by an owner that is
+// no process — a resident service's keep-warm reference — keeps published
+// traces resident after their publisher's guest unloads the module and
+// halts, and a process created afterwards adopts them warm.
+func TestSessionKeepWarmSurvivesTeardown(t *testing.T) {
+	const keepWarm = -1 // no process's ID
+	img := buildPluginHotProgram(t, 1)
+	size := maxTraceSize(t, img)
+	sys, sp := sharedSystem(t, img, 1, size, nil, nil)
+	g0 := &VMGuest{M: vm.New(img)}
+	if !stepUntil(t, sys.Procs()[0], g0, func() bool { return sp.Used() > 0 }) {
+		t.Fatal("process 0 finished without publishing a trace")
+	}
+	warm := residentIDs(sp)
+	for _, id := range warm {
+		if !sp.AttachWarm(keepWarm, id) || sp.Owners(id) != 2 {
+			t.Fatalf("keep-warm attach to trace %d left %d owners, want 2", id, sp.Owners(id))
+		}
+	}
+	if n := sp.Stats().Adoptions; n != 0 {
+		t.Fatalf("keep-warm attaches counted %d adoptions, want 0", n)
+	}
+
+	// Teardown: the publisher unloads the plugin and halts.
+	stepUntil(t, sys.Procs()[0], g0, nil)
+	if got := residentIDs(sp); !slices.Equal(got, warm) {
+		t.Fatalf("resident after teardown: %v, want the kept-warm %v", got, warm)
+	}
+	for _, id := range warm {
+		if n := sp.Owners(id); n != 1 {
+			t.Fatalf("kept-warm trace %d has %d owners after teardown, want 1", id, n)
+		}
+	}
+
+	// A later process adopts every kept-warm trace, then leaves in turn.
+	p1 := addSharedProcess(t, sys, 1, img, oneTraceTiers(size), nil, nil)
+	g1 := &VMGuest{M: vm.New(img)}
+	if !stepUntil(t, p1, g1, func() bool { return p1.Stats().SharedAdopted == uint64(len(warm)) }) {
+		t.Fatalf("later process finished having adopted %d traces, want %d", p1.Stats().SharedAdopted, len(warm))
+	}
+	for _, id := range warm {
+		if _, ok := p1.TraceByID(id); !ok || sp.Owners(id) != 2 {
+			t.Fatalf("warm trace %d: adopter runs it %v, %d owners; want true, 2", id, ok, sp.Owners(id))
+		}
+	}
+	stepUntil(t, p1, g1, nil)
+	for _, id := range warm {
+		if !sp.Contains(id) || sp.Owners(id) != 1 {
+			t.Fatalf("kept-warm trace %d after the adopter left: resident %v, %d owners; want resident with 1",
+				id, sp.Contains(id), sp.Owners(id))
+		}
+	}
+	if err := sp.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSessionLogUnmapReleasesModule: a guest's unload releases only its own
+// process's references, and only under the unloaded module. Both processes
+// hold the traces process 0 published from plugins 1 and 2; process 0's
+// unload of plugin 1 leaves plugin 1's on process 1's reference, process 1's
+// unload drains them, and plugin 2's keep both owners throughout.
+func TestSessionLogUnmapReleasesModule(t *testing.T) {
+	img := buildPluginHotProgram(t, 2)
+	size := maxTraceSize(t, img)
+	// Of the four traces in rotation, one-trace tiers would push none
+	// through to the shared tier: each leaves the probation before it runs
+	// again. A probation of four traces holds each until its next run.
+	cfg := oneTraceTiers(size)
+	cfg.TotalCapacity = size * 9
+	cfg.NurseryFrac, cfg.ProbationFrac = 1.0/6, 1.0/2
+	sp := core.NewSharedPersistent(10*size, nil, nil)
+	sys := NewSystem(sp)
+	procs := []*Process{addSharedProcess(t, sys, 0, img, cfg, nil, nil), addSharedProcess(t, sys, 1, img, cfg, nil, nil)}
+	g0, g1 := &VMGuest{M: vm.New(img)}, &VMGuest{M: vm.New(img)}
+
+	byModule := func() map[uint16][]uint64 {
+		ids := make(map[uint16][]uint64)
+		for _, f := range sp.Fragments() {
+			ids[f.Module] = append(ids[f.Module], f.ID)
+		}
+		return ids
+	}
+	if !stepUntil(t, procs[0], g0, func() bool { m := byModule(); return len(m[1]) > 0 && len(m[2]) > 0 }) {
+		t.Fatal("process 0 finished without publishing a trace from each plugin")
+	}
+	pub := byModule()
+	if !stepUntil(t, procs[1], g1, func() bool {
+		for _, ids := range pub {
+			for _, id := range ids {
+				if sp.Owners(id) != 2 {
+					return false
+				}
+			}
+		}
+		return true
+	}) {
+		t.Fatal("process 1 finished without adopting every trace process 0 published")
+	}
+
+	check := func(step string, want1, want2 int) {
+		t.Helper()
+		for mod, want := range map[uint16]int{1: want1, 2: want2} {
+			for _, id := range pub[mod] {
+				if n := sp.Owners(id); n != want || sp.Contains(id) != (want > 0) {
+					t.Fatalf("%s: plugin %d's trace %d has %d owners (resident %v), want %d",
+						step, mod, id, n, sp.Contains(id), want)
+				}
+			}
+		}
+	}
+	check("both hold", 2, 2)
+	stepUntil(t, procs[0], g0, nil)
+	check("process 0 unloaded plugin 1", 1, 2)
+	stepUntil(t, procs[1], g1, nil)
+	check("process 1 unloaded plugin 1", 0, 2)
+	if got := byModule()[1]; len(got) != 0 {
+		t.Fatalf("plugin 1's traces %v resident after every process unloaded it", got)
+	}
+	if err := sp.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestRunConcurrentShared(t *testing.T) {
 	// The same scenario on one goroutine per process: private front-end
 	// state stays per-goroutine while the shared tier and the system's ID
 	// allocator are hit concurrently. The race detector validates the
 	// locking (scripts/ci.sh runs the package under -race).
-	img := buildPluginHotProgram(t)
+	img := buildPluginHotProgram(t, 1)
 	size := maxTraceSize(t, img)
 	const procs = 4
 	sys, sp := sharedSystem(t, img, procs, size, nil, nil)
@@ -221,7 +454,7 @@ func TestRunConcurrentShared(t *testing.T) {
 func TestRoundRobinDeterminism(t *testing.T) {
 	// A fixed schedule plus fixed guests must give bit-identical aggregate
 	// statistics and per-process event logs across runs.
-	img := buildPluginHotProgram(t)
+	img := buildPluginHotProgram(t, 1)
 	size := maxTraceSize(t, img)
 	const procs = 3
 
@@ -288,7 +521,7 @@ func TestRoundRobinDeterminism(t *testing.T) {
 func TestSingleProcSharedMatchesPlain(t *testing.T) {
 	// With one process, the shared tier must behave exactly like a private
 	// persistent cache: identical run statistics.
-	img := buildPluginHotProgram(t)
+	img := buildPluginHotProgram(t, 1)
 	size := maxTraceSize(t, img)
 	cfg := core.Config{
 		TotalCapacity:    size * 9 / 2,
@@ -340,7 +573,7 @@ func TestSingleProcSharedMatchesPlain(t *testing.T) {
 // callers build one from a GraphSpec (core.NewGraph, or core.NewGraphShared
 // over a system's shared tier) — so a Config without one is rejected.
 func TestConfigRequiresManager(t *testing.T) {
-	img := buildPluginHotProgram(t)
+	img := buildPluginHotProgram(t, 1)
 	if _, err := New(img, Config{}); err == nil {
 		t.Error("Config without a Manager should fail")
 	}
@@ -379,7 +612,7 @@ func TestConfigTiersAdaptive(t *testing.T) {
 	}
 
 	// One unbounded pass to learn the total trace footprint.
-	drive := func(e *Engine) {
+	drive := func(e *Process) {
 		t.Helper()
 		fns := img.Modules[0].Functions
 		for round := 0; round < 200; round++ {

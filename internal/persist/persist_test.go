@@ -190,7 +190,7 @@ func TestWarmStartEndToEnd(t *testing.T) {
 	}
 	capacity := uint64(256 << 10)
 
-	runOnce := func(preloaded []*trace.Trace) (dbt.RunStats, *core.Graph, *dbt.Engine) {
+	runOnce := func(preloaded []*trace.Trace) (dbt.RunStats, *core.Graph, *dbt.Process) {
 		g, err := core.NewGraph(core.Layout451045Threshold1(capacity).GraphSpec(), nil)
 		if err != nil {
 			t.Fatal(err)

@@ -530,6 +530,15 @@ type SessionConfig struct {
 	Tenant string
 }
 
+// ValidCapFrac reports whether f is an accepted capacity fraction, in
+// (0, 16]. Like ValidPressure it is written as an acceptance, so NaN, which
+// compares false with everything, fails it. The session query string and
+// ccsim's -capfrac are both checked through these.
+func ValidCapFrac(f float64) bool { return f > 0 && f <= 16 }
+
+// ValidPressure reports whether f is an accepted load pressure, in [0, 1].
+func ValidPressure(f float64) bool { return f >= 0 && f <= 1 }
+
 // GraphSpec turns the configuration into the tier graph a replay over
 // capacity bytes runs: the one-tier unified baseline (Unified), an arbitrary
 // graph (Tiers), or the stock generational chain from Layout and Threshold.

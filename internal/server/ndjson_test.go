@@ -25,20 +25,17 @@ func TestEventLinesDoNotAllocate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess, err := srv.sys.OpenSession()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
 	nw := newNDJSONWriter(srv, &discardResponse{h: http.Header{}})
-	sr := newSessionRun(srv, sess, nw)
+	sr := newSessionRun(srv)
+	defer sr.close()
+	sr.enc = nw
 	sr.acc = costmodel.NewAccum(costmodel.DefaultModel)
-	sr.tally.Proc = sess.ID()
+	sr.tally.Proc = sr.id
 
 	events := []obs.Event{
-		{Kind: obs.KindInsert, Trace: 1 << 40, Size: 480, Module: 3, To: obs.LevelNursery, Proc: sess.ID()},
-		{Kind: obs.KindPromote, Trace: 77, Size: 480, Module: 3, From: obs.LevelNursery, To: obs.LevelProbation, Proc: sess.ID()},
-		{Kind: obs.KindEvict, Trace: 78, Size: 96, From: obs.LevelProbation, Proc: sess.ID()},
+		{Kind: obs.KindInsert, Trace: 1 << 40, Size: 480, Module: 3, To: obs.LevelNursery, Proc: sr.id},
+		{Kind: obs.KindPromote, Trace: 77, Size: 480, Module: 3, From: obs.LevelNursery, To: obs.LevelProbation, Proc: sr.id},
+		{Kind: obs.KindEvict, Trace: 78, Size: 96, From: obs.LevelProbation, Proc: sr.id},
 		{Kind: obs.KindProgress, Benchmark: "word", Done: 16384, Total: 70000},
 	}
 	for i := range events {

@@ -29,7 +29,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/codecache"
-	"repro/internal/dbt"
 	"repro/internal/persist"
 	"repro/internal/server/api"
 )
@@ -239,13 +238,12 @@ func (s *Server) importRecord(k cluster.Key, size uint64) bool {
 	if f, resident := s.sp.ResidentFragment(gmod, k.Head); resident {
 		return f.Size == size
 	}
-	id := s.sys.NextTraceID()
 	var owners []int
 	if s.cfg.KeepWarm {
-		owners = []int{dbt.KeepWarmOwner}
+		owners = []int{keepWarmOwner}
 	}
 	err := s.sp.InsertWarm(owners, codecache.Fragment{
-		ID: id, Size: size, Module: gmod, HeadAddr: k.Head,
+		ID: s.traceIDs.Add(1), Size: size, Module: gmod, HeadAddr: k.Head,
 	})
 	return err == nil
 }

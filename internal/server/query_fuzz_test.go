@@ -13,7 +13,8 @@ import (
 // before admission rather than after the session has taken a replay slot
 // and read its body. Parsing is deterministic: sixteen parses of one query
 // must agree on the config, the events flag and the error text, so a query
-// with several malformed parameters always names the same one.
+// with several malformed parameters always names the same one. Configs
+// compare with ==, so a NaN that reached one fails the comparison.
 func FuzzSessionQuery(f *testing.F) {
 	f.Add("tiers=garbage")
 	f.Add("tiers=30-10-20-40@1,2&adaptive=1&policy=auto&selepoch=5")
@@ -24,22 +25,28 @@ func FuzzSessionQuery(f *testing.F) {
 	f.Add("policy=auto:lru&selepoch=0")
 	f.Add("unified=x&attrib=y&events=z&adaptive=w")
 	f.Add("aepoch=0&selepoch=x&pressure=2")
+	f.Add("capfrac=NaN")
+	f.Add("pressure=NaN")
 	f.Fuzz(func(t *testing.T, raw string) {
-		// Parses are compared as text: a NaN float parses, and NaN != NaN.
-		parse := func() (SessionConfig, string, error) {
-			cfg, events, err := parseParams(&http.Request{URL: &url.URL{RawQuery: raw}})
-			return cfg, fmt.Sprintf("%+v events=%v err=%v", cfg, events, err), err
+		type parsed struct {
+			cfg    SessionConfig
+			events bool
+			err    string
 		}
-		cfg, first, err := parse()
+		parse := func() (parsed, error) {
+			cfg, events, err := parseParams(&http.Request{URL: &url.URL{RawQuery: raw}})
+			return parsed{cfg, events, fmt.Sprint(err)}, err
+		}
+		first, err := parse()
 		for i := 1; i < 16; i++ {
-			if _, again, _ := parse(); again != first {
-				t.Fatalf("parse %d of %q differs:\n  first: %s\n  now:   %s", i+1, raw, first, again)
+			if again, _ := parse(); again != first {
+				t.Fatalf("parse %d of %q differs:\n  first: %+v\n  now:   %+v", i+1, raw, first, again)
 			}
 		}
 		if err != nil {
 			return
 		}
-		if _, err := cfg.GraphSpec(1<<20, false); err != nil {
+		if _, err := first.cfg.GraphSpec(1<<20, false); err != nil {
 			t.Fatalf("parseParams accepted %q, but its spec does not build: %v", raw, err)
 		}
 	})

@@ -27,13 +27,9 @@ type SessionConfig = api.SessionConfig
 // owns admission (the day engine decides admit/queue/reject on its virtual
 // clock before ever calling this).
 func (s *Server) ServeSession(cfg SessionConfig, logData []byte) (api.SessionResult, error) {
-	sess, err := s.sys.OpenSession()
-	if err != nil {
-		s.recordFailure()
-		return api.SessionResult{}, err
-	}
-	defer sess.Close()
-	out, err := s.serveSession(cfg, sess, bytes.NewReader(logData), nil)
+	sr := newSessionRun(s)
+	defer sr.close()
+	out, err := s.serveSession(cfg, sr, bytes.NewReader(logData))
 	if err != nil {
 		return api.SessionResult{}, err
 	}

@@ -1,6 +1,6 @@
 // Package server implements gencached, the resident cache-simulation
 // service: one long-running process multiplexing many concurrent client
-// sessions over a single dbt.System with a shared persistent generation.
+// sessions over one shared persistent generation.
 //
 // Each session POSTs a workload event log (tracelog wire format, either
 // framing) and gets back the same result an offline ccsim run of that log
@@ -30,7 +30,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/costmodel"
-	"repro/internal/dbt"
 	"repro/internal/obs"
 	"repro/internal/persist"
 	"repro/internal/profiling"
@@ -102,7 +101,6 @@ func (c *Config) fillDefaults() {
 type Server struct {
 	cfg     Config
 	model   costmodel.Model
-	sys     *dbt.System
 	sp      *core.SharedPersistent
 	counter *stats.EventCounter
 	router  *obsRouter
@@ -121,6 +119,14 @@ type Server struct {
 	peerClient *http.Client
 
 	draining atomic.Bool
+
+	// sessionIDs and traceIDs allocate the IDs of sessions (each session's
+	// owner ID in the shared tier) and of shared-tier traces. Both hand out 1
+	// first: owner 0 is keepWarmOwner, and a zero trace ID means "not yet
+	// published". Publications and imports draw trace IDs from the one
+	// allocator, so IDs stay unique across every path into the tier.
+	sessionIDs atomic.Int64
+	traceIDs   atomic.Uint64
 
 	// attrib aggregates every attribution-enabled session's ledger snapshot
 	// into the server-wide /v1/attrib report and miss-cause metrics.
@@ -171,13 +177,10 @@ func New(cfg Config) (*Server, error) {
 	counter := stats.NewEventCounter()
 	router := newObsRouter()
 	sp := core.NewSharedPersistent(cfg.SharedCapacity, nil, obs.Combine(counter, router))
-	sys := dbt.NewSystem(sp)
-	sys.SetKeepWarm(cfg.KeepWarm)
 	clock := simclock.Default(cfg.Clock)
 	s := &Server{
 		cfg:     cfg,
 		model:   model,
-		sys:     sys,
 		sp:      sp,
 		counter: counter,
 		router:  router,
@@ -295,9 +298,6 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // WarmStats reports what the startup warm start restored.
 func (s *Server) WarmStats() WarmStats { return s.warm }
 
-// System exposes the underlying dbt system (tests and diagnostics).
-func (s *Server) System() *dbt.System { return s.sys }
-
 // Shared exposes the shared persistent tier (tests and diagnostics).
 func (s *Server) Shared() *core.SharedPersistent { return s.sp }
 
@@ -391,7 +391,7 @@ func (s *Server) DeployUnmap(bench string) int {
 	}
 	mods := s.mods.benchModules(bench)
 	for _, g := range mods {
-		s.sp.UnmapModule(dbt.KeepWarmOwner, g)
+		s.sp.UnmapModule(keepWarmOwner, g)
 	}
 	return len(mods)
 }

@@ -365,7 +365,7 @@ func TestStaleSnapshotSkipped(t *testing.T) {
 }
 
 // TestTeardownDrainsSharedTier: without keep-warm the server holds no
-// reference of its own, so a session's teardown (the deferred Close behind
+// reference of its own, so a session's teardown (the deferred close behind
 // every handler) drains its published traces from the shared tier.
 func TestTeardownDrainsSharedTier(t *testing.T) {
 	data := syntheticLog(t, "word")
@@ -490,6 +490,8 @@ func TestBadRequests(t *testing.T) {
 		status    int
 	}{
 		{"bad capfrac", base + "?" + api.ParamCapFrac + "=-1", nil, http.StatusBadRequest},
+		{"NaN capfrac", base + "?" + api.ParamCapFrac + "=NaN", data, http.StatusBadRequest},
+		{"NaN pressure", base + "?" + api.ParamPressure + "=NaN", data, http.StatusBadRequest},
 		{"bad layout", base + "?" + api.ParamLayout + "=nope", nil, http.StatusBadRequest},
 		{"bad capacity", base + "?" + api.ParamCapacity + "=0", nil, http.StatusBadRequest},
 		{"bad tiers", base + "?" + api.ParamTiers + "=garbage", data, http.StatusBadRequest},
@@ -534,8 +536,8 @@ func TestBodyLimit(t *testing.T) {
 // gencached_cache_events_total{kind,level} must equal the session's event
 // lines tallied by kind and level (the to level for insert and promote, the
 // from level otherwise, no level counting as unified). The one exception is
-// {unmap,persistent}: the traces Session.Close drains from the shared tier
-// leave after the stream's closing line, so that series is the stream's
+// {unmap,persistent}: the traces the session's close drains from the shared
+// tier leave after the stream's closing line, so that series is the stream's
 // count plus gencached_shared_tier_drained_total. A lost or doubled fold of
 // a session's event tally breaks the equality.
 func TestMetricsExposed(t *testing.T) {

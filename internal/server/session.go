@@ -8,14 +8,15 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 
 	"repro/internal/attrib"
 	"repro/internal/cluster"
+	"repro/internal/codecache"
 	"repro/internal/core"
 	"repro/internal/costmodel"
-	"repro/internal/dbt"
 	"repro/internal/obs"
 	"repro/internal/server/api"
 	"repro/internal/sim"
@@ -44,7 +45,7 @@ func parseParams(r *http.Request) (SessionConfig, bool, error) {
 	}
 	if v := q.Get(api.ParamCapFrac); v != "" {
 		f, err := strconv.ParseFloat(v, 64)
-		if err != nil || f <= 0 || f > 16 {
+		if err != nil || !api.ValidCapFrac(f) {
 			return c, false, fmt.Errorf("bad %s %q", api.ParamCapFrac, v)
 		}
 		c.CapFrac = f
@@ -71,7 +72,7 @@ func parseParams(r *http.Request) (SessionConfig, bool, error) {
 	}
 	if v := q.Get(api.ParamPressure); v != "" {
 		f, err := strconv.ParseFloat(v, 64)
-		if err != nil || f < 0 || f > 1 {
+		if err != nil || !api.ValidPressure(f) {
 			return c, false, fmt.Errorf("bad %s %q", api.ParamPressure, v)
 		}
 		c.Pressure = f
@@ -198,12 +199,17 @@ type identState struct {
 // Regenerated (conflict misses) probe it for an adoptable trace, private
 // promotions into the persistent generation publish to it, and Unmapped
 // releases the session's references — all bookkeeping layered beside the
-// replay, never inside it.
+// replay, never inside it. The session owns its share of the tier: the
+// references it holds under its ID, all released by close.
 type sessionRun struct {
-	srv  *Server
-	sess *dbt.Session
-	rep  *sim.Replayer
-	led  *attrib.Ledger // nil unless the session asked for attribution
+	srv *Server
+	id  int // the session's ID: its owner ID in the shared tier, its events' Proc
+	rep *sim.Replayer
+	led *attrib.Ledger // nil unless the session asked for attribution
+
+	// held lists the global modules the session holds shared-tier
+	// references under; close unmaps each.
+	held map[uint16]struct{}
 
 	bench  string
 	gmods  map[uint16]uint16 // log-local module → global module
@@ -229,14 +235,16 @@ type sessionRun struct {
 	enc *ndjsonWriter // nil unless events mode
 }
 
-func newSessionRun(srv *Server, sess *dbt.Session, enc *ndjsonWriter) *sessionRun {
+// newSessionRun opens a session on srv under a fresh session ID. Its caller
+// defers close, the session's drain, and sets enc in events mode.
+func newSessionRun(srv *Server) *sessionRun {
 	return &sessionRun{
 		srv:    srv,
-		sess:   sess,
+		id:     int(srv.sessionIDs.Add(1)),
+		held:   make(map[uint16]struct{}),
 		gmods:  make(map[uint16]uint16),
 		gmodOK: make(map[uint16]bool),
 		idents: make(map[identKey]*identState),
-		enc:    enc,
 	}
 }
 
@@ -303,7 +311,7 @@ func (sr *sessionRun) publish(trace uint64) {
 		st = &identState{}
 		sr.idents[key] = st
 	}
-	gid, err := sr.sess.Publish(st.gid, uint64(size), gmod, head)
+	gid, err := sr.promote(st.gid, gmod, head, uint64(size))
 	if err != nil {
 		// The trace cannot live in the shared tier (bigger than the whole
 		// tier); it simply is not shared.
@@ -335,7 +343,7 @@ func (sr *sessionRun) tryAdopt(local uint16, head uint64, size uint32) bool {
 	if st != nil && st.adopted {
 		return true
 	}
-	gid, ok := sr.sess.Adopt(gmod, head, uint64(size))
+	gid, ok := sr.adopt(gmod, head, uint64(size))
 	if !ok {
 		return false
 	}
@@ -378,7 +386,7 @@ func (sr *sessionRun) tryRemoteAdopt(local uint16, head uint64, size uint32) boo
 			Trace:  r.TraceID,
 			Size:   uint64(size),
 			Module: local,
-			Proc:   sr.sess.ID(),
+			Proc:   sr.id,
 			Node:   r.Node,
 		}
 		sr.srv.counter.Observe(e)
@@ -437,7 +445,7 @@ func (sr *sessionRun) Regenerated(trace uint64, size uint32, module uint16, head
 func (sr *sessionRun) Unmapped(module uint16) {
 	if ok, seen := sr.gmodOK[module]; seen && ok {
 		gmod := sr.gmods[module]
-		sr.sess.UnmapModule(gmod)
+		sr.unmap(gmod)
 		// The refs under this module are gone; a reloaded module may
 		// re-adopt, so the identities forget their held state.
 		for key, st := range sr.idents {
@@ -445,6 +453,69 @@ func (sr *sessionRun) Unmapped(module uint16) {
 				st.adopted = false
 			}
 		}
+	}
+}
+
+// keepWarmOwner is the shared-tier owner ID the server itself holds on the
+// traces it keeps warm (Config.KeepWarm). Session IDs start at 1, so it
+// never collides with a session.
+const keepWarmOwner = 0
+
+// adopt attaches the session to the trace published for a code identity,
+// if one is resident and its size matches: a size mismatch means a
+// different build of the module, not the same code, so not shareable. It
+// returns the adopted trace's ID.
+func (sr *sessionRun) adopt(gmod uint16, head, size uint64) (uint64, bool) {
+	sp := sr.srv.sp
+	f, ok := sp.ResidentFragment(gmod, head)
+	if !ok || f.Size != size || !sp.Attach(sr.id, f.ID) {
+		return 0, false
+	}
+	sr.held[gmod] = struct{}{}
+	return f.ID, true
+}
+
+// promote publishes a trace into the shared tier, owned by the session. id
+// is the trace's ID from an earlier promote or adopt of the same code, so a
+// re-promotion after an eviction keeps its identity, or 0 to allocate one
+// (before the tier decides: a refused trace still spends it). With KeepWarm
+// the server takes its own reference too, and the trace outlives the
+// session. A non-nil error means the trace cannot live in the tier.
+func (sr *sessionRun) promote(id uint64, gmod uint16, head, size uint64) (uint64, error) {
+	if id == 0 {
+		id = sr.srv.traceIDs.Add(1)
+	}
+	sp := sr.srv.sp
+	if err := sp.Promote(sr.id, codecache.Fragment{ID: id, Size: size, Module: gmod, HeadAddr: head}); err != nil {
+		return id, err
+	}
+	if sr.srv.cfg.KeepWarm {
+		sp.AttachWarm(keepWarmOwner, id)
+	}
+	sr.held[gmod] = struct{}{}
+	return id, nil
+}
+
+// unmap releases the session's references under one module: its workload
+// unloaded the module. Owner-aware: traces another session or the keep-warm
+// owner still holds stay resident; traces whose last owner left drain.
+func (sr *sessionRun) unmap(gmod uint16) {
+	delete(sr.held, gmod)
+	sr.srv.sp.UnmapModule(sr.id, gmod)
+}
+
+// close is the session's drain: it releases every module the session still
+// holds, owner-aware, in ascending module order, so a session's teardown
+// drains deterministically whatever its peers do. Every session's owner
+// defers it, failed sessions included.
+func (sr *sessionRun) close() {
+	mods := make([]uint16, 0, len(sr.held))
+	for m := range sr.held {
+		mods = append(mods, m)
+	}
+	slices.Sort(mods)
+	for _, m := range mods {
+		sr.unmap(m)
 	}
 }
 
@@ -481,13 +552,8 @@ func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.adm.release()
 
-	sess, err := s.sys.OpenSession()
-	if err != nil {
-		s.recordFailure()
-		jsonError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	defer sess.Close()
+	sr := newSessionRun(s)
+	defer sr.close()
 
 	body := &countingReader{r: http.MaxBytesReader(w, r.Body, s.cfg.MaxSessionBytes)}
 
@@ -495,15 +561,17 @@ func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
 	if events {
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		enc = newNDJSONWriter(s, w)
+		sr.enc = enc
 		// Shared-tier events caused by this session's publishes, adoptions,
 		// and unmaps carry its ID; route them into the merged feed. The
-		// traces Session.Close drains leave after the closing line, so the
-		// server's counter sees them and the stream never does.
-		s.router.attach(sess.ID(), enc)
-		defer s.router.detach(sess.ID())
+		// traces close drains leave after the router detaches and after the
+		// closing line, so the server's counter sees them and the stream
+		// never does.
+		s.router.attach(sr.id, enc)
+		defer s.router.detach(sr.id)
 	}
 
-	out, err := s.serveSession(cfg, sess, body, enc)
+	out, err := s.serveSession(cfg, sr, body)
 	if err != nil {
 		s.failSession(w, enc, err)
 		return
@@ -532,15 +600,15 @@ func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
 // alongside (handleSession and ServeSession), then fills in the service-side
 // fields and folds the session's attribution into the server-wide and tenant
 // aggregates. Failures are counted here; the caller records the result,
-// since only it knows how many body bytes the session consumed.
-func (s *Server) serveSession(cfg SessionConfig, sess *dbt.Session, body io.Reader, enc *ndjsonWriter) (api.SessionResult, error) {
-	sr := newSessionRun(s, sess, enc)
+// since only it knows how many body bytes the session consumed, and closes
+// the session.
+func (s *Server) serveSession(cfg SessionConfig, sr *sessionRun, body io.Reader) (api.SessionResult, error) {
 	out, snap, err := replayLog(cfg, s.model, body, sr)
 	if err != nil {
 		s.recordFailure()
 		return api.SessionResult{}, err
 	}
-	out.Session = sess.ID()
+	out.Session = sr.id
 	out.Shared = api.SharedSavings{
 		Adoptions:            sr.adoptions,
 		Published:            sr.published,
@@ -683,7 +751,7 @@ func startReplay(cfg SessionConfig, model costmodel.Model, bench string, capacit
 	var progress obs.Observer
 	if sr != nil {
 		sr.acc = acc
-		sr.tally.Proc = sr.sess.ID()
+		sr.tally.Proc = sr.id
 		o = sr
 		if sr.enc != nil {
 			progress = sr.enc
@@ -695,7 +763,7 @@ func startReplay(cfg SessionConfig, model costmodel.Model, bench string, capacit
 		return nil, err
 	}
 	if sr != nil {
-		mgr.SetProcID(sr.sess.ID())
+		mgr.SetProcID(sr.id)
 	}
 	if cfg.Pressure > 0 {
 		// The pressure the session was admitted under is part of its

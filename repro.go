@@ -51,7 +51,7 @@ type (
 	// Bench is a synthesized benchmark: image plus execution plan.
 	Bench = workload.Bench
 	// Engine is the dynamic-optimizer engine.
-	Engine = dbt.Engine
+	Engine = dbt.Process
 	// EngineConfig parameterizes the engine.
 	EngineConfig = dbt.Config
 	// Guest is a program under the engine's control.

@@ -1,6 +1,7 @@
 #!/bin/sh
 # Tier-1 gate: vet, build, and the full test suite under the race detector,
-# then a one-iteration benchmark run and short fuzz passes. The experiment
+# then the benchmark module's vet and smoke test, a one-iteration benchmark
+# run and short fuzz passes. The experiment
 # pipeline runs replays on a worker pool, so -race is part of the gate, not
 # an optional extra. Every other check, from the CLI goldens and the studies
 # to the examples and the wall-clock rule, is a Go test.
@@ -17,6 +18,9 @@ fi
 go vet ./...
 go build ./...
 go test -race ./...
+# perfbench is its own module (replace repro => ../), so ./... above never
+# builds it: vet it and run its smoke test against this checkout's library.
+(cd perfbench && go vet ./... && go test .)
 # Benchmark smoke run: one iteration of everything, so benchmarks can't rot.
 go test -run '^$' -bench . -benchtime 1x .
 # Short fuzz run over the tracelog decoder: seeds the corpus and catches
