@@ -18,8 +18,8 @@ import (
 
 	"repro/internal/server"
 	"repro/internal/server/api"
-	"repro/internal/server/client"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 // update rewrites testdata/golden.json from the current build instead of
@@ -166,11 +166,27 @@ func TestRefusedFlagCombinations(t *testing.T) {
 	}
 }
 
+// TestRefusedTierFractions checks that a NaN tier fraction in -layout or
+// -tiers is an error: ccsim exits nonzero without replaying a configuration.
+func TestRefusedTierFractions(t *testing.T) {
+	logPath, _ := goldenLog(t, t.TempDir())
+	for _, flags := range [][]string{
+		{"-layout", "NaN-50-50"},
+		{"-tiers", "NaN-50-50@1"},
+	} {
+		stdout, stderr, code := ccsim(t, append([]string{"-log", logPath}, flags...)...)
+		if code == 0 || bytes.Contains(stdout, []byte("accesses")) || bytes.Contains(stdout, []byte("miss-rate reduction")) {
+			t.Errorf("ccsim %s: exit status %d, want a refusal before any replay\nstdout:\n%s\nstderr:\n%s",
+				strings.Join(flags, " "), code, stdout, stderr)
+		}
+	}
+}
+
 // goldenLog writes the generated mpeg log into dir and returns its path and
 // bytes.
 func goldenLog(t *testing.T, dir string) (string, []byte) {
 	t.Helper()
-	data, err := client.SyntheticLog("mpeg", goldenScale)
+	data, err := workload.SyntheticLog("mpeg", goldenScale)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -250,13 +250,9 @@ func main() {
 		}
 	}
 
-	red := 0.0
-	if u.MissRate() > 0 {
-		red = 1 - g.MissRate()/u.MissRate()
-	}
+	cmp := sim.Comparison{Unified: u, Generational: g}
 	fmt.Fprintf(out, "\nmiss-rate reduction: %+.1f%%   misses eliminated: %d   overhead ratio: %.1f%%\n",
-		red*100, int64(u.Misses)-int64(g.Misses),
-		costmodel.OverheadRatio(g.Overhead, u.Overhead)*100)
+		cmp.MissRateReduction()*100, cmp.MissesEliminated(), cmp.OverheadRatio()*100)
 }
 
 // runShared is the -procs N>1 mode: the log is replayed once per simulated

@@ -181,11 +181,7 @@ func main() {
 	}
 	if want["cycles"] {
 		section("Section 6.2: estimated cycle impact of eliminated misses (45-10-45 @1)")
-		rows, err := experiments.CycleImpact(suite, fig9)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Print(experiments.RenderCycleImpact(rows))
+		fmt.Print(experiments.RenderCycleImpact(experiments.CycleImpact(suite, fig9)))
 	}
 	if want["sweep"] {
 		section("Section 6.1: configuration sweep (proportions x promotion threshold)")

@@ -19,6 +19,7 @@ import (
 	"repro/internal/server/client"
 	"repro/internal/simclock"
 	"repro/internal/stats"
+	"repro/internal/workload"
 )
 
 // loadtestMain drives N concurrent synthetic clients against a running
@@ -106,7 +107,7 @@ func loadtestMain(args []string) {
 		name = strings.TrimSpace(name)
 		benches[i] = name
 		benchIdx[name] = i
-		data, err := client.SyntheticLog(name, *scale)
+		data, err := workload.SyntheticLog(name, *scale)
 		if err != nil {
 			fatal(err)
 		}

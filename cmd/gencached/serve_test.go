@@ -14,6 +14,7 @@ import (
 	"repro/internal/server"
 	"repro/internal/server/api"
 	"repro/internal/server/client"
+	"repro/internal/workload"
 )
 
 // runMainEnv, when set in the environment, makes the test binary behave as
@@ -88,7 +89,7 @@ func TestServeRestart(t *testing.T) {
 	logs := make(map[string][]byte)
 	offline := make(map[string]api.SessionResult)
 	for _, bench := range []string{"word", "gzip"} {
-		data, err := client.SyntheticLog(bench, 0.03)
+		data, err := workload.SyntheticLog(bench, 0.03)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -14,10 +14,8 @@ import (
 	"os"
 
 	"repro/internal/buildinfo"
-	"repro/internal/core"
 	"repro/internal/dbt"
 	"repro/internal/stats"
-	"repro/internal/tracelog"
 	"repro/internal/workload"
 )
 
@@ -58,29 +56,16 @@ func main() {
 		fatal(err)
 	}
 	defer f.Close()
-	w, err := tracelog.NewWriter(f, tracelog.Header{
-		Benchmark:      p.Name,
-		DurationMicros: p.DurationMicros(),
-	})
+	s, n, err := b.Collect(f, dbt.Config{})
 	if err != nil {
 		fatal(err)
 	}
-
-	mgr := core.NewUnified(1<<40, nil, nil)
-	eng, err := dbt.New(b.Image, dbt.Config{Manager: mgr, Log: w})
-	if err != nil {
-		fatal(err)
-	}
-	if err := eng.Run(b.NewDriver(), 0); err != nil {
-		fatal(err)
-	}
-	s := eng.Stats()
 	fmt.Printf("%s: %s blocks executed, %s traces (%s), %s accesses, %s unmapped\n",
 		p.Name,
 		stats.FmtCount(s.Blocks),
 		stats.FmtCount(s.TracesCreated), stats.FmtBytes(s.TraceBytes),
 		stats.FmtCount(s.Accesses), stats.FmtBytes(s.UnmappedBytes))
-	fmt.Printf("wrote %s (%s events)\n", path, stats.FmtCount(w.Events()))
+	fmt.Printf("wrote %s (%s events)\n", path, stats.FmtCount(n))
 }
 
 func fatal(err error) {

@@ -119,15 +119,6 @@ func (c *AdoptionCache) Put(r Remote) {
 	c.stats.Inserted++
 }
 
-// Drop removes a key (a failed remote adoption invalidates the memo).
-func (c *AdoptionCache) Drop(k Key) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if id, ok := c.byKey[k]; ok {
-		c.dropLocked(id)
-	}
-}
-
 // DropNode removes every record learned from one node (a departed peer's
 // trace IDs are meaningless after it leaves) and returns how many went.
 func (c *AdoptionCache) DropNode(node string) int {
@@ -175,6 +166,3 @@ func (c *AdoptionCache) Stats() AdoptionStats {
 	s.UsedBytes = c.arena.Used()
 	return s
 }
-
-// PolicyName reports the governing policy's name.
-func (c *AdoptionCache) PolicyName() string { return c.pol.Name() }

@@ -180,9 +180,6 @@ func (n *Node) Transport(id string) Transport {
 // OwnedShards returns the shards this node owns under the current ring.
 func (n *Node) OwnedShards() []int { return n.Ring().Owned(n.cfg.NodeID) }
 
-// Owns reports whether this node owns the key's shard.
-func (n *Node) Owns(k Key) bool { return n.Ring().OwnerOf(k) == n.cfg.NodeID }
-
 // NotePublish queues a local publication for replication to its shard
 // owner. Publications this node owns need no replication (the local shared
 // tier is the shard) and return false.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -117,6 +118,31 @@ func TestConfigValidate(t *testing.T) {
 		}
 		if _, err := NewGraph(c.GraphSpec(), nil); err == nil {
 			t.Errorf("NewGraph accepted bad config %d", i)
+		}
+	}
+}
+
+// TestValidateRefusesNonFiniteFractions: a NaN or infinite tier fraction
+// fails Validate, on a one-tier and on a three-tier spec, and the CLI grammar
+// refuses the same values.
+func TestValidateRefusesNonFiniteFractions(t *testing.T) {
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		one := UnifiedSpec(1000, nil)
+		one.Tiers[0].Frac = v
+		for i := range 3 {
+			three := Layout451045Threshold1(1000).GraphSpec()
+			three.Tiers[i].Frac = v
+			if err := three.Validate(); err == nil {
+				t.Errorf("three-tier spec with tier %d fraction %v accepted", i, v)
+			}
+		}
+		if err := one.Validate(); err == nil {
+			t.Errorf("one-tier spec with fraction %v accepted", v)
+		}
+	}
+	for _, s := range []string{"NaN", "NaN-50-50", "50-NaN-50@1", "Inf", "-Inf-50-50"} {
+		if _, err := ParseTierSpec(s, 1000); err == nil {
+			t.Errorf("ParseTierSpec(%q) accepted", s)
 		}
 	}
 }

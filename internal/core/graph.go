@@ -135,7 +135,9 @@ type GraphSpec struct {
 	Attrib *attrib.Config
 }
 
-// Validate checks the specification.
+// Validate checks the specification. Its fraction checks are written as
+// acceptances, so a NaN fraction, which compares false with everything,
+// fails them.
 func (s GraphSpec) Validate() error {
 	if s.TotalCapacity == 0 {
 		return fmt.Errorf("core: zero total capacity")
@@ -145,12 +147,12 @@ func (s GraphSpec) Validate() error {
 	}
 	var sum float64
 	for _, t := range s.Tiers {
-		if t.Frac <= 0 {
+		if !(t.Frac > 0) {
 			return fmt.Errorf("core: every tier fraction must be positive")
 		}
 		sum += t.Frac
 	}
-	if sum < 0.999 || sum > 1.001 {
+	if !(sum >= 0.999 && sum <= 1.001) {
 		return fmt.Errorf("core: tier fractions sum to %.3f, want 1", sum)
 	}
 	for i, t := range s.Tiers {
@@ -571,10 +573,6 @@ func (g *Graph) Name() string { return g.name }
 
 // Spec returns the graph's specification.
 func (g *Graph) Spec() GraphSpec { return g.spec }
-
-// NumTiers returns the number of tiers in the graph (counting a shared
-// persistent tier).
-func (g *Graph) NumTiers() int { return len(g.spec.Tiers) }
 
 // arenaOf returns the private arena labelled with a level, or nil.
 func (g *Graph) arenaOf(l Level) *codecache.Arena {
@@ -1033,7 +1031,7 @@ func ParseTierSpec(s string, total uint64) (GraphSpec, error) {
 		sum += pct
 		spec.Tiers = append(spec.Tiers, ts)
 	}
-	if len(spec.Tiers) > 1 && (sum < 99.9 || sum > 100.1) {
+	if len(spec.Tiers) > 1 && !(sum >= 99.9 && sum <= 100.1) {
 		return GraphSpec{}, fmt.Errorf("core: tier percentages in %q sum to %.1f, want 100", s, sum)
 	}
 	if hasGates {

@@ -439,18 +439,3 @@ func (g *Graph) PersistPolicies() []string {
 	}
 	return out
 }
-
-// LiveSelectedPolicies returns, for each tier under selection, the level and
-// the live candidate's spec. Static graphs return nil.
-func (g *Graph) LiveSelectedPolicies() map[Level]string {
-	if g.sel == nil {
-		return nil
-	}
-	out := make(map[Level]string)
-	for _, st := range g.sel.tiers {
-		if st != nil {
-			out[st.t.level] = st.facs[st.live].Spec()
-		}
-	}
-	return out
-}

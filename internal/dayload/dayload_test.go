@@ -6,7 +6,7 @@ import (
 	"time"
 
 	"repro/internal/server"
-	"repro/internal/server/client"
+	"repro/internal/workload"
 )
 
 // testDay is a compressed two-benchmark day small enough for CI: the
@@ -25,7 +25,7 @@ func testDay(seed int64, sessions int) Spec {
 var testLogs = func() map[string][]byte {
 	logs := make(map[string][]byte)
 	for _, b := range []string{"gzip", "word", "solitaire"} {
-		data, err := client.SyntheticLog(b, 0.02)
+		data, err := workload.SyntheticLog(b, 0.02)
 		if err != nil {
 			panic(err)
 		}

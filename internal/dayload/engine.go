@@ -7,8 +7,8 @@ import (
 	"time"
 
 	"repro/internal/server"
-	"repro/internal/server/client"
 	"repro/internal/simclock"
+	"repro/internal/workload"
 )
 
 // Options configure one run of a day against one server instance.
@@ -147,7 +147,7 @@ func Run(spec Spec, opts Options) (*Result, error) {
 		if logs[b] != nil {
 			continue
 		}
-		data, err := client.SyntheticLog(b, spec.Scale)
+		data, err := workload.SyntheticLog(b, spec.Scale)
 		if err != nil {
 			return nil, fmt.Errorf("dayload: synthesizing %s: %w", b, err)
 		}

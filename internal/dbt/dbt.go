@@ -240,9 +240,6 @@ func (e *Process) TraceFor(head uint64) (*trace.Trace, bool) {
 	return t, ok
 }
 
-// Heads returns the head table (for tests and tools).
-func (e *Process) Heads() *bbcache.HeadTable { return e.heads }
-
 // Links returns the trace link table (for tests and tools).
 func (e *Process) Links() *linker.Table { return e.links }
 

@@ -163,9 +163,6 @@ func (s *System) NewProcess(id int, img *program.Image, cfg Config) (*Process, e
 // ID returns the process's ID within its system.
 func (e *Process) ID() int { return e.id }
 
-// System returns the process's back-end.
-func (e *Process) System() *System { return e.sys }
-
 // RunRoundRobin drives every process's guest to completion on one
 // goroutine, deterministically: processes execute quantum guest blocks each
 // in rotation, and process p is admitted into the rotation only once

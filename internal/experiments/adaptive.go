@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/costmodel"
-	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -45,34 +43,12 @@ type AdaptiveRow struct {
 // AdaptiveVsStatic replays every benchmark's log through the Figure 9 static
 // layouts and through an adaptive graph starting from the balanced split.
 func AdaptiveVsStatic(s *Suite) ([]AdaptiveRow, error) {
-	rows, err := perRun(s, func(r *Run) (*AdaptiveRow, error) {
-		capacity := r.MaxTraceBytes() / 2
-		if capacity == 0 {
-			return nil, nil
-		}
-		row := &AdaptiveRow{Name: r.Profile.Name, BestStatic: -1, WorstStatic: -1}
-		for _, cfg := range figure9Layouts(capacity) {
-			g, err := sim.ReplayGenerational(r.Profile.Name, r.Events, cfg, s.Model)
-			if err != nil {
-				return nil, err
-			}
-			row.Configs = append(row.Configs, configLabel(cfg))
-			row.Static = append(row.Static, g.MissRate())
-		}
-		for i, m := range row.Static {
-			if row.BestStatic < 0 || m < row.Static[row.BestStatic] {
-				row.BestStatic = i
-			}
-			if row.WorstStatic < 0 || m > row.Static[row.WorstStatic] {
-				row.WorstStatic = i
-			}
-		}
-
-		// Build the adaptive manager by hand (rather than via ReplayGraph) so
-		// the controller's own counters survive the replay. The controller
-		// adapts the capacity split only, so the graph keeps the paper's
-		// single-hit promote-on-access gate and starts from the neutral
-		// balanced split — the proportions are what it must discover online.
+	const adaptive = 3 // the adaptive graph replays after the three static layouts
+	m, err := replayMatrix(s, halfPeak, adaptive, func(capacity uint64) []core.GraphSpec {
+		// The controller adapts the capacity split only, so the graph keeps
+		// the paper's single-hit promote-on-access gate and starts from the
+		// neutral balanced split — the proportions are what it must discover
+		// online.
 		spec := core.Config{
 			TotalCapacity: capacity,
 			NurseryFrac:   1.0 / 3, ProbationFrac: 1.0 / 3, PersistentFrac: 1.0 / 3,
@@ -82,34 +58,27 @@ func AdaptiveVsStatic(s *Suite) ([]AdaptiveRow, error) {
 		// collects carry a few thousand to a few hundred thousand accesses,
 		// and the controller needs tens of decision points to walk the split.
 		spec.Adaptive = &core.AdaptiveConfig{Epoch: 512}
-		acc := costmodel.NewAccum(s.Model)
-		mgr, err := core.NewGraph(spec, sim.CostObserver(acc))
-		if err != nil {
-			return nil, err
+		return append(figure9Layouts(capacity), spec)
+	}, func(c replayed) (AdaptiveRow, bool) {
+		row := AdaptiveRow{Name: c.run.Profile.Name}
+		for i, spec := range figure9Layouts(c.capacity) {
+			row.Configs = append(row.Configs, layoutLabel(spec))
+			row.Static = append(row.Static, c.res[i].MissRate())
 		}
-		a, err := sim.Replay(r.Profile.Name, r.Events, mgr, acc, nil)
-		if err != nil {
-			return nil, err
-		}
-		row.Adaptive = a.MissRate()
-		if as, ok := mgr.AdaptiveStats(); ok {
+		row.BestStatic, row.WorstStatic = extremes(row.Static)
+		row.Adaptive = c.res[adaptive].MissRate()
+		if as, ok := c.graph.AdaptiveStats(); ok {
 			row.Resizes, row.Reverted = as.Resizes, as.Reversals
 		}
 		best, worst := row.Static[row.BestStatic], row.Static[row.WorstStatic]
 		row.BeatsWorst = row.Adaptive < worst || worst == best
 		row.WithinBest = row.Adaptive <= best*(1+AdaptiveTolerance) || best == 0
-		return row, nil
+		return row, true
 	})
 	if err != nil {
 		return nil, err
 	}
-	var out []AdaptiveRow
-	for _, row := range rows {
-		if row != nil {
-			out = append(out, *row)
-		}
-	}
-	return out, nil
+	return m[0], nil
 }
 
 // RenderAdaptiveVsStatic renders the comparison as text.
@@ -122,33 +91,54 @@ func RenderAdaptiveVsStatic(rows []AdaptiveRow) string {
 	header = append(header, "Adaptive", "Resizes", "Verdict")
 	t := stats.NewTable(header...)
 	for _, r := range rows {
-		cells := []string{r.Name}
-		for i, m := range r.Static {
-			label := fmt.Sprintf("%.3f%%", m*100)
-			switch i {
-			case r.BestStatic:
-				label += " (best)"
-			case r.WorstStatic:
-				label += " (worst)"
-			}
-			cells = append(cells, label)
-		}
+		cells := append([]string{r.Name}, staticCells(r.Static, r.BestStatic, r.WorstStatic)...)
 		cells = append(cells,
 			fmt.Sprintf("%.3f%%", r.Adaptive*100),
 			fmt.Sprintf("%d (-%d)", r.Resizes, r.Reverted),
-			adaptiveVerdict(r))
+			verdict(r.BeatsWorst, r.WithinBest))
 		t.AddRow(cells...)
 	}
 	return t.String()
 }
 
-func adaptiveVerdict(r AdaptiveRow) string {
+// extremes returns the indices of the lowest and the highest of xs, the
+// first of each on ties.
+func extremes(xs []float64) (lo, hi int) {
+	for i, x := range xs {
+		if x < xs[lo] {
+			lo = i
+		}
+		if x > xs[hi] {
+			hi = i
+		}
+	}
+	return lo, hi
+}
+
+// staticCells renders a row's static miss rates, marking the best and the
+// worst.
+func staticCells(static []float64, best, worst int) []string {
+	cells := make([]string, len(static))
+	for i, m := range static {
+		cells[i] = fmt.Sprintf("%.3f%%", m*100)
+		switch i {
+		case best:
+			cells[i] += " (best)"
+		case worst:
+			cells[i] += " (worst)"
+		}
+	}
+	return cells
+}
+
+// verdict words a controller's standing against the two bars.
+func verdict(beatsWorst, withinBest bool) string {
 	switch {
-	case r.BeatsWorst && r.WithinBest:
+	case beatsWorst && withinBest:
 		return "beats worst, within best"
-	case r.BeatsWorst:
+	case beatsWorst:
 		return "beats worst"
-	case r.WithinBest:
+	case withinBest:
 		return "within best"
 	default:
 		return "worse than worst"

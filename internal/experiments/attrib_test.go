@@ -8,9 +8,9 @@ import (
 	"repro/internal/core"
 	"repro/internal/costmodel"
 	"repro/internal/server/api"
-	"repro/internal/server/client"
 	"repro/internal/sim"
 	"repro/internal/tracelog"
+	"repro/internal/workload"
 )
 
 // attribReplay replays one collected run through a unified cache at half its
@@ -127,7 +127,7 @@ func TestAttribReportDeterministicAcrossParallelism(t *testing.T) {
 // replay's regenerations, and charge some middle-tier deaths to premature
 // demotion; gzip's probation gate reliably deletes traces that re-heat.
 func TestWhyFindsPrematureDemotion(t *testing.T) {
-	data, err := client.SyntheticLog("gzip", 1.0/16)
+	data, err := workload.SyntheticLog("gzip", 1.0/16)
 	if err != nil {
 		t.Fatal(err)
 	}

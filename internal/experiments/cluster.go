@@ -25,9 +25,9 @@ import (
 
 	"repro/internal/server"
 	"repro/internal/server/api"
-	"repro/internal/server/client"
 	"repro/internal/simclock"
 	"repro/internal/stats"
+	"repro/internal/workload"
 )
 
 // ClusterVsIsolatedOptions configures the study.
@@ -148,7 +148,7 @@ func ClusterVsIsolated(opts ClusterVsIsolatedOptions) (ClusterVsIsolatedResult, 
 	logs := make([][]byte, len(o.Benches))
 	expected := make([]api.SessionResult, len(o.Benches))
 	for i, b := range o.Benches {
-		data, err := client.SyntheticLog(b, o.Scale)
+		data, err := workload.SyntheticLog(b, o.Scale)
 		if err != nil {
 			return res, err
 		}

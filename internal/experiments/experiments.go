@@ -11,7 +11,6 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/costmodel"
 	"repro/internal/dbt"
 	"repro/internal/pipeline"
@@ -99,12 +98,12 @@ func (s *Suite) context() context.Context {
 }
 
 // perRun executes fn once per collected benchmark through the experiment
-// pipeline, returning results in run order. It is the shared scaffolding for
-// every per-figure replay matrix.
+// pipeline, returning results in run order. Studies that compare cache
+// configurations go through replayMatrix instead; the shared-tier study,
+// which runs engines rather than replays, uses this.
 func perRun[T any](s *Suite, fn func(r *Run) (T, error)) ([]T, error) {
 	jobs := make([]pipeline.Job[T], len(s.Runs))
 	for i, r := range s.Runs {
-		r := r
 		jobs[i] = pipeline.Job[T]{
 			Name: r.Profile.Name,
 			Run:  func(context.Context) (T, error) { return fn(r) },
@@ -216,36 +215,19 @@ func collectOne(p workload.Profile, scale float64, model costmodel.Model, slow b
 		return nil, err
 	}
 	var buf bytes.Buffer
-	w, err := tracelog.NewWriter(&buf, tracelog.Header{
-		Benchmark:      p.Name,
-		DurationMicros: p.DurationMicros(),
-	})
-	if err != nil {
-		return nil, err
-	}
 	lt := stats.NewLifetimes()
-	mgr := core.NewUnified(1<<40, nil, nil)
-	eng, err := dbt.New(bench.Image, dbt.Config{
-		Manager:      mgr,
-		Model:        &model,
-		Log:          w,
-		Lifetimes:    lt,
-		SlowDispatch: slow,
-	})
+	st, n, err := bench.Collect(&buf, dbt.Config{Model: &model, Lifetimes: lt, SlowDispatch: slow})
 	if err != nil {
-		return nil, err
-	}
-	if err := eng.Run(bench.NewDriver(), 0); err != nil {
 		return nil, fmt.Errorf("experiments: running %s: %w", p.Name, err)
 	}
-	h, events, err := tracelog.AppendAll(make([]tracelog.Event, 0, w.Events()), &buf)
+	h, events, err := tracelog.AppendAll(make([]tracelog.Event, 0, n), &buf)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: decoding %s log: %w", p.Name, err)
 	}
 	return &Run{
 		Profile:   scaled,
 		Unscaled:  p,
-		Stats:     eng.Stats(),
+		Stats:     st,
 		Events:    events,
 		Summary:   tracelog.Summarize(h, events),
 		Lifetimes: lt,

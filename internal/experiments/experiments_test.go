@@ -296,10 +296,7 @@ func TestCycleImpact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := CycleImpact(s, fig9)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := CycleImpact(s, fig9)
 	if len(rows) != len(fig9.Rows) {
 		t.Fatalf("rows = %d", len(rows))
 	}

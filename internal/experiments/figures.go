@@ -1,13 +1,10 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/core"
 	"repro/internal/costmodel"
-	"repro/internal/pipeline"
-	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -286,12 +283,13 @@ func RenderFigure6(rows []Figure6Row) string {
 // ---------------------------------------------------------------------------
 // Figures 9 and 10: generational vs unified miss rates
 
-// Layouts evaluated by Figure 9, in the paper's order.
-func figure9Layouts(capacity uint64) []core.Config {
-	return []core.Config{
-		core.Layout433Threshold10(capacity),
-		core.Layout451045Threshold1(capacity),
-		core.Layout104545Threshold10(capacity),
+// figure9Layouts returns the layouts Figure 9 evaluates, in the paper's
+// order, over capacity.
+func figure9Layouts(capacity uint64) []core.GraphSpec {
+	return []core.GraphSpec{
+		core.Layout433Threshold10(capacity).GraphSpec(),
+		core.Layout451045Threshold1(capacity).GraphSpec(),
+		core.Layout104545Threshold10(capacity).GraphSpec(),
 	}
 }
 
@@ -303,6 +301,9 @@ type Figure9Row struct {
 	CapacityKB      float64 // simulated total capacity (0.5 x maxCache), at scale
 	UnifiedMissRate float64
 	UnifiedMisses   uint64
+	// UnifiedOverhead is the unified baseline's Table 2 cost in
+	// instructions; §6.2's cycle impact weighs eliminated misses against it.
+	UnifiedOverhead float64
 	Reductions      []float64 // one per layout, Figure 9 bar heights
 	Eliminated      []int64   // absolute misses eliminated (Figure 10)
 	Configs         []string
@@ -321,85 +322,56 @@ type Figure9Result struct {
 // Figure9 reproduces the miss-rate evaluation (§6.1): each benchmark's log
 // replays through a unified pseudo-circular cache sized at half its
 // unbounded footprint, and through the three generational layouts of the
-// same total capacity. Replays run on the suite's pipeline; rows and
-// averages are aggregated in benchmark order regardless of parallelism.
+// same total capacity. A log whose baseline never misses keeps its row,
+// with reductions of 0. Rows and averages are in benchmark order regardless
+// of parallelism.
 func Figure9(s *Suite) (Figure9Result, error) {
-	rows, err := perRun(s, func(r *Run) (*Figure9Row, error) {
-		capacity := r.MaxTraceBytes() / 2
-		if capacity == 0 {
-			return nil, nil
-		}
-		u, err := sim.ReplayUnified(r.Profile.Name, r.Events, capacity, s.Model)
-		if err != nil {
-			return nil, err
-		}
-		row := &Figure9Row{
-			Name:            r.Profile.Name,
-			Suite:           r.Profile.Suite,
-			CapacityKB:      float64(capacity) / 1024,
+	m, err := replayMatrix(s, halfPeak, noGraph, func(capacity uint64) []core.GraphSpec {
+		return withBaseline(capacity, figure9Layouts(capacity)...)
+	}, func(c replayed) (Figure9Row, bool) {
+		u := c.res[0]
+		row := Figure9Row{
+			Name:            c.run.Profile.Name,
+			Suite:           c.run.Profile.Suite,
+			CapacityKB:      float64(c.capacity) / 1024,
 			UnifiedMissRate: u.MissRate(),
 			UnifiedMisses:   u.Misses,
+			UnifiedOverhead: u.Overhead.Total(),
 		}
-		for _, cfg := range figure9Layouts(capacity) {
-			g, err := sim.ReplayGenerational(r.Profile.Name, r.Events, cfg, s.Model)
-			if err != nil {
-				return nil, err
-			}
-			red := 0.0
-			if u.MissRate() > 0 {
-				red = 1 - g.MissRate()/u.MissRate()
-			}
-			row.Reductions = append(row.Reductions, red)
-			row.Eliminated = append(row.Eliminated, int64(u.Misses)-int64(g.Misses))
-			row.Configs = append(row.Configs, configLabel(cfg))
+		for i, spec := range figure9Layouts(c.capacity) {
+			cmp := c.vs(i + 1)
+			row.Reductions = append(row.Reductions, cmp.MissRateReduction())
+			row.Eliminated = append(row.Eliminated, cmp.MissesEliminated())
+			row.Configs = append(row.Configs, layoutLabel(spec))
 		}
-		return row, nil
+		return row, true
 	})
-	var res Figure9Result
 	if err != nil {
-		return res, err
+		return Figure9Result{}, err
 	}
-	var specSums, interSums []float64
-	var nSpec, nInter int
-	for _, row := range rows {
-		if row == nil {
-			continue
-		}
-		if res.Configs == nil {
-			res.Configs = row.Configs
-		}
-		if specSums == nil {
-			specSums = make([]float64, len(row.Reductions))
-			interSums = make([]float64, len(row.Reductions))
-		}
+	res := Figure9Result{Rows: m[0]}
+	if len(res.Rows) == 0 {
+		return res, nil
+	}
+	var spec, inter [][]float64
+	for _, row := range res.Rows {
 		if row.Suite == workload.SuiteInteractive {
-			nInter++
-			for i, v := range row.Reductions {
-				interSums[i] += v
-			}
+			inter = append(inter, row.Reductions)
 		} else {
-			nSpec++
-			for i, v := range row.Reductions {
-				specSums[i] += v
-			}
-		}
-		res.Rows = append(res.Rows, *row)
-	}
-	for i := range specSums {
-		if nSpec > 0 {
-			specSums[i] /= float64(nSpec)
-		}
-		if nInter > 0 {
-			interSums[i] /= float64(nInter)
+			spec = append(spec, row.Reductions)
 		}
 	}
-	res.SpecAvg, res.InteractAvg = specSums, interSums
+	res.Configs = res.Rows[0].Configs
+	res.SpecAvg = means(spec, len(res.Configs))
+	res.InteractAvg = means(inter, len(res.Configs))
 	return res, nil
 }
 
-func configLabel(cfg core.Config) string {
-	return fmt.Sprintf("%.0f-%.0f-%.0f@%d",
-		cfg.NurseryFrac*100, cfg.ProbationFrac*100, cfg.PersistentFrac*100, cfg.PromoteThreshold)
+// layoutLabel names a three-tier layout by its percentages and probation
+// threshold: "45-10-45@1".
+func layoutLabel(spec core.GraphSpec) string {
+	t := spec.Tiers
+	return fmt.Sprintf("%.0f-%.0f-%.0f@%d", t[0].Frac*100, t[1].Frac*100, t[2].Frac*100, t[1].Threshold)
 }
 
 // RenderFigure9 renders the figure as text.
@@ -492,30 +464,18 @@ type Figure11Result struct {
 // Figure11 reproduces the overhead evaluation (§6.2). The per-benchmark
 // comparisons run on the suite's pipeline.
 func Figure11(s *Suite) (Figure11Result, error) {
-	rows, err := perRun(s, func(r *Run) (*Figure11Row, error) {
-		capacity := r.MaxTraceBytes() / 2
-		if capacity == 0 {
-			return nil, nil
-		}
-		cmp, err := sim.Compare(r.Profile.Name, r.Events, capacity,
-			core.Layout451045Threshold1(capacity), s.Model)
-		if err != nil {
-			return nil, err
-		}
-		return &Figure11Row{Name: r.Profile.Name, Suite: r.Profile.Suite, Ratio: cmp.OverheadRatio()}, nil
+	m, err := replayMatrix(s, halfPeak, noGraph, headline, func(c replayed) (Figure11Row, bool) {
+		return Figure11Row{Name: c.run.Profile.Name, Suite: c.run.Profile.Suite, Ratio: c.vs(1).OverheadRatio()}, true
 	})
 	var res Figure11Result
 	if err != nil {
 		return res, err
 	}
+	res.Rows = m[0]
 	var ratios, specRatios, interRatios []float64
 	best, worst := 10.0, 0.0
-	for _, row := range rows {
-		if row == nil {
-			continue
-		}
+	for _, row := range res.Rows {
 		ratio := row.Ratio
-		res.Rows = append(res.Rows, *row)
 		ratios = append(ratios, ratio)
 		if row.Suite == workload.SuiteInteractive {
 			interRatios = append(interRatios, ratio)
@@ -566,50 +526,30 @@ type CycleImpactRow struct {
 
 // CycleImpact derives the estimate from a completed Figure 9 run (using the
 // 45-10-45 @1 layout, index 1). Total cycles are the guest's instructions
-// plus the unified configuration's management overhead; at compressed
-// simulation scales the overhead share — and therefore these percentages —
-// is much larger than the paper's full-length runs would show.
-func CycleImpact(s *Suite, fig9 Figure9Result) ([]CycleImpactRow, error) {
-	jobs := make([]pipeline.Job[*CycleImpactRow], len(fig9.Rows))
-	for i, fr := range fig9.Rows {
-		fr := fr
-		jobs[i] = pipeline.Job[*CycleImpactRow]{
-			Name: fr.Name,
-			Run: func(context.Context) (*CycleImpactRow, error) {
-				r, ok := s.Get(fr.Name)
-				if !ok {
-					return nil, nil
-				}
-				capacity := r.MaxTraceBytes() / 2
-				u, err := sim.ReplayUnified(r.Profile.Name, r.Events, capacity, s.Model)
-				if err != nil {
-					return nil, err
-				}
-				med := stats.Median(sizesOf(r.Summary.TraceSizes))
-				saved := float64(fr.Eliminated[1]) * s.Model.MissCost(int(med))
-				total := float64(r.Stats.GuestInstrs) + u.Overhead.Total()
-				pct := 0.0
-				if total > 0 {
-					pct = saved / total * 100
-				}
-				return &CycleImpactRow{
-					Name: fr.Name, Suite: fr.Suite,
-					Eliminated: fr.Eliminated[1], ReductionPct: pct,
-				}, nil
-			},
-		}
-	}
-	out, err := pipeline.Map(s.context(), pipeline.Options{Parallel: s.Parallel}, jobs)
-	if err != nil {
-		return nil, err
-	}
+// plus the unified configuration's management overhead, which Figure 9's
+// baseline replay recorded; at compressed simulation scales the overhead
+// share — and therefore these percentages — is much larger than the paper's
+// full-length runs would show.
+func CycleImpact(s *Suite, fig9 Figure9Result) []CycleImpactRow {
 	var rows []CycleImpactRow
-	for _, row := range out {
-		if row != nil {
-			rows = append(rows, *row)
+	for _, fr := range fig9.Rows {
+		r, ok := s.Get(fr.Name)
+		if !ok {
+			continue
 		}
+		med := stats.Median(sizesOf(r.Summary.TraceSizes))
+		saved := float64(fr.Eliminated[1]) * s.Model.MissCost(int(med))
+		total := float64(r.Stats.GuestInstrs) + fr.UnifiedOverhead
+		pct := 0.0
+		if total > 0 {
+			pct = saved / total * 100
+		}
+		rows = append(rows, CycleImpactRow{
+			Name: fr.Name, Suite: fr.Suite,
+			Eliminated: fr.Eliminated[1], ReductionPct: pct,
+		})
 	}
-	return rows, nil
+	return rows
 }
 
 func sizesOf(in []uint32) []float64 {

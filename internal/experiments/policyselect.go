@@ -6,9 +6,7 @@ import (
 
 	"repro/internal/attrib"
 	"repro/internal/core"
-	"repro/internal/costmodel"
 	"repro/internal/obs"
-	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -56,73 +54,45 @@ type PolicySelectRow struct {
 // selection.
 func PolicySelection(s *Suite) ([]PolicySelectRow, error) {
 	candidates := core.DefaultSelectorCandidates
-	rows, err := perRun(s, func(r *Run) (*PolicySelectRow, error) {
-		capacity := r.MaxTraceBytes() / 2
-		if capacity == 0 {
-			return nil, nil
-		}
-		row := &PolicySelectRow{Name: r.Profile.Name, BestStatic: -1, WorstStatic: -1}
+	m, err := replayMatrix(s, halfPeak, len(candidates), func(capacity uint64) []core.GraphSpec {
+		var specs []core.GraphSpec
 		for _, cand := range candidates {
 			spec := core.UnifiedSpec(capacity, nil)
 			spec.Tiers[0].Policy = cand
-			g, err := sim.ReplayGraph(r.Profile.Name, r.Events, spec, s.Model)
-			if err != nil {
-				return nil, err
-			}
-			row.Configs = append(row.Configs, cand)
-			row.Static = append(row.Static, g.MissRate())
+			specs = append(specs, spec)
 		}
-		for i, m := range row.Static {
-			if row.BestStatic < 0 || m < row.Static[row.BestStatic] {
-				row.BestStatic = i
-			}
-			if row.WorstStatic < 0 || m > row.Static[row.WorstStatic] {
-				row.WorstStatic = i
-			}
-		}
-
-		// Build the selector manager by hand (rather than via ReplayGraph) so
-		// its counters survive the replay. Epochs well below the default: the
-		// compressed logs the suite collects carry a few thousand to a few
-		// hundred thousand accesses, and the selector needs tens of decision
-		// windows to race the zoo.
-		spec := core.UnifiedSpec(capacity, nil)
-		spec.Tiers[0].Policy = "auto"
-		spec.Selector = &core.SelectorConfig{Epoch: 256, Candidates: candidates}
+		// Epochs well below the default: the compressed logs the suite
+		// collects carry a few thousand to a few hundred thousand accesses,
+		// and the selector needs tens of decision windows to race the zoo.
+		sel := core.UnifiedSpec(capacity, nil)
+		sel.Tiers[0].Policy = "auto"
+		sel.Selector = &core.SelectorConfig{Epoch: 256, Candidates: candidates}
 		// The attribution ledger rides the selector graph so the switch
 		// report can say what kind of misses the selector was fighting. It
 		// only observes: miss rates and switch counts are unchanged.
-		spec.Attrib = &attrib.Config{}
-		acc := costmodel.NewAccum(s.Model)
-		mgr, err := core.NewGraph(spec, sim.CostObserver(acc))
-		if err != nil {
-			return nil, err
+		sel.Attrib = &attrib.Config{}
+		return append(specs, sel)
+	}, func(c replayed) (PolicySelectRow, bool) {
+		row := PolicySelectRow{Name: c.run.Profile.Name, Configs: append([]string(nil), candidates...)}
+		for i := range candidates {
+			row.Static = append(row.Static, c.res[i].MissRate())
 		}
-		a, err := sim.Replay(r.Profile.Name, r.Events, mgr, acc, nil)
-		if err != nil {
-			return nil, err
-		}
-		row.Selector = a.MissRate()
-		if ss, ok := mgr.SelectorStats(); ok {
+		row.BestStatic, row.WorstStatic = extremes(row.Static)
+		row.Selector = c.res[len(candidates)].MissRate()
+		if ss, ok := c.graph.SelectorStats(); ok {
 			row.Switches, row.Reverted = ss.Switches, ss.Reversals
 			row.Causes = ss.MissCauses
 		}
-		row.Final = strings.Join(mgr.LivePolicies(), "-")
+		row.Final = strings.Join(c.graph.LivePolicies(), "-")
 		best, worst := row.Static[row.BestStatic], row.Static[row.WorstStatic]
 		row.BeatsWorst = row.Selector < worst || worst == best
 		row.WithinBest = row.Selector <= best*(1+PolicySelectTolerance) || best == 0
-		return row, nil
+		return row, true
 	})
 	if err != nil {
 		return nil, err
 	}
-	var out []PolicySelectRow
-	for _, row := range rows {
-		if row != nil {
-			out = append(out, *row)
-		}
-	}
-	return out, nil
+	return m[0], nil
 }
 
 // RenderPolicySelection renders the comparison as text.
@@ -135,22 +105,12 @@ func RenderPolicySelection(rows []PolicySelectRow) string {
 	header = append(header, "Selector", "Switches", "Final", "Verdict", "Top cause")
 	t := stats.NewTable(header...)
 	for _, r := range rows {
-		cells := []string{r.Name}
-		for i, m := range r.Static {
-			label := fmt.Sprintf("%.3f%%", m*100)
-			switch i {
-			case r.BestStatic:
-				label += " (best)"
-			case r.WorstStatic:
-				label += " (worst)"
-			}
-			cells = append(cells, label)
-		}
+		cells := append([]string{r.Name}, staticCells(r.Static, r.BestStatic, r.WorstStatic)...)
 		cells = append(cells,
 			fmt.Sprintf("%.3f%%", r.Selector*100),
 			fmt.Sprintf("%d (-%d)", r.Switches, r.Reverted),
 			r.Final,
-			policySelectVerdict(r),
+			verdict(r.BeatsWorst, r.WithinBest),
 			TopCauseLabel(r.Causes))
 		t.AddRow(cells...)
 	}
@@ -177,17 +137,4 @@ func TopCauseLabel(causes [obs.NumReasons]uint64) string {
 		return "-"
 	}
 	return fmt.Sprintf("%s %.0f%%", top.String(), float64(topN)/float64(total)*100)
-}
-
-func policySelectVerdict(r PolicySelectRow) string {
-	switch {
-	case r.BeatsWorst && r.WithinBest:
-		return "beats worst, within best"
-	case r.BeatsWorst:
-		return "beats worst"
-	case r.WithinBest:
-		return "within best"
-	default:
-		return "worse than worst"
-	}
 }

@@ -8,7 +8,7 @@ import (
 	"repro/internal/dayload"
 	"repro/internal/pipeline"
 	"repro/internal/server"
-	"repro/internal/server/client"
+	"repro/internal/workload"
 )
 
 // Production-day A/B: the same declarative day (diurnal two-benchmark mix,
@@ -139,7 +139,7 @@ func ProductionDayContext(ctx context.Context, opts ProductionDayOptions) (Produ
 	// One synthesis pass shared by every arm: identical input bytes.
 	logs := make(map[string][]byte)
 	for _, b := range []string{"gzip", "word", "solitaire"} {
-		data, err := client.SyntheticLog(b, spec.Scale)
+		data, err := workload.SyntheticLog(b, spec.Scale)
 		if err != nil {
 			return ProductionDayResult{}, err
 		}

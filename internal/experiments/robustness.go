@@ -4,9 +4,7 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/pipeline"
-	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -57,41 +55,9 @@ func RobustnessContext(ctx context.Context, benchmarks []string, scale float64, 
 		if err != nil {
 			return res, err
 		}
-		reds, err := perRun(suite, func(r *Run) (*float64, error) {
-			capacity := r.MaxTraceBytes() / 2
-			if capacity == 0 {
-				return nil, nil
-			}
-			u, err := sim.ReplayUnified(r.Profile.Name, r.Events, capacity, suite.Model)
-			if err != nil {
-				return nil, err
-			}
-			if u.MissRate() == 0 {
-				return nil, nil
-			}
-			g, err := sim.ReplayGenerational(r.Profile.Name, r.Events,
-				core.Layout451045Threshold1(capacity), suite.Model)
-			if err != nil {
-				return nil, err
-			}
-			red := 1 - g.MissRate()/u.MissRate()
-			return &red, nil
-		})
+		avg, n, err := headlineMean(suite)
 		if err != nil {
 			return res, err
-		}
-		var sum float64
-		n := 0
-		for _, red := range reds {
-			if red == nil {
-				continue
-			}
-			sum += *red
-			n++
-		}
-		avg := 0.0
-		if n > 0 {
-			avg = sum / float64(n)
 		}
 		res.Points = append(res.Points, RobustnessPoint{SeedOffset: off, AvgReduction: avg, Benchmarks: n})
 		avgs = append(avgs, avg)
@@ -116,4 +82,15 @@ func RenderRobustness(res RobustnessResult) string {
 	}
 	t.AddRow("(mean ± std)", "", fmt.Sprintf("%+.1f%% ± %.1f%%", res.Mean*100, res.StdDev*100))
 	return t.String()
+}
+
+// headlineMean averages the headline comparison's miss-rate reduction over
+// the suite's logs whose baseline misses, and returns how many logs that
+// was.
+func headlineMean(s *Suite) (float64, int, error) {
+	m, err := replayMatrix(s, halfPeak, noGraph, headline, reductionsVsBaseline)
+	if err != nil {
+		return 0, 0, err
+	}
+	return means(m[0], 1)[0], len(m[0]), nil
 }

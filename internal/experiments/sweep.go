@@ -1,15 +1,11 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"sort"
 
 	"repro/internal/core"
-	"repro/internal/costmodel"
-	"repro/internal/pipeline"
 	"repro/internal/policy"
-	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -68,57 +64,29 @@ func sweepGrid() []core.Config {
 }
 
 // Sweep replays every benchmark's log through the configuration grid and
-// averages the miss-rate reductions. Each benchmark's 29 replays are one
-// pipeline job; sums aggregate in benchmark order.
+// averages the miss-rate reductions over the logs whose baseline misses.
+// Each benchmark's 29 replays are one pipeline job; sums aggregate in
+// benchmark order.
 func Sweep(s *Suite) (SweepResult, error) {
 	grid := sweepGrid()
-	perBench, err := perRun(s, func(r *Run) ([]float64, error) {
-		capacity := r.MaxTraceBytes() / 2
-		if capacity == 0 {
-			return nil, nil
-		}
-		u, err := sim.ReplayUnified(r.Profile.Name, r.Events, capacity, s.Model)
-		if err != nil {
-			return nil, err
-		}
-		if u.MissRate() == 0 {
-			return nil, nil
-		}
-		reds := make([]float64, len(grid))
-		for i, cfg := range grid {
+	m, err := replayMatrix(s, halfPeak, noGraph, func(capacity uint64) []core.GraphSpec {
+		var specs []core.GraphSpec
+		for _, cfg := range grid {
 			cfg.TotalCapacity = capacity
-			g, err := sim.ReplayGenerational(r.Profile.Name, r.Events, cfg, s.Model)
-			if err != nil {
-				return nil, err
-			}
-			reds[i] = 1 - g.MissRate()/u.MissRate()
+			specs = append(specs, cfg.GraphSpec())
 		}
-		return reds, nil
-	})
+		return withBaseline(capacity, specs...)
+	}, reductionsVsBaseline)
 	if err != nil {
 		return SweepResult{}, err
 	}
-	sums := make([]float64, len(grid))
-	n := 0
-	for _, reds := range perBench {
-		if reds == nil {
-			continue
-		}
-		n++
-		for i, v := range reds {
-			sums[i] += v
-		}
-	}
+	avgs := means(m[0], len(grid))
 	var res SweepResult
 	for i, cfg := range grid {
-		avg := 0.0
-		if n > 0 {
-			avg = sums[i] / float64(n)
-		}
 		pt := SweepPoint{
 			Nursery: cfg.NurseryFrac, Probation: cfg.ProbationFrac, Persistent: cfg.PersistentFrac,
 			Threshold: cfg.PromoteThreshold, PromoteOnAccess: cfg.PromoteOnAccess,
-			AvgReduction: avg,
+			AvgReduction: avgs[i],
 		}
 		res.Points = append(res.Points, pt)
 		if i == 0 || pt.AvgReduction > res.Best.AvgReduction {
@@ -126,6 +94,21 @@ func Sweep(s *Suite) (SweepResult, error) {
 		}
 	}
 	return res, nil
+}
+
+// reductionsVsBaseline is the row of the studies that average reductions
+// over the logs whose baseline misses: each spec's miss-rate reduction
+// against spec 0, the unified baseline. A log whose baseline never misses
+// has nothing to reduce and gets no row.
+func reductionsVsBaseline(c replayed) ([]float64, bool) {
+	if c.res[0].MissRate() == 0 {
+		return nil, false
+	}
+	reds := make([]float64, len(c.res)-1)
+	for i := range reds {
+		reds[i] = c.vs(i + 1).MissRateReduction()
+	}
+	return reds, true
 }
 
 // RenderSweep renders the sweep grid as text.
@@ -198,110 +181,50 @@ type AblationRow struct {
 //   - lru-local: the paper's layout but with LRU as every cache's local
 //     policy (left as future work in §5);
 //   - flush-unified: a unified cache that flushes when full (Dynamo-style
-//     management), as a second baseline.
+//     management), as a second baseline;
+//   - holefill-unified: the §4.3 road not taken, a unified cache that fills
+//     program-forced holes before evicting at the cursor.
 func Ablations(s *Suite) ([]AblationRow, error) {
-	type variant struct {
+	variants := []struct {
 		name string
-		run  func(r *Run, capacity uint64, u sim.Result) (float64, error)
-	}
-	genRed := func(cfg core.Config, r *Run, u sim.Result) (float64, error) {
-		g, err := sim.ReplayGenerational(r.Profile.Name, r.Events, cfg, s.Model)
-		if err != nil {
-			return 0, err
-		}
-		if u.MissRate() == 0 {
-			return 0, nil
-		}
-		return 1 - g.MissRate()/u.MissRate(), nil
-	}
-	variants := []variant{
-		{"45-10-45@1 (paper)", func(r *Run, c uint64, u sim.Result) (float64, error) {
-			return genRed(core.Layout451045Threshold1(c), r, u)
+		spec func(capacity uint64) core.GraphSpec
+	}{
+		{"45-10-45@1 (paper)", func(c uint64) core.GraphSpec {
+			return core.Layout451045Threshold1(c).GraphSpec()
 		}},
-		{"no-probation", func(r *Run, c uint64, u sim.Result) (float64, error) {
-			cfg := core.Config{
+		{"no-probation", func(c uint64) core.GraphSpec {
+			return core.Config{
 				TotalCapacity: c,
 				NurseryFrac:   0.47, ProbationFrac: 0.03, PersistentFrac: 0.50,
 				PromoteThreshold: 0, // every probation victim promotes
-			}
-			return genRed(cfg, r, u)
+			}.GraphSpec()
 		}},
-		{"lru-local", func(r *Run, c uint64, u sim.Result) (float64, error) {
+		{"lru-local", func(c uint64) core.GraphSpec {
 			cfg := core.Layout451045Threshold1(c)
 			cfg.Local = func(core.Level) policy.Local { return policy.NewLRU() }
-			return genRed(cfg, r, u)
+			return cfg.GraphSpec()
 		}},
-		{"flush-unified", func(r *Run, c uint64, u sim.Result) (float64, error) {
-			acc := costmodel.NewAccum(s.Model)
-			mgr := core.NewUnified(c, &policy.FlushWhenFull{}, sim.CostObserver(acc))
-			g, err := sim.Replay(r.Profile.Name, r.Events, mgr, acc, nil)
-			if err != nil {
-				return 0, err
-			}
-			if u.MissRate() == 0 {
-				return 0, nil
-			}
-			return 1 - g.MissRate()/u.MissRate(), nil
+		{"flush-unified", func(c uint64) core.GraphSpec {
+			return core.UnifiedSpec(c, &policy.FlushWhenFull{})
 		}},
-		{"holefill-unified", func(r *Run, c uint64, u sim.Result) (float64, error) {
-			// The §4.3 road not taken: fill program-forced holes before
-			// evicting at the cursor.
-			acc := costmodel.NewAccum(s.Model)
-			mgr := core.NewUnified(c, &policy.CircularFirstFit{}, sim.CostObserver(acc))
-			g, err := sim.Replay(r.Profile.Name, r.Events, mgr, acc, nil)
-			if err != nil {
-				return 0, err
-			}
-			if u.MissRate() == 0 {
-				return 0, nil
-			}
-			return 1 - g.MissRate()/u.MissRate(), nil
+		{"holefill-unified", func(c uint64) core.GraphSpec {
+			return core.UnifiedSpec(c, &policy.CircularFirstFit{})
 		}},
 	}
-
-	perBench, err := perRun(s, func(r *Run) ([]float64, error) {
-		capacity := r.MaxTraceBytes() / 2
-		if capacity == 0 {
-			return nil, nil
-		}
-		u, err := sim.ReplayUnified(r.Profile.Name, r.Events, capacity, s.Model)
-		if err != nil {
-			return nil, err
-		}
-		if u.MissRate() == 0 {
-			return nil, nil
-		}
-		reds := make([]float64, len(variants))
+	m, err := replayMatrix(s, halfPeak, noGraph, func(capacity uint64) []core.GraphSpec {
+		specs := make([]core.GraphSpec, len(variants))
 		for i, v := range variants {
-			red, err := v.run(r, capacity, u)
-			if err != nil {
-				return nil, err
-			}
-			reds[i] = red
+			specs[i] = v.spec(capacity)
 		}
-		return reds, nil
-	})
+		return withBaseline(capacity, specs...)
+	}, reductionsVsBaseline)
 	if err != nil {
 		return nil, err
 	}
-	sums := make([]float64, len(variants))
-	n := 0
-	for _, reds := range perBench {
-		if reds == nil {
-			continue
-		}
-		n++
-		for i, v := range reds {
-			sums[i] += v
-		}
-	}
+	avgs := means(m[0], len(variants))
 	var out []AblationRow
 	for i, v := range variants {
-		avg := 0.0
-		if n > 0 {
-			avg = sums[i] / float64(n)
-		}
-		out = append(out, AblationRow{Name: v.name, AvgReduction: avg})
+		out = append(out, AblationRow{Name: v.name, AvgReduction: avgs[i]})
 	}
 	return out, nil
 }
@@ -337,67 +260,25 @@ func CapacitySweep(s *Suite, fracs []float64) ([]CapacityPoint, error) {
 	if len(fracs) == 0 {
 		fracs = []float64{0.25, 0.375, 0.5, 0.75, 0.9}
 	}
-	// Flatten the frac x benchmark matrix into one job list so the worker
-	// pool stays busy across point boundaries; aggregation below walks the
-	// results in (frac, benchmark) order.
-	type cell struct {
-		u, g, red float64
-		ok        bool
-	}
-	var jobs []pipeline.Job[cell]
-	for _, frac := range fracs {
-		for _, r := range s.Runs {
-			frac, r := frac, r
-			jobs = append(jobs, pipeline.Job[cell]{
-				Name: fmt.Sprintf("%s@%.0f%%", r.Profile.Name, frac*100),
-				Run: func(context.Context) (cell, error) {
-					capacity := uint64(float64(r.MaxTraceBytes()) * frac)
-					if capacity == 0 {
-						return cell{}, nil
-					}
-					u, err := sim.ReplayUnified(r.Profile.Name, r.Events, capacity, s.Model)
-					if err != nil {
-						return cell{}, err
-					}
-					g, err := sim.ReplayGenerational(r.Profile.Name, r.Events, core.Layout451045Threshold1(capacity), s.Model)
-					if err != nil {
-						return cell{}, err
-					}
-					c := cell{u: u.MissRate(), g: g.MissRate(), ok: true}
-					if c.u > 0 {
-						c.red = 1 - c.g/c.u
-					}
-					return c, nil
-				},
-			})
-		}
-	}
-	cells, err := pipeline.Map(s.context(), pipeline.Options{Parallel: s.Parallel}, jobs)
+	// A log whose baseline never misses keeps its row, with a reduction of 0.
+	m, err := replayMatrix(s, fracs, noGraph, headline, func(c replayed) ([]float64, bool) {
+		cmp := c.vs(1)
+		return []float64{cmp.Unified.MissRate(), cmp.Generational.MissRate(), cmp.MissRateReduction()}, true
+	})
 	if err != nil {
 		return nil, err
 	}
 	var out []CapacityPoint
 	for fi, frac := range fracs {
-		var uSum, gSum, redSum float64
-		n := 0
-		for ri := range s.Runs {
-			c := cells[fi*len(s.Runs)+ri]
-			if !c.ok {
-				continue
-			}
-			uSum += c.u
-			gSum += c.g
-			redSum += c.red
-			n++
-		}
-		if n == 0 {
+		if len(m[fi]) == 0 {
 			continue
 		}
+		avg := means(m[fi], 3)
 		out = append(out, CapacityPoint{
 			CapFrac:         frac,
-			UnifiedMissRate: uSum / float64(n),
-			GenMissRate:     gSum / float64(n),
-			AvgReduction:    redSum / float64(n),
+			UnifiedMissRate: avg[0],
+			GenMissRate:     avg[1],
+			AvgReduction:    avg[2],
 		})
 	}
 	return out, nil

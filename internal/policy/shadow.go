@@ -132,8 +132,5 @@ func (s *Shadow) TotalHits() uint64 { return s.totalHits }
 // TotalProbes returns the probes seen over the shadow's whole lifetime.
 func (s *Shadow) TotalProbes() uint64 { return s.totalProbes }
 
-// WindowProbes returns the probes seen since the last ResetWindow.
-func (s *Shadow) WindowProbes() uint64 { return s.probes }
-
 // ResetWindow zeroes the window counters at an epoch boundary.
 func (s *Shadow) ResetWindow() { s.hits, s.probes = 0, 0 }

@@ -598,7 +598,8 @@ func (c SessionConfig) GraphSpec(capacity uint64, emit bool) (core.GraphSpec, er
 // ParseLayout parses an N-P-S percentage split ("45-10-45") into fractions.
 // It is the one layout grammar of the system: SessionConfig.GraphSpec
 // resolves Layout through it for ccsim's -layout flag and the service's
-// layout parameter alike.
+// layout parameter alike. Like ValidCapFrac its checks are acceptances, so
+// NaN fails them.
 func ParseLayout(s string) ([3]float64, error) {
 	var res [3]float64
 	parts := strings.Split(s, "-")
@@ -608,13 +609,13 @@ func ParseLayout(s string) ([3]float64, error) {
 	sum := 0.0
 	for i, p := range parts {
 		v, err := strconv.ParseFloat(p, 64)
-		if err != nil || v <= 0 {
+		if err != nil || !(v > 0) {
 			return res, fmt.Errorf("bad layout component %q", p)
 		}
 		res[i] = v / 100
 		sum += v
 	}
-	if sum < 99.5 || sum > 100.5 {
+	if !(sum >= 99.5 && sum <= 100.5) {
 		return res, fmt.Errorf("layout %q must sum to 100", s)
 	}
 	return res, nil

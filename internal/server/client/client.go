@@ -16,12 +16,8 @@ import (
 	"strconv"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/dbt"
 	"repro/internal/server/api"
 	"repro/internal/simclock"
-	"repro/internal/tracelog"
-	"repro/internal/workload"
 )
 
 // ErrOverloaded is returned by Session when the server refused admission
@@ -264,39 +260,4 @@ func (c *Client) Metrics(ctx context.Context) (string, error) {
 	defer resp.Body.Close()
 	data, err := io.ReadAll(resp.Body)
 	return string(data), err
-}
-
-// SyntheticLog synthesizes a benchmark workload and runs it under the
-// engine with an unbounded cache, returning the serialized event log —
-// exactly what `tracegen -bench <name> -scale <scale>` writes to disk, but
-// in memory, so load generators need no fixture files.
-func SyntheticLog(bench string, scale float64) ([]byte, error) {
-	p, ok := workload.ByName(bench)
-	if !ok {
-		return nil, fmt.Errorf("client: unknown benchmark %q", bench)
-	}
-	b, err := workload.Synthesize(p.Scaled(scale))
-	if err != nil {
-		return nil, err
-	}
-	var buf bytes.Buffer
-	w, err := tracelog.NewWriter(&buf, tracelog.Header{
-		Benchmark:      p.Name,
-		DurationMicros: p.DurationMicros(),
-	})
-	if err != nil {
-		return nil, err
-	}
-	mgr := core.NewUnified(1<<40, nil, nil)
-	eng, err := dbt.New(b.Image, dbt.Config{Manager: mgr, Log: w})
-	if err != nil {
-		return nil, err
-	}
-	if err := eng.Run(b.NewDriver(), 0); err != nil {
-		return nil, err
-	}
-	if err := w.Flush(); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
 }

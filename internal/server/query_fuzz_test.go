@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"math"
 	"net/http"
 	"net/url"
 	"testing"
@@ -9,9 +10,10 @@ import (
 
 // FuzzSessionQuery fuzzes the session query string through parseParams,
 // which reaches the tier-spec, policy and layout parsers: any query it
-// accepts must also build a graph spec, so a malformed shape is refused
-// before admission rather than after the session has taken a replay slot
-// and read its body. Parsing is deterministic: sixteen parses of one query
+// accepts must also build a graph spec whose tier fractions are all positive
+// and finite, so a malformed shape or a NaN fraction is refused before
+// admission rather than after the session has taken a replay slot and read
+// its body. Parsing is deterministic: sixteen parses of one query
 // must agree on the config, the events flag and the error text, so a query
 // with several malformed parameters always names the same one. Configs
 // compare with ==, so a NaN that reached one fails the comparison.
@@ -27,6 +29,9 @@ func FuzzSessionQuery(f *testing.F) {
 	f.Add("aepoch=0&selepoch=x&pressure=2")
 	f.Add("capfrac=NaN")
 	f.Add("pressure=NaN")
+	f.Add("layout=NaN-50-50")
+	f.Add("tiers=NaN-50-50")
+	f.Add("tiers=NaN")
 	f.Fuzz(func(t *testing.T, raw string) {
 		type parsed struct {
 			cfg    SessionConfig
@@ -46,8 +51,14 @@ func FuzzSessionQuery(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if _, err := first.cfg.GraphSpec(1<<20, false); err != nil {
+		spec, err := first.cfg.GraphSpec(1<<20, false)
+		if err != nil {
 			t.Fatalf("parseParams accepted %q, but its spec does not build: %v", raw, err)
+		}
+		for i, tier := range spec.Tiers {
+			if !(tier.Frac > 0) || math.IsInf(tier.Frac, 0) {
+				t.Fatalf("parseParams accepted %q with tier %d fraction %v", raw, i, tier.Frac)
+			}
 		}
 	})
 }

@@ -292,9 +292,6 @@ func (s *Server) SaveSnapshot() error {
 // SaveSnapshot.
 func (s *Server) StartDraining() { s.draining.Store(true) }
 
-// Draining reports whether StartDraining was called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // WarmStats reports what the startup warm start restored.
 func (s *Server) WarmStats() WarmStats { return s.warm }
 

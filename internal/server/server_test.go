@@ -33,6 +33,7 @@ import (
 	"repro/internal/server/client"
 	"repro/internal/sim"
 	"repro/internal/tracelog"
+	"repro/internal/workload"
 )
 
 // testScale keeps synthetic logs small enough that eight concurrent replays
@@ -55,7 +56,7 @@ func syntheticLog(t *testing.T, bench string) []byte {
 	if data, ok := logs[bench]; ok {
 		return data
 	}
-	data, err := client.SyntheticLog(bench, testScale)
+	data, err := workload.SyntheticLog(bench, testScale)
 	if err != nil {
 		t.Fatalf("synthesizing %s: %v", bench, err)
 	}
@@ -495,6 +496,8 @@ func TestBadRequests(t *testing.T) {
 		{"bad layout", base + "?" + api.ParamLayout + "=nope", nil, http.StatusBadRequest},
 		{"bad capacity", base + "?" + api.ParamCapacity + "=0", nil, http.StatusBadRequest},
 		{"bad tiers", base + "?" + api.ParamTiers + "=garbage", data, http.StatusBadRequest},
+		{"NaN layout", base + "?" + api.ParamLayout + "=NaN-50-50", data, http.StatusBadRequest},
+		{"NaN tiers", base + "?" + api.ParamTiers + "=NaN-50-50@1", data, http.StatusBadRequest},
 		{"bad layout, unified", base + "?" + api.ParamUnified + "=1&" + api.ParamLayout + "=nope", data, http.StatusBadRequest},
 		{"bad policy, every tier named", base + "?" + api.ParamTiers + "=50@lru-50@trrip&" + api.ParamPolicy + "=nope", data, http.StatusBadRequest},
 		{"empty preemptive-flush window", base + "?" + api.ParamPolicy + "=preemptive-flush:window=0", data, http.StatusBadRequest},

@@ -9,8 +9,8 @@ import (
 	"testing"
 
 	"repro/internal/persist"
-	"repro/internal/server/client"
 	"repro/internal/tracelog"
+	"repro/internal/workload"
 )
 
 // identity names a shared-tier trace portably — what a restart must
@@ -58,7 +58,7 @@ func TestSnapshotOldOrNew(t *testing.T) {
 	}
 	serve := func(s *Server, bench string) {
 		t.Helper()
-		data, err := client.SyntheticLog(bench, 0.03)
+		data, err := workload.SyntheticLog(bench, 0.03)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -119,7 +119,7 @@ func TestSnapshotOldOrNew(t *testing.T) {
 // most 255 bytes. Such a session replays and verifies as usual but shares
 // nothing, so the snapshot written after it still loads.
 func TestLongBenchNameStaysLocal(t *testing.T) {
-	word, err := client.SyntheticLog("word", 0.03)
+	word, err := workload.SyntheticLog("word", 0.03)
 	if err != nil {
 		t.Fatal(err)
 	}
