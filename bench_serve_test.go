@@ -130,13 +130,9 @@ func buildServeLog(tb testing.TB) ([]byte, int) {
 // 45-10-45, promote on access) over the given capacity, observed by the
 // session's one observer: both paths attach a benchSink, as the server
 // attaches its session sink.
-func serveMgr(tb testing.TB, capacity uint64, sink *benchSink) core.Manager {
+func serveMgr(tb testing.TB, capacity uint64, sink *benchSink) *core.Graph {
 	tb.Helper()
-	mgr, err := core.NewGraph(core.Config{
-		TotalCapacity: capacity,
-		NurseryFrac:   0.45, ProbationFrac: 0.10, PersistentFrac: 0.45,
-		PromoteThreshold: 1, PromoteOnAccess: true,
-	}.GraphSpec(), sink)
+	mgr, err := core.NewGraph(core.Layout451045Threshold1(capacity), sink)
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -297,7 +297,7 @@ func BenchmarkArenaAccess(b *testing.B) {
 
 // BenchmarkGenerationalInsert measures Figure 8's full promotion chain.
 func BenchmarkGenerationalInsert(b *testing.B) {
-	g, err := core.NewGraph(core.Layout451045Threshold1(1<<20).GraphSpec(), nil)
+	g, err := core.NewGraph(core.Layout451045Threshold1(1<<20), nil)
 	if err != nil {
 		b.Fatal(err)
 	}

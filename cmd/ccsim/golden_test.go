@@ -146,38 +146,50 @@ func TestGoldenOutputs(t *testing.T) {
 	}
 }
 
-// TestRefusedFlagCombinations checks that ccsim exits 2, before replaying
-// anything, on flag sets it cannot honour.
+// TestRefusedFlagCombinations checks that ccsim refuses a bad flag value or
+// combination before it opens the log: it exits 2, prints nothing on stdout,
+// not even the log header, and creates no profile.
 func TestRefusedFlagCombinations(t *testing.T) {
-	logPath, _ := goldenLog(t, t.TempDir())
-	for _, flags := range [][]string{
+	requireRefused(t, [][]string{
 		{"-why", "-unified"},
 		{"-procs", "2", "-unified"},
 		{"-procs", "2", "-tiers", "30-10-20-40@1,2"},
+		{"-procs", "0"},
 		{"-capfrac", "NaN"},
 		{"-capfrac", "-1"},
 		{"-capfrac", "0"},
-	} {
-		stdout, stderr, code := ccsim(t, append([]string{"-log", logPath}, flags...)...)
-		if code != 2 {
-			t.Errorf("ccsim %s: exit status %d, want 2\nstdout:\n%s\nstderr:\n%s",
-				strings.Join(flags, " "), code, stdout, stderr)
-		}
-	}
+		{"-threshold", "0"},
+	})
 }
 
-// TestRefusedTierFractions checks that a NaN tier fraction in -layout or
-// -tiers is an error: ccsim exits nonzero without replaying a configuration.
+// TestRefusedTierFractions checks that a bad tier layout in -layout or -tiers
+// is refused the same way as any other bad flag value. NaN compares false
+// with everything, so only checks written as acceptances refuse it.
 func TestRefusedTierFractions(t *testing.T) {
-	logPath, _ := goldenLog(t, t.TempDir())
-	for _, flags := range [][]string{
+	requireRefused(t, [][]string{
+		{"-layout", "40-50-50"},
 		{"-layout", "NaN-50-50"},
 		{"-tiers", "NaN-50-50@1"},
-	} {
-		stdout, stderr, code := ccsim(t, append([]string{"-log", logPath}, flags...)...)
-		if code == 0 || bytes.Contains(stdout, []byte("accesses")) || bytes.Contains(stdout, []byte("miss-rate reduction")) {
-			t.Errorf("ccsim %s: exit status %d, want a refusal before any replay\nstdout:\n%s\nstderr:\n%s",
+		{"-tiers", "45-10-45@x"},
+	})
+}
+
+// requireRefused runs ccsim once per flag set, with -cpuprofile, and checks
+// that each run exits 2 with nothing on stdout and no profile written.
+func requireRefused(t *testing.T, cases [][]string) {
+	t.Helper()
+	dir := t.TempDir()
+	logPath, _ := goldenLog(t, dir)
+	profile := filepath.Join(dir, "cpu.pprof")
+	for _, flags := range cases {
+		stdout, stderr, code := ccsim(t, append([]string{"-log", logPath, "-cpuprofile", profile}, flags...)...)
+		if code != 2 || len(stdout) != 0 {
+			t.Errorf("ccsim %s: exit status %d, want 2 with nothing on stdout\nstdout:\n%s\nstderr:\n%s",
 				strings.Join(flags, " "), code, stdout, stderr)
+		}
+		if _, err := os.Stat(profile); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("ccsim %s: refused, but created its CPU profile (stat: %v)", strings.Join(flags, " "), err)
+			os.Remove(profile)
 		}
 	}
 }

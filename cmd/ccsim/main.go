@@ -75,6 +75,53 @@ func main() {
 		fmt.Fprintf(os.Stderr, "ccsim: invalid -parallel value: %v\n", err)
 		os.Exit(2)
 	}
+	if *logPath == "" {
+		fmt.Fprintln(os.Stderr, "ccsim: -log is required")
+		os.Exit(2)
+	}
+	if !api.ValidCapFrac(*capFrac) {
+		fmt.Fprintln(os.Stderr, "ccsim: -capfrac must be above 0 and at most 16")
+		os.Exit(2)
+	}
+	if *threshold == 0 {
+		fmt.Fprintln(os.Stderr, "ccsim: -threshold must be at least 1")
+		os.Exit(2)
+	}
+	if *why && *unified {
+		fmt.Fprintln(os.Stderr, "ccsim: -why attributes the tier-graph replay; it does not combine with -unified")
+		os.Exit(2)
+	}
+	// The second configuration resolves the flags the way gencached resolves
+	// a session's query string: the stock generational chain, or a tier graph
+	// when -tiers, -adaptive, -policy, or -why asks for one.
+	settings := api.SessionConfig{
+		Layout:     *layout,
+		Threshold:  *threshold,
+		Tiers:      *tiers,
+		Policy:     *policyFlag,
+		SelEpoch:   *selEpoch,
+		Adaptive:   *adaptive,
+		AdaptEpoch: *epoch,
+		Attrib:     *why,
+	}
+	graphMode := *tiers != "" || *adaptive || *policyFlag != "" || *why
+	// A shared replay pools the last tier of a chain of at least two across
+	// processes; the one-tier unified cache has no such tier to share.
+	if *procs > 1 && (graphMode || *unified) {
+		fmt.Fprintln(os.Stderr, "ccsim: -tiers, -adaptive, -policy, -why, and -unified do not combine with -procs")
+		os.Exit(2)
+	}
+	if *procs < 1 {
+		fmt.Fprintln(os.Stderr, "ccsim: -procs must be at least 1")
+		os.Exit(2)
+	}
+	if err := settings.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "ccsim:", err)
+		os.Exit(2)
+	}
+
+	// Every flag is checked: only now does ccsim create profiles and read the
+	// log, so a refused invocation leaves no empty profile behind.
 	stop, err := profiling.Start(*cpuProfile, *memProfile)
 	if err != nil {
 		fatal(err)
@@ -86,15 +133,6 @@ func main() {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
-	}
-
-	if *logPath == "" {
-		fmt.Fprintln(os.Stderr, "ccsim: -log is required")
-		os.Exit(2)
-	}
-	if !api.ValidCapFrac(*capFrac) {
-		fmt.Fprintln(os.Stderr, "ccsim: -capfrac must be above 0 and at most 16")
-		os.Exit(2)
 	}
 	f, err := os.Open(*logPath)
 	if err != nil {
@@ -127,34 +165,6 @@ func main() {
 	fmt.Fprintf(out, "%s: %s events, unbounded peak %s, simulated capacity %s\n",
 		h.Benchmark, stats.FmtCount(uint64(len(events))), stats.FmtBytes(sum.MaxLiveBytes), stats.FmtBytes(capacity))
 
-	// The second configuration resolves the flags the way gencached resolves
-	// a session's query string: the stock generational chain, or a tier graph
-	// when -tiers, -adaptive, -policy, or -why asks for one.
-	settings := api.SessionConfig{
-		Layout:     *layout,
-		Threshold:  *threshold,
-		Tiers:      *tiers,
-		Policy:     *policyFlag,
-		SelEpoch:   *selEpoch,
-		Adaptive:   *adaptive,
-		AdaptEpoch: *epoch,
-		Attrib:     *why,
-	}
-	graphMode := *tiers != "" || *adaptive || *policyFlag != "" || *why
-	if *threshold == 0 {
-		fmt.Fprintln(os.Stderr, "ccsim: -threshold must be at least 1")
-		os.Exit(2)
-	}
-	if *why && *unified {
-		fmt.Fprintln(os.Stderr, "ccsim: -why attributes the tier-graph replay; it does not combine with -unified")
-		os.Exit(2)
-	}
-	// A shared replay pools the last tier of a chain of at least two across
-	// processes; the one-tier unified cache has no such tier to share.
-	if *procs > 1 && (graphMode || *unified) {
-		fmt.Fprintln(os.Stderr, "ccsim: -tiers, -adaptive, -policy, -why, and -unified do not combine with -procs")
-		os.Exit(2)
-	}
 	spec, err := settings.GraphSpec(capacity, dump != nil)
 	if err != nil {
 		fatal(err)
@@ -167,10 +177,6 @@ func main() {
 			fatal(err)
 		}
 		return
-	}
-	if *procs < 1 {
-		fmt.Fprintln(os.Stderr, "ccsim: -procs must be at least 1")
-		os.Exit(2)
 	}
 
 	// job replays one configuration, its event dump tagged with the job's
@@ -261,7 +267,7 @@ func main() {
 // aggregate — N independent replays, which all pay identical costs, so one
 // replay scaled by N is exact.
 func runShared(benchmark string, events []tracelog.Event, spec core.GraphSpec, procs, stagger int, dump *eventDumper) error {
-	iso, err := sim.ReplayGraph(benchmark, events, spec, costmodel.DefaultModel)
+	iso, err := sim.ReplayGenerational(benchmark, events, spec, costmodel.DefaultModel)
 	if err != nil {
 		return err
 	}

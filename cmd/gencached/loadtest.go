@@ -52,6 +52,31 @@ func loadtestMain(args []string) {
 		fmt.Fprintln(os.Stderr, "gencached loadtest: -addr is required")
 		os.Exit(2)
 	}
+	// One configuration drives the served sessions and the offline
+	// verification alike, and it is checked before any server is contacted.
+	cfg := api.SessionConfig{
+		CapFrac:   *capFrac,
+		Layout:    *layout,
+		Threshold: *threshold,
+		Unified:   *unified,
+	}
+	if *clients < 1 {
+		// No client would run a session, and every unrun one would count as ok.
+		fmt.Fprintln(os.Stderr, "gencached loadtest: -clients must be at least 1")
+		os.Exit(2)
+	}
+	if *threshold == 0 {
+		fmt.Fprintln(os.Stderr, "gencached loadtest: -threshold must be at least 1")
+		os.Exit(2)
+	}
+	if !api.ValidCapFrac(*capFrac) {
+		fmt.Fprintln(os.Stderr, "gencached loadtest: -capfrac must be above 0 and at most 16")
+		os.Exit(2)
+	}
+	if err := cfg.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "gencached loadtest:", err)
+		os.Exit(2)
+	}
 	total := *sessions
 	if total <= 0 {
 		total = *clients
@@ -81,22 +106,6 @@ func loadtestMain(args []string) {
 		nodes = append(nodes, nc)
 	}
 
-	opts := client.SessionOptions{
-		CapFrac:      *capFrac,
-		Layout:       *layout,
-		Threshold:    *threshold,
-		HasThreshold: true,
-		Unified:      *unified,
-	}
-	// The offline verification config mirrors the session options; both the
-	// served session and server.OfflineReplay build their managers from it.
-	vcfg := server.SessionConfig{
-		CapFrac:   *capFrac,
-		Layout:    *layout,
-		Threshold: *threshold,
-		Unified:   *unified,
-	}
-
 	// Synthesize each benchmark's log once; every session replays a private
 	// copy, so the offline expectation is computed once per benchmark too.
 	benches := strings.Split(*bench, ",")
@@ -113,7 +122,7 @@ func loadtestMain(args []string) {
 		}
 		logs[i] = data
 		if *verify {
-			exp, err := server.OfflineReplay(vcfg, nil, data)
+			exp, err := server.OfflineReplay(cfg, nil, data)
 			if err != nil {
 				fatal(err)
 			}
@@ -159,7 +168,7 @@ func loadtestMain(args []string) {
 				var res api.SessionResult
 				var err error
 				for attempt := 0; ; attempt++ {
-					res, err = node.Session(ctx, opts, bytes.NewReader(logs[b]))
+					res, err = node.Session(ctx, client.SessionOptions{SessionConfig: cfg}, bytes.NewReader(logs[b]))
 					if !errors.Is(err, client.ErrOverloaded) || attempt >= 20 {
 						break
 					}

@@ -47,7 +47,7 @@ func Example() {
 		log.Fatal(err)
 	}
 	capacity := repro.UnboundedPeak(events) / 2
-	cmp, err := repro.Compare(profile.Name, events, capacity, repro.BestLayout(capacity))
+	cmp, err := repro.Compare(profile.Name, events, repro.BestLayout(capacity))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func Example_quickstart() {
 			evictions++
 		}
 	})
-	mgr, err := repro.NewGenerational(repro.BestLayout(128<<10), counter)
+	mgr, err := repro.NewTierGraph(repro.BestLayout(128<<10), counter)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func Example_interactive() {
 	fmt.Printf("\nsimulating at %.1f MB total cache (half the %.1f MB unbounded peak)\n\n",
 		mb(capacity), mb(peak))
 
-	cmp, err := repro.Compare(profile.Name, events, capacity, repro.BestLayout(capacity))
+	cmp, err := repro.Compare(profile.Name, events, repro.BestLayout(capacity))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -362,10 +362,10 @@ func Example_policycompare() {
 
 	type entry struct {
 		name string
-		mgr  func(repro.Observer) repro.Manager
+		mgr  func(repro.Observer) *repro.TierGraph
 	}
-	mk := func(p func() repro.LocalPolicy) func(repro.Observer) repro.Manager {
-		return func(h repro.Observer) repro.Manager {
+	mk := func(p func() repro.LocalPolicy) func(repro.Observer) *repro.TierGraph {
+		return func(h repro.Observer) *repro.TierGraph {
 			return repro.NewUnifiedWithPolicy(capacity, p(), h)
 		}
 	}
@@ -373,8 +373,8 @@ func Example_policycompare() {
 	// chain is just the stock three-tier shape, a four-generation chain
 	// needs nothing but a longer spec string, and the adaptive entry
 	// attaches the online split controller to the stock shape.
-	graph := func(tiers string, adaptive bool) func(repro.Observer) repro.Manager {
-		return func(h repro.Observer) repro.Manager {
+	graph := func(tiers string, adaptive bool) func(repro.Observer) *repro.TierGraph {
+		return func(h repro.Observer) *repro.TierGraph {
 			spec, err := repro.ParseTierSpec(tiers, capacity)
 			if err != nil {
 				log.Fatal(err)
@@ -457,7 +457,7 @@ func Example_persistcache() {
 	kb := func(n uint64) string { return fmt.Sprintf("%.1f KB", float64(n)/1024) }
 
 	run := func(warm []byte) (repro.RunStats, []byte) {
-		mgr, err := repro.NewGenerational(repro.BestLayout(capacity), nil)
+		mgr, err := repro.NewTierGraph(repro.BestLayout(capacity), nil)
 		if err != nil {
 			log.Fatal(err)
 		}

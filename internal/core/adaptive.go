@@ -337,11 +337,7 @@ func (g *Graph) AdaptiveStats() (AdaptiveStats, bool) {
 
 // SetLoadPressure feeds external arrival intensity (0 = idle, 1 = saturated)
 // into the adaptive split controller; see adaptiveController.pressure for
-// how it trades damping for reaction speed. Static graphs ignore it. Callers
-// that only hold a Manager reach it with the same type-assertion idiom as
-// SetProcID:
-//
-//	if lp, ok := mgr.(interface{ SetLoadPressure(float64) }); ok { ... }
+// how it trades damping for reaction speed. Static graphs ignore it.
 //
 // Determinism: pressure is ordinary controller input — two runs that set the
 // same pressure values at the same access counts decide identically.

@@ -110,19 +110,15 @@ func TestPressureLowersDeadband(t *testing.T) {
 	}
 }
 
-// TestPressureStaticGraphNoop: SetLoadPressure on a static graph is a no-op,
-// through both the concrete type and the Manager type-assertion idiom.
+// TestPressureStaticGraphNoop: SetLoadPressure on a static graph is a no-op.
 func TestPressureStaticGraphNoop(t *testing.T) {
 	g, err := NewGraph(UnifiedSpec(1000, nil), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	g.SetLoadPressure(0.9) // must not panic
-	var m Manager = g
-	if lp, ok := m.(interface{ SetLoadPressure(float64) }); !ok {
-		t.Fatal("Graph does not satisfy the SetLoadPressure type-assertion idiom")
-	} else {
-		lp.SetLoadPressure(0.4)
+	if _, ok := g.AdaptiveStats(); ok {
+		t.Error("static graph reports adaptive stats")
 	}
 }
 

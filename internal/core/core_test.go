@@ -62,9 +62,6 @@ func TestUnifiedBasics(t *testing.T) {
 	if u.Capacity() != 300 || u.Used() != 300 {
 		t.Errorf("capacity/used = %d/%d", u.Capacity(), u.Used())
 	}
-	if len(u.Levels()) != 1 {
-		t.Error("unified should report one level")
-	}
 }
 
 func TestUnifiedForcedDeletes(t *testing.T) {
@@ -104,20 +101,20 @@ func TestUnifiedPinning(t *testing.T) {
 
 func TestConfigValidate(t *testing.T) {
 	good := Layout451045Threshold1(1000)
-	if err := good.GraphSpec().Validate(); err != nil {
-		t.Errorf("good config rejected: %v", err)
+	if err := good.Validate(); err != nil {
+		t.Errorf("good spec rejected: %v", err)
 	}
-	bad := []Config{
-		{TotalCapacity: 0, NurseryFrac: 0.5, ProbationFrac: 0.25, PersistentFrac: 0.25},
-		{TotalCapacity: 100, NurseryFrac: 0.5, ProbationFrac: 0.5, PersistentFrac: 0.5},
-		{TotalCapacity: 100, NurseryFrac: 1.0, ProbationFrac: 0.0, PersistentFrac: 0.0},
+	bad := []GraphSpec{
+		threeTier(0, 0.5, 0.25, 0.25, 0, false),
+		threeTier(100, 0.5, 0.5, 0.5, 0, false),
+		threeTier(100, 1.0, 0.0, 0.0, 0, false),
 	}
-	for i, c := range bad {
-		if err := c.GraphSpec().Validate(); err == nil {
-			t.Errorf("bad config %d accepted", i)
+	for i, spec := range bad {
+		if err := spec.Validate(); err == nil {
+			t.Errorf("bad spec %d accepted", i)
 		}
-		if _, err := NewGraph(c.GraphSpec(), nil); err == nil {
-			t.Errorf("NewGraph accepted bad config %d", i)
+		if _, err := NewGraph(spec, nil); err == nil {
+			t.Errorf("NewGraph accepted bad spec %d", i)
 		}
 	}
 }
@@ -130,7 +127,7 @@ func TestValidateRefusesNonFiniteFractions(t *testing.T) {
 		one := UnifiedSpec(1000, nil)
 		one.Tiers[0].Frac = v
 		for i := range 3 {
-			three := Layout451045Threshold1(1000).GraphSpec()
+			three := Layout451045Threshold1(1000)
 			three.Tiers[i].Frac = v
 			if err := three.Validate(); err == nil {
 				t.Errorf("three-tier spec with tier %d fraction %v accepted", i, v)
@@ -148,15 +145,15 @@ func TestValidateRefusesNonFiniteFractions(t *testing.T) {
 }
 
 func TestLayoutPresets(t *testing.T) {
-	for _, cfg := range []Config{
+	for _, spec := range []GraphSpec{
 		Layout433Threshold10(999),
 		Layout451045Threshold1(999),
 		Layout104545Threshold10(999),
 	} {
-		if err := cfg.GraphSpec().Validate(); err != nil {
+		if err := spec.Validate(); err != nil {
 			t.Errorf("preset invalid: %v", err)
 		}
-		g, err := NewGraph(cfg.GraphSpec(), nil)
+		g, err := NewGraph(spec, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,14 +170,7 @@ func TestLayoutPresets(t *testing.T) {
 // 300-byte nursery, 300-byte probation, 400-byte persistent.
 func mkGen(t *testing.T, threshold uint64, promoteOnAccess bool, o obs.Observer) *Graph {
 	t.Helper()
-	g, err := NewGraph(Config{
-		TotalCapacity:    1000,
-		NurseryFrac:      0.3,
-		ProbationFrac:    0.3,
-		PersistentFrac:   0.4,
-		PromoteThreshold: threshold,
-		PromoteOnAccess:  promoteOnAccess,
-	}.GraphSpec(), o)
+	g, err := NewGraph(threeTier(1000, 0.3, 0.3, 0.4, threshold, promoteOnAccess), o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,16 +401,9 @@ func TestGenerationalTooBigTrace(t *testing.T) {
 }
 
 func TestGenerationalOversizedNurseryVictimDies(t *testing.T) {
-	// A 250-byte trace fits the 300-byte nursery but not probation once
-	// probation is crowded by pinned traces... simpler: make probation too
-	// small for the victim by using a custom config.
-	g, err := NewGraph(Config{
-		TotalCapacity:    1000,
-		NurseryFrac:      0.5, // 500
-		ProbationFrac:    0.1, // 100
-		PersistentFrac:   0.4, // 400
-		PromoteThreshold: 1,
-	}.GraphSpec(), nil)
+	// A nursery victim too big for the probation cache dies: a 500-byte
+	// nursery, a 100-byte probation cache and a 400-byte persistent cache.
+	g, err := NewGraph(threeTier(1000, 0.5, 0.1, 0.4, 1, false), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,19 +421,14 @@ func TestGenerationalOversizedNurseryVictimDies(t *testing.T) {
 }
 
 func TestGenerationalLocalPolicyOverride(t *testing.T) {
-	g, err := NewGraph(Config{
-		TotalCapacity:    900,
-		NurseryFrac:      1.0 / 3,
-		ProbationFrac:    1.0 / 3,
-		PersistentFrac:   1.0 / 3,
-		PromoteThreshold: 1,
-		Local: func(l Level) policy.Local {
-			if l == LevelNursery {
-				return policy.NewLRU()
-			}
-			return nil // default
-		},
-	}.GraphSpec(), nil)
+	spec := threeTier(900, 1.0/3, 1.0/3, 1.0/3, 1, false)
+	spec.Local = func(l Level) policy.Local {
+		if l == LevelNursery {
+			return policy.NewLRU()
+		}
+		return nil // default
+	}
+	g, err := NewGraph(spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -477,14 +455,7 @@ func TestGenerationalRandomized(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		r := rand.New(rand.NewSource(seed))
 		liveBytes := uint64(0)
-		g, err := NewGraph(Config{
-			TotalCapacity:    8192,
-			NurseryFrac:      0.45,
-			ProbationFrac:    0.10,
-			PersistentFrac:   0.45,
-			PromoteThreshold: uint64(1 + r.Intn(3)),
-			PromoteOnAccess:  seed%2 == 0,
-		}.GraphSpec(), obs.Func(func(e obs.Event) {
+		g, err := NewGraph(threeTier(8192, 0.45, 0.10, 0.45, uint64(1+r.Intn(3)), seed%2 == 0), obs.Func(func(e obs.Event) {
 			if e.Kind == obs.KindEvict {
 				liveBytes -= e.Size
 			}
@@ -532,8 +503,7 @@ func TestQuickConfigValidate(t *testing.T) {
 		n := float64(a%1000) / 1000
 		p := float64(b%1000) / 1000
 		s := 1 - n - p
-		cfg := Config{TotalCapacity: 1000, NurseryFrac: n, ProbationFrac: p, PersistentFrac: s, PromoteThreshold: 1}
-		err := cfg.GraphSpec().Validate()
+		err := threeTier(1000, n, p, s, 1, false).Validate()
 		legal := n > 0 && p > 0 && s > 0
 		return (err == nil) == legal
 	}
@@ -555,22 +525,13 @@ func TestObserverFanOutProperty(t *testing.T) {
 			ec2 := stats.NewEventCounter()
 			bus := obs.NewBus(ec, ec2)
 
-			var mgr Manager
-			if shape == "unified" {
-				mgr = NewUnified(4096, nil, bus)
-			} else {
-				g, err := NewGraph(Config{
-					TotalCapacity:    4096,
-					NurseryFrac:      0.45,
-					ProbationFrac:    0.10,
-					PersistentFrac:   0.45,
-					PromoteThreshold: uint64(1 + r.Intn(2)),
-					PromoteOnAccess:  seed%2 == 0,
-				}.GraphSpec(), bus)
-				if err != nil {
-					t.Fatal(err)
-				}
-				mgr = g
+			spec := UnifiedSpec(4096, nil)
+			if shape == "generational" {
+				spec = threeTier(4096, 0.45, 0.10, 0.45, uint64(1+r.Intn(2)), seed%2 == 0)
+			}
+			mgr, err := NewGraph(spec, bus)
+			if err != nil {
+				t.Fatal(err)
 			}
 
 			var ids []uint64

@@ -1,13 +1,13 @@
 // The tier graph: the generalization of the paper's hand-written managers.
 // A Graph is an ordered chain of tiers (arena + local policy + level label)
-// connected by eviction edges: a victim leaving tier i is offered to tier
-// i+1 when the edge's predictor admits it and leaves the system otherwise;
-// victims of the last tier always die. The paper's Unified baseline is a
-// one-tier graph (UnifiedSpec) and its Generational design (Figure 8) is the
-// stock three-tier graph with a hit-threshold gate on the probation edge
-// (Config.GraphSpec); the same machinery runs N-generation chains,
-// alternative promotion predictors (TRRIP-style temperature), and the
-// adaptive split controller in adaptive.go.
+// connected by eviction edges: a victim leaving tier i moves into tier i+1
+// when it ran at least the edge's threshold times while resident in tier i,
+// and leaves the system otherwise; victims of the last tier always die. The
+// paper's Unified baseline is a one-tier graph (UnifiedSpec) and its
+// Generational design (Figure 8) is the stock three-tier graph with a
+// hit-threshold gate on the probation edge (Layout451045Threshold1 and the
+// other Figure 9 layouts); the same machinery runs N-generation chains and
+// the adaptive split controller in adaptive.go.
 package core
 
 import (
@@ -23,58 +23,6 @@ import (
 )
 
 // ---------------------------------------------------------------------------
-// Promotion predictors
-
-// Predictor decides whether a trace leaving one tier should be promoted into
-// the next tier of the graph or leave the system. Implementations must be
-// deterministic functions of the fragment's bookkeeping and the tier clock.
-type Predictor interface {
-	// Name identifies the predictor in experiment output.
-	Name() string
-	// Admit reports whether victim v may enter the next tier. now is the
-	// logical clock of the tier v is leaving.
-	Admit(v *codecache.Fragment, now uint64) bool
-}
-
-// HitThreshold is the paper's promotion gate (§5.3): a victim is promoted
-// when it was executed at least N times while resident in its tier. Figure
-// 9's "@1" and "@10" labels are this knob.
-type HitThreshold struct{ N uint64 }
-
-// Name implements Predictor.
-func (h HitThreshold) Name() string { return fmt.Sprintf("hits@%d", h.N) }
-
-// Admit implements Predictor.
-func (h HitThreshold) Admit(v *codecache.Fragment, now uint64) bool {
-	return v.AccessCount >= h.N
-}
-
-// Temperature is a TRRIP-style re-reference predictor: instead of a raw hit
-// count it asks whether the trace is predicted to re-reference soon — either
-// it ran often enough to be hot, or it ran recently (within MaxIdle ticks of
-// the tier clock). Cold traces that last ran long ago are denied even if
-// they crossed the hit threshold once.
-type Temperature struct {
-	// Hot is the access count at or above which the trace is admitted
-	// regardless of recency.
-	Hot uint64
-	// MaxIdle is the maximum clock distance since the last access for a
-	// warm (accessed but not hot) trace to be admitted.
-	MaxIdle uint64
-}
-
-// Name implements Predictor.
-func (t Temperature) Name() string { return fmt.Sprintf("temp%d~%d", t.Hot, t.MaxIdle) }
-
-// Admit implements Predictor.
-func (t Temperature) Admit(v *codecache.Fragment, now uint64) bool {
-	if v.AccessCount >= t.Hot {
-		return true
-	}
-	return v.AccessCount > 0 && now-v.LastAccess <= t.MaxIdle
-}
-
-// ---------------------------------------------------------------------------
 // Graph specification
 
 // TierSpec describes one tier of a graph and the eviction edge leaving it.
@@ -82,19 +30,16 @@ type TierSpec struct {
 	// Frac is this tier's share of the graph's total capacity.
 	Frac float64
 
-	// Threshold installs a HitThreshold gate on the edge to the next tier:
-	// victims with fewer resident accesses die instead of promoting. 0 means
-	// victims promote unconditionally. Ignored for the last tier (whose
-	// victims always die) and when Predictor is set.
+	// Threshold gates the edge to the next tier (§5.3): a victim executed
+	// fewer than Threshold times while resident in this tier dies instead of
+	// promoting. 0 means victims promote unconditionally. Figure 9's "@1" and
+	// "@10" labels are this knob. Ignored for the last tier, whose victims
+	// always die.
 	Threshold uint64
 
-	// Predictor, when non-nil, replaces the Threshold gate on the edge to
-	// the next tier.
-	Predictor Predictor
-
-	// PromoteOnAccess upgrades a resident trace the moment an access makes
-	// the edge's gate admit it, rather than waiting for its eviction (§5.3's
-	// "each hit in the probation cache triggers an upgrade").
+	// PromoteOnAccess upgrades a resident trace the moment an access brings
+	// it to the edge's threshold, rather than waiting for its eviction
+	// (§5.3's "each hit in the probation cache triggers an upgrade").
 	PromoteOnAccess bool
 
 	// Policy selects this tier's local policy by registry spec ("lru",
@@ -107,9 +52,9 @@ type TierSpec struct {
 }
 
 // GraphSpec describes a whole tier graph. The stock shapes are built by
-// UnifiedSpec and Config.GraphSpec; richer shapes (N generations, mixed
-// predictors) are written directly or parsed from a CLI string by
-// ParseTierSpec.
+// UnifiedSpec and the Figure 9 layouts (Layout451045Threshold1 and its
+// siblings); richer shapes (N generations, per-tier policies) are written
+// directly or parsed from a CLI string by ParseTierSpec.
 type GraphSpec struct {
 	TotalCapacity uint64
 	Tiers         []TierSpec
@@ -200,21 +145,6 @@ func UnifiedSpec(capacity uint64, local policy.Local) GraphSpec {
 	return s
 }
 
-// GraphSpec converts the legacy three-tier configuration into its graph
-// form: an ungated nursery edge, a gated (and optionally promote-on-access)
-// probation edge, and a terminal persistent tier.
-func (c Config) GraphSpec() GraphSpec {
-	return GraphSpec{
-		TotalCapacity: c.TotalCapacity,
-		Local:         c.Local,
-		Tiers: []TierSpec{
-			{Frac: c.NurseryFrac},
-			{Frac: c.ProbationFrac, Threshold: c.PromoteThreshold, PromoteOnAccess: c.PromoteOnAccess},
-			{Frac: c.PersistentFrac},
-		},
-	}
-}
-
 // levelFor labels tier i of an n-tier graph. One-tier graphs are unified;
 // otherwise the first tier is the nursery, the last the persistent tier, the
 // second the probation tier, and any further middle generations get fresh
@@ -244,9 +174,10 @@ type tier struct {
 	arena *codecache.Arena
 	local policy.Local
 
-	// pred gates the edge to the next tier; nil admits every victim.
-	pred Predictor
-	// promoteOnAccess upgrades residents as soon as pred admits them.
+	// threshold gates the edge to the next tier: victims with fewer resident
+	// accesses die. 0 admits every victim.
+	threshold uint64
+	// promoteOnAccess upgrades residents as soon as they reach threshold.
 	promoteOnAccess bool
 
 	next *tier // nil for the last private tier
@@ -255,11 +186,6 @@ type tier struct {
 	// along the outgoing edge, or kill it when this is the final tier.
 	onEvict func(codecache.Fragment)
 
-	// vbuf is scratch for onEvict: Admit takes a pointer, and handing it the
-	// stack copy makes every eviction heap-allocate a Fragment. Predictors
-	// are deterministic inspectors (see Predictor), so a reused buffer is
-	// observationally identical.
-	vbuf codecache.Fragment
 	// noopAccess records that local.OnAccess is statically a no-op, letting
 	// the batched access path skip the interface call per hit. Set only when
 	// no policy selector is attached (a selector may swap local at runtime).
@@ -381,12 +307,8 @@ func newGraph(spec GraphSpec, shared *SharedPersistent, proc int, o obs.Observer
 			idx:             i,
 			arena:           codecache.New(b),
 			local:           local,
+			threshold:       ts.Threshold,
 			promoteOnAccess: ts.PromoteOnAccess,
-		}
-		if ts.Predictor != nil {
-			t.pred = ts.Predictor
-		} else if ts.Threshold > 0 {
-			t.pred = HitThreshold{N: ts.Threshold}
 		}
 		t.arena.SetObserver(g.o, lvl)
 		t.arena.SetProcID(proc)
@@ -464,13 +386,8 @@ func graphName(spec GraphSpec, g *Graph) string {
 			b.WriteString(t.Policy)
 		}
 	}
-	gate := spec.Tiers[len(spec.Tiers)-2]
 	b.WriteByte('@')
-	if gate.Predictor != nil {
-		b.WriteString(gate.Predictor.Name())
-	} else {
-		b.WriteString(strconv.FormatUint(gate.Threshold, 10))
-	}
+	b.WriteString(strconv.FormatUint(spec.Tiers[len(spec.Tiers)-2].Threshold, 10))
 	return b.String()
 }
 
@@ -481,13 +398,9 @@ func (g *Graph) victimHandler(t *tier) func(codecache.Fragment) {
 		return func(v codecache.Fragment) { g.die(v, t.level) }
 	}
 	return func(v codecache.Fragment) {
-		if t.pred != nil {
-			t.vbuf = v
-			if !t.pred.Admit(&t.vbuf, t.arena.Clock()) {
-				g.die(v, t.level)
-				return
-			}
-			v = t.vbuf
+		if v.AccessCount < t.threshold {
+			g.die(v, t.level)
+			return
 		}
 		g.promote(t, v)
 	}
@@ -505,7 +418,7 @@ func (g *Graph) die(f codecache.Fragment, from Level) {
 
 // promote relocates a victim of tier t into the next tier along its edge (or
 // into the shared persistent tier when t is the last private tier of a
-// shared graph). The gate has already admitted v.
+// shared graph). The threshold has already admitted v.
 func (g *Graph) promote(t *tier, v codecache.Fragment) {
 	if v.Undeletable {
 		// Pinned traces are never chosen as victims by the stock policies;
@@ -568,7 +481,7 @@ func (g *Graph) Ledger() *attrib.Ledger {
 // Shared returns the shared persistent tier, or nil in private mode.
 func (g *Graph) Shared() *SharedPersistent { return g.shared }
 
-// Name implements Manager.
+// Name identifies the configuration in experiment output.
 func (g *Graph) Name() string { return g.name }
 
 // Spec returns the graph's specification.
@@ -598,9 +511,9 @@ func (g *Graph) TierCapacities() []uint64 {
 	return out
 }
 
-// Insert implements Manager: the insertNewTrace routine of Figure 8. New
-// traces always enter the first tier; victims cascade along the eviction
-// edges.
+// Insert accepts a newly generated trace: the insertNewTrace routine of
+// Figure 8. New traces always enter the first tier; victims cascade along
+// the eviction edges.
 func (g *Graph) Insert(f codecache.Fragment) error {
 	t := g.tiers[0]
 	err := t.local.Insert(t.arena, f, t.onEvict)
@@ -618,8 +531,9 @@ func (g *Graph) Insert(f codecache.Fragment) error {
 	return nil
 }
 
-// Access implements Manager. A hit in a promote-on-access tier upgrades the
-// trace along its edge as soon as the gate admits it.
+// Access records that execution entered the trace and reports whether it
+// was resident (a code-cache hit). A hit in a promote-on-access tier
+// upgrades the trace along its edge as soon as it reaches the threshold.
 func (g *Graph) Access(id uint64) bool {
 	g.stats.Accesses++
 	if g.led != nil {
@@ -704,14 +618,16 @@ func (g *Graph) noteHint(id uint64, tier int) {
 	g.hint[id] = uint8(tier)
 }
 
-// AccessRun implements RunAccessor: the leading run of private-tier hits is
-// absorbed in one call, with the statistics flushed once at the end and the
-// probe for each trace starting at the tier it last hit in (a stale hint
-// wastes one side-effect-free probe, nothing more). Managers with an
-// adaptive controller or policy selector attached refuse batching (-1):
-// both need to observe every probe in order. A trace resident only in the
-// shared tier ends the run — the caller's per-event Access performs the
-// shared probe with its full bookkeeping.
+// AccessRun is the batched form of Access, for the replay kernel
+// (sim.StepBlock): it processes the longest leading prefix of ids that hit,
+// exactly as if Access had been called for each, and returns how many it
+// processed. The id at the returned index has not been accessed (it missed,
+// or is resident only in the shared tier, whose bookkeeping the caller's
+// per-event Access performs). The statistics are flushed once at the end and
+// the probe for each trace starts at the tier it last hit in (a stale hint
+// wastes one side-effect-free probe, nothing more). A graph with an adaptive
+// controller or policy selector attached refuses batching with -1, for good:
+// both need to observe every probe in order.
 func (g *Graph) AccessRun(ids []uint64) int {
 	if g.ctl != nil || g.sel != nil {
 		return -1
@@ -771,8 +687,8 @@ func (g *Graph) AccessRun(ids []uint64) int {
 	return done
 }
 
-// upgradeOnAccess promotes a resident of tier t along its edge if the gate
-// now admits it.
+// upgradeOnAccess promotes a resident of tier t along its edge if it has
+// now reached the edge's threshold.
 func (g *Graph) upgradeOnAccess(t *tier, id uint64) {
 	if t.next == nil && g.shared == nil {
 		return // final tier: nowhere to go
@@ -781,7 +697,7 @@ func (g *Graph) upgradeOnAccess(t *tier, id uint64) {
 	if !ok || f.Undeletable {
 		return
 	}
-	if t.pred != nil && !t.pred.Admit(f, t.arena.Clock()) {
+	if f.AccessCount < t.threshold {
 		return
 	}
 	if v, err := t.arena.Delete(id, false); err == nil {
@@ -795,7 +711,7 @@ func (g *Graph) upgradeOnAccess(t *tier, id uint64) {
 	}
 }
 
-// Contains implements Manager.
+// Contains reports residency without touching access counters.
 func (g *Graph) Contains(id uint64) bool {
 	for _, t := range g.tiers {
 		if t.arena.Contains(id) {
@@ -818,10 +734,11 @@ func (g *Graph) Where(id uint64) (Level, bool) {
 	return 0, false
 }
 
-// DeleteModule implements Manager. In shared mode the private tiers drop
-// their copies unconditionally, while the shared tier only drops this
-// process's references: victims returned from there are the traces whose
-// last reference drained.
+// DeleteModule force-deletes every trace from module m (program-forced
+// eviction, e.g. a DLL unmap) and returns the victims. In shared mode the
+// private tiers drop their copies unconditionally, while the shared tier
+// only drops this process's references: victims returned from there are the
+// traces whose last reference drained.
 func (g *Graph) DeleteModule(m uint16) []codecache.Fragment {
 	var out []codecache.Fragment
 	for _, t := range g.tiers {
@@ -850,7 +767,7 @@ func (g *Graph) DeleteModule(m uint16) []codecache.Fragment {
 	return out
 }
 
-// SetUndeletable implements Manager.
+// SetUndeletable pins or unpins a resident trace.
 func (g *Graph) SetUndeletable(id uint64, pinned bool) bool {
 	if g.sel != nil {
 		// Pins apply wherever the fragment lives; a shadow may hold it even
@@ -868,9 +785,9 @@ func (g *Graph) SetUndeletable(id uint64, pinned bool) bool {
 	return false
 }
 
-// Capacity implements Manager. In shared mode the shared tier's full
-// capacity is included (it is one system-wide arena, not a per-process
-// slice).
+// Capacity returns the total bytes across all tiers. In shared mode the
+// shared tier's full capacity is included (it is one system-wide arena, not
+// a per-process slice).
 func (g *Graph) Capacity() uint64 {
 	var c uint64
 	for _, t := range g.tiers {
@@ -882,7 +799,7 @@ func (g *Graph) Capacity() uint64 {
 	return c
 }
 
-// Used implements Manager.
+// Used returns the occupied bytes across all tiers.
 func (g *Graph) Used() uint64 {
 	var u uint64
 	for _, t := range g.tiers {
@@ -894,20 +811,8 @@ func (g *Graph) Used() uint64 {
 	return u
 }
 
-// Stats implements Manager.
+// Stats returns aggregate counters.
 func (g *Graph) Stats() Stats { return g.stats }
-
-// Levels implements Manager.
-func (g *Graph) Levels() map[Level]codecache.Stats {
-	out := make(map[Level]codecache.Stats, len(g.tiers)+1)
-	for _, t := range g.tiers {
-		out[t.level] = t.arena.Stats()
-	}
-	if g.shared != nil {
-		out[LevelPersistent] = g.shared.ArenaStats()
-	}
-	return out
-}
 
 // PersistentFragments returns copies of the traces currently resident in
 // the final tier, in address order. Cross-run cache persistence snapshots

@@ -316,13 +316,6 @@ func (sp *SharedPersistent) Stats() SharedStats {
 	return sp.stats
 }
 
-// ArenaStats returns the underlying arena's counters (for Levels reporting).
-func (sp *SharedPersistent) ArenaStats() codecache.Stats {
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	return sp.arena.Stats()
-}
-
 // Fragments returns copies of the resident traces in address order (the
 // cross-run persistence snapshot reads these).
 func (sp *SharedPersistent) Fragments() []codecache.Fragment {

@@ -63,7 +63,7 @@ type Config struct {
 	// Manager is the trace-cache manager (required): a core.NewGraph in
 	// single-process systems, a core.NewGraphShared over the system's shared
 	// tier in multi-process ones.
-	Manager core.Manager
+	Manager *core.Graph
 	// HotThreshold is the trace creation threshold (default 50, DynamoRIO's
 	// value per §4.1).
 	HotThreshold uint64
@@ -251,9 +251,9 @@ func (e *Process) TraceByID(id uint64) (*trace.Trace, bool) {
 
 // Preload registers already-built traces before the run starts — the
 // warm-start path for cross-run cache persistence. Traces go straight into
-// the persistent cache when the manager is generational, and through the
-// normal insertion path otherwise. Preloaded trace IDs must not collide;
-// the engine's own IDs continue above the highest preloaded ID.
+// the manager's final tier (Graph.InsertPersistent), which for a one-tier
+// unified cache is the normal insertion path. Preloaded trace IDs must not
+// collide; the engine's own IDs continue above the highest preloaded ID.
 func (e *Process) Preload(ts []*trace.Trace) error {
 	for _, t := range ts {
 		if _, dup := e.traces[t.ID]; dup {
@@ -265,13 +265,7 @@ func (e *Process) Preload(ts []*trace.Trace) error {
 		if len(t.BlockInstrs) != len(t.BlockAddrs) {
 			return fmt.Errorf("dbt: preload: trace %d has %d instruction counts for %d blocks (not built by trace.Build)", t.ID, len(t.BlockInstrs), len(t.BlockAddrs))
 		}
-		var err error
-		if g, ok := e.cfg.Manager.(*core.Graph); ok {
-			err = g.InsertPersistent(e.fragmentOf(t))
-		} else {
-			err = e.cfg.Manager.Insert(e.fragmentOf(t))
-		}
-		if err != nil {
+		if err := e.cfg.Manager.InsertPersistent(e.fragmentOf(t)); err != nil {
 			return fmt.Errorf("dbt: preload trace %d: %w", t.ID, err)
 		}
 		e.traces[t.ID] = t

@@ -111,8 +111,8 @@ func (s *System) adopt(proc int, module uint16, head uint64) (*trace.Trace, bool
 
 // NewProcess creates a front-end process with the given ID over this
 // system. The configuration's Manager should be process-private (in shared
-// systems, a core.NewGraphShared over the system's tier); if the manager
-// supports process attribution, its events are stamped with the process ID.
+// systems, a core.NewGraphShared over the system's tier); its events are
+// stamped with the process ID.
 func (s *System) NewProcess(id int, img *program.Image, cfg Config) (*Process, error) {
 	if cfg.Manager == nil {
 		return nil, fmt.Errorf("dbt: config requires a Manager")
@@ -123,9 +123,7 @@ func (s *System) NewProcess(id int, img *program.Image, cfg Config) (*Process, e
 	if cfg.MaxTraceBlocks == 0 {
 		cfg.MaxTraceBlocks = trace.DefaultMaxBlocks
 	}
-	if sp, ok := cfg.Manager.(interface{ SetProcID(int) }); ok {
-		sp.SetProcID(id)
-	}
+	cfg.Manager.SetProcID(id)
 	model := costmodel.DefaultModel
 	if cfg.Model != nil {
 		model = *cfg.Model

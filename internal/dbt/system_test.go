@@ -104,24 +104,27 @@ func sharedSystem(t *testing.T, img *program.Image, procs int, traceSize uint64,
 	return sys, sp
 }
 
-// oneTraceTiers is sharedSystem's private-tier configuration: a nursery and
-// a probation that each hold one trace of traceSize bytes.
-func oneTraceTiers(traceSize uint64) core.Config {
-	return core.Config{
-		TotalCapacity:    traceSize * 9 / 2,
-		NurseryFrac:      1.0 / 3,
-		ProbationFrac:    1.0 / 3,
-		PersistentFrac:   1.0 / 3,
-		PromoteThreshold: 1,
-		PromoteOnAccess:  true,
-	}
+// thirdsAt1 is the three-tier chain over total in equal thirds, promoting a
+// probation trace on its first hit.
+func thirdsAt1(total uint64) core.GraphSpec {
+	return core.GraphSpec{TotalCapacity: total, Tiers: []core.TierSpec{
+		{Frac: 1.0 / 3},
+		{Frac: 1.0 / 3, Threshold: 1, PromoteOnAccess: true},
+		{Frac: 1.0 / 3},
+	}}
 }
 
-// addSharedProcess adds process p, with private tiers cfg, to a system with
-// a shared tier.
-func addSharedProcess(t *testing.T, sys *System, p int, img *program.Image, cfg core.Config, o obs.Observer, log *tracelog.Writer) *Process {
+// oneTraceTiers is sharedSystem's private-tier configuration: a nursery and
+// a probation that each hold one trace of traceSize bytes.
+func oneTraceTiers(traceSize uint64) core.GraphSpec {
+	return thirdsAt1(traceSize * 9 / 2)
+}
+
+// addSharedProcess adds process p, with private tiers spec, to a system
+// with a shared tier.
+func addSharedProcess(t *testing.T, sys *System, p int, img *program.Image, spec core.GraphSpec, o obs.Observer, log *tracelog.Writer) *Process {
 	t.Helper()
-	mgr, err := core.NewGraphShared(cfg.GraphSpec(), sys.Shared(), p, o)
+	mgr, err := core.NewGraphShared(spec, sys.Shared(), p, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,12 +367,11 @@ func TestSessionLogUnmapReleasesModule(t *testing.T) {
 	// Of the four traces in rotation, one-trace tiers would push none
 	// through to the shared tier: each leaves the probation before it runs
 	// again. A probation of four traces holds each until its next run.
-	cfg := oneTraceTiers(size)
-	cfg.TotalCapacity = size * 9
-	cfg.NurseryFrac, cfg.ProbationFrac = 1.0/6, 1.0/2
+	spec := thirdsAt1(size * 9)
+	spec.Tiers[0].Frac, spec.Tiers[1].Frac = 1.0/6, 1.0/2
 	sp := core.NewSharedPersistent(10*size, nil, nil)
 	sys := NewSystem(sp)
-	procs := []*Process{addSharedProcess(t, sys, 0, img, cfg, nil, nil), addSharedProcess(t, sys, 1, img, cfg, nil, nil)}
+	procs := []*Process{addSharedProcess(t, sys, 0, img, spec, nil, nil), addSharedProcess(t, sys, 1, img, spec, nil, nil)}
 	g0, g1 := &VMGuest{M: vm.New(img)}, &VMGuest{M: vm.New(img)}
 
 	byModule := func() map[uint16][]uint64 {
@@ -523,17 +525,10 @@ func TestSingleProcSharedMatchesPlain(t *testing.T) {
 	// persistent cache: identical run statistics.
 	img := buildPluginHotProgram(t, 1)
 	size := maxTraceSize(t, img)
-	cfg := core.Config{
-		TotalCapacity:    size * 9 / 2,
-		NurseryFrac:      1.0 / 3,
-		ProbationFrac:    1.0 / 3,
-		PersistentFrac:   1.0 / 3,
-		PromoteThreshold: 1,
-		PromoteOnAccess:  true,
-	}
+	spec := thirdsAt1(size * 9 / 2)
 
 	plain := func() RunStats {
-		mgr, err := core.NewGraph(cfg.GraphSpec(), nil)
+		mgr, err := core.NewGraph(spec, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -548,9 +543,9 @@ func TestSingleProcSharedMatchesPlain(t *testing.T) {
 	}()
 
 	shared := func() RunStats {
-		sp := core.NewSharedPersistent(uint64(float64(cfg.TotalCapacity)*cfg.PersistentFrac), nil, nil)
+		sp := core.NewSharedPersistent(uint64(float64(spec.TotalCapacity)*spec.Tiers[2].Frac), nil, nil)
 		sys := NewSystem(sp)
-		mgr, err := core.NewGraphShared(cfg.GraphSpec(), sp, 0, nil)
+		mgr, err := core.NewGraphShared(spec, sp, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -640,14 +635,7 @@ func TestConfigTiersAdaptive(t *testing.T) {
 	}
 
 	// A graph holding roughly half the traces, with short controller epochs.
-	spec := core.Config{
-		TotalCapacity:    traceBytes / 2,
-		NurseryFrac:      1.0 / 3,
-		ProbationFrac:    1.0 / 3,
-		PersistentFrac:   1.0 / 3,
-		PromoteThreshold: 1,
-		PromoteOnAccess:  true,
-	}.GraphSpec()
+	spec := thirdsAt1(traceBytes / 2)
 	spec.Adaptive = &core.AdaptiveConfig{Epoch: 32}
 	var resizes int
 	mgr, err := core.NewGraph(spec, obs.Func(func(ev obs.Event) {

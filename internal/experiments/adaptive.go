@@ -49,11 +49,11 @@ func AdaptiveVsStatic(s *Suite) ([]AdaptiveRow, error) {
 		// the paper's single-hit promote-on-access gate and starts from the
 		// neutral balanced split — the proportions are what it must discover
 		// online.
-		spec := core.Config{
-			TotalCapacity: capacity,
-			NurseryFrac:   1.0 / 3, ProbationFrac: 1.0 / 3, PersistentFrac: 1.0 / 3,
-			PromoteThreshold: 1, PromoteOnAccess: true,
-		}.GraphSpec()
+		spec := core.GraphSpec{TotalCapacity: capacity, Tiers: []core.TierSpec{
+			{Frac: 1.0 / 3},
+			{Frac: 1.0 / 3, Threshold: 1, PromoteOnAccess: true},
+			{Frac: 1.0 / 3},
+		}}
 		// Epochs well below the default: the compressed logs the suite
 		// collects carry a few thousand to a few hundred thousand accesses,
 		// and the controller needs tens of decision points to walk the split.

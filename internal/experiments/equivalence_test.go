@@ -79,7 +79,7 @@ func TestFastDispatchEquivalenceGenerational(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mgr, err := core.NewGraph(core.Layout451045Threshold1(48<<10).GraphSpec(), nil)
+		mgr, err := core.NewGraph(core.Layout451045Threshold1(48<<10), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

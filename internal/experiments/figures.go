@@ -287,9 +287,9 @@ func RenderFigure6(rows []Figure6Row) string {
 // order, over capacity.
 func figure9Layouts(capacity uint64) []core.GraphSpec {
 	return []core.GraphSpec{
-		core.Layout433Threshold10(capacity).GraphSpec(),
-		core.Layout451045Threshold1(capacity).GraphSpec(),
-		core.Layout104545Threshold10(capacity).GraphSpec(),
+		core.Layout433Threshold10(capacity),
+		core.Layout451045Threshold1(capacity),
+		core.Layout104545Threshold10(capacity),
 	}
 }
 

@@ -101,7 +101,7 @@ func withBaseline(capacity uint64, specs ...core.GraphSpec) []core.GraphSpec {
 // headline is the paper's headline comparison: the unified baseline and
 // the 45-10-45 @1 layout of the same capacity.
 func headline(capacity uint64) []core.GraphSpec {
-	return withBaseline(capacity, core.Layout451045Threshold1(capacity).GraphSpec())
+	return withBaseline(capacity, core.Layout451045Threshold1(capacity))
 }
 
 // means averages rows column by column: each of the width columns sums its

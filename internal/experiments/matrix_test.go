@@ -102,7 +102,7 @@ func TestReplayMatrixSkipRules(t *testing.T) {
 		t.Fatalf("hits baseline: %+v, %v; want accesses and no misses", u, err)
 	}
 	capacity := misses.MaxTraceBytes() / 2
-	cmp, err := sim.Compare("misses", misses.Events, capacity, core.Layout451045Threshold1(capacity), s.Model)
+	cmp, err := sim.Compare("misses", misses.Events, core.Layout451045Threshold1(capacity), s.Model)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -91,7 +91,7 @@ func sharedVsIsolatedOne(r *Run, model costmodel.Model, procs int) (SharedVsIsol
 		return SharedVsIsolatedRow{}, err
 	}
 	capacity := sharedCapacityFor(r)
-	cfg := core.Layout451045Threshold1(capacity)
+	spec := core.Layout451045Threshold1(capacity)
 	row := SharedVsIsolatedRow{
 		Name:          r.Profile.Name,
 		Procs:         procs,
@@ -103,7 +103,7 @@ func sharedVsIsolatedOne(r *Run, model costmodel.Model, procs int) (SharedVsIsol
 	isoMgrCost := costmodel.NewAccum(model)
 	var isoStats dbt.RunStats
 	for p := 0; p < procs; p++ {
-		mgr, err := core.NewGraph(cfg.GraphSpec(), sim.CostObserver(isoMgrCost))
+		mgr, err := core.NewGraph(spec, sim.CostObserver(isoMgrCost))
 		if err != nil {
 			return row, err
 		}
@@ -130,12 +130,12 @@ func sharedVsIsolatedOne(r *Run, model costmodel.Model, procs int) (SharedVsIsol
 	// aggregate persistent memory, but traces common across processes (the
 	// application's hot core) occupy it once instead of N times.
 	shMgrCost := costmodel.NewAccum(model)
-	spCap := uint64(procs) * uint64(float64(capacity)*cfg.PersistentFrac)
+	spCap := uint64(procs) * uint64(float64(capacity)*spec.Tiers[2].Frac)
 	sp := core.NewSharedPersistent(spCap, nil, sim.CostObserver(shMgrCost))
 	sys := dbt.NewSystem(sp)
 	guests := make([]dbt.Guest, procs)
 	for p := 0; p < procs; p++ {
-		mgr, err := core.NewGraphShared(cfg.GraphSpec(), sp, p, sim.CostObserver(shMgrCost))
+		mgr, err := core.NewGraphShared(spec, sp, p, sim.CostObserver(shMgrCost))
 		if err != nil {
 			return row, err
 		}
@@ -159,7 +159,7 @@ func sharedVsIsolatedOne(r *Run, model costmodel.Model, procs int) (SharedVsIsol
 	if shStats.Accesses > 0 {
 		row.SharedMissRate = float64(shStats.Misses) / float64(shStats.Accesses)
 	}
-	priv := uint64(float64(capacity)*cfg.NurseryFrac) + uint64(float64(capacity)*cfg.ProbationFrac)
+	priv := uint64(float64(capacity)*spec.Tiers[0].Frac) + uint64(float64(capacity)*spec.Tiers[1].Frac)
 	row.SharedFootprintBytes = spCap + uint64(procs)*priv
 	row.SharedTier = sp.Stats()
 	return row, nil

@@ -34,9 +34,9 @@ type SweepResult struct {
 	Best   SweepPoint
 }
 
-// sweepGrid returns the explored layouts: balanced and unbalanced
-// proportions crossed with promotion thresholds.
-func sweepGrid() []core.Config {
+// sweepGrid returns the explored layouts over capacity: balanced and
+// unbalanced proportions crossed with promotion thresholds.
+func sweepGrid(capacity uint64) []core.GraphSpec {
 	type shape struct{ n, p, s float64 }
 	shapes := []shape{
 		{1.0 / 3, 1.0 / 3, 1.0 / 3},
@@ -48,16 +48,14 @@ func sweepGrid() []core.Config {
 		{0.30, 0.10, 0.60},
 	}
 	thresholds := []uint64{1, 5, 10, 50}
-	var out []core.Config
+	var out []core.GraphSpec
 	for _, sh := range shapes {
 		for _, th := range thresholds {
-			out = append(out, core.Config{
-				NurseryFrac:      sh.n,
-				ProbationFrac:    sh.p,
-				PersistentFrac:   sh.s,
-				PromoteThreshold: th,
-				PromoteOnAccess:  th == 1,
-			})
+			out = append(out, core.GraphSpec{TotalCapacity: capacity, Tiers: []core.TierSpec{
+				{Frac: sh.n},
+				{Frac: sh.p, Threshold: th, PromoteOnAccess: th == 1},
+				{Frac: sh.s},
+			}})
 		}
 	}
 	return out
@@ -68,24 +66,20 @@ func sweepGrid() []core.Config {
 // Each benchmark's 29 replays are one pipeline job; sums aggregate in
 // benchmark order.
 func Sweep(s *Suite) (SweepResult, error) {
-	grid := sweepGrid()
 	m, err := replayMatrix(s, halfPeak, noGraph, func(capacity uint64) []core.GraphSpec {
-		var specs []core.GraphSpec
-		for _, cfg := range grid {
-			cfg.TotalCapacity = capacity
-			specs = append(specs, cfg.GraphSpec())
-		}
-		return withBaseline(capacity, specs...)
+		return withBaseline(capacity, sweepGrid(capacity)...)
 	}, reductionsVsBaseline)
 	if err != nil {
 		return SweepResult{}, err
 	}
+	grid := sweepGrid(0)
 	avgs := means(m[0], len(grid))
 	var res SweepResult
-	for i, cfg := range grid {
+	for i, spec := range grid {
+		n, p, ps := spec.Tiers[0], spec.Tiers[1], spec.Tiers[2]
 		pt := SweepPoint{
-			Nursery: cfg.NurseryFrac, Probation: cfg.ProbationFrac, Persistent: cfg.PersistentFrac,
-			Threshold: cfg.PromoteThreshold, PromoteOnAccess: cfg.PromoteOnAccess,
+			Nursery: n.Frac, Probation: p.Frac, Persistent: ps.Frac,
+			Threshold: p.Threshold, PromoteOnAccess: p.PromoteOnAccess,
 			AvgReduction: avgs[i],
 		}
 		res.Points = append(res.Points, pt)
@@ -189,20 +183,15 @@ func Ablations(s *Suite) ([]AblationRow, error) {
 		name string
 		spec func(capacity uint64) core.GraphSpec
 	}{
-		{"45-10-45@1 (paper)", func(c uint64) core.GraphSpec {
-			return core.Layout451045Threshold1(c).GraphSpec()
-		}},
+		{"45-10-45@1 (paper)", core.Layout451045Threshold1},
 		{"no-probation", func(c uint64) core.GraphSpec {
-			return core.Config{
-				TotalCapacity: c,
-				NurseryFrac:   0.47, ProbationFrac: 0.03, PersistentFrac: 0.50,
-				PromoteThreshold: 0, // every probation victim promotes
-			}.GraphSpec()
+			// Threshold 0: every probation victim promotes.
+			return core.GraphSpec{TotalCapacity: c, Tiers: []core.TierSpec{{Frac: 0.47}, {Frac: 0.03}, {Frac: 0.50}}}
 		}},
 		{"lru-local", func(c uint64) core.GraphSpec {
-			cfg := core.Layout451045Threshold1(c)
-			cfg.Local = func(core.Level) policy.Local { return policy.NewLRU() }
-			return cfg.GraphSpec()
+			spec := core.Layout451045Threshold1(c)
+			spec.Local = func(core.Level) policy.Local { return policy.NewLRU() }
+			return spec
 		}},
 		{"flush-unified", func(c uint64) core.GraphSpec {
 			return core.UnifiedSpec(c, &policy.FlushWhenFull{})

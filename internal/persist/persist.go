@@ -46,8 +46,7 @@ import (
 // namespace (a restarted service, a cluster peer) without any file beside
 // it. Earlier generations (version 1, traces only; version 2, a spec without
 // policies; version 3, no module table) fail with ErrVersion like any
-// other. Predictor gates do not persist — a spec round-trips its threshold
-// form, the only gate the paper's configurations use.
+// other.
 const (
 	magicV4 = "CCPERSIST4\n"
 
@@ -122,8 +121,6 @@ type TierImage struct {
 }
 
 // SpecOf converts a graph specification into its serializable form.
-// Predictor gates are not representable; the spec's threshold form is
-// captured instead.
 func SpecOf(spec core.GraphSpec) *SpecImage {
 	si := &SpecImage{TotalCapacity: spec.TotalCapacity}
 	for _, t := range spec.Tiers {

@@ -16,18 +16,21 @@ import (
 	"repro/internal/workload"
 )
 
+// smallSpec is a 3000-byte generational chain (30-30-40) that promotes a
+// probation trace on its first hit.
+func smallSpec() core.GraphSpec {
+	return core.GraphSpec{TotalCapacity: 3000, Tiers: []core.TierSpec{
+		{Frac: 0.3},
+		{Frac: 0.3, Threshold: 1, PromoteOnAccess: true},
+		{Frac: 0.4},
+	}}
+}
+
 // populated builds a generational manager with some traces promoted into
 // the persistent cache.
 func populated(t testing.TB) *core.Graph {
 	t.Helper()
-	g, err := core.NewGraph(core.Config{
-		TotalCapacity:    3000,
-		NurseryFrac:      0.3,
-		ProbationFrac:    0.3,
-		PersistentFrac:   0.4,
-		PromoteThreshold: 1,
-		PromoteOnAccess:  true,
-	}.GraphSpec(), nil)
+	g, err := core.NewGraph(smallSpec(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +194,7 @@ func TestWarmStartEndToEnd(t *testing.T) {
 	capacity := uint64(256 << 10)
 
 	runOnce := func(preloaded []*trace.Trace) (dbt.RunStats, *core.Graph, *dbt.Process) {
-		g, err := core.NewGraph(core.Layout451045Threshold1(capacity).GraphSpec(), nil)
+		g, err := core.NewGraph(core.Layout451045Threshold1(capacity), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -258,7 +261,7 @@ func TestRebuildRejectsStaleImage(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	g, err := core.NewGraph(core.Layout451045Threshold1(128<<10).GraphSpec(), nil)
+	g, err := core.NewGraph(core.Layout451045Threshold1(128<<10), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,14 +392,7 @@ func putUvarint(buf *bytes.Buffer, v uint64) {
 // "auto:NAME" with NAME the live candidate at snapshot time, so a warm
 // restart resumes the selected policy instead of restarting the race.
 func TestSnapshotCarriesPolicies(t *testing.T) {
-	spec := core.Config{
-		TotalCapacity:    3000,
-		NurseryFrac:      0.3,
-		ProbationFrac:    0.3,
-		PersistentFrac:   0.4,
-		PromoteThreshold: 1,
-		PromoteOnAccess:  true,
-	}.GraphSpec()
+	spec := smallSpec()
 	spec.Tiers[0].Policy = "auto:lru"
 	spec.Tiers[1].Policy = "trrip"
 	spec.Selector = &core.SelectorConfig{Epoch: 64}

@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"net/url"
 	"strconv"
 	"strings"
 
@@ -567,14 +568,11 @@ func (c SessionConfig) GraphSpec(capacity uint64, emit bool) (core.GraphSpec, er
 			return spec, err
 		}
 		threshold := max(c.Threshold, 1)
-		spec = core.Config{
-			TotalCapacity:    capacity,
-			NurseryFrac:      fracs[0],
-			ProbationFrac:    fracs[1],
-			PersistentFrac:   fracs[2],
-			PromoteThreshold: threshold,
-			PromoteOnAccess:  threshold == 1,
-		}.GraphSpec()
+		spec = core.GraphSpec{TotalCapacity: capacity, Tiers: []core.TierSpec{
+			{Frac: fracs[0]},
+			{Frac: fracs[1], Threshold: threshold, PromoteOnAccess: threshold == 1},
+			{Frac: fracs[2]},
+		}}
 	}
 	if c.Policy != "" {
 		for i := range spec.Tiers {
@@ -593,6 +591,66 @@ func (c SessionConfig) GraphSpec(capacity uint64, emit bool) (core.GraphSpec, er
 		spec.Attrib = &attrib.Config{EmitEvents: emit}
 	}
 	return spec, spec.Validate()
+}
+
+// Validate builds the configuration's spec over a one-byte capacity, so a
+// malformed tiers, layout or policy is refused before any log is read. A
+// second build checks layout and policy where the configuration's own shape
+// ignores them (Unified, or Tiers naming every tier's policy). The server
+// checks a session's query string through it before admission, and ccsim
+// and the gencached loadtest check their flags through it before they open
+// a log or contact a server.
+func (c SessionConfig) Validate() error {
+	for _, probe := range []SessionConfig{c, {Layout: c.Layout, Policy: c.Policy}} {
+		if _, err := probe.GraphSpec(1, false); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Query encodes the configuration as the query string of POST
+// /v1/sessions, writing each knob that differs from its zero value (the
+// service default). Floats are formatted so they parse back to the same
+// value: the server parses the query of any configuration it accepts back
+// into a configuration == c. The Go client sends its sessions' queries
+// through it.
+func (c SessionConfig) Query() url.Values {
+	q := url.Values{}
+	num := func(name string, v uint64) {
+		if v > 0 {
+			q.Set(name, strconv.FormatUint(v, 10))
+		}
+	}
+	frac := func(name string, v float64) {
+		if v > 0 {
+			q.Set(name, strconv.FormatFloat(v, 'g', -1, 64))
+		}
+	}
+	str := func(name, v string) {
+		if v != "" {
+			q.Set(name, v)
+		}
+	}
+	flag := func(name string, v bool) {
+		if v {
+			q.Set(name, "1")
+		}
+	}
+	num(ParamCapacity, c.CapacityBytes)
+	frac(ParamCapFrac, c.CapFrac)
+	str(ParamLayout, c.Layout)
+	num(ParamThreshold, c.Threshold)
+	str(ParamTiers, c.Tiers)
+	str(ParamPolicy, c.Policy)
+	num(ParamSelEpoch, c.SelEpoch)
+	flag(ParamUnified, c.Unified)
+	flag(ParamAdaptive, c.Adaptive)
+	num(ParamAdaptEpoch, c.AdaptEpoch)
+	frac(ParamPressure, c.Pressure)
+	flag(ParamAttrib, c.Attrib)
+	str(ParamSession, c.Tenant)
+	return q
 }
 
 // ParseLayout parses an N-P-S percentage split ("45-10-45") into fractions.

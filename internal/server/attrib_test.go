@@ -33,7 +33,7 @@ func regenCauses(c api.CauseCounts) uint64 {
 func TestAttribSessionConserved(t *testing.T) {
 	data := syntheticLog(t, "gzip")
 	_, c := newTestServer(t, server.Config{})
-	got, err := c.Session(context.Background(), client.SessionOptions{Attrib: true}, bytes.NewReader(data))
+	got, err := c.Session(context.Background(), client.SessionOptions{SessionConfig: api.SessionConfig{Attrib: true}}, bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestAttribEndpoint(t *testing.T) {
 	data := syntheticLog(t, "gzip")
 	_, c := newTestServer(t, server.Config{})
 	ctx := context.Background()
-	got, err := c.Session(ctx, client.SessionOptions{Attrib: true}, bytes.NewReader(data))
+	got, err := c.Session(ctx, client.SessionOptions{SessionConfig: api.SessionConfig{Attrib: true}}, bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestAttribMetrics(t *testing.T) {
 	data := syntheticLog(t, "gzip")
 	_, c := newTestServer(t, server.Config{})
 	ctx := context.Background()
-	got, err := c.Session(ctx, client.SessionOptions{Attrib: true}, bytes.NewReader(data))
+	got, err := c.Session(ctx, client.SessionOptions{SessionConfig: api.SessionConfig{Attrib: true}}, bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestAdoptionMissReclassification(t *testing.T) {
 	// A 512-byte shared tier: publishes succeed, then evict each other, so a
 	// later regeneration of a published identity finds the tier empty-handed.
 	_, c := newTestServer(t, server.Config{SharedCapacity: 512})
-	got, err := c.Session(context.Background(), client.SessionOptions{Attrib: true}, bytes.NewReader(data))
+	got, err := c.Session(context.Background(), client.SessionOptions{SessionConfig: api.SessionConfig{Attrib: true}}, bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,12 +206,12 @@ func TestAttribBinaryStatsCarriesCauses(t *testing.T) {
 	ctx := context.Background()
 
 	_, cj := newTestServer(t, server.Config{})
-	viaJSON, err := cj.Session(ctx, client.SessionOptions{Attrib: true}, bytes.NewReader(data))
+	viaJSON, err := cj.Session(ctx, client.SessionOptions{SessionConfig: api.SessionConfig{Attrib: true}}, bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
 	_, cb := newTestServer(t, server.Config{})
-	viaBinary, err := cb.Session(ctx, client.SessionOptions{Attrib: true, BinaryStats: true}, bytes.NewReader(data))
+	viaBinary, err := cb.Session(ctx, client.SessionOptions{SessionConfig: api.SessionConfig{Attrib: true}, BinaryStats: true}, bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,8 +12,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
-	"strconv"
 	"time"
 
 	"repro/internal/server/api"
@@ -52,77 +50,15 @@ func (c *Client) http() *http.Client {
 	return &http.Client{}
 }
 
-// SessionOptions configure one session; zero values take the server's
-// defaults (capfrac 0.5, layout 45-10-45, threshold 1).
+// SessionOptions configure one session: the session's configuration, which
+// travels as the query string (zero values take the server's defaults:
+// capfrac 0.5, layout 45-10-45, threshold 1), and how the result comes back.
 type SessionOptions struct {
-	CapacityBytes uint64  // absolute capacity; selects the streaming path
-	CapFrac       float64 // fraction of the log's unbounded peak
-	Layout        string
-	Threshold     uint64 // 0 means unset (server default 1)
-	HasThreshold  bool   // set to send Threshold even when it is 0
-	Tiers         string
-	Unified       bool
-	// Policy applies a local-policy spec to tiers that don't name one.
-	Policy string
-	// Adaptive attaches the adaptive split controller to the session.
-	Adaptive bool
-	// AdaptEpoch overrides the adaptive controller's decision epoch.
-	AdaptEpoch uint64
-	// Pressure is the load pressure in [0, 1] the session starts under;
-	// formatted round-trippably so the server parses the exact value back.
-	Pressure float64
-	// Attrib attaches the trace-lifecycle attribution ledger: the result's
-	// Causes field carries per-cause miss counts and the session folds into
-	// the server's /v1/attrib aggregate.
-	Attrib bool
-	// Tenant is the opaque session label (?session=, ≤64 bytes): with Attrib,
-	// the session also folds into the tenant's /v1/attrib?session= aggregate.
-	Tenant string
+	api.SessionConfig
 	// BinaryStats requests the compact binary result framing
 	// (api.StatsContentType) instead of JSON. The decoded result is
 	// identical; the response is smaller and cheaper to parse.
 	BinaryStats bool
-}
-
-func (o SessionOptions) query() url.Values {
-	q := url.Values{}
-	if o.CapacityBytes > 0 {
-		q.Set(api.ParamCapacity, strconv.FormatUint(o.CapacityBytes, 10))
-	}
-	if o.CapFrac > 0 {
-		q.Set(api.ParamCapFrac, strconv.FormatFloat(o.CapFrac, 'g', -1, 64))
-	}
-	if o.Layout != "" {
-		q.Set(api.ParamLayout, o.Layout)
-	}
-	if o.Threshold > 0 || o.HasThreshold {
-		q.Set(api.ParamThreshold, strconv.FormatUint(o.Threshold, 10))
-	}
-	if o.Tiers != "" {
-		q.Set(api.ParamTiers, o.Tiers)
-	}
-	if o.Unified {
-		q.Set(api.ParamUnified, "1")
-	}
-	if o.Policy != "" {
-		q.Set(api.ParamPolicy, o.Policy)
-	}
-	if o.Adaptive {
-		q.Set(api.ParamAdaptive, "1")
-	}
-	if o.AdaptEpoch > 0 {
-		q.Set(api.ParamAdaptEpoch, strconv.FormatUint(o.AdaptEpoch, 10))
-	}
-	if o.Pressure > 0 {
-		q.Set(api.ParamPressure, strconv.FormatFloat(o.Pressure, 'g', -1, 64))
-	}
-	if o.Attrib {
-		q.Set(api.ParamAttrib, "1")
-	}
-	if o.Tenant != "" {
-		q.Set(api.ParamSession, o.Tenant)
-	}
-	return q
 }
 
 // Session streams body (a tracelog log, either framing) to the server and
@@ -130,7 +66,7 @@ func (o SessionOptions) query() url.Values {
 func (c *Client) Session(ctx context.Context, opts SessionOptions, body io.Reader) (api.SessionResult, error) {
 	var out api.SessionResult
 	u := c.BaseURL + api.SessionsPath
-	if q := opts.query().Encode(); q != "" {
+	if q := opts.Query().Encode(); q != "" {
 		u += "?" + q
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, u, body)

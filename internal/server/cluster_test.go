@@ -349,7 +349,7 @@ func TestClusterTenantAttribution(t *testing.T) {
 	ctx := context.Background()
 
 	for _, tenant := range []string{"team-a", "team-a", "team-b"} {
-		if _, err := c.Session(ctx, client.SessionOptions{Attrib: true, Tenant: tenant}, bytes.NewReader(data)); err != nil {
+		if _, err := c.Session(ctx, client.SessionOptions{SessionConfig: api.SessionConfig{Attrib: true, Tenant: tenant}}, bytes.NewReader(data)); err != nil {
 			t.Fatal(err)
 		}
 	}

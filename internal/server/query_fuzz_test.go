@@ -15,8 +15,11 @@ import (
 // admission rather than after the session has taken a replay slot and read
 // its body. Parsing is deterministic: sixteen parses of one query
 // must agree on the config, the events flag and the error text, so a query
-// with several malformed parameters always names the same one. Configs
-// compare with ==, so a NaN that reached one fails the comparison.
+// with several malformed parameters always names the same one. An accepted
+// config, encoded by SessionConfig.Query (the client's encoder) and parsed
+// again, must come back unchanged, so every knob a Go client sets reaches
+// the server. Configs compare with ==, so a NaN that reached one fails the
+// comparison.
 func FuzzSessionQuery(f *testing.F) {
 	f.Add("tiers=garbage")
 	f.Add("tiers=30-10-20-40@1,2&adaptive=1&policy=auto&selepoch=5")
@@ -32,6 +35,7 @@ func FuzzSessionQuery(f *testing.F) {
 	f.Add("layout=NaN-50-50")
 	f.Add("tiers=NaN-50-50")
 	f.Add("tiers=NaN")
+	f.Add("capacity=4096&threshold=7&selepoch=9&aepoch=3&pressure=0.1&unified=true&adaptive=1&session=a%20b")
 	f.Fuzz(func(t *testing.T, raw string) {
 		type parsed struct {
 			cfg    SessionConfig
@@ -50,6 +54,11 @@ func FuzzSessionQuery(f *testing.F) {
 		}
 		if err != nil {
 			return
+		}
+		enc := first.cfg.Query().Encode()
+		back, _, err := parseParams(&http.Request{URL: &url.URL{RawQuery: enc}})
+		if err != nil || back != first.cfg {
+			t.Fatalf("config of %q does not round-trip through %q: %v\n  parsed:  %+v\n  again:   %+v", raw, enc, err, first.cfg, back)
 		}
 		spec, err := first.cfg.GraphSpec(1<<20, false)
 		if err != nil {

@@ -75,14 +75,7 @@ func offlineResult(t *testing.T, logBytes []byte) api.SessionResult {
 	}
 	sum := tracelog.Summarize(h, events)
 	capacity := uint64(float64(sum.MaxLiveBytes) * 0.5)
-	res, err := sim.ReplayGenerational(h.Benchmark, events, core.Config{
-		TotalCapacity:    capacity,
-		NurseryFrac:      0.45,
-		ProbationFrac:    0.10,
-		PersistentFrac:   0.45,
-		PromoteThreshold: 1,
-		PromoteOnAccess:  true,
-	}, costmodel.DefaultModel)
+	res, err := sim.ReplayGenerational(h.Benchmark, events, core.Layout451045Threshold1(capacity), costmodel.DefaultModel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +198,7 @@ func TestOverloadRejectsWithoutDegrading(t *testing.T) {
 	for i := 0; i < hold; i++ {
 		pr, pw := io.Pipe()
 		go func() {
-			res, err := c.Session(ctx, client.SessionOptions{CapacityBytes: 1 << 20}, pr)
+			res, err := c.Session(ctx, client.SessionOptions{SessionConfig: api.SessionConfig{CapacityBytes: 1 << 20}}, pr)
 			pr.Close()
 			// The held log carries only its KindEnd marker.
 			if err == nil && res.Events > 1 {
@@ -245,7 +238,7 @@ func TestOverloadRejectsWithoutDegrading(t *testing.T) {
 	}
 
 	for i := 0; i < 3; i++ {
-		_, err := c.Session(ctx, client.SessionOptions{CapacityBytes: 1 << 20}, bytes.NewReader(nil))
+		_, err := c.Session(ctx, client.SessionOptions{SessionConfig: api.SessionConfig{CapacityBytes: 1 << 20}}, bytes.NewReader(nil))
 		if !errors.Is(err, client.ErrOverloaded) {
 			t.Fatalf("probe %d on a saturated server: err = %v, want ErrOverloaded", i, err)
 		}

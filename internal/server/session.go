@@ -95,12 +95,8 @@ func parseParams(r *http.Request) (SessionConfig, bool, error) {
 	}
 	// Build the session's spec before admission, so a malformed tiers,
 	// layout or policy is a 400 that takes no replay slot and reads no body.
-	// The second build checks layout and policy where the session's own
-	// shape ignores them (unified=1, or tiers naming every tier's policy).
-	for _, probe := range []SessionConfig{c, {Layout: c.Layout, Policy: c.Policy}} {
-		if _, err := probe.GraphSpec(1, false); err != nil {
-			return c, false, err
-		}
+	if err := c.Validate(); err != nil {
+		return c, false, err
 	}
 	return c, events, nil
 }

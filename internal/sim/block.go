@@ -46,12 +46,12 @@ func (r *Replayer) StepBlock(b *tracelog.EventBlock) error {
 			continue
 		}
 		// A run of accesses: one dispatch for the whole run, counters in
-		// locals until the run ends. When the manager offers a batched entry
-		// point, the leading hits of the run are absorbed in single calls;
-		// only misses (and unknown or dead traces, which a hit rules out —
-		// the manager can hold nothing the replay did not register) come
-		// back to the per-event path here. An observed run stops at the next
-		// progress stride, so the progress event falls where Step puts it.
+		// locals until the run ends. While the manager batches, the leading
+		// hits of the run are absorbed in single AccessRun calls; only
+		// misses (and unknown or dead traces, which a hit rules out — the
+		// manager can hold nothing the replay did not register) come back to
+		// the per-event path here. An observed run stops at the next progress
+		// stride, so the progress event falls where Step puts it.
 		end := n
 		if r.o != nil {
 			if stride := i + int(ProgressStride-r.count%ProgressStride); stride < end {
@@ -66,10 +66,10 @@ func (r *Replayer) StepBlock(b *tracelog.EventBlock) error {
 		j := i
 		var err error
 		for j < runEnd {
-			if r.ra != nil {
-				d := r.ra.AccessRun(traces[j:runEnd])
+			if r.batch {
+				d := r.mgr.AccessRun(traces[j:runEnd])
 				if d < 0 {
-					r.ra = nil
+					r.batch = false
 				} else {
 					accesses += uint64(d)
 					hits += uint64(d)

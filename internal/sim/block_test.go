@@ -84,26 +84,23 @@ func richLog(seed int64, rounds int) []tracelog.Event {
 // kernelConfigs builds one fresh manager+accumulator per named configuration
 // family, with extra fanned into the manager observer chain the same way the
 // replay conveniences and the served sessions wire it.
-func kernelConfigs(t *testing.T, extra obs.Observer) map[string]func() (core.Manager, *costmodel.Accum) {
+func kernelConfigs(t *testing.T, extra obs.Observer) map[string]func() (*core.Graph, *costmodel.Accum) {
 	t.Helper()
-	cfg := core.Config{
-		TotalCapacity: 6000, NurseryFrac: 0.45, ProbationFrac: 0.10, PersistentFrac: 0.45,
-		PromoteThreshold: 1, PromoteOnAccess: true,
-	}
-	return map[string]func() (core.Manager, *costmodel.Accum){
-		"unified": func() (core.Manager, *costmodel.Accum) {
+	spec := core.Layout451045Threshold1(6000)
+	return map[string]func() (*core.Graph, *costmodel.Accum){
+		"unified": func() (*core.Graph, *costmodel.Accum) {
 			acc := costmodel.NewAccum(costmodel.DefaultModel)
 			return core.NewUnified(6000, nil, obs.Combine(CostObserver(acc), extra)), acc
 		},
-		"generational": func() (core.Manager, *costmodel.Accum) {
+		"generational": func() (*core.Graph, *costmodel.Accum) {
 			acc := costmodel.NewAccum(costmodel.DefaultModel)
-			mgr, err := core.NewGraph(cfg.GraphSpec(), obs.Combine(CostObserver(acc), extra))
+			mgr, err := core.NewGraph(spec, obs.Combine(CostObserver(acc), extra))
 			if err != nil {
 				t.Fatal(err)
 			}
 			return mgr, acc
 		},
-		"tier-graph": func() (core.Manager, *costmodel.Accum) {
+		"tier-graph": func() (*core.Graph, *costmodel.Accum) {
 			acc := costmodel.NewAccum(costmodel.DefaultModel)
 			spec, err := core.ParseTierSpec("30-15-15-40@2", 6000)
 			if err != nil {
@@ -115,11 +112,11 @@ func kernelConfigs(t *testing.T, extra obs.Observer) map[string]func() (core.Man
 			}
 			return mgr, acc
 		},
-		"shared": func() (core.Manager, *costmodel.Accum) {
+		"shared": func() (*core.Graph, *costmodel.Accum) {
 			acc := costmodel.NewAccum(costmodel.DefaultModel)
 			o := obs.Combine(CostObserver(acc), extra)
 			sp := core.NewSharedPersistent(2700, nil, o)
-			mgr, err := core.NewGraphShared(cfg.GraphSpec(), sp, 0, o)
+			mgr, err := core.NewGraphShared(spec, sp, 0, o)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -331,16 +328,13 @@ func TestStepBlockErrorEquivalence(t *testing.T) {
 func TestStepBlockFigure9(t *testing.T) {
 	events := richLog(23, 160)
 	const capacity = 5000
-	cfg := core.Config{
-		NurseryFrac: 0.45, ProbationFrac: 0.10, PersistentFrac: 0.45,
-		PromoteThreshold: 1, PromoteOnAccess: true,
-	}
-	got, err := Compare("b", events, capacity, cfg, costmodel.DefaultModel)
+	spec := core.Layout451045Threshold1(capacity)
+	got, err := Compare("b", events, spec, costmodel.DefaultModel)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	perEvent := func(build func() (core.Manager, *costmodel.Accum)) Result {
+	perEvent := func(build func() (*core.Graph, *costmodel.Accum)) Result {
 		mgr, acc := build()
 		rep := NewReplayer("b", mgr, acc, nil)
 		if err := replayPerEvent(rep, events); err != nil {
@@ -348,14 +342,13 @@ func TestStepBlockFigure9(t *testing.T) {
 		}
 		return rep.Finish()
 	}
-	u := perEvent(func() (core.Manager, *costmodel.Accum) {
+	u := perEvent(func() (*core.Graph, *costmodel.Accum) {
 		acc := costmodel.NewAccum(costmodel.DefaultModel)
 		return core.NewUnified(capacity, nil, CostObserver(acc)), acc
 	})
-	cfg.TotalCapacity = capacity
-	g := perEvent(func() (core.Manager, *costmodel.Accum) {
+	g := perEvent(func() (*core.Graph, *costmodel.Accum) {
 		acc := costmodel.NewAccum(costmodel.DefaultModel)
-		mgr, err := core.NewGraph(cfg.GraphSpec(), CostObserver(acc))
+		mgr, err := core.NewGraph(spec, CostObserver(acc))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,16 +8,13 @@ import (
 	"repro/internal/tracelog"
 )
 
-// sharedCfg: equal thirds so every tier holds a few 100-byte traces.
-func sharedCfg() core.Config {
-	return core.Config{
-		TotalCapacity:    1000,
-		NurseryFrac:      1.0 / 3,
-		ProbationFrac:    1.0 / 3,
-		PersistentFrac:   1.0 / 3,
-		PromoteThreshold: 1,
-		PromoteOnAccess:  true,
-	}
+// sharedSpec: equal thirds so every tier holds a few 100-byte traces.
+func sharedSpec() core.GraphSpec {
+	return core.GraphSpec{TotalCapacity: 1000, Tiers: []core.TierSpec{
+		{Frac: 1.0 / 3},
+		{Frac: 1.0 / 3, Threshold: 1, PromoteOnAccess: true},
+		{Frac: 1.0 / 3},
+	}}
 }
 
 // mkSharedLog: six traces with distinct code identities; the first three
@@ -46,7 +43,7 @@ func mkSharedLog(rounds int, unmapModule bool) []tracelog.Event {
 func TestReplaySharedAdoptionSavesGenerations(t *testing.T) {
 	evs := mkSharedLog(20, false)
 	const procs = 3
-	sh, err := ReplayShared("b", evs, sharedCfg().GraphSpec(), costmodel.DefaultModel, procs, 0, nil)
+	sh, err := ReplayShared("b", evs, sharedSpec(), costmodel.DefaultModel, procs, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +54,7 @@ func TestReplaySharedAdoptionSavesGenerations(t *testing.T) {
 		t.Fatal("no adoptions: later processes should attach to promoted traces")
 	}
 	// Aggregate generations must beat N isolated replays of the same log.
-	iso, err := ReplayGenerational("b", evs, sharedCfg(), costmodel.DefaultModel)
+	iso, err := ReplayGenerational("b", evs, sharedSpec(), costmodel.DefaultModel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,11 +74,11 @@ func TestReplaySharedAdoptionSavesGenerations(t *testing.T) {
 
 func TestReplaySharedSingleProcMatchesGenerational(t *testing.T) {
 	evs := mkSharedLog(12, true)
-	sh, err := ReplayShared("b", evs, sharedCfg().GraphSpec(), costmodel.DefaultModel, 1, 0, nil)
+	sh, err := ReplayShared("b", evs, sharedSpec(), costmodel.DefaultModel, 1, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	iso, err := ReplayGenerational("b", evs, sharedCfg(), costmodel.DefaultModel)
+	iso, err := ReplayGenerational("b", evs, sharedSpec(), costmodel.DefaultModel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,11 +105,11 @@ func TestReplaySharedAdoptLog(t *testing.T) {
 			evs[i].Kind = tracelog.KindAdopt
 		}
 	}
-	one, err := ReplayShared("b", evs, sharedCfg().GraphSpec(), costmodel.DefaultModel, 1, 0, nil)
+	one, err := ReplayShared("b", evs, sharedSpec(), costmodel.DefaultModel, 1, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := ReplayGenerational("b", evs, sharedCfg(), costmodel.DefaultModel)
+	plain, err := ReplayGenerational("b", evs, sharedSpec(), costmodel.DefaultModel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +126,7 @@ func TestReplaySharedAdoptLog(t *testing.T) {
 	}
 
 	const procs = 3
-	sh, err := ReplayShared("b", evs, sharedCfg().GraphSpec(), costmodel.DefaultModel, procs, 0, nil)
+	sh, err := ReplayShared("b", evs, sharedSpec(), costmodel.DefaultModel, procs, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +139,7 @@ func TestReplaySharedAdoptLog(t *testing.T) {
 func TestReplaySharedDeterminism(t *testing.T) {
 	evs := mkSharedLog(20, true)
 	run := func() SharedResult {
-		r, err := ReplayShared("b", evs, sharedCfg().GraphSpec(), costmodel.DefaultModel, 4, 7, nil)
+		r, err := ReplayShared("b", evs, sharedSpec(), costmodel.DefaultModel, 4, 7, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,7 +156,7 @@ func TestReplaySharedDeterminism(t *testing.T) {
 
 func TestReplaySharedUnmap(t *testing.T) {
 	evs := mkSharedLog(10, true)
-	sh, err := ReplayShared("b", evs, sharedCfg().GraphSpec(), costmodel.DefaultModel, 2, 0, nil)
+	sh, err := ReplayShared("b", evs, sharedSpec(), costmodel.DefaultModel, 2, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,23 +169,23 @@ func TestReplaySharedUnmap(t *testing.T) {
 
 func TestReplaySharedErrors(t *testing.T) {
 	evs := mkSharedLog(2, false)
-	if _, err := ReplayShared("b", evs, sharedCfg().GraphSpec(), costmodel.DefaultModel, 0, 0, nil); err == nil {
+	if _, err := ReplayShared("b", evs, sharedSpec(), costmodel.DefaultModel, 0, 0, nil); err == nil {
 		t.Error("procs=0 accepted")
 	}
-	bad := sharedCfg()
-	bad.NurseryFrac = 0
-	if _, err := ReplayShared("b", evs, bad.GraphSpec(), costmodel.DefaultModel, 2, 0, nil); err == nil {
+	bad := sharedSpec()
+	bad.Tiers[0].Frac = 0
+	if _, err := ReplayShared("b", evs, bad, costmodel.DefaultModel, 2, 0, nil); err == nil {
 		t.Error("invalid config accepted")
 	}
 	dup := []tracelog.Event{
 		{Kind: tracelog.KindCreate, Time: 1, Trace: 1, Size: 100, Head: 0x10},
 		{Kind: tracelog.KindCreate, Time: 2, Trace: 1, Size: 100, Head: 0x10},
 	}
-	if _, err := ReplayShared("b", dup, sharedCfg().GraphSpec(), costmodel.DefaultModel, 2, 0, nil); err == nil {
+	if _, err := ReplayShared("b", dup, sharedSpec(), costmodel.DefaultModel, 2, 0, nil); err == nil {
 		t.Error("duplicate create accepted")
 	}
 	dup[1].Kind = tracelog.KindAdopt
-	if _, err := ReplayShared("b", dup, sharedCfg().GraphSpec(), costmodel.DefaultModel, 2, 0, nil); err == nil {
+	if _, err := ReplayShared("b", dup, sharedSpec(), costmodel.DefaultModel, 2, 0, nil); err == nil {
 		t.Error("adopt of a created trace accepted")
 	}
 }

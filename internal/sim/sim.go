@@ -1,4 +1,4 @@
-// Package sim replays a code-cache event log against a cache manager,
+// Package sim replays a code-cache event log against a tier-graph manager,
 // reproducing the paper's evaluation methodology (§6): the benchmark runs
 // once under an unbounded cache to produce the log, and every cache
 // configuration under study replays the identical access stream. Misses,
@@ -61,11 +61,10 @@ const ProgressStride = 1 << 14
 // to an offline one by construction. A Replayer is single-goroutine, like
 // the manager it drives.
 type Replayer struct {
-	mgr core.Manager
-	// ra is mgr's batched access entry point, when it offers one; StepBlock
-	// drains access runs through it. Cleared on the manager's first -1
-	// ("cannot batch") answer.
-	ra core.RunAccessor
+	mgr *core.Graph
+	// batch is whether StepBlock drains access runs through mgr.AccessRun.
+	// Cleared on the manager's first -1 ("cannot batch") answer.
+	batch bool
 	// led is the manager's attribution ledger, when one is attached: the
 	// replay registers trace identities (module, size, cold-vs-adopted) so
 	// even traces whose insert is dropped under capacity pressure stay
@@ -126,12 +125,14 @@ const maxDenseTrace = 1 << 22
 //
 // The replayer's meta tables come from a pool; a caller that is done with
 // the replayer (and its Result) may return them with Recycle.
-func NewReplayer(benchmark string, mgr core.Manager, acc *costmodel.Accum, o obs.Observer) *Replayer {
+func NewReplayer(benchmark string, mgr *core.Graph, acc *costmodel.Accum, o obs.Observer) *Replayer {
 	s := scratchPool.Get().(*scratch)
-	r := &Replayer{
-		mgr: mgr,
-		acc: acc,
-		o:   o,
+	return &Replayer{
+		mgr:   mgr,
+		batch: true,
+		led:   mgr.Ledger(),
+		acc:   acc,
+		o:     o,
 		res: Result{
 			Config:    mgr.Name(),
 			Benchmark: benchmark,
@@ -140,11 +141,6 @@ func NewReplayer(benchmark string, mgr core.Manager, acc *costmodel.Accum, o obs
 		dense:    s.dense[:0],
 		byModule: s.byModule,
 	}
-	r.ra, _ = mgr.(core.RunAccessor)
-	if lm, ok := mgr.(interface{ Ledger() *attrib.Ledger }); ok {
-		r.led = lm.Ledger()
-	}
-	return r
 }
 
 // Ledger returns the attribution ledger of the manager under replay, or nil.
@@ -345,7 +341,7 @@ func (r *Replayer) Finish() Result {
 // The replay runs through the batched kernel — the same StepBlock path the
 // gencached ingest uses — packed from the in-memory slice a block at a time,
 // so offline results and served results come off one code path.
-func Replay(benchmark string, events []tracelog.Event, mgr core.Manager, acc *costmodel.Accum, o obs.Observer) (Result, error) {
+func Replay(benchmark string, events []tracelog.Event, mgr *core.Graph, acc *costmodel.Accum, o obs.Observer) (Result, error) {
 	rep := NewReplayer(benchmark, mgr, acc, o)
 	defer rep.Recycle()
 	rep.SetTotal(uint64(len(events)))
@@ -379,9 +375,10 @@ func Charge(acc *costmodel.Accum, e *obs.Event) {
 	}
 }
 
-// ReplayGraph is a convenience: replay under a freshly built tier graph (N
-// generations, alternative promotion predictors, adaptive split control).
-func ReplayGraph(benchmark string, events []tracelog.Event, spec core.GraphSpec, model costmodel.Model) (Result, error) {
+// ReplayGenerational is a convenience: replay under a freshly built tier
+// graph, the generational chain of Figure 8 or any other shape spec
+// describes (N generations, per-tier policies, adaptive split control).
+func ReplayGenerational(benchmark string, events []tracelog.Event, spec core.GraphSpec, model costmodel.Model) (Result, error) {
 	acc := costmodel.NewAccum(model)
 	mgr, err := core.NewGraph(spec, CostObserver(acc))
 	if err != nil {
@@ -390,16 +387,10 @@ func ReplayGraph(benchmark string, events []tracelog.Event, spec core.GraphSpec,
 	return Replay(benchmark, events, mgr, acc, nil)
 }
 
-// ReplayUnified is ReplayGraph under a single pseudo-circular cache of the
-// given capacity.
+// ReplayUnified is ReplayGenerational under a single pseudo-circular cache
+// of the given capacity.
 func ReplayUnified(benchmark string, events []tracelog.Event, capacity uint64, model costmodel.Model) (Result, error) {
-	return ReplayGraph(benchmark, events, core.UnifiedSpec(capacity, nil), model)
-}
-
-// ReplayGenerational is ReplayGraph under the three-tier layout cfg
-// describes.
-func ReplayGenerational(benchmark string, events []tracelog.Event, cfg core.Config, model costmodel.Model) (Result, error) {
-	return ReplayGraph(benchmark, events, cfg.GraphSpec(), model)
+	return ReplayGenerational(benchmark, events, core.UnifiedSpec(capacity, nil), model)
 }
 
 // Comparison pairs a unified baseline with a generational configuration on
@@ -430,15 +421,14 @@ func (c Comparison) OverheadRatio() float64 {
 	return costmodel.OverheadRatio(c.Generational.Overhead, c.Unified.Overhead)
 }
 
-// Compare replays the log under both a unified cache of the given capacity
-// and a generational configuration of the same total capacity.
-func Compare(benchmark string, events []tracelog.Event, capacity uint64, cfg core.Config, model costmodel.Model) (Comparison, error) {
-	u, err := ReplayUnified(benchmark, events, capacity, model)
+// Compare replays the log under the generational graph spec describes and
+// under a unified cache of the same total capacity.
+func Compare(benchmark string, events []tracelog.Event, spec core.GraphSpec, model costmodel.Model) (Comparison, error) {
+	u, err := ReplayUnified(benchmark, events, spec.TotalCapacity, model)
 	if err != nil {
 		return Comparison{}, err
 	}
-	cfg.TotalCapacity = capacity
-	g, err := ReplayGenerational(benchmark, events, cfg, model)
+	g, err := ReplayGenerational(benchmark, events, spec, model)
 	if err != nil {
 		return Comparison{}, err
 	}

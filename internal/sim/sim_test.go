@@ -194,8 +194,7 @@ func TestGenerationalBeatsUnifiedOnPhasedWorkload(t *testing.T) {
 	// Cache sized well below the per-phase footprint (8+25 traces = 6600B)
 	// so both configurations face real pressure.
 	capacity := uint64(6000)
-	cfg := core.Layout451045Threshold1(capacity)
-	cmp, err := Compare("phased", evs, capacity, cfg, costmodel.DefaultModel)
+	cmp, err := Compare("phased", evs, core.Layout451045Threshold1(capacity), costmodel.DefaultModel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,8 +215,7 @@ func TestGenerationalBeatsUnifiedOnPhasedWorkload(t *testing.T) {
 
 func TestCompareNamesAndConfigs(t *testing.T) {
 	evs := mkLog(3, 50, 2)
-	cfg := core.Layout433Threshold10(0) // capacity filled in by Compare
-	cmp, err := Compare("b", evs, 600, cfg, costmodel.DefaultModel)
+	cmp, err := Compare("b", evs, core.Layout433Threshold10(600), costmodel.DefaultModel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +238,7 @@ func TestComparisonZeroMissBaseline(t *testing.T) {
 }
 
 func TestReplayGenerationalBadConfig(t *testing.T) {
-	if _, err := ReplayGenerational("b", nil, core.Config{}, costmodel.DefaultModel); err == nil {
+	if _, err := ReplayGenerational("b", nil, core.GraphSpec{}, costmodel.DefaultModel); err == nil {
 		t.Error("bad config accepted")
 	}
 }

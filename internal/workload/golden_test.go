@@ -205,14 +205,14 @@ func roundRobin(t testing.TB, b *Bench, capacity uint64, quantum int, cuts []byt
 	t.Helper()
 	const procs = 3
 	p := b.Profile
-	cfg := core.Layout451045Threshold1(capacity)
-	sp := core.NewSharedPersistent(uint64(procs)*uint64(float64(capacity)*cfg.PersistentFrac), nil, nil)
+	spec := core.Layout451045Threshold1(capacity)
+	sp := core.NewSharedPersistent(uint64(procs)*uint64(float64(capacity)*spec.Tiers[2].Frac), nil, nil)
 	sys := dbt.NewSystem(sp)
 	bufs := make([]*bytes.Buffer, procs)
 	mgrs := make([]*core.Graph, procs)
 	guests := make([]dbt.Guest, procs)
 	for i := 0; i < procs; i++ {
-		mgr, err := core.NewGraphShared(cfg.GraphSpec(), sp, i, nil)
+		mgr, err := core.NewGraphShared(spec, sp, i, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

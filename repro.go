@@ -22,9 +22,6 @@ import (
 // Re-exported types. Aliases keep the implementation in focused internal
 // packages while giving users a single import.
 type (
-	// Manager is a global code-cache management scheme (unified or
-	// generational).
-	Manager = core.Manager
 	// Observer receives cache-lifecycle events (inserts, evictions,
 	// promotions, unmaps, link severs, flushes, replay progress).
 	Observer = obs.Observer
@@ -36,8 +33,6 @@ type (
 	CacheEvent = obs.Event
 	// EventKind enumerates observable event types.
 	EventKind = obs.Kind
-	// GenerationalConfig describes a nursery/probation/persistent layout.
-	GenerationalConfig = core.Config
 	// Level identifies a cache within a manager.
 	Level = core.Level
 	// Fragment is a cached code trace.
@@ -131,22 +126,18 @@ func ParsePolicy(spec string) (PolicyFactory, error) { return policy.Parse(spec)
 // Policies lists the registered policies in registration order.
 func Policies() []PolicyInfo { return policy.List() }
 
-// NewGenerational creates the paper's generational manager. o may be nil.
-func NewGenerational(cfg GenerationalConfig, o Observer) (*TierGraph, error) {
-	return core.NewGraph(cfg.GraphSpec(), o)
-}
-
-// BestLayout returns the paper's best-overall configuration: 45% nursery,
-// 10% probation, 45% persistent, single-hit promotion.
-func BestLayout(totalCapacity uint64) GenerationalConfig {
+// BestLayout returns the paper's best-overall generational layout: 45%
+// nursery, 10% probation, 45% persistent, single-hit promotion.
+func BestLayout(totalCapacity uint64) GraphSpec {
 	return core.Layout451045Threshold1(totalCapacity)
 }
 
-// The tier-graph API (internal/core): a manager as an arbitrary chain of
-// tiers with declarative eviction edges. NewUnified and NewGenerational
-// return prebuilt stock graphs; these exports build any other shape.
+// The tier-graph API (internal/core): every manager is a chain of tiers
+// with declarative eviction edges, built from a plain-data GraphSpec.
+// NewUnified returns the prebuilt baseline; NewTierGraph builds the
+// generational layout (BestLayout) or any other shape.
 type (
-	// TierGraph is a manager built from a declarative tier specification.
+	// TierGraph is a cache manager built from a tier specification.
 	TierGraph = core.Graph
 	// GraphSpec describes a whole tier graph.
 	GraphSpec = core.GraphSpec
@@ -182,7 +173,7 @@ func UnifiedGraphSpec(capacity uint64) GraphSpec {
 
 // ReplayTierGraph replays a log through a freshly built tier graph.
 func ReplayTierGraph(benchmark string, events []Event, spec GraphSpec) (ReplayResult, error) {
-	return sim.ReplayGraph(benchmark, events, spec, costmodel.DefaultModel)
+	return sim.ReplayGenerational(benchmark, events, spec, costmodel.DefaultModel)
 }
 
 // Benchmarks returns every benchmark profile (20 SPEC2000 + the 12
@@ -215,12 +206,11 @@ func ReadLog(r io.Reader) (benchmark string, events []Event, err error) {
 	return h.Benchmark, evs, err
 }
 
-// Compare replays a log under a unified cache of the given capacity and a
-// generational layout of the same total capacity, returning the paper's
-// headline metrics (miss-rate reduction, misses eliminated, Equation 3
-// overhead ratio).
-func Compare(benchmark string, events []Event, capacity uint64, cfg GenerationalConfig) (Comparison, error) {
-	return sim.Compare(benchmark, events, capacity, cfg, costmodel.DefaultModel)
+// Compare replays a log under a generational layout and under a unified
+// cache of the same total capacity, returning the paper's headline metrics
+// (miss-rate reduction, misses eliminated, Equation 3 overhead ratio).
+func Compare(benchmark string, events []Event, spec GraphSpec) (Comparison, error) {
+	return sim.Compare(benchmark, events, spec, costmodel.DefaultModel)
 }
 
 // ReplayUnified replays a log under the unified baseline.
@@ -228,16 +218,11 @@ func ReplayUnified(benchmark string, events []Event, capacity uint64) (ReplayRes
 	return sim.ReplayUnified(benchmark, events, capacity, costmodel.DefaultModel)
 }
 
-// ReplayGenerational replays a log under a generational layout.
-func ReplayGenerational(benchmark string, events []Event, cfg GenerationalConfig) (ReplayResult, error) {
-	return sim.ReplayGenerational(benchmark, events, cfg, costmodel.DefaultModel)
-}
-
-// ReplayWith replays a log under an arbitrary manager. mk receives the
+// ReplayWith replays a log under a manager built by mk. mk receives the
 // observer that charges evictions and promotions to the replay's cost
 // accumulator and must return a freshly constructed manager wired to it
 // (fan additional observers in with an EventBus).
-func ReplayWith(benchmark string, events []Event, mk func(Observer) Manager) (ReplayResult, error) {
+func ReplayWith(benchmark string, events []Event, mk func(Observer) *TierGraph) (ReplayResult, error) {
 	acc := costmodel.NewAccum(costmodel.DefaultModel)
 	mgr := mk(sim.CostObserver(acc))
 	return sim.Replay(benchmark, events, mgr, acc, nil)

@@ -58,7 +58,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 
 	capacity := peak / 2
-	cmp, err := repro.Compare(name, events, capacity, repro.BestLayout(capacity))
+	cmp, err := repro.Compare(name, events, repro.BestLayout(capacity))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,15 +103,15 @@ func TestPublicAPIManagers(t *testing.T) {
 		}
 	}
 
-	g, err := repro.NewGenerational(repro.BestLayout(1000), nil)
+	g, err := repro.NewTierGraph(repro.BestLayout(1000), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if g.Capacity() != 1000 {
 		t.Errorf("capacity = %d", g.Capacity())
 	}
-	if _, err := repro.NewGenerational(repro.GenerationalConfig{}, nil); err == nil {
-		t.Error("zero config accepted")
+	if _, err := repro.NewTierGraph(repro.GraphSpec{}, nil); err == nil {
+		t.Error("zero spec accepted")
 	}
 }
 
@@ -155,7 +155,7 @@ func TestReplayWith(t *testing.T) {
 		{Kind: 2, Time: 2, Trace: 1},
 		{Kind: 6, Time: 3},
 	}
-	res, err := repro.ReplayWith("x", events, func(h repro.Observer) repro.Manager {
+	res, err := repro.ReplayWith("x", events, func(h repro.Observer) *repro.TierGraph {
 		return repro.NewUnified(1000, h)
 	})
 	if err != nil {

@@ -21,8 +21,9 @@ go test -race ./...
 # perfbench is its own module (replace repro => ../), so ./... above never
 # builds it: vet it and run its smoke test against this checkout's library.
 (cd perfbench && go vet ./... && go test .)
-# Benchmark smoke run: one iteration of everything, so benchmarks can't rot.
-go test -run '^$' -bench . -benchtime 1x .
+# Benchmark smoke run: one iteration of every benchmark in every package,
+# so benchmarks can't rot.
+go test -run '^$' -bench . -benchtime 1x ./...
 # Short fuzz run over the tracelog decoder: seeds the corpus and catches
 # regressions in the malformed-input hardening without a long fuzz budget.
 go test ./internal/tracelog -run '^$' -fuzz FuzzReader -fuzztime 10s
