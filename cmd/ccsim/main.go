@@ -198,7 +198,7 @@ func main() {
 		}}
 	}
 	var graphMgr *core.Graph
-	jobs := []pipeline.Job[sim.Result]{job("unified/pseudo-circular", core.UnifiedSpec(capacity, nil), nil)}
+	jobs := []pipeline.Job[sim.Result]{job("unified/pseudo-circular", core.UnifiedSpec(capacity), nil)}
 	if !*unified {
 		// The name tags the event dump, which keeps telling the stock chain
 		// ("generational") from a flag-shaped graph ("graph").

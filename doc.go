@@ -11,7 +11,8 @@
 //     pseudo-circular replacement sweep, undeletable traces, and
 //     program-forced deletions;
 //   - internal/policy — local replacement policies (pseudo-circular, LRU,
-//     flush-when-full, Dynamo-style preemptive flushing, unbounded);
+//     flush-when-full, Dynamo-style preemptive flushing, TRRIP), named by
+//     registry spec;
 //   - internal/isa, internal/program, internal/vm — the synthetic guest
 //     architecture: instruction set, program images with modules/DLLs, and
 //     a reference interpreter;

@@ -364,15 +364,12 @@ func Example_policycompare() {
 		name string
 		mgr  func(repro.Observer) *repro.TierGraph
 	}
-	mk := func(p func() repro.LocalPolicy) func(repro.Observer) *repro.TierGraph {
-		return func(h repro.Observer) *repro.TierGraph {
-			return repro.NewUnifiedWithPolicy(capacity, p(), h)
-		}
-	}
-	// The non-unified entries are all tier graphs: the paper's generational
-	// chain is just the stock three-tier shape, a four-generation chain
-	// needs nothing but a longer spec string, and the adaptive entry
-	// attaches the online split controller to the stock shape.
+	// Every entry is a tier graph: a unified cache is one tier whose local
+	// policy is named by its dash-free registry alias ("100@lru"), the
+	// paper's generational chain is the stock three-tier shape, a
+	// four-generation chain needs nothing but a longer spec string, and the
+	// adaptive entry attaches the online split controller to the stock
+	// shape.
 	graph := func(tiers string, adaptive bool) func(repro.Observer) *repro.TierGraph {
 		return func(h repro.Observer) *repro.TierGraph {
 			spec, err := repro.ParseTierSpec(tiers, capacity)
@@ -390,10 +387,10 @@ func Example_policycompare() {
 		}
 	}
 	entries := []entry{
-		{"unified pseudo-circular", mk(repro.PseudoCircularPolicy)},
-		{"unified LRU", mk(repro.LRUPolicy)},
-		{"unified flush-when-full", mk(repro.FlushWhenFullPolicy)},
-		{"unified preemptive-flush", mk(repro.PreemptiveFlushPolicy)},
+		{"unified pseudo-circular", graph("100@circ", false)},
+		{"unified LRU", graph("100@lru", false)},
+		{"unified flush-when-full", graph("100@flush", false)},
+		{"unified preemptive-flush", graph("100@preflush", false)},
 		{"generational 45-10-45@1", graph("45-10-45@1", false)},
 		{"4-gen 30-10-20-40@1,2", graph("30-10-20-40@1,2", false)},
 		{"adaptive 45-10-45@1", graph("45-10-45@1", true)},

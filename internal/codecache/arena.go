@@ -70,17 +70,6 @@ type node struct {
 	maxRun          uint64
 }
 
-// Stats aggregates arena activity since construction.
-type Stats struct {
-	Inserts       uint64 // fragments placed
-	InsertedBytes uint64
-	Evictions     uint64 // capacity-driven removals (via Insert's onEvict)
-	EvictedBytes  uint64
-	Deletes       uint64 // explicit removals (forced or policy-driven)
-	DeletedBytes  uint64
-	PeakUsed      uint64
-}
-
 // maxDenseID bounds the dense fragment-ID index. Trace IDs are assigned
 // sequentially by the engine, so in practice every ID lands in the dense
 // slice; IDs at or above the bound spill into a map so arbitrary IDs still
@@ -107,7 +96,6 @@ type Arena struct {
 
 	used  uint64
 	clock uint64
-	stats Stats
 
 	// pool is the free list of recycled nodes, linked through next.
 	pool *node
@@ -209,12 +197,6 @@ func (a *Arena) recycleNode(n *node) {
 	a.pool = n
 }
 
-// UnboundedCapacity is the capacity used to emulate an unbounded cache.
-const UnboundedCapacity = 1 << 40
-
-// NewUnbounded creates an arena so large it never evicts in practice.
-func NewUnbounded() *Arena { return New(UnboundedCapacity) }
-
 // Capacity returns the arena's capacity in bytes.
 func (a *Arena) Capacity() uint64 { return a.capacity }
 
@@ -226,9 +208,6 @@ func (a *Arena) Free() uint64 { return a.capacity - a.used }
 
 // Len returns the number of fragments resident.
 func (a *Arena) Len() int { return a.count }
-
-// Stats returns a copy of the arena's counters.
-func (a *Arena) Stats() Stats { return a.stats }
 
 // Clock returns the arena's logical time (advances on insert and access).
 func (a *Arena) Clock() uint64 { return a.clock }
@@ -407,20 +386,12 @@ func (a *Arena) indexFreed(n *node) {
 	}
 }
 
-// remove unlinks the fragment with node n from the arena, accounting it as
-// either an eviction (capacity-driven) or a delete. It returns the removed
-// fragment and the merged free node now covering its bytes.
-func (a *Arena) remove(n *node, evicted bool) (Fragment, *node) {
+// remove unlinks the fragment with node n from the arena. It returns the
+// removed fragment and the merged free node now covering its bytes.
+func (a *Arena) remove(n *node) (Fragment, *node) {
 	f := *n.frag
 	a.unindexNode(f.ID)
 	a.used -= n.size
-	if evicted {
-		a.stats.Evictions++
-		a.stats.EvictedBytes += n.size
-	} else {
-		a.stats.Deletes++
-		a.stats.DeletedBytes += n.size
-	}
 	return f, a.freeNode(n)
 }
 
@@ -439,7 +410,7 @@ func (a *Arena) Delete(id uint64, force bool) (Fragment, error) {
 	if n.frag.Refs > 0 && !force {
 		return Fragment{}, fmt.Errorf("codecache: delete: fragment %d still referenced by %d process(es)", id, n.frag.Refs)
 	}
-	f, _ := a.remove(n, false)
+	f, _ := a.remove(n)
 	return f, nil
 }
 
@@ -471,7 +442,7 @@ func (a *Arena) DeleteModule(m uint16) []Fragment {
 		}
 	}
 	for _, n := range victims {
-		f, _ := a.remove(n, false)
+		f, _ := a.remove(n)
 		out = append(out, f)
 		obs.Emit(a.o, obs.Event{Kind: obs.KindUnmap, Trace: f.ID, Size: f.Size, Module: f.Module, From: a.level, Proc: a.proc})
 	}
@@ -530,7 +501,7 @@ func (a *Arena) Insert(f Fragment, onEvict func(Fragment)) error {
 				pos = next.next
 				continue
 			}
-			victim, merged := a.remove(next, true)
+			victim, merged := a.remove(next)
 			if onEvict != nil {
 				onEvict(victim)
 			}
@@ -541,7 +512,7 @@ func (a *Arena) Insert(f Fragment, onEvict func(Fragment)) error {
 			pos = pos.next
 			continue
 		}
-		victim, merged := a.remove(pos, true)
+		victim, merged := a.remove(pos)
 		if onEvict != nil {
 			onEvict(victim)
 		}
@@ -589,11 +560,6 @@ func (a *Arena) place(n *node, f Fragment) {
 	}
 	a.indexNode(f.ID, n)
 	a.used += size
-	a.stats.Inserts++
-	a.stats.InsertedBytes += size
-	if a.used > a.stats.PeakUsed {
-		a.stats.PeakUsed = a.used
-	}
 }
 
 // Resize changes the arena's capacity. Growing extends the address space
@@ -649,7 +615,7 @@ func (a *Arena) Resize(newCapacity uint64, onEvict func(Fragment)) error {
 		}
 	}
 	for _, n := range victims {
-		f, _ := a.remove(n, true)
+		f, _ := a.remove(n)
 		if onEvict != nil {
 			onEvict(f)
 		}
@@ -847,7 +813,7 @@ func (a *Arena) Flush(onDelete func(Fragment)) int {
 		}
 	}
 	for _, n := range victims {
-		f, _ := a.remove(n, false)
+		f, _ := a.remove(n)
 		if onDelete != nil {
 			onDelete(f)
 		}

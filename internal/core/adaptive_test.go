@@ -112,7 +112,7 @@ func TestPressureLowersDeadband(t *testing.T) {
 
 // TestPressureStaticGraphNoop: SetLoadPressure on a static graph is a no-op.
 func TestPressureStaticGraphNoop(t *testing.T) {
-	g, err := NewGraph(UnifiedSpec(1000, nil), nil)
+	g, err := NewGraph(UnifiedSpec(1000), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

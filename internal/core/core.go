@@ -49,11 +49,15 @@ type Stats struct {
 	DropTooBig          uint64 // traces that could not fit anywhere
 }
 
-// NewUnified creates a unified cache of the given capacity with the given
-// local policy (nil defaults to pseudo-circular). Lifecycle events are
-// published to o (nil for none).
+// NewUnified creates a unified pseudo-circular cache of the given capacity.
+// Lifecycle events are published to o (nil for none). A cache's local
+// policy is named only by TierSpec.Policy; the middle parameter is kept for
+// existing callers and must be nil.
 func NewUnified(capacity uint64, local policy.Local, o obs.Observer) *Graph {
-	g, err := NewGraph(UnifiedSpec(capacity, local), o)
+	if local != nil {
+		panic("core: NewUnified takes no policy instance; name one in TierSpec.Policy")
+	}
+	g, err := NewGraph(UnifiedSpec(capacity), o)
 	if err != nil {
 		// A one-tier spec can only fail on zero capacity, which the arena
 		// layer has always treated as a programming error.
@@ -62,32 +66,20 @@ func NewUnified(capacity uint64, local policy.Local, o obs.Observer) *Graph {
 	return g
 }
 
-// The Figure 9 layouts, as three-tier graph specifications: an ungated
-// nursery edge, a probation edge gated by the promotion threshold, and a
-// terminal persistent tier.
+// The Figure 9 layouts, as ThreeTier chains.
 
 // Layout433Threshold10 is Figure 9's 33%-33%-33% layout with threshold 10.
 func Layout433Threshold10(total uint64) GraphSpec {
-	return threeTier(total, 1.0/3, 1.0/3, 1.0/3, 10, false)
+	return ThreeTier(total, 1.0/3, 1.0/3, 1.0/3, 10)
 }
 
 // Layout451045Threshold1 is Figure 9's best-overall 45%-10%-45% layout with
 // single-hit promotion.
 func Layout451045Threshold1(total uint64) GraphSpec {
-	return threeTier(total, 0.45, 0.10, 0.45, 1, true)
+	return ThreeTier(total, 0.45, 0.10, 0.45, 1)
 }
 
 // Layout104545Threshold10 is Figure 9's 10%-45%-45% layout with threshold 10.
 func Layout104545Threshold10(total uint64) GraphSpec {
-	return threeTier(total, 0.10, 0.45, 0.45, 10, false)
-}
-
-// threeTier is the paper's nursery → probation → persistent chain, its
-// probation edge gated by threshold.
-func threeTier(total uint64, nursery, probation, persistent float64, threshold uint64, promoteOnAccess bool) GraphSpec {
-	return GraphSpec{TotalCapacity: total, Tiers: []TierSpec{
-		{Frac: nursery},
-		{Frac: probation, Threshold: threshold, PromoteOnAccess: promoteOnAccess},
-		{Frac: persistent},
-	}}
+	return ThreeTier(total, 0.10, 0.45, 0.45, 10)
 }

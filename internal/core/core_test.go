@@ -99,6 +99,14 @@ func TestUnifiedPinning(t *testing.T) {
 	}
 }
 
+// threeTier is ThreeTier with an explicit promote-on-access flag, for tests
+// that need a value other than ThreeTier's (threshold == 1).
+func threeTier(total uint64, nursery, probation, persistent float64, threshold uint64, promoteOnAccess bool) GraphSpec {
+	s := ThreeTier(total, nursery, probation, persistent, threshold)
+	s.Tiers[1].PromoteOnAccess = promoteOnAccess
+	return s
+}
+
 func TestConfigValidate(t *testing.T) {
 	good := Layout451045Threshold1(1000)
 	if err := good.Validate(); err != nil {
@@ -124,7 +132,7 @@ func TestConfigValidate(t *testing.T) {
 // refuses the same values.
 func TestValidateRefusesNonFiniteFractions(t *testing.T) {
 	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		one := UnifiedSpec(1000, nil)
+		one := UnifiedSpec(1000)
 		one.Tiers[0].Frac = v
 		for i := range 3 {
 			three := Layout451045Threshold1(1000)
@@ -422,12 +430,7 @@ func TestGenerationalOversizedNurseryVictimDies(t *testing.T) {
 
 func TestGenerationalLocalPolicyOverride(t *testing.T) {
 	spec := threeTier(900, 1.0/3, 1.0/3, 1.0/3, 1, false)
-	spec.Local = func(l Level) policy.Local {
-		if l == LevelNursery {
-			return policy.NewLRU()
-		}
-		return nil // default
-	}
+	spec.Tiers[0].Policy = "lru"
 	g, err := NewGraph(spec, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -445,6 +448,63 @@ func TestGenerationalLocalPolicyOverride(t *testing.T) {
 	}
 	if l, _ := g.Where(1); l != LevelNursery {
 		t.Errorf("trace 1 should still be in the nursery")
+	}
+}
+
+// TestEveryPolicyNamesInTierString: every registered policy can be named
+// inside a tier string, by its name when that has no dash and otherwise by
+// its first dash-free alias, and the tier runs that policy.
+func TestEveryPolicyNamesInTierString(t *testing.T) {
+	for _, in := range policy.List() {
+		name := in.Name
+		if strings.Contains(name, "-") {
+			name = ""
+			for _, a := range in.Aliases {
+				if !strings.Contains(a, "-") {
+					name = a
+					break
+				}
+			}
+		}
+		if name == "" {
+			t.Errorf("policy %q has a dash and no dash-free alias, so no tier string can name it", in.Name)
+			continue
+		}
+		spec, err := ParseTierSpec("50@"+name+"-50", 1000)
+		if err != nil {
+			t.Errorf("policy %q by %q: %v", in.Name, name, err)
+			continue
+		}
+		g, err := NewGraph(spec, nil)
+		if err != nil {
+			t.Errorf("policy %q by %q: %v", in.Name, name, err)
+			continue
+		}
+		if got := g.LivePolicies()[0]; got != in.Name {
+			t.Errorf("tier string naming %q runs %q, want %q", name, got, in.Name)
+		}
+	}
+}
+
+// TestParseTierSpecNamesDashedPolicy: a dashed policy name in a tier string
+// is refused with the policy's name and its dash-free alias, not with the
+// piece of the name that the '-' split left where a percentage belongs.
+func TestParseTierSpecNamesDashedPolicy(t *testing.T) {
+	for _, c := range []struct{ spec, policy, alias string }{
+		{"100@pseudo-circular", "pseudo-circular", "circ"},
+		{"50@lru-50@flush-when-full", "flush-when-full", "flush"},
+		{"50@preemptive-flush-50", "preemptive-flush", "preflush"},
+		{"100@circular-first-fit", "circular-first-fit", "cff"},
+	} {
+		_, err := ParseTierSpec(c.spec, 1000)
+		if err == nil {
+			t.Errorf("%q accepted", c.spec)
+			continue
+		}
+		msg := err.Error()
+		if !strings.Contains(msg, `"`+c.policy+`"`) || !strings.Contains(msg, `"`+c.alias+`"`) || strings.Contains(msg, "percentage") {
+			t.Errorf("%q refused with %q, want policy %q and alias %q named", c.spec, msg, c.policy, c.alias)
+		}
 	}
 }
 
@@ -525,7 +585,7 @@ func TestObserverFanOutProperty(t *testing.T) {
 			ec2 := stats.NewEventCounter()
 			bus := obs.NewBus(ec, ec2)
 
-			spec := UnifiedSpec(4096, nil)
+			spec := UnifiedSpec(4096)
 			if shape == "generational" {
 				spec = threeTier(4096, 0.45, 0.10, 0.45, uint64(1+r.Intn(2)), seed%2 == 0)
 			}

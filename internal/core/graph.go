@@ -43,25 +43,23 @@ type TierSpec struct {
 	PromoteOnAccess bool
 
 	// Policy selects this tier's local policy by registry spec ("lru",
-	// "trrip:hot=8"; see policy.List). The special value "auto" enables the
-	// online policy selector for this tier — "auto:lru" names the starting
-	// policy, e.g. when resuming from a snapshot. Empty defers to
-	// GraphSpec.Local. Inside tier-layout strings the dash-free registry
-	// aliases must be used (tiers are separated by '-').
+	// "trrip:hot=8"; see policy.List). It is the only way to choose one. The
+	// special value "auto" enables the online policy selector for this tier —
+	// "auto:lru" names the starting policy, e.g. when resuming from a
+	// snapshot. Empty selects pseudo-circular, the paper's design. Inside
+	// tier-layout strings the dash-free registry aliases must be used (tiers
+	// are separated by '-').
 	Policy string
 }
 
-// GraphSpec describes a whole tier graph. The stock shapes are built by
-// UnifiedSpec and the Figure 9 layouts (Layout451045Threshold1 and its
-// siblings); richer shapes (N generations, per-tier policies) are written
-// directly or parsed from a CLI string by ParseTierSpec.
+// GraphSpec describes a whole tier graph. It is plain data: values only,
+// no functions. The stock shapes are built by UnifiedSpec and ThreeTier (the
+// Figure 9 layouts, Layout451045Threshold1 and its siblings, call it);
+// richer shapes (N generations, per-tier policies) are written directly or
+// parsed from a CLI string by ParseTierSpec.
 type GraphSpec struct {
 	TotalCapacity uint64
 	Tiers         []TierSpec
-
-	// Local constructs the local policy for each tier; nil defaults to
-	// pseudo-circular for all tiers, the paper's design.
-	Local func(Level) policy.Local
 
 	// Adaptive, when non-nil, attaches the split controller of adaptive.go:
 	// tier capacities are re-balanced at deterministic epoch boundaries.
@@ -136,13 +134,22 @@ func autoInitial(p string) string {
 	return ""
 }
 
-// UnifiedSpec is the one-tier graph: the paper's unified baseline.
-func UnifiedSpec(capacity uint64, local policy.Local) GraphSpec {
-	s := GraphSpec{TotalCapacity: capacity, Tiers: []TierSpec{{Frac: 1}}}
-	if local != nil {
-		s.Local = func(Level) policy.Local { return local }
-	}
-	return s
+// UnifiedSpec is the one-tier graph: the paper's unified baseline, one
+// pseudo-circular cache.
+func UnifiedSpec(capacity uint64) GraphSpec {
+	return GraphSpec{TotalCapacity: capacity, Tiers: []TierSpec{{Frac: 1}}}
+}
+
+// ThreeTier is the paper's nursery → probation → persistent chain (Figure
+// 8): an ungated nursery edge, a probation edge gated by threshold, and a
+// terminal persistent tier. A threshold of 1 promotes on access, the
+// paper's "@1" configurations.
+func ThreeTier(total uint64, nursery, probation, persistent float64, threshold uint64) GraphSpec {
+	return GraphSpec{TotalCapacity: total, Tiers: []TierSpec{
+		{Frac: nursery},
+		{Frac: probation, Threshold: threshold, PromoteOnAccess: threshold == 1},
+		{Frac: persistent},
+	}}
 }
 
 // levelFor labels tier i of an n-tier graph. One-tier graphs are unified;
@@ -265,21 +272,6 @@ func newGraph(spec GraphSpec, shared *SharedPersistent, proc int, o obs.Observer
 			g.o = obs.Combine(obs.Observer(g.led), o)
 		}
 	}
-	mk := func(ts TierSpec, l Level) (policy.Local, error) {
-		if ts.Policy != "" && !isAutoPolicy(ts.Policy) {
-			fac, err := policy.Parse(ts.Policy)
-			if err != nil {
-				return nil, err
-			}
-			return fac.New(), nil
-		}
-		if spec.Local != nil {
-			if p := spec.Local(l); p != nil {
-				return p, nil
-			}
-		}
-		return policy.PseudoCircular{}, nil
-	}
 	// Size the tiers: each gets the floor of its fraction, with the last
 	// private tier of a fully private graph absorbing the rounding remainder
 	// (exactly the legacy sizing).
@@ -298,9 +290,13 @@ func newGraph(spec GraphSpec, shared *SharedPersistent, proc int, o obs.Observer
 		acc += b
 		ts := spec.Tiers[i]
 		lvl := levelFor(i, n)
-		local, err := mk(ts, lvl)
-		if err != nil {
-			return nil, fmt.Errorf("core: tier %d: %w", i, err)
+		var local policy.Local = policy.PseudoCircular{}
+		if ts.Policy != "" && !isAutoPolicy(ts.Policy) {
+			fac, err := policy.Parse(ts.Policy)
+			if err != nil {
+				return nil, fmt.Errorf("core: tier %d: %w", i, err)
+			}
+			local = fac.New()
 		}
 		t := &tier{
 			level:           lvl,
@@ -348,10 +344,7 @@ func newGraph(spec GraphSpec, shared *SharedPersistent, proc int, o obs.Observer
 	}
 	if g.sel == nil {
 		for _, t := range g.tiers {
-			switch t.local.(type) {
-			case policy.PseudoCircular, policy.Unbounded:
-				t.noopAccess = true
-			}
+			_, t.noopAccess = t.local.(policy.PseudoCircular)
 		}
 	}
 	return g, nil
@@ -912,6 +905,9 @@ func ParseTierSpec(s string, total uint64) (GraphSpec, error) {
 		toks := strings.Split(p, "@")
 		pct, err := strconv.ParseFloat(strings.TrimSpace(toks[0]), 64)
 		if err != nil {
+			if err := dashedPolicy(s); err != nil {
+				return GraphSpec{}, err
+			}
 			return GraphSpec{}, fmt.Errorf("core: bad tier percentage %q in %q", toks[0], s)
 		}
 		ts := TierSpec{Frac: pct / 100}
@@ -964,6 +960,25 @@ func ParseTierSpec(s string, total uint64) (GraphSpec, error) {
 		return GraphSpec{}, err
 	}
 	return spec, nil
+}
+
+// dashedPolicy reports a registered policy whose dashed name appears in the
+// tier string s. Splitting s on '-' cut that name apart, so the bad
+// percentage the caller found is a piece of it; the error names the policy
+// and the dash-free alias that selects it instead.
+func dashedPolicy(s string) error {
+	for _, in := range policy.List() {
+		if !strings.Contains(in.Name, "-") || !strings.Contains(s, in.Name) {
+			continue
+		}
+		for _, a := range in.Aliases {
+			if !strings.Contains(a, "-") {
+				return fmt.Errorf("core: tier spec %q names policy %q, but tiers are separated by '-': use its alias %q", s, in.Name, a)
+			}
+		}
+		return fmt.Errorf("core: tier spec %q names policy %q, which has no dash-free alias to use in a tier string", s, in.Name)
+	}
+	return nil
 }
 
 // parseGateList reports whether a tier-spec token is a comma-separated list

@@ -104,7 +104,7 @@ func TestAdaptiveLedgerIsLight(t *testing.T) {
 
 // TestStaticGraphHasNoLedger: no Attrib, no Adaptive — zero overhead.
 func TestStaticGraphHasNoLedger(t *testing.T) {
-	g, err := NewGraph(UnifiedSpec(1000, nil), nil)
+	g, err := NewGraph(UnifiedSpec(1000), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

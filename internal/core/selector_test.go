@@ -16,7 +16,7 @@ import (
 // real DBT) responds to a cache miss.
 func selectorRun(t *testing.T) (switches []string, live []string, ss SelectorStats, stats Stats) {
 	t.Helper()
-	spec := UnifiedSpec(1000, nil)
+	spec := UnifiedSpec(1000)
 	spec.Tiers[0].Policy = "auto"
 	// flush-when-full first: it is the initial live policy and pathological
 	// for a stable hot set (one overflow discards the whole set), so the LRU
@@ -123,8 +123,8 @@ func TestSelectorDisabledMatchesStatic(t *testing.T) {
 		}
 		return g.Stats()
 	}
-	static := run(UnifiedSpec(800, nil))
-	spec := UnifiedSpec(800, nil)
+	static := run(UnifiedSpec(800))
+	spec := UnifiedSpec(800)
 	spec.Tiers[0].Policy = "pseudo-circular"
 	named := run(spec)
 	if static != named {
@@ -137,7 +137,7 @@ func TestSelectorDisabledMatchesStatic(t *testing.T) {
 // allocate in steady state. This is the guard that keeps selection cheap
 // enough to leave on.
 func TestAutoTierAccessAllocationFree(t *testing.T) {
-	spec := UnifiedSpec(1000, nil)
+	spec := UnifiedSpec(1000)
 	spec.Tiers[0].Policy = "auto"
 	spec.Selector = &SelectorConfig{Epoch: 64}
 	g, err := NewGraph(spec, nil)
@@ -165,7 +165,7 @@ func TestAutoTierAccessAllocationFree(t *testing.T) {
 // BenchmarkAutoTierAccess measures the steady-state hit path with the
 // selector attached (live policy plus one shadow per candidate).
 func BenchmarkAutoTierAccess(b *testing.B) {
-	spec := UnifiedSpec(1000, nil)
+	spec := UnifiedSpec(1000)
 	spec.Tiers[0].Policy = "auto"
 	spec.Selector = &SelectorConfig{Epoch: 64}
 	g, err := NewGraph(spec, nil)

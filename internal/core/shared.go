@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/codecache"
 	"repro/internal/obs"
-	"repro/internal/policy"
 )
 
 // ShareKey identifies a trace's guest code across processes: traces from the
@@ -46,7 +45,6 @@ type SharedStats struct {
 type SharedPersistent struct {
 	mu    sync.Mutex
 	arena *codecache.Arena
-	local policy.Local
 	o     obs.Observer
 
 	// byKey maps guest code identity to the canonical resident trace: the
@@ -59,19 +57,15 @@ type SharedPersistent struct {
 	stats SharedStats
 }
 
-// NewSharedPersistent creates a shared persistent tier of the given capacity
-// with the given local policy (nil defaults to pseudo-circular, the paper's
+// NewSharedPersistent creates a shared persistent tier of the given
+// capacity, managed by the arena's pseudo-circular sweep (the paper's
 // design). Lifecycle events are published to o (nil for none) stamped with
 // the causing process.
-func NewSharedPersistent(capacity uint64, local policy.Local, o obs.Observer) *SharedPersistent {
-	if local == nil {
-		local = policy.PseudoCircular{}
-	}
+func NewSharedPersistent(capacity uint64, o obs.Observer) *SharedPersistent {
 	arena := codecache.New(capacity)
 	arena.SetObserver(o, obs.LevelPersistent)
 	return &SharedPersistent{
 		arena:  arena,
-		local:  local,
 		o:      o,
 		byKey:  make(map[ShareKey]uint64),
 		owners: make(map[uint64]map[int]struct{}),
@@ -103,7 +97,7 @@ func (sp *SharedPersistent) evictLocked(f codecache.Fragment, proc int) {
 func (sp *SharedPersistent) insertLocked(procs []int, f codecache.Fragment, causing int) error {
 	f.Undeletable = false
 	f.Refs = uint32(len(procs))
-	err := sp.local.Insert(sp.arena, f, func(v codecache.Fragment) {
+	err := sp.arena.Insert(f, func(v codecache.Fragment) {
 		sp.evictLocked(v, causing)
 	})
 	if err != nil {
@@ -174,12 +168,8 @@ func (sp *SharedPersistent) InsertWarm(procs []int, f codecache.Fragment) error 
 func (sp *SharedPersistent) Access(proc int, id uint64) bool {
 	sp.mu.Lock()
 	defer sp.mu.Unlock()
-	if !sp.arena.Access(id) {
-		return false
-	}
-	sp.local.OnAccess(sp.arena, id)
-	_ = proc // accesses are not per-owner state; proc documents intent
-	return true
+	// Accesses are not per-owner state; proc documents intent.
+	return sp.arena.Access(id)
 }
 
 // Contains reports residency without touching access state.

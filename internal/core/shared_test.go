@@ -13,7 +13,7 @@ func sharedFrag(id uint64, module uint16, head uint64) codecache.Fragment {
 }
 
 func TestSharedPromotePublishAdopt(t *testing.T) {
-	sp := NewSharedPersistent(1000, nil, nil)
+	sp := NewSharedPersistent(1000, nil)
 	if err := sp.Promote(0, sharedFrag(1, 7, 0x40)); err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestSharedPromotePublishAdopt(t *testing.T) {
 }
 
 func TestSharedOwnerAwareUnmap(t *testing.T) {
-	sp := NewSharedPersistent(1000, nil, nil)
+	sp := NewSharedPersistent(1000, nil)
 	if err := sp.Promote(0, sharedFrag(1, 7, 0x40)); err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestSharedOwnerAwareUnmap(t *testing.T) {
 }
 
 func TestSharedUnmapOnlyDropsCallersTraces(t *testing.T) {
-	sp := NewSharedPersistent(1000, nil, nil)
+	sp := NewSharedPersistent(1000, nil)
 	// Trace 1 owned by proc 0 only; trace 2 owned by proc 1 only. Proc 0's
 	// unmap of the module must not touch proc 1's trace.
 	if err := sp.Promote(0, sharedFrag(1, 7, 0x40)); err != nil {
@@ -132,7 +132,7 @@ func TestSharedUnmapOnlyDropsCallersTraces(t *testing.T) {
 
 func TestSharedCapacityEvictionOverridesRefs(t *testing.T) {
 	var evicted []obs.Event
-	sp := NewSharedPersistent(300, nil, obs.Func(func(e obs.Event) {
+	sp := NewSharedPersistent(300, obs.Func(func(e obs.Event) {
 		if e.Kind == obs.KindEvict {
 			evicted = append(evicted, e)
 		}
@@ -175,7 +175,7 @@ func TestSharedCapacityEvictionOverridesRefs(t *testing.T) {
 }
 
 func TestSharedInsertWarmOwnerless(t *testing.T) {
-	sp := NewSharedPersistent(1000, nil, nil)
+	sp := NewSharedPersistent(1000, nil)
 	// Warm-start records enter with no owners; processes attach at startup.
 	if err := sp.InsertWarm(nil, sharedFrag(1, 7, 0x40)); err != nil {
 		t.Fatal(err)
@@ -205,7 +205,7 @@ func TestSharedInsertWarmOwnerless(t *testing.T) {
 func TestSharedConcurrentAccess(t *testing.T) {
 	// Hammer the tier from several goroutines; the race detector checks the
 	// locking, CheckInvariants the end state.
-	sp := NewSharedPersistent(2000, nil, nil)
+	sp := NewSharedPersistent(2000, nil)
 	var wg sync.WaitGroup
 	for p := 0; p < 4; p++ {
 		wg.Add(1)

@@ -17,7 +17,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/costmodel"
 	"repro/internal/linker"
-	"repro/internal/obs"
 	"repro/internal/opt"
 	"repro/internal/program"
 	"repro/internal/stats"
@@ -73,10 +72,6 @@ type Config struct {
 	Model *costmodel.Model
 	// Log, when non-nil, receives the cache event stream.
 	Log *tracelog.Writer
-	// Observer, when non-nil, receives the engine's own lifecycle events
-	// (KindLinkSever, one per direct link broken). Cache-level events come
-	// from the Manager's observer, attached at manager construction.
-	Observer obs.Observer
 	// Lifetimes, when non-nil, records trace first/last access times.
 	Lifetimes *stats.Lifetimes
 	// ExceptionInterval, when non-zero, simulates the paper's §4.2
@@ -772,13 +767,9 @@ func (e *Process) adoptTrace(t *trace.Trace, blk *program.Block) error {
 }
 
 // severLinks breaks every direct link involving trace id, counting the
-// severed links and publishing one KindLinkSever event per link.
+// severed links.
 func (e *Process) severLinks(id uint64) {
-	n := e.links.Unlink(id)
-	e.stats.LinksBroken += uint64(n)
-	for i := 0; i < n; i++ {
-		obs.Emit(e.cfg.Observer, obs.Event{Kind: obs.KindLinkSever, Trace: id, Proc: e.id})
-	}
+	e.stats.LinksBroken += uint64(e.links.Unlink(id))
 }
 
 func (e *Process) fragmentOf(t *trace.Trace) codecache.Fragment {

@@ -92,7 +92,7 @@ func maxTraceSize(t *testing.T, img *program.Image) uint64 {
 // tier), and the tier itself is comfortably large.
 func sharedSystem(t *testing.T, img *program.Image, procs int, traceSize uint64, o obs.Observer, logs []*tracelog.Writer) (*System, *core.SharedPersistent) {
 	t.Helper()
-	sp := core.NewSharedPersistent(10*traceSize, nil, o)
+	sp := core.NewSharedPersistent(10*traceSize, o)
 	sys := NewSystem(sp)
 	for p := 0; p < procs; p++ {
 		var log *tracelog.Writer
@@ -369,7 +369,7 @@ func TestSessionLogUnmapReleasesModule(t *testing.T) {
 	// again. A probation of four traces holds each until its next run.
 	spec := thirdsAt1(size * 9)
 	spec.Tiers[0].Frac, spec.Tiers[1].Frac = 1.0/6, 1.0/2
-	sp := core.NewSharedPersistent(10*size, nil, nil)
+	sp := core.NewSharedPersistent(10*size, nil)
 	sys := NewSystem(sp)
 	procs := []*Process{addSharedProcess(t, sys, 0, img, spec, nil, nil), addSharedProcess(t, sys, 1, img, spec, nil, nil)}
 	g0, g1 := &VMGuest{M: vm.New(img)}, &VMGuest{M: vm.New(img)}
@@ -543,7 +543,7 @@ func TestSingleProcSharedMatchesPlain(t *testing.T) {
 	}()
 
 	shared := func() RunStats {
-		sp := core.NewSharedPersistent(uint64(float64(spec.TotalCapacity)*spec.Tiers[2].Frac), nil, nil)
+		sp := core.NewSharedPersistent(uint64(float64(spec.TotalCapacity)*spec.Tiers[2].Frac), nil)
 		sys := NewSystem(sp)
 		mgr, err := core.NewGraphShared(spec, sp, 0, nil)
 		if err != nil {
@@ -572,7 +572,7 @@ func TestConfigRequiresManager(t *testing.T) {
 	if _, err := New(img, Config{}); err == nil {
 		t.Error("Config without a Manager should fail")
 	}
-	if _, err := NewSystem(core.NewSharedPersistent(1<<10, nil, nil)).NewProcess(0, img, Config{}); err == nil {
+	if _, err := NewSystem(core.NewSharedPersistent(1<<10, nil)).NewProcess(0, img, Config{}); err == nil {
 		t.Error("shared-system process without a Manager should fail")
 	}
 }

@@ -49,11 +49,7 @@ func AdaptiveVsStatic(s *Suite) ([]AdaptiveRow, error) {
 		// the paper's single-hit promote-on-access gate and starts from the
 		// neutral balanced split — the proportions are what it must discover
 		// online.
-		spec := core.GraphSpec{TotalCapacity: capacity, Tiers: []core.TierSpec{
-			{Frac: 1.0 / 3},
-			{Frac: 1.0 / 3, Threshold: 1, PromoteOnAccess: true},
-			{Frac: 1.0 / 3},
-		}}
+		spec := core.ThreeTier(capacity, 1.0/3, 1.0/3, 1.0/3, 1)
 		// Epochs well below the default: the compressed logs the suite
 		// collects carry a few thousand to a few hundred thousand accesses,
 		// and the controller needs tens of decision points to walk the split.

@@ -21,7 +21,7 @@ func attribReplay(s *Suite, r *Run) (*attrib.Snapshot, error) {
 	if capacity == 0 {
 		return nil, nil
 	}
-	spec := core.UnifiedSpec(capacity, nil)
+	spec := core.UnifiedSpec(capacity)
 	spec.Attrib = &attrib.Config{}
 	acc := costmodel.NewAccum(s.Model)
 	mgr, err := core.NewGraph(spec, sim.CostObserver(acc))

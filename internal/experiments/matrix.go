@@ -95,7 +95,7 @@ func replayMatrix[T any](s *Suite, fracs []float64, keep int,
 // withBaseline returns the unified pseudo-circular baseline of capacity
 // followed by specs: spec 0 of every comparison against the unified cache.
 func withBaseline(capacity uint64, specs ...core.GraphSpec) []core.GraphSpec {
-	return append([]core.GraphSpec{core.UnifiedSpec(capacity, nil)}, specs...)
+	return append([]core.GraphSpec{core.UnifiedSpec(capacity)}, specs...)
 }
 
 // headline is the paper's headline comparison: the unified baseline and

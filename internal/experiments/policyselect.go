@@ -57,14 +57,14 @@ func PolicySelection(s *Suite) ([]PolicySelectRow, error) {
 	m, err := replayMatrix(s, halfPeak, len(candidates), func(capacity uint64) []core.GraphSpec {
 		var specs []core.GraphSpec
 		for _, cand := range candidates {
-			spec := core.UnifiedSpec(capacity, nil)
+			spec := core.UnifiedSpec(capacity)
 			spec.Tiers[0].Policy = cand
 			specs = append(specs, spec)
 		}
 		// Epochs well below the default: the compressed logs the suite
 		// collects carry a few thousand to a few hundred thousand accesses,
 		// and the selector needs tens of decision windows to race the zoo.
-		sel := core.UnifiedSpec(capacity, nil)
+		sel := core.UnifiedSpec(capacity)
 		sel.Tiers[0].Policy = "auto"
 		sel.Selector = &core.SelectorConfig{Epoch: 256, Candidates: candidates}
 		// The attribution ledger rides the selector graph so the switch

@@ -131,7 +131,7 @@ func sharedVsIsolatedOne(r *Run, model costmodel.Model, procs int) (SharedVsIsol
 	// application's hot core) occupy it once instead of N times.
 	shMgrCost := costmodel.NewAccum(model)
 	spCap := uint64(procs) * uint64(float64(capacity)*spec.Tiers[2].Frac)
-	sp := core.NewSharedPersistent(spCap, nil, sim.CostObserver(shMgrCost))
+	sp := core.NewSharedPersistent(spCap, sim.CostObserver(shMgrCost))
 	sys := dbt.NewSystem(sp)
 	guests := make([]dbt.Guest, procs)
 	for p := 0; p < procs; p++ {

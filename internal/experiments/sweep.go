@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"repro/internal/core"
-	"repro/internal/policy"
 	"repro/internal/stats"
 )
 
@@ -17,16 +16,14 @@ import (
 
 // SweepPoint is one configuration's average miss-rate reduction.
 type SweepPoint struct {
-	Nursery, Probation, Persistent float64
-	Threshold                      uint64
-	PromoteOnAccess                bool
-	AvgReduction                   float64 // unweighted mean over benchmarks
+	// Spec is the three-tier layout. Its TotalCapacity is 0: each benchmark
+	// replays the layout at its own capacity.
+	Spec         core.GraphSpec
+	AvgReduction float64 // unweighted mean over benchmarks
 }
 
-// Label renders the configuration compactly.
-func (p SweepPoint) Label() string {
-	return fmt.Sprintf("%.0f-%.0f-%.0f@%d", p.Nursery*100, p.Probation*100, p.Persistent*100, p.Threshold)
-}
+// Label renders the configuration compactly: "45-10-45@1".
+func (p SweepPoint) Label() string { return layoutLabel(p.Spec) }
 
 // SweepResult holds the grid.
 type SweepResult struct {
@@ -51,11 +48,7 @@ func sweepGrid(capacity uint64) []core.GraphSpec {
 	var out []core.GraphSpec
 	for _, sh := range shapes {
 		for _, th := range thresholds {
-			out = append(out, core.GraphSpec{TotalCapacity: capacity, Tiers: []core.TierSpec{
-				{Frac: sh.n},
-				{Frac: sh.p, Threshold: th, PromoteOnAccess: th == 1},
-				{Frac: sh.s},
-			}})
+			out = append(out, core.ThreeTier(capacity, sh.n, sh.p, sh.s, th))
 		}
 	}
 	return out
@@ -76,12 +69,7 @@ func Sweep(s *Suite) (SweepResult, error) {
 	avgs := means(m[0], len(grid))
 	var res SweepResult
 	for i, spec := range grid {
-		n, p, ps := spec.Tiers[0], spec.Tiers[1], spec.Tiers[2]
-		pt := SweepPoint{
-			Nursery: n.Frac, Probation: p.Frac, Persistent: ps.Frac,
-			Threshold: p.Threshold, PromoteOnAccess: p.PromoteOnAccess,
-			AvgReduction: avgs[i],
-		}
+		pt := SweepPoint{Spec: spec, AvgReduction: avgs[i]}
 		res.Points = append(res.Points, pt)
 		if i == 0 || pt.AvgReduction > res.Best.AvgReduction {
 			res.Best = pt
@@ -109,8 +97,9 @@ func reductionsVsBaseline(c replayed) ([]float64, bool) {
 func RenderSweep(res SweepResult) string {
 	t := stats.NewTable("Layout", "Threshold", "AvgMissRateReduction")
 	for _, p := range res.Points {
-		t.AddRow(fmt.Sprintf("%.0f-%.0f-%.0f", p.Nursery*100, p.Probation*100, p.Persistent*100),
-			fmt.Sprintf("%d", p.Threshold), fmt.Sprintf("%+.1f%%", p.AvgReduction*100))
+		tr := p.Spec.Tiers
+		t.AddRow(fmt.Sprintf("%.0f-%.0f-%.0f", tr[0].Frac*100, tr[1].Frac*100, tr[2].Frac*100),
+			fmt.Sprintf("%d", tr[1].Threshold), fmt.Sprintf("%+.1f%%", p.AvgReduction*100))
 	}
 	t.AddRow("(best)", res.Best.Label(), fmt.Sprintf("%+.1f%%", res.Best.AvgReduction*100))
 	return t.String()
@@ -134,23 +123,25 @@ func ProbationThresholdLink(res SweepResult) []ProbationLink {
 	byProb := map[float64][]SweepPoint{}
 	var fracs []float64
 	for _, p := range res.Points {
-		if _, seen := byProb[p.Probation]; !seen {
-			fracs = append(fracs, p.Probation)
+		prob := p.Spec.Tiers[1].Frac
+		if _, seen := byProb[prob]; !seen {
+			fracs = append(fracs, prob)
 		}
-		byProb[p.Probation] = append(byProb[p.Probation], p)
+		byProb[prob] = append(byProb[prob], p)
 	}
 	sort.Float64s(fracs)
 	var out []ProbationLink
 	for _, frac := range fracs {
 		link := ProbationLink{ProbationFrac: frac}
 		for i, p := range byProb[frac] {
+			th := p.Spec.Tiers[1].Threshold
 			if i == 0 || p.AvgReduction > link.AvgAtBest {
 				link.AvgAtBest = p.AvgReduction
-				link.BestThreshold = p.Threshold
+				link.BestThreshold = th
 			}
 			if i == 0 || p.AvgReduction < link.AvgAtWorst {
 				link.AvgAtWorst = p.AvgReduction
-				link.WorstThreshold = p.Threshold
+				link.WorstThreshold = th
 			}
 		}
 		out = append(out, link)
@@ -186,18 +177,20 @@ func Ablations(s *Suite) ([]AblationRow, error) {
 		{"45-10-45@1 (paper)", core.Layout451045Threshold1},
 		{"no-probation", func(c uint64) core.GraphSpec {
 			// Threshold 0: every probation victim promotes.
-			return core.GraphSpec{TotalCapacity: c, Tiers: []core.TierSpec{{Frac: 0.47}, {Frac: 0.03}, {Frac: 0.50}}}
+			return core.ThreeTier(c, 0.47, 0.03, 0.50, 0)
 		}},
 		{"lru-local", func(c uint64) core.GraphSpec {
 			spec := core.Layout451045Threshold1(c)
-			spec.Local = func(core.Level) policy.Local { return policy.NewLRU() }
+			for i := range spec.Tiers {
+				spec.Tiers[i].Policy = "lru"
+			}
 			return spec
 		}},
 		{"flush-unified", func(c uint64) core.GraphSpec {
-			return core.UnifiedSpec(c, &policy.FlushWhenFull{})
+			return core.GraphSpec{TotalCapacity: c, Tiers: []core.TierSpec{{Frac: 1, Policy: "flush-when-full"}}}
 		}},
 		{"holefill-unified", func(c uint64) core.GraphSpec {
-			return core.UnifiedSpec(c, &policy.CircularFirstFit{})
+			return core.GraphSpec{TotalCapacity: c, Tiers: []core.TierSpec{{Frac: 1, Policy: "circular-first-fit"}}}
 		}},
 	}
 	m, err := replayMatrix(s, halfPeak, noGraph, func(capacity uint64) []core.GraphSpec {

@@ -1,10 +1,10 @@
 // Package obs is the observer/metrics bus shared by every cache layer. The
 // managers in internal/core, the arenas in internal/codecache, the flush
-// policies in internal/policy, the engine in internal/dbt, and the replay
-// simulator in internal/sim all publish their lifecycle events — trace
-// insertion, eviction, promotion, program-forced deletion, link severing,
-// cache flushes, and replay progress — through one Observer interface
-// instead of package-private hook structs and ad-hoc counters.
+// policies in internal/policy, and the replay simulator in internal/sim all
+// publish their lifecycle events — trace insertion, eviction, promotion,
+// program-forced deletion, cache flushes, and replay progress — through one
+// Observer interface instead of package-private hook structs and ad-hoc
+// counters.
 //
 // The package sits below every other cache package (it imports nothing from
 // the repo), so any layer can publish and any consumer can subscribe.
@@ -29,9 +29,6 @@ const (
 	// KindUnmap fires once per trace force-deleted because its module was
 	// unmapped (program-forced eviction).
 	KindUnmap
-	// KindLinkSever fires once per direct trace-to-trace link broken by an
-	// eviction or unmap.
-	KindLinkSever
 	// KindFlush fires when a local policy flushes a whole cache
 	// (flush-when-full, preemptive flushing).
 	KindFlush
@@ -65,7 +62,7 @@ const (
 )
 
 var kindNames = [...]string{
-	"invalid", "insert", "evict", "promote", "unmap", "link-sever", "flush", "progress", "resize", "policy-switch", "admission-resize", "regenerate", "peer-adopt",
+	"invalid", "insert", "evict", "promote", "unmap", "flush", "progress", "resize", "policy-switch", "admission-resize", "regenerate", "peer-adopt",
 }
 
 func (k Kind) String() string {
@@ -176,7 +173,7 @@ func ParseReason(s string) (Reason, bool) {
 // the Kind are set.
 type Event struct {
 	Kind   Kind
-	Trace  uint64 // KindInsert, KindEvict, KindPromote, KindUnmap, KindLinkSever
+	Trace  uint64 // KindInsert, KindEvict, KindPromote, KindUnmap
 	Size   uint64 // trace size in bytes, where known
 	Module uint16 // owning module (KindUnmap, KindInsert)
 	From   Level  // KindEvict, KindPromote, KindUnmap, KindFlush, KindRegenerate

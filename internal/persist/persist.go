@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strings"
 
 	"repro/internal/codecache"
@@ -93,9 +94,10 @@ type Image struct {
 	Benchmark string
 	Records   []Record
 
-	// Spec is the tier-graph geometry the snapshot was taken under; nil for
-	// shared-tier snapshots.
-	Spec *SpecImage
+	// Spec is the tier-graph geometry the snapshot was taken under, each
+	// tier's Policy the one live at snapshot time; nil for shared-tier
+	// snapshots. Only TotalCapacity and Tiers are saved.
+	Spec *core.GraphSpec
 
 	// Modules is the module table: what each record's Module ID names. It
 	// is empty for single-process snapshots, whose module IDs are the
@@ -103,57 +105,15 @@ type Image struct {
 	Modules []Module
 }
 
-// SpecImage is the serializable form of a tier-graph specification.
-type SpecImage struct {
-	TotalCapacity uint64
-	Tiers         []TierImage
-}
-
-// TierImage is the serializable form of one tier's specification.
-type TierImage struct {
-	Frac            float64
-	Threshold       uint64
-	PromoteOnAccess bool
-
-	// Policy is the tier's local-policy spec ("lru", "auto:trrip"); empty
-	// for the default policy and for version-2 files.
-	Policy string
-}
-
-// SpecOf converts a graph specification into its serializable form.
-func SpecOf(spec core.GraphSpec) *SpecImage {
-	si := &SpecImage{TotalCapacity: spec.TotalCapacity}
-	for _, t := range spec.Tiers {
-		si.Tiers = append(si.Tiers, TierImage{
-			Frac:            t.Frac,
-			Threshold:       t.Threshold,
-			PromoteOnAccess: t.PromoteOnAccess,
-			Policy:          t.Policy,
-		})
-	}
-	return si
-}
-
-// GraphSpec converts a loaded spec image back into a graph specification.
-func (si *SpecImage) GraphSpec() core.GraphSpec {
-	spec := core.GraphSpec{TotalCapacity: si.TotalCapacity}
-	for _, t := range si.Tiers {
-		spec.Tiers = append(spec.Tiers, core.TierSpec{
-			Frac:            t.Frac,
-			Threshold:       t.Threshold,
-			PromoteOnAccess: t.PromoteOnAccess,
-			Policy:          t.Policy,
-		})
-	}
-	return spec
-}
-
 // Snapshot captures the current contents of a generational manager's
 // persistent cache (the traces that earned promotion). lookup resolves a
 // trace ID to its materialized trace (the engine's TraceByID); traces the
 // engine no longer knows are skipped.
 func Snapshot(benchmark string, g *core.Graph, lookup func(uint64) (*trace.Trace, bool)) Image {
-	img := Image{Benchmark: benchmark, Spec: SpecOf(g.Spec())}
+	spec := g.Spec()
+	// The tiers are cloned: the live policies below must not be written into
+	// the graph's own spec.
+	img := Image{Benchmark: benchmark, Spec: &core.GraphSpec{TotalCapacity: spec.TotalCapacity, Tiers: slices.Clone(spec.Tiers)}}
 	// Record the live per-tier policies: a tier under online selection
 	// persists "auto:NAME" so the warm restart resumes the selected policy
 	// instead of restarting the race from scratch.
@@ -326,7 +286,7 @@ func Load(r io.Reader) (Image, error) {
 	if _, err := io.ReadFull(br, name); err != nil {
 		return Image{}, err
 	}
-	var spec *SpecImage
+	var spec *core.GraphSpec
 	tiers, err := get()
 	if err != nil {
 		return Image{}, err
@@ -335,7 +295,7 @@ func Load(r io.Reader) (Image, error) {
 		return Image{}, errors.New("persist: unreasonable tier count")
 	}
 	if tiers > 0 {
-		spec = &SpecImage{}
+		spec = &core.GraphSpec{}
 		if spec.TotalCapacity, err = get(); err != nil {
 			return Image{}, err
 		}
@@ -353,7 +313,7 @@ func Load(r io.Reader) (Image, error) {
 			if _, err := io.ReadFull(br, pol); err != nil {
 				return Image{}, fmt.Errorf("persist: spec tier %d policy: %w", i, err)
 			}
-			spec.Tiers = append(spec.Tiers, TierImage{
+			spec.Tiers = append(spec.Tiers, core.TierSpec{
 				Frac:            math.Float64frombits(vals[0]),
 				Threshold:       vals[1],
 				PromoteOnAccess: vals[2] != 0,

@@ -19,11 +19,7 @@ import (
 // smallSpec is a 3000-byte generational chain (30-30-40) that promotes a
 // probation trace on its first hit.
 func smallSpec() core.GraphSpec {
-	return core.GraphSpec{TotalCapacity: 3000, Tiers: []core.TierSpec{
-		{Frac: 0.3},
-		{Frac: 0.3, Threshold: 1, PromoteOnAccess: true},
-		{Frac: 0.4},
-	}}
+	return core.ThreeTier(3000, 0.3, 0.3, 0.4, 1)
 }
 
 // populated builds a generational manager with some traces promoted into
@@ -306,14 +302,13 @@ func TestSpecRoundTrip(t *testing.T) {
 		t.Fatal("loaded image lost the graph spec")
 	}
 	want := g.Spec()
-	spec := got.Spec.GraphSpec()
+	spec := *got.Spec
 	if spec.TotalCapacity != want.TotalCapacity || len(spec.Tiers) != len(want.Tiers) {
 		t.Fatalf("spec = %+v, want %+v", spec, want)
 	}
 	for i, tr := range spec.Tiers {
-		w := want.Tiers[i]
-		if tr.Frac != w.Frac || tr.Threshold != w.Threshold || tr.PromoteOnAccess != w.PromoteOnAccess {
-			t.Fatalf("tier %d = %+v, want %+v", i, tr, w)
+		if tr != want.Tiers[i] {
+			t.Fatalf("tier %d = %+v, want %+v", i, tr, want.Tiers[i])
 		}
 	}
 	// The round-tripped spec must build an identical manager.
@@ -419,6 +414,11 @@ func TestSnapshotCarriesPolicies(t *testing.T) {
 	if img.Spec.Tiers[1].Policy != "trrip" {
 		t.Errorf("static tier persisted as %q, want trrip", img.Spec.Tiers[1].Policy)
 	}
+	// Snapshot writes the live policies into its own copy of the tiers,
+	// never into the graph's spec.
+	if &img.Spec.Tiers[0] == &g.Spec().Tiers[0] {
+		t.Error("snapshot shares its tiers with the graph's spec")
+	}
 
 	var buf bytes.Buffer
 	if err := Save(&buf, img); err != nil {
@@ -431,14 +431,14 @@ func TestSnapshotCarriesPolicies(t *testing.T) {
 	if got.Spec == nil || len(got.Spec.Tiers) != len(img.Spec.Tiers) {
 		t.Fatalf("loaded spec = %+v", got.Spec)
 	}
-	for i := range img.Spec.Tiers {
-		if got.Spec.Tiers[i].Policy != img.Spec.Tiers[i].Policy {
-			t.Errorf("tier %d policy %q != saved %q", i, got.Spec.Tiers[i].Policy, img.Spec.Tiers[i].Policy)
+	for i, tr := range got.Spec.Tiers {
+		if tr != img.Spec.Tiers[i] {
+			t.Errorf("tier %d = %+v, saved %+v", i, tr, img.Spec.Tiers[i])
 		}
 	}
 	// The loaded spec must rebuild a working graph: "auto:lru" restarts
 	// selection with lru live, "trrip" stays static.
-	rebuilt := got.Spec.GraphSpec()
+	rebuilt := *got.Spec
 	rebuilt.Selector = &core.SelectorConfig{Epoch: 64}
 	g2, err := core.NewGraph(rebuilt, nil)
 	if err != nil {

@@ -1,8 +1,9 @@
 // Package policy implements the paper's *local* code-cache management
 // policies (§4): replacement disciplines that operate within a single cache.
 // The pseudo-circular policy of §4.3 is the one the generational design
-// builds on; LRU, flush-when-full, preemptive flushing (Dynamo's scheme),
-// and unbounded caches are the baselines the paper's prior work compared.
+// builds on; LRU, flush-when-full and preemptive flushing (Dynamo's scheme)
+// are the baselines the paper's prior work compared. An unbounded cache is
+// pseudo-circular over an arena too large to fill (2^40 bytes).
 package policy
 
 import (
@@ -384,34 +385,12 @@ func (p *PreemptiveFlush) phaseChange(now uint64) bool {
 	return recentRate > p.SpikeFactor*longRate
 }
 
-// Unbounded never evicts; it is only usable with an arena whose capacity
-// exceeds the workload's total trace bytes (see codecache.NewUnbounded).
-type Unbounded struct{}
-
-// Name implements Local.
-func (Unbounded) Name() string { return "unbounded" }
-
-// OnAccess implements Local.
-func (Unbounded) OnAccess(*codecache.Arena, uint64) {}
-
-// Insert implements Local.
-func (Unbounded) Insert(a *codecache.Arena, f codecache.Fragment, onEvict func(codecache.Fragment)) error {
-	return a.Insert(f, func(v codecache.Fragment) {
-		// An unbounded cache must never evict; reaching here means the
-		// arena was sized too small for the workload.
-		panic("policy: unbounded cache evicted fragment")
-	})
-}
-
 // CircularFirstFit is the design alternative §4.3 explicitly rejects: before
 // evicting at the cursor, try to place the new trace into an existing hole
 // (left by program-forced deletions). The paper argues this complicates the
 // design and can hurt temporal locality; it is implemented here so the
 // ablation can measure that trade-off.
-type CircularFirstFit struct {
-	// HoleFills counts insertions satisfied from holes without eviction.
-	HoleFills uint64
-}
+type CircularFirstFit struct{}
 
 // Name implements Local.
 func (p *CircularFirstFit) Name() string { return "circular-first-fit" }
@@ -422,7 +401,6 @@ func (p *CircularFirstFit) OnAccess(*codecache.Arena, uint64) {}
 // Insert implements Local.
 func (p *CircularFirstFit) Insert(a *codecache.Arena, f codecache.Fragment, onEvict func(codecache.Fragment)) error {
 	if err := a.PlaceFirstFit(f); err == nil {
-		p.HoleFills++
 		return nil
 	} else if !errors.Is(err, codecache.ErrNoSpace) {
 		return err

@@ -552,7 +552,7 @@ func (c SessionConfig) GraphSpec(capacity uint64, emit bool) (core.GraphSpec, er
 	var spec core.GraphSpec
 	switch {
 	case c.Unified:
-		spec = core.UnifiedSpec(capacity, nil)
+		spec = core.UnifiedSpec(capacity)
 	case c.Tiers != "":
 		var err error
 		if spec, err = core.ParseTierSpec(c.Tiers, capacity); err != nil {
@@ -567,12 +567,7 @@ func (c SessionConfig) GraphSpec(capacity uint64, emit bool) (core.GraphSpec, er
 		if err != nil {
 			return spec, err
 		}
-		threshold := max(c.Threshold, 1)
-		spec = core.GraphSpec{TotalCapacity: capacity, Tiers: []core.TierSpec{
-			{Frac: fracs[0]},
-			{Frac: fracs[1], Threshold: threshold, PromoteOnAccess: threshold == 1},
-			{Frac: fracs[2]},
-		}}
+		spec = core.ThreeTier(capacity, fracs[0], fracs[1], fracs[2], max(c.Threshold, 1))
 	}
 	if c.Policy != "" {
 		for i := range spec.Tiers {
@@ -657,23 +652,25 @@ func (c SessionConfig) Query() url.Values {
 // It is the one layout grammar of the system: SessionConfig.GraphSpec
 // resolves Layout through it for ccsim's -layout flag and the service's
 // layout parameter alike. Like ValidCapFrac its checks are acceptances, so
-// NaN fails them.
+// NaN fails them. It sums the fractions and bounds the sum exactly as
+// core.GraphSpec.Validate does, so a layout parses exactly when its spec
+// validates.
 func ParseLayout(s string) ([3]float64, error) {
 	var res [3]float64
 	parts := strings.Split(s, "-")
 	if len(parts) != 3 {
 		return res, fmt.Errorf("layout %q must be N-P-S percentages", s)
 	}
-	sum := 0.0
+	var sum float64
 	for i, p := range parts {
 		v, err := strconv.ParseFloat(p, 64)
 		if err != nil || !(v > 0) {
 			return res, fmt.Errorf("bad layout component %q", p)
 		}
 		res[i] = v / 100
-		sum += v
+		sum += res[i]
 	}
-	if !(sum >= 99.5 && sum <= 100.5) {
+	if !(sum >= 0.999 && sum <= 1.001) {
 		return res, fmt.Errorf("layout %q must sum to 100", s)
 	}
 	return res, nil

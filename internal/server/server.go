@@ -176,7 +176,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	counter := stats.NewEventCounter()
 	router := newObsRouter()
-	sp := core.NewSharedPersistent(cfg.SharedCapacity, nil, obs.Combine(counter, router))
+	sp := core.NewSharedPersistent(cfg.SharedCapacity, obs.Combine(counter, router))
 	clock := simclock.Default(cfg.Clock)
 	s := &Server{
 		cfg:     cfg,

@@ -115,7 +115,7 @@ func kernelConfigs(t *testing.T, extra obs.Observer) map[string]func() (*core.Gr
 		"shared": func() (*core.Graph, *costmodel.Accum) {
 			acc := costmodel.NewAccum(costmodel.DefaultModel)
 			o := obs.Combine(CostObserver(acc), extra)
-			sp := core.NewSharedPersistent(2700, nil, o)
+			sp := core.NewSharedPersistent(2700, o)
 			mgr, err := core.NewGraphShared(spec, sp, 0, o)
 			if err != nil {
 				t.Fatal(err)

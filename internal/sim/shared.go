@@ -92,7 +92,7 @@ func ReplayShared(benchmark string, events []tracelog.Event, spec core.GraphSpec
 	if spCap == 0 {
 		spCap = 1
 	}
-	sp := core.NewSharedPersistent(spCap, nil, mgrObs)
+	sp := core.NewSharedPersistent(spCap, mgrObs)
 
 	res := SharedResult{
 		Benchmark: benchmark,

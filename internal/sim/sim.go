@@ -390,7 +390,7 @@ func ReplayGenerational(benchmark string, events []tracelog.Event, spec core.Gra
 // ReplayUnified is ReplayGenerational under a single pseudo-circular cache
 // of the given capacity.
 func ReplayUnified(benchmark string, events []tracelog.Event, capacity uint64, model costmodel.Model) (Result, error) {
-	return ReplayGenerational(benchmark, events, core.UnifiedSpec(capacity, nil), model)
+	return ReplayGenerational(benchmark, events, core.UnifiedSpec(capacity), model)
 }
 
 // Comparison pairs a unified baseline with a generational configuration on

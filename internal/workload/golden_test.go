@@ -206,7 +206,7 @@ func roundRobin(t testing.TB, b *Bench, capacity uint64, quantum int, cuts []byt
 	const procs = 3
 	p := b.Profile
 	spec := core.Layout451045Threshold1(capacity)
-	sp := core.NewSharedPersistent(uint64(procs)*uint64(float64(capacity)*spec.Tiers[2].Frac), nil, nil)
+	sp := core.NewSharedPersistent(uint64(procs)*uint64(float64(capacity)*spec.Tiers[2].Frac), nil)
 	sys := dbt.NewSystem(sp)
 	bufs := make([]*bytes.Buffer, procs)
 	mgrs := make([]*core.Graph, procs)

@@ -23,7 +23,7 @@ import (
 // packages while giving users a single import.
 type (
 	// Observer receives cache-lifecycle events (inserts, evictions,
-	// promotions, unmaps, link severs, flushes, replay progress).
+	// promotions, unmaps, flushes, replay progress).
 	Observer = obs.Observer
 	// ObserverFunc adapts a plain function to an Observer.
 	ObserverFunc = obs.Func
@@ -37,8 +37,6 @@ type (
 	Level = core.Level
 	// Fragment is a cached code trace.
 	Fragment = codecache.Fragment
-	// LocalPolicy is a within-cache replacement policy.
-	LocalPolicy = policy.Local
 	// CostModel is the Table 2 instruction-overhead model.
 	CostModel = costmodel.Model
 	// Profile describes a synthetic benchmark.
@@ -77,13 +75,12 @@ const (
 
 // Observable event kinds.
 const (
-	EventInsert    = obs.KindInsert
-	EventEvict     = obs.KindEvict
-	EventPromote   = obs.KindPromote
-	EventUnmap     = obs.KindUnmap
-	EventLinkSever = obs.KindLinkSever
-	EventFlush     = obs.KindFlush
-	EventProgress  = obs.KindProgress
+	EventInsert   = obs.KindInsert
+	EventEvict    = obs.KindEvict
+	EventPromote  = obs.KindPromote
+	EventUnmap    = obs.KindUnmap
+	EventFlush    = obs.KindFlush
+	EventProgress = obs.KindProgress
 	// EventPolicySwitch reports the online selector making a new local
 	// policy live on a tier.
 	EventPolicySwitch = obs.KindPolicySwitch
@@ -98,20 +95,10 @@ func NewUnified(capacity uint64, o Observer) *TierGraph {
 	return core.NewUnified(capacity, nil, o)
 }
 
-// NewUnifiedWithPolicy creates a unified cache with an explicit local
-// replacement policy. o may be nil.
-func NewUnifiedWithPolicy(capacity uint64, local LocalPolicy, o Observer) *TierGraph {
-	return core.NewUnified(capacity, local, o)
-}
-
-// Local replacement policies (§4).
-func PseudoCircularPolicy() LocalPolicy  { return policy.PseudoCircular{} }
-func LRUPolicy() LocalPolicy             { return policy.NewLRU() }
-func FlushWhenFullPolicy() LocalPolicy   { return &policy.FlushWhenFull{} }
-func PreemptiveFlushPolicy() LocalPolicy { return policy.NewPreemptiveFlush() }
-
 // The policy zoo (internal/policy registry): named, parameterized policy
-// specs resolvable at run time.
+// specs resolvable at run time. A tier's local policy is named by its spec
+// in TierSpec.Policy, or after an "@" in a ParseTierSpec string
+// ("100@lru").
 type (
 	// PolicyFactory stamps out fresh instances of one configured policy.
 	PolicyFactory = policy.Factory
@@ -168,7 +155,7 @@ func ParseTierSpec(s string, totalCapacity uint64) (GraphSpec, error) {
 // UnifiedGraphSpec is the single-tier graph equivalent to the unified
 // baseline: one pseudo-circular cache holding everything.
 func UnifiedGraphSpec(capacity uint64) GraphSpec {
-	return core.UnifiedSpec(capacity, nil)
+	return core.UnifiedSpec(capacity)
 }
 
 // ReplayTierGraph replays a log through a freshly built tier graph.

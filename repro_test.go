@@ -86,20 +86,22 @@ func TestPublicAPIManagers(t *testing.T) {
 		t.Error("unified access wrong")
 	}
 
-	for _, p := range []repro.LocalPolicy{
-		repro.PseudoCircularPolicy(),
-		repro.LRUPolicy(),
-		repro.FlushWhenFullPolicy(),
-		repro.PreemptiveFlushPolicy(),
-	} {
-		m := repro.NewUnifiedWithPolicy(500, p, nil)
+	for _, tiers := range []string{"100@circ", "100@lru", "100@flush", "100@preflush"} {
+		spec, err := repro.ParseTierSpec(tiers, 500)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := repro.NewTierGraph(spec, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for id := uint64(1); id <= 10; id++ {
 			if err := m.Insert(repro.Fragment{ID: id, Size: 100}); err != nil {
-				t.Fatalf("%s: %v", p.Name(), err)
+				t.Fatalf("%s: %v", tiers, err)
 			}
 		}
 		if m.Used() > m.Capacity() {
-			t.Errorf("%s: used %d > capacity %d", p.Name(), m.Used(), m.Capacity())
+			t.Errorf("%s: used %d > capacity %d", tiers, m.Used(), m.Capacity())
 		}
 	}
 

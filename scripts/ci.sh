@@ -15,6 +15,12 @@ if [ -n "$fmt_out" ]; then
     exit 1
 fi
 
+# No dependencies: the root module lists only itself, and perfbench only
+# itself and its replace of the root module.
+test "$(go list -m all)" = "repro"
+test "$(cd perfbench && go list -m all)" = "repro/perfbench
+repro v0.0.0 => ../"
+
 go vet ./...
 go build ./...
 go test -race ./...
@@ -24,6 +30,9 @@ go test -race ./...
 # Benchmark smoke run: one iteration of every benchmark in every package,
 # so benchmarks can't rot.
 go test -run '^$' -bench . -benchtime 1x ./...
+# Instruction-decoder fuzz: arbitrary bytes must decode without panicking
+# and a decoded instruction must round-trip through its encoding.
+go test ./internal/isa -run '^$' -fuzz FuzzDecode -fuzztime 10s
 # Short fuzz run over the tracelog decoder: seeds the corpus and catches
 # regressions in the malformed-input hardening without a long fuzz budget.
 go test ./internal/tracelog -run '^$' -fuzz FuzzReader -fuzztime 10s
