@@ -203,7 +203,7 @@ func BenchmarkFigure10(b *testing.B) {
 func BenchmarkTable2(b *testing.B) {
 	var rows []experiments.Table2Row
 	for i := 0; i < b.N; i++ {
-		rows = experiments.Table2(costmodel.DefaultModel)
+		rows = experiments.Table2()
 	}
 	b.ReportMetric(rows[0].AtMedianTrace, "tracegen_242B_instructions")
 	b.ReportMetric(rows[len(rows)-1].AtMedianTrace, "misscost_242B_instructions")

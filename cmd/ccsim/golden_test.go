@@ -153,25 +153,60 @@ func TestRefusedFlagCombinations(t *testing.T) {
 	requireRefused(t, [][]string{
 		{"-why", "-unified"},
 		{"-procs", "2", "-unified"},
-		{"-procs", "2", "-tiers", "30-10-20-40@1,2"},
+		{"-procs", "2", "-tiers", "100"},
+		{"-procs", "2", "-tiers", "50@lru-50"},
 		{"-procs", "0"},
 		{"-capfrac", "NaN"},
 		{"-capfrac", "-1"},
 		{"-capfrac", "0"},
-		{"-threshold", "0"},
 	})
 }
 
-// TestRefusedTierFractions checks that a bad tier layout in -layout or -tiers
-// is refused the same way as any other bad flag value. NaN compares false
-// with everything, so only checks written as acceptances refuse it.
+// TestRefusedTierFractions checks that a bad tier string in -tiers is
+// refused the same way as any other bad flag value. NaN compares false with
+// everything, so only checks written as acceptances refuse it.
 func TestRefusedTierFractions(t *testing.T) {
 	requireRefused(t, [][]string{
-		{"-layout", "40-50-50"},
-		{"-layout", "NaN-50-50"},
+		{"-tiers", "40-50-50@1"},
+		{"-tiers", "NaN-50-50"},
 		{"-tiers", "NaN-50-50@1"},
 		{"-tiers", "45-10-45@x"},
 	})
+}
+
+// TestReadmeCommands runs every ccsim command line README.md shows, with
+// its comment and any pipe cut off and -log pointed at a missing file, and
+// checks that ccsim accepts its flags: it may fail to open the log, but it
+// must not refuse the invocation with exit status 2.
+func TestReadmeCommands(t *testing.T) {
+	readme, err := os.ReadFile(filepath.Join("..", "..", "README.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	missing := filepath.Join(t.TempDir(), "missing.cclog")
+	const prefix = "go run ./cmd/ccsim"
+	n := 0
+	for _, line := range strings.Split(string(readme), "\n") {
+		cmd, ok := strings.CutPrefix(strings.TrimSpace(line), prefix)
+		if !ok {
+			continue
+		}
+		cmd, _, _ = strings.Cut(cmd, "#")
+		cmd, _, _ = strings.Cut(cmd, "|")
+		args := strings.Fields(cmd)
+		for i := range args {
+			if i > 0 && args[i-1] == "-log" {
+				args[i] = missing
+			}
+		}
+		n++
+		if _, stderr, code := ccsim(t, args...); code == 2 {
+			t.Errorf("README line %q: ccsim refused its flags (exit 2)\n%s", strings.TrimSpace(line), stderr)
+		}
+	}
+	if n == 0 {
+		t.Fatalf("README.md shows no %q command", prefix)
+	}
 }
 
 // requireRefused runs ccsim once per flag set, with -cpuprofile, and checks

@@ -4,16 +4,22 @@
 //
 // Usage:
 //
-//	ccsim -log word.cclog [-capfrac 0.5] [-layout 45-10-45] [-threshold 1] [-parallel n] [-timeout d]
+//	ccsim -log word.cclog [-capfrac 0.5] [-tiers 45-10-45@1] [-parallel n] [-timeout d]
 //	      [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //	ccsim -log word.cclog -unified
 //	ccsim -log word.cclog -events events.jsonl
 //	ccsim -log word.cclog -procs 4
+//	ccsim -log word.cclog -tiers 33-33-34@10
 //	ccsim -log word.cclog -tiers 30-10-20-40@1,2,4
 //	ccsim -log word.cclog -adaptive -epoch 512
 //	ccsim -log word.cclog -tiers 30@lru-70@trrip
 //	ccsim -log word.cclog -policy auto
 //	ccsim -policies
+//
+// A cache shape is a tier string: percentages joined by '-', an optional
+// "@policy" per tier, and a trailing "@threshold" list for the probation
+// edges. Without the threshold list every edge is ungated, so the default
+// shape is 45-10-45@1, not 45-10-45.
 package main
 
 import (
@@ -23,6 +29,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"repro/internal/buildinfo"
@@ -41,10 +48,8 @@ import (
 func main() {
 	logPath := flag.String("log", "", "cache-event log path")
 	capFrac := flag.Float64("capfrac", 0.5, "cache capacity as a fraction of the unbounded peak (the paper uses 0.5)")
-	layout := flag.String("layout", "45-10-45", "nursery-probation-persistent percentages")
-	threshold := flag.Uint64("threshold", 1, "probation promotion threshold")
 	unified := flag.Bool("unified", false, "simulate only the unified baseline")
-	tiers := flag.String("tiers", "", `replay an arbitrary tier graph instead of the stock generational chain, e.g. "30-10-20-40@1,2,4" (percentages, then per-edge promotion thresholds) or "30@lru-70@trrip" (per-tier policies)`)
+	tiers := flag.String("tiers", api.DefaultTiers, `the cache shape to replay beside the baseline, e.g. "33-33-34@10" (percentages, then the promotion threshold; without "@threshold" the probation edge is ungated), "30-10-20-40@1,2,4" (per-edge thresholds) or "30@lru-70@trrip" (per-tier policies)`)
 	adaptive := flag.Bool("adaptive", false, "attach the adaptive split controller (re-balances tier capacities online)")
 	epoch := flag.Uint64("epoch", 0, "accesses between adaptive controller decisions (0 = controller default)")
 	policyFlag := flag.String("policy", "", `local-policy spec applied to every graph tier not already naming one ("lru", "trrip:cold=4", "auto" for online selection); implies the tier-graph replay path`)
@@ -83,20 +88,13 @@ func main() {
 		fmt.Fprintln(os.Stderr, "ccsim: -capfrac must be above 0 and at most 16")
 		os.Exit(2)
 	}
-	if *threshold == 0 {
-		fmt.Fprintln(os.Stderr, "ccsim: -threshold must be at least 1")
-		os.Exit(2)
-	}
 	if *why && *unified {
 		fmt.Fprintln(os.Stderr, "ccsim: -why attributes the tier-graph replay; it does not combine with -unified")
 		os.Exit(2)
 	}
 	// The second configuration resolves the flags the way gencached resolves
-	// a session's query string: the stock generational chain, or a tier graph
-	// when -tiers, -adaptive, -policy, or -why asks for one.
+	// a session's query string.
 	settings := api.SessionConfig{
-		Layout:     *layout,
-		Threshold:  *threshold,
 		Tiers:      *tiers,
 		Policy:     *policyFlag,
 		SelEpoch:   *selEpoch,
@@ -104,19 +102,32 @@ func main() {
 		AdaptEpoch: *epoch,
 		Attrib:     *why,
 	}
-	graphMode := *tiers != "" || *adaptive || *policyFlag != "" || *why
-	// A shared replay pools the last tier of a chain of at least two across
-	// processes; the one-tier unified cache has no such tier to share.
-	if *procs > 1 && (graphMode || *unified) {
-		fmt.Fprintln(os.Stderr, "ccsim: -tiers, -adaptive, -policy, -why, and -unified do not combine with -procs")
+	// The second replay's event dump is tagged "generational" for the
+	// default chain and "graph" for a flag-shaped one, an explicit -tiers
+	// included.
+	graphMode := *adaptive || *policyFlag != "" || *why
+	flag.Visit(func(f *flag.Flag) {
+		if f.Name == "tiers" {
+			graphMode = true
+		}
+	})
+	if *procs > 1 && (*adaptive || *policyFlag != "" || *why || *unified) {
+		fmt.Fprintln(os.Stderr, "ccsim: -adaptive, -policy, -why, and -unified do not combine with -procs")
 		os.Exit(2)
 	}
 	if *procs < 1 {
 		fmt.Fprintln(os.Stderr, "ccsim: -procs must be at least 1")
 		os.Exit(2)
 	}
-	if err := settings.Validate(); err != nil {
+	probe, err := settings.GraphSpec(1, false)
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "ccsim:", err)
+		os.Exit(2)
+	}
+	// A shared replay pools the last tier of a chain of at least two across
+	// processes, under the stock policies.
+	if *procs > 1 && (len(probe.Tiers) < 2 || slices.ContainsFunc(probe.Tiers, func(t core.TierSpec) bool { return t.Policy != "" })) {
+		fmt.Fprintln(os.Stderr, "ccsim: -procs shares the last tier of a -tiers chain of at least two tiers that names no policy")
 		os.Exit(2)
 	}
 
@@ -200,8 +211,6 @@ func main() {
 	var graphMgr *core.Graph
 	jobs := []pipeline.Job[sim.Result]{job("unified/pseudo-circular", core.UnifiedSpec(capacity), nil)}
 	if !*unified {
-		// The name tags the event dump, which keeps telling the stock chain
-		// ("generational") from a flag-shaped graph ("graph").
 		name := "generational"
 		if graphMode {
 			name = "graph"
@@ -336,7 +345,7 @@ func (d *eventDumper) forConfig(config string) obs.Observer {
 	return obs.Func(func(e obs.Event) {
 		rec := eventRecord{Config: config, Kind: e.Kind.String(), Proc: e.Proc, Trace: e.Trace, Size: e.Size, Module: e.Module}
 		switch e.Kind {
-		case obs.KindEvict, obs.KindUnmap, obs.KindFlush, obs.KindResize:
+		case obs.KindEvict, obs.KindUnmap, obs.KindResize:
 			rec.From = e.From.String()
 		case obs.KindInsert:
 			rec.To = e.To.String()

@@ -169,7 +169,7 @@ func main() {
 	}
 	if want["table2"] {
 		section("Table 2: overheads used in the evaluation")
-		fmt.Print(experiments.RenderTable2(experiments.Table2(opts.ModelOrDefault())))
+		fmt.Print(experiments.RenderTable2(experiments.Table2()))
 	}
 	if want["fig11"] {
 		section("Figure 11: instruction-overhead ratio (Equation 3), 45-10-45 @1")

@@ -41,9 +41,7 @@ func loadtestMain(args []string) {
 	bench := fs.String("bench", "word", "comma-separated benchmark names; clients round-robin across them")
 	scale := fs.Float64("scale", 0.125, "workload code-size scale factor")
 	capFrac := fs.Float64("capfrac", 0.5, "session capacity as a fraction of the log's unbounded peak")
-	layout := fs.String("layout", "45-10-45", "nursery-probation-persistent percentages")
-	threshold := fs.Uint64("threshold", 1, "probation promotion threshold")
-	unified := fs.Bool("unified", false, "replay the unified baseline instead of the generational chain")
+	tiers := fs.String("tiers", api.DefaultTiers, `session cache shape as a tier string ("100" is the unified baseline; without "@threshold" the probation edge is ungated)`)
 	verify := fs.Bool("verify", true, "verify every served result against an offline replay of the same log")
 	minSessions := fs.Int("min-sessions", 0, "fail unless at least this many sessions completed")
 	timeout := fs.Duration("timeout", 2*time.Minute, "overall deadline")
@@ -54,19 +52,10 @@ func loadtestMain(args []string) {
 	}
 	// One configuration drives the served sessions and the offline
 	// verification alike, and it is checked before any server is contacted.
-	cfg := api.SessionConfig{
-		CapFrac:   *capFrac,
-		Layout:    *layout,
-		Threshold: *threshold,
-		Unified:   *unified,
-	}
+	cfg := api.SessionConfig{CapFrac: *capFrac, Tiers: *tiers}
 	if *clients < 1 {
 		// No client would run a session, and every unrun one would count as ok.
 		fmt.Fprintln(os.Stderr, "gencached loadtest: -clients must be at least 1")
-		os.Exit(2)
-	}
-	if *threshold == 0 {
-		fmt.Fprintln(os.Stderr, "gencached loadtest: -threshold must be at least 1")
 		os.Exit(2)
 	}
 	if !api.ValidCapFrac(*capFrac) {

@@ -15,9 +15,9 @@ import (
 // a refusal exits 2 at once.
 func TestLoadtestRefusesBadConfig(t *testing.T) {
 	for _, flags := range [][]string{
-		{"-threshold", "0"},
-		{"-layout", "40-50-50"},
-		{"-layout", "NaN-50-50", "-unified"},
+		{"-tiers", "40-50-50@1"},
+		{"-tiers", "NaN-50-50"},
+		{"-tiers", "100@nope"},
 		{"-capfrac", "0"},
 		{"-capfrac", "NaN"},
 		{"-clients", "0"},

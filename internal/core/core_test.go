@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -505,6 +506,38 @@ func TestParseTierSpecNamesDashedPolicy(t *testing.T) {
 		if !strings.Contains(msg, `"`+c.policy+`"`) || !strings.Contains(msg, `"`+c.alias+`"`) || strings.Contains(msg, "percentage") {
 			t.Errorf("%q refused with %q, want policy %q and alias %q named", c.spec, msg, c.policy, c.alias)
 		}
+	}
+}
+
+// TestParseTierSpecCanonicalPolicies: a tier string stores every policy by
+// its canonical spec, so a cache spelled with an alias is the same spec, and
+// carries the same name, as the stock one.
+func TestParseTierSpecCanonicalPolicies(t *testing.T) {
+	for _, c := range []struct {
+		tiers string
+		want  GraphSpec
+	}{
+		{"100@circ", UnifiedSpec(1000)},
+		{"45@circ-10-45@1", Layout451045Threshold1(1000)},
+		{"50@auto:circ-50@flush", GraphSpec{TotalCapacity: 1000, Tiers: []TierSpec{
+			{Frac: 0.5, Policy: "auto:pseudo-circular"}, {Frac: 0.5, Policy: "flush-when-full"},
+		}}},
+	} {
+		spec, err := ParseTierSpec(c.tiers, 1000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(spec, c.want) {
+			t.Errorf("ParseTierSpec(%q) = %+v, want %+v", c.tiers, spec, c.want)
+		}
+	}
+	spec, _ := ParseTierSpec("100@circ", 1000)
+	g, err := NewGraph(spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.Name() != "unified/pseudo-circular" {
+		t.Errorf("100@circ builds %q, want unified/pseudo-circular", g.Name())
 	}
 }
 

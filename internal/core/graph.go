@@ -47,8 +47,8 @@ type TierSpec struct {
 	// special value "auto" enables the online policy selector for this tier —
 	// "auto:lru" names the starting policy, e.g. when resuming from a
 	// snapshot. Empty selects pseudo-circular, the paper's design. Inside
-	// tier-layout strings the dash-free registry aliases must be used (tiers
-	// are separated by '-').
+	// tier strings the dash-free registry aliases must be used (tiers are
+	// separated by '-').
 	Policy string
 }
 
@@ -99,14 +99,7 @@ func (s GraphSpec) Validate() error {
 		return fmt.Errorf("core: tier fractions sum to %.3f, want 1", sum)
 	}
 	for i, t := range s.Tiers {
-		if t.Policy == "" || isAutoPolicy(t.Policy) && autoInitial(t.Policy) == "" {
-			continue
-		}
-		spec := t.Policy
-		if isAutoPolicy(t.Policy) {
-			spec = autoInitial(t.Policy)
-		}
-		if _, err := policy.Parse(spec); err != nil {
+		if _, err := CanonicalPolicy(t.Policy); err != nil {
 			return fmt.Errorf("core: tier %d: %w", i, err)
 		}
 	}
@@ -132,6 +125,31 @@ func autoInitial(p string) string {
 		return rest
 	}
 	return ""
+}
+
+// CanonicalPolicy returns the spelling TierSpec.Policy stores for the
+// policy spec p, so one cache has one spec and one name: the registry's
+// canonical spec for a name or alias, except that pseudo-circular, the
+// default, is "" as UnifiedSpec and ThreeTier spell it ("circ" becomes ""),
+// and "auto:NAME" keeps its prefix with NAME canonicalized.
+func CanonicalPolicy(p string) (string, error) {
+	name := p
+	if isAutoPolicy(p) {
+		name = autoInitial(p)
+	}
+	if name == "" {
+		return p, nil
+	}
+	fac, err := policy.Parse(name)
+	switch {
+	case err != nil:
+		return "", err
+	case isAutoPolicy(p):
+		return "auto:" + fac.Spec(), nil
+	case fac.Spec() == (policy.PseudoCircular{}).Name():
+		return "", nil
+	}
+	return fac.Spec(), nil
 }
 
 // UnifiedSpec is the one-tier graph: the paper's unified baseline, one
@@ -891,7 +909,10 @@ func (g *Graph) CheckInvariants() error {
 // gated tiers (every tier but the first and last — the probation
 // generations); a single value applies to all of them. Gated tiers with a
 // threshold of at most 1 promote on access, matching the paper's "@1"
-// configurations. The legacy forms ("45-10-45@1") parse unchanged.
+// configurations: "45-10-45@1" is Figure 9's best layout. Without the
+// threshold list every edge is ungated, so "45-10-45" is not that layout.
+// Policies are stored as CanonicalPolicy spells them, so "100@circ" is
+// UnifiedSpec.
 func ParseTierSpec(s string, total uint64) (GraphSpec, error) {
 	spec := GraphSpec{TotalCapacity: total}
 	parts := strings.Split(s, "-")
@@ -958,6 +979,10 @@ func ParseTierSpec(s string, total uint64) (GraphSpec, error) {
 	}
 	if err := spec.Validate(); err != nil {
 		return GraphSpec{}, err
+	}
+	for i := range spec.Tiers {
+		// Validate has parsed every policy, so this cannot fail.
+		spec.Tiers[i].Policy, _ = CanonicalPolicy(spec.Tiers[i].Policy)
 	}
 	return spec, nil
 }

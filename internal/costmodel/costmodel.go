@@ -7,7 +7,8 @@ package costmodel
 import "math"
 
 // Model holds the fitted overhead formulas. DefaultModel reproduces Table 2
-// exactly; the fields are exported so ablations can perturb them.
+// exactly, and it is the model every run charges; TestPerturbedModel checks
+// that each field feeds through to the formulas.
 type Model struct {
 	// GenCoeff and GenExp parameterize trace generation:
 	// GenCoeff * size^GenExp instructions.

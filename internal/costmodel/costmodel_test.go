@@ -85,7 +85,7 @@ func TestOverheadRatio(t *testing.T) {
 }
 
 func TestPerturbedModel(t *testing.T) {
-	// Ablations perturb the model; make sure the fields feed through.
+	// Every field must feed through to the formulas it parameterizes.
 	m := DefaultModel
 	m.PromoteConst = 0
 	m.PromoteCoeff = 1

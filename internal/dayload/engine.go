@@ -29,9 +29,10 @@ type Options struct {
 	// pressure observed at its arrival — the "splits respond to arrival
 	// intensity" arm. Off, sessions run exactly their mix's Config.
 	LoadReactive bool
-	// Layout, when set, overrides every mix's session layout — how the A/B
-	// harness sweeps static split settings without editing the spec.
-	Layout string
+	// Tiers, when set, overrides every mix's session cache shape with a tier
+	// string (api.SessionConfig.Tiers) — how the A/B harness sweeps static
+	// split settings without editing the spec.
+	Tiers string
 	// Verify replays every served session offline (server.OfflineReplay,
 	// same config and pressure) and counts divergences. Doubles the compute;
 	// the acceptance gate that served == ccsim bit-for-bit.
@@ -236,8 +237,8 @@ func (e *engine) pressure() float64 {
 // arrive is a session hitting admission.
 func (e *engine) arrive(now time.Time, a arrival) {
 	cfg := a.cfg
-	if e.opts.Layout != "" {
-		cfg.Layout = e.opts.Layout
+	if e.opts.Tiers != "" {
+		cfg.Tiers = e.opts.Tiers
 	}
 	if e.opts.LoadReactive {
 		cfg.Adaptive = true

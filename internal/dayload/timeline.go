@@ -105,7 +105,7 @@ func newTimeline(spec Spec, opts Options) *timeline {
 }
 
 // ArmName labels an Options combination in reports: "static-4x8",
-// "auto", "auto+reactive", with a "@layout" suffix for overridden splits.
+// "auto", "auto+reactive", with an "@tiers" suffix for overridden shapes.
 func ArmName(o Options) string {
 	o = o.withDefaults()
 	name := fmt.Sprintf("static-%dx%d", o.Slots, o.Queue)
@@ -115,8 +115,8 @@ func ArmName(o Options) string {
 	if o.LoadReactive {
 		name += "+reactive"
 	}
-	if o.Layout != "" {
-		name += "@" + o.Layout
+	if o.Tiers != "" {
+		name += "@" + o.Tiers
 	}
 	return name
 }

@@ -68,8 +68,6 @@ type Config struct {
 	HotThreshold uint64
 	// MaxTraceBlocks bounds trace length (default trace.DefaultMaxBlocks).
 	MaxTraceBlocks int
-	// Model is the overhead cost model (default costmodel.DefaultModel).
-	Model *costmodel.Model
 	// Log, when non-nil, receives the cache event stream.
 	Log *tracelog.Writer
 	// Lifetimes, when non-nil, records trace first/last access times.
@@ -147,9 +145,8 @@ type Process struct {
 	id  int
 	sys *System
 
-	cfg   Config
-	model costmodel.Model
-	acc   *costmodel.Accum
+	cfg Config
+	acc *costmodel.Accum
 
 	img    *program.Image
 	bb     *bbcache.Cache

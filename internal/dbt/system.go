@@ -124,17 +124,12 @@ func (s *System) NewProcess(id int, img *program.Image, cfg Config) (*Process, e
 		cfg.MaxTraceBlocks = trace.DefaultMaxBlocks
 	}
 	cfg.Manager.SetProcID(id)
-	model := costmodel.DefaultModel
-	if cfg.Model != nil {
-		model = *cfg.Model
-	}
 	n := img.NumBlocks()
 	e := &Process{
 		id:      id,
 		sys:     s,
 		cfg:     cfg,
-		model:   model,
-		acc:     costmodel.NewAccum(model),
+		acc:     costmodel.NewAccum(costmodel.DefaultModel),
 		img:     img,
 		bb:      bbcache.New(),
 		heads:   bbcache.NewHeadTable(),

@@ -23,7 +23,7 @@ func attribReplay(s *Suite, r *Run) (*attrib.Snapshot, error) {
 	}
 	spec := core.UnifiedSpec(capacity)
 	spec.Attrib = &attrib.Config{}
-	acc := costmodel.NewAccum(s.Model)
+	acc := costmodel.NewAccum(costmodel.DefaultModel)
 	mgr, err := core.NewGraph(spec, sim.CostObserver(acc))
 	if err != nil {
 		return nil, err

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/costmodel"
 	"repro/internal/dbt"
 	"repro/internal/workload"
 )
@@ -19,13 +18,13 @@ import (
 // generational cache managers.
 func TestFastDispatchEquivalence(t *testing.T) {
 	collect := func(slow bool) *Suite {
-		s := &Suite{Scale: 0.05, Model: costmodel.DefaultModel, Parallel: 1}
+		s := &Suite{Scale: 0.05, Parallel: 1}
 		for _, name := range []string{"gzip", "solitaire", "word"} {
 			p, ok := workload.ByName(name)
 			if !ok {
 				t.Fatalf("%s profile missing", name)
 			}
-			run, err := collectOne(p, s.Scale, s.Model, slow)
+			run, err := collectOne(p, s.Scale, slow)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -11,7 +11,6 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/costmodel"
 	"repro/internal/dbt"
 	"repro/internal/pipeline"
 	"repro/internal/stats"
@@ -29,8 +28,6 @@ type Options struct {
 	// SeedOffset shifts every profile's RNG seed, for checking that results
 	// are not artifacts of the particular calibrated seeds.
 	SeedOffset int64
-	// Model is the overhead model (zero value = Table 2 defaults).
-	Model *costmodel.Model
 	// Parallel bounds the worker pool for collection and for every figure
 	// pipeline derived from the collected suite. 0 means GOMAXPROCS; 1
 	// preserves exact sequential behaviour. Negative values are rejected.
@@ -46,16 +43,6 @@ func (o Options) scale() float64 {
 	}
 	return o.Scale
 }
-
-func (o Options) model() costmodel.Model {
-	if o.Model != nil {
-		return *o.Model
-	}
-	return costmodel.DefaultModel
-}
-
-// ModelOrDefault returns the configured cost model, defaulting to Table 2.
-func (o Options) ModelOrDefault() costmodel.Model { return o.model() }
 
 // Run is one benchmark's unbounded-run artifacts.
 type Run struct {
@@ -75,7 +62,6 @@ func (r *Run) MaxTraceBytes() uint64 { return r.Summary.MaxLiveBytes }
 // Suite holds every benchmark's artifacts for one collection pass.
 type Suite struct {
 	Scale float64
-	Model costmodel.Model
 	// Parallel bounds the worker pool of every figure pipeline derived from
 	// this suite (0 = GOMAXPROCS, 1 = sequential). Because every replay job
 	// owns its own manager and accumulator, figure results are identical at
@@ -150,7 +136,7 @@ func CollectContext(ctx context.Context, opts Options) (*Suite, error) {
 	}
 	scale := opts.scale()
 	suite := &Suite{
-		Scale: scale, Model: opts.model(), Parallel: opts.Parallel,
+		Scale: scale, Parallel: opts.Parallel,
 		byName: make(map[string]*Run), ctx: ctx,
 	}
 
@@ -175,7 +161,7 @@ func CollectContext(ctx context.Context, opts Options) (*Suite, error) {
 		jobs[i] = pipeline.Job[*Run]{
 			Name: p.Name,
 			Run: func(context.Context) (*Run, error) {
-				run, err := collectOne(p, scale, suite.Model, false)
+				run, err := collectOne(p, scale, false)
 				if err == nil {
 					done[i] = run
 				}
@@ -208,7 +194,7 @@ func CollectContext(ctx context.Context, opts Options) (*Suite, error) {
 // collectOne runs one benchmark under an unbounded cache. slow selects the
 // engine's map-based reference dispatch (dbt.Config.SlowDispatch); only the
 // fast/slow equivalence test sets it.
-func collectOne(p workload.Profile, scale float64, model costmodel.Model, slow bool) (*Run, error) {
+func collectOne(p workload.Profile, scale float64, slow bool) (*Run, error) {
 	scaled := p.Scaled(scale)
 	bench, err := workload.Synthesize(scaled)
 	if err != nil {
@@ -216,7 +202,7 @@ func collectOne(p workload.Profile, scale float64, model costmodel.Model, slow b
 	}
 	var buf bytes.Buffer
 	lt := stats.NewLifetimes()
-	st, n, err := bench.Collect(&buf, dbt.Config{Model: &model, Lifetimes: lt, SlowDispatch: slow})
+	st, n, err := bench.Collect(&buf, dbt.Config{Lifetimes: lt, SlowDispatch: slow})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: running %s: %w", p.Name, err)
 	}

@@ -197,8 +197,7 @@ func TestFigure9And10(t *testing.T) {
 }
 
 func TestTable2(t *testing.T) {
-	s := getSuite(t)
-	rows := Table2(s.Model)
+	rows := Table2()
 	if len(rows) != 5 {
 		t.Fatalf("rows = %d", len(rows))
 	}

@@ -420,8 +420,8 @@ type Table2Row struct {
 }
 
 // Table2 reproduces the overhead table with the worked example of §6.2.
-func Table2(model costmodel.Model) []Table2Row {
-	m := model
+func Table2() []Table2Row {
+	m := costmodel.DefaultModel
 	return []Table2Row{
 		{"Trace Generation", fmt.Sprintf("%.0f * size^%.1f", m.GenCoeff, m.GenExp), m.TraceGen(costmodel.MedianTraceBytes)},
 		{"DR Context Switch", fmt.Sprintf("%.0f", m.ContextSwitch), m.ContextSwitch},
@@ -538,7 +538,7 @@ func CycleImpact(s *Suite, fig9 Figure9Result) []CycleImpactRow {
 			continue
 		}
 		med := stats.Median(sizesOf(r.Summary.TraceSizes))
-		saved := float64(fr.Eliminated[1]) * s.Model.MissCost(int(med))
+		saved := float64(fr.Eliminated[1]) * costmodel.DefaultModel.MissCost(int(med))
 		total := float64(r.Stats.GuestInstrs) + fr.UnifiedOverhead
 		pct := 0.0
 		if total > 0 {

@@ -58,7 +58,7 @@ func replayMatrix[T any](s *Suite, fracs []float64, keep int,
 				}
 				c := replayed{run: r, capacity: capacity}
 				for i, spec := range specs(capacity) {
-					acc := costmodel.NewAccum(s.Model)
+					acc := costmodel.NewAccum(costmodel.DefaultModel)
 					g, err := core.NewGraph(spec, sim.CostObserver(acc))
 					if err != nil {
 						return cell{}, err

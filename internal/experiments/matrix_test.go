@@ -50,7 +50,7 @@ func handSuite(t *testing.T) *Suite {
 	}
 	misses = append(misses, end())
 
-	s := &Suite{Scale: 1, Model: costmodel.DefaultModel, Parallel: 1, byName: map[string]*Run{}}
+	s := &Suite{Scale: 1, Parallel: 1, byName: map[string]*Run{}}
 	for _, l := range []struct {
 		name   string
 		suite  workload.Suite
@@ -98,11 +98,11 @@ func TestReplayMatrixSkipRules(t *testing.T) {
 	misses, _ := s.Get("misses")
 	if c := hits.MaxTraceBytes() / 2; c == 0 {
 		t.Fatal("hits log has no capacity")
-	} else if u, err := sim.ReplayUnified("hits", hits.Events, c, s.Model); err != nil || u.Accesses == 0 || u.Misses != 0 {
+	} else if u, err := sim.ReplayUnified("hits", hits.Events, c, costmodel.DefaultModel); err != nil || u.Accesses == 0 || u.Misses != 0 {
 		t.Fatalf("hits baseline: %+v, %v; want accesses and no misses", u, err)
 	}
 	capacity := misses.MaxTraceBytes() / 2
-	cmp, err := sim.Compare("misses", misses.Events, core.Layout451045Threshold1(capacity), s.Model)
+	cmp, err := sim.Compare("misses", misses.Events, core.Layout451045Threshold1(capacity), costmodel.DefaultModel)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -113,9 +113,9 @@ func productionDayArms(o ProductionDayOptions, logs map[string][]byte) []dayload
 			Slots: slots, Queue: 2 * slots, Verify: o.Verify, Attrib: o.Why, Logs: logs,
 		})
 	}
-	for _, layout := range []string{"60-10-30", "30-10-60"} {
+	for _, tiers := range []string{"60-10-30@1", "30-10-60@1"} {
 		arms = append(arms, dayload.Options{
-			Slots: 4, Queue: 8, Layout: layout, Verify: o.Verify, Attrib: o.Why, Logs: logs,
+			Slots: 4, Queue: 8, Tiers: tiers, Verify: o.Verify, Attrib: o.Why, Logs: logs,
 		})
 	}
 	return arms

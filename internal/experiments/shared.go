@@ -71,7 +71,7 @@ func SharedVsIsolated(s *Suite, procs int) ([]SharedVsIsolatedRow, error) {
 		return nil, fmt.Errorf("experiments: shared-vs-isolated needs at least 2 processes, got %d", procs)
 	}
 	return perRun(s, func(r *Run) (SharedVsIsolatedRow, error) {
-		return sharedVsIsolatedOne(r, s.Model, procs)
+		return sharedVsIsolatedOne(r, procs)
 	})
 }
 
@@ -85,7 +85,7 @@ func sharedCapacityFor(r *Run) uint64 {
 	return capacity
 }
 
-func sharedVsIsolatedOne(r *Run, model costmodel.Model, procs int) (SharedVsIsolatedRow, error) {
+func sharedVsIsolatedOne(r *Run, procs int) (SharedVsIsolatedRow, error) {
 	bench, err := workload.Synthesize(r.Profile)
 	if err != nil {
 		return SharedVsIsolatedRow{}, err
@@ -100,14 +100,14 @@ func sharedVsIsolatedOne(r *Run, model costmodel.Model, procs int) (SharedVsIsol
 
 	// Isolated arm: N independent engines, each with a fully private
 	// generational cache of the full capacity.
-	isoMgrCost := costmodel.NewAccum(model)
+	isoMgrCost := costmodel.NewAccum(costmodel.DefaultModel)
 	var isoStats dbt.RunStats
 	for p := 0; p < procs; p++ {
 		mgr, err := core.NewGraph(spec, sim.CostObserver(isoMgrCost))
 		if err != nil {
 			return row, err
 		}
-		eng, err := dbt.New(bench.Image, dbt.Config{Manager: mgr, Model: &model})
+		eng, err := dbt.New(bench.Image, dbt.Config{Manager: mgr})
 		if err != nil {
 			return row, err
 		}
@@ -129,7 +129,7 @@ func sharedVsIsolatedOne(r *Run, model costmodel.Model, procs int) (SharedVsIsol
 	// pools the N isolated persistent shares into one arena — the same
 	// aggregate persistent memory, but traces common across processes (the
 	// application's hot core) occupy it once instead of N times.
-	shMgrCost := costmodel.NewAccum(model)
+	shMgrCost := costmodel.NewAccum(costmodel.DefaultModel)
 	spCap := uint64(procs) * uint64(float64(capacity)*spec.Tiers[2].Frac)
 	sp := core.NewSharedPersistent(spCap, sim.CostObserver(shMgrCost))
 	sys := dbt.NewSystem(sp)
@@ -139,7 +139,7 @@ func sharedVsIsolatedOne(r *Run, model costmodel.Model, procs int) (SharedVsIsol
 		if err != nil {
 			return row, err
 		}
-		if _, err := sys.NewProcess(p, bench.Image, dbt.Config{Manager: mgr, Model: &model}); err != nil {
+		if _, err := sys.NewProcess(p, bench.Image, dbt.Config{Manager: mgr}); err != nil {
 			return row, err
 		}
 		guests[p] = bench.NewDriverProc(p)

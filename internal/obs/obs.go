@@ -1,10 +1,11 @@
 // Package obs is the observer/metrics bus shared by every cache layer. The
-// managers in internal/core, the arenas in internal/codecache, the flush
-// policies in internal/policy, and the replay simulator in internal/sim all
-// publish their lifecycle events — trace insertion, eviction, promotion,
-// program-forced deletion, cache flushes, and replay progress — through one
-// Observer interface instead of package-private hook structs and ad-hoc
-// counters.
+// managers in internal/core, the arenas in internal/codecache, and the
+// replay simulator in internal/sim all publish their lifecycle events —
+// trace insertion, eviction, promotion, program-forced deletion, and replay
+// progress — through one Observer interface instead of package-private hook
+// structs and ad-hoc counters. A local policy's whole-cache flush has no
+// event of its own: each flushed trace leaves along its tier's eviction
+// edge like any other victim.
 //
 // The package sits below every other cache package (it imports nothing from
 // the repo), so any layer can publish and any consumer can subscribe.
@@ -29,9 +30,6 @@ const (
 	// KindUnmap fires once per trace force-deleted because its module was
 	// unmapped (program-forced eviction).
 	KindUnmap
-	// KindFlush fires when a local policy flushes a whole cache
-	// (flush-when-full, preemptive flushing).
-	KindFlush
 	// KindProgress reports replay progress: Done events of Total processed.
 	KindProgress
 	// KindResize fires when a managed arena's capacity changes (the adaptive
@@ -62,7 +60,7 @@ const (
 )
 
 var kindNames = [...]string{
-	"invalid", "insert", "evict", "promote", "unmap", "flush", "progress", "resize", "policy-switch", "admission-resize", "regenerate", "peer-adopt",
+	"invalid", "insert", "evict", "promote", "unmap", "progress", "resize", "policy-switch", "admission-resize", "regenerate", "peer-adopt",
 }
 
 func (k Kind) String() string {
@@ -176,7 +174,7 @@ type Event struct {
 	Trace  uint64 // KindInsert, KindEvict, KindPromote, KindUnmap
 	Size   uint64 // trace size in bytes, where known
 	Module uint16 // owning module (KindUnmap, KindInsert)
-	From   Level  // KindEvict, KindPromote, KindUnmap, KindFlush, KindRegenerate
+	From   Level  // KindEvict, KindPromote, KindUnmap, KindRegenerate
 	To     Level  // KindInsert, KindPromote
 
 	// Reason is the attributed cause of a regeneration (KindRegenerate only).

@@ -12,7 +12,6 @@ import (
 	"slices"
 
 	"repro/internal/codecache"
-	"repro/internal/obs"
 )
 
 // Local is a replacement policy for one code-cache arena. Implementations
@@ -271,8 +270,6 @@ func growDense[T any](s []T, id uint64) []T {
 type FlushWhenFull struct {
 	// Flushes counts how many whole-cache flushes have occurred.
 	Flushes uint64
-	// Obs, when non-nil, receives one KindFlush event per whole-cache flush.
-	Obs obs.Observer
 }
 
 // Name implements Local.
@@ -292,7 +289,6 @@ func (p *FlushWhenFull) Insert(a *codecache.Arena, f codecache.Fragment, onEvict
 		return err
 	}
 	p.Flushes++
-	obs.Emit(p.Obs, obs.Event{Kind: obs.KindFlush})
 	a.Flush(onEvict)
 	return a.PlaceFirstFit(f)
 }
@@ -312,9 +308,6 @@ type PreemptiveFlush struct {
 	// forced by a failed insertion.
 	Flushes     uint64
 	FullFlushes uint64
-	// Obs, when non-nil, receives one KindFlush event per flush of either
-	// kind.
-	Obs obs.Observer
 
 	recent  []uint64 // clock values of the last Window inserts
 	inserts uint64
@@ -351,7 +344,6 @@ func (p *PreemptiveFlush) Insert(a *codecache.Arena, f codecache.Fragment, onEvi
 	}
 	if p.phaseChange(now) {
 		p.Flushes++
-		obs.Emit(p.Obs, obs.Event{Kind: obs.KindFlush})
 		a.Flush(onEvict)
 		p.recent = p.recent[:0]
 	}
@@ -361,7 +353,6 @@ func (p *PreemptiveFlush) Insert(a *codecache.Arena, f codecache.Fragment, onEvi
 		return err
 	}
 	p.FullFlushes++
-	obs.Emit(p.Obs, obs.Event{Kind: obs.KindFlush})
 	a.Flush(onEvict)
 	return a.PlaceFirstFit(f)
 }

@@ -13,8 +13,8 @@ import (
 	"fmt"
 	"math"
 	"net/url"
+	"sort"
 	"strconv"
-	"strings"
 
 	"repro/internal/attrib"
 	"repro/internal/core"
@@ -29,7 +29,7 @@ const SessionsPath = "/v1/sessions"
 // Query parameters of POST /v1/sessions. A session chooses either an
 // absolute capacity (the log is replayed as it streams in) or a capacity
 // fraction of the log's unbounded peak (the log is buffered first, exactly
-// like offline ccsim).
+// like offline ccsim). ParseQuery refuses any other parameter.
 const (
 	// ParamCapacity is the simulated cache capacity in bytes. Setting it
 	// selects the streaming path: events replay as they arrive off the wire.
@@ -38,14 +38,12 @@ const (
 	// (MaxLiveBytes), ccsim's -capfrac. Used only when ParamCapacity is
 	// absent; defaults to 0.5, the paper's operating point.
 	ParamCapFrac = "capfrac"
-	// ParamLayout is the nursery-probation-persistent percentage split,
-	// ccsim's -layout. Default "45-10-45".
-	ParamLayout = "layout"
-	// ParamThreshold is the probation promotion threshold, ccsim's
-	// -threshold. Default 1.
-	ParamThreshold = "threshold"
-	// ParamTiers replays an arbitrary tier graph (core.ParseTierSpec syntax)
-	// instead of the stock generational chain.
+	// ParamTiers names the session's cache shape as a tier string
+	// (core.ParseTierSpec syntax), ccsim's -tiers: percentages joined by '-',
+	// an optional "@policy" per tier and a trailing "@threshold" list.
+	// Absent, it is DefaultTiers. A string without "@threshold" leaves the
+	// probation edge ungated, so "45-10-45" is not the default; "100" is the
+	// one-tier unified baseline.
 	ParamTiers = "tiers"
 	// ParamPolicy applies a local-policy spec ("lru", "trrip:cold=4", "auto"
 	// for online selection) to every tier of the session's manager that does
@@ -54,8 +52,6 @@ const (
 	// ParamSelEpoch overrides the accesses between online policy-selector
 	// decisions (meaningful with "auto" policies), ccsim's -selepoch.
 	ParamSelEpoch = "selepoch"
-	// ParamUnified replays the single pseudo-circular baseline.
-	ParamUnified = "unified"
 	// ParamEvents switches the response to an NDJSON stream: the session's
 	// merged observer events as they happen, then one final result line.
 	ParamEvents = "events"
@@ -80,12 +76,22 @@ const (
 	// events=1 — every classified miss streams a "regenerate" NDJSON event
 	// tagged with its cause.
 	ParamAttrib = "attrib"
-	// ParamSession is an opaque tenant label (≤64 bytes). Attribution-enabled
-	// sessions carrying it fold into a per-tenant aggregate as well as the
-	// server-wide one, so GET /v1/attrib?session=<label> answers "why did
-	// *this* tenant's traces regenerate". It never influences the replay.
+	// ParamSession is an opaque tenant label (at most MaxTenantLen bytes).
+	// Attribution-enabled sessions carrying it fold into a per-tenant
+	// aggregate as well as the server-wide one, so GET
+	// /v1/attrib?session=<label> answers "why did *this* tenant's traces
+	// regenerate". It never influences the replay.
 	ParamSession = "session"
 )
+
+// DefaultTiers is the cache shape of a session that names none: Figure 9's
+// best layout, 45-10-45 with single-hit promotion.
+const DefaultTiers = "45-10-45@1"
+
+// MaxTenantLen bounds the session label (ParamSession) on both endpoints
+// that read it; it is an opaque key into the per-tenant attribution map,
+// not a payload.
+const MaxTenantLen = 64
 
 // AttribPath is the server-wide attribution endpoint: GET the aggregated
 // miss-cause report (per module × tier × epoch × cause) over every attrib=1
@@ -404,7 +410,7 @@ type Event struct {
 func FromObs(e obs.Event) Event {
 	w := Event{Kind: e.Kind.String(), Trace: e.Trace, Size: e.Size, Module: e.Module, Proc: e.Proc}
 	switch e.Kind {
-	case obs.KindEvict, obs.KindUnmap, obs.KindFlush, obs.KindResize:
+	case obs.KindEvict, obs.KindUnmap, obs.KindResize:
 		w.From = e.From.String()
 	case obs.KindInsert:
 		w.To = e.To.String()
@@ -501,18 +507,13 @@ type SessionConfig struct {
 	// CapFrac sizes the cache as a fraction of the log's unbounded peak when
 	// CapacityBytes is 0. Zero means the service default (0.5).
 	CapFrac float64
-	// Layout is the N-P-S percentage split; empty means "45-10-45".
-	Layout string
-	// Threshold is the probation promotion threshold; zero means 1.
-	Threshold uint64
-	// Tiers, when set, replays an arbitrary tier graph (core.ParseTierSpec).
+	// Tiers is the cache shape as a tier string (core.ParseTierSpec); empty
+	// means DefaultTiers.
 	Tiers string
 	// Policy applies a local-policy spec to tiers that don't name one.
 	Policy string
 	// SelEpoch overrides the online policy-selector epoch.
 	SelEpoch uint64
-	// Unified replays the single pseudo-circular baseline.
-	Unified bool
 	// Adaptive attaches the adaptive split controller.
 	Adaptive bool
 	// AdaptEpoch overrides the adaptive controller's decision epoch.
@@ -525,9 +526,9 @@ type SessionConfig struct {
 	// miss counts and the session folds into the server's /v1/attrib
 	// aggregate. The ledger only observes, so replay counters are unchanged.
 	Attrib bool
-	// Tenant is the opaque session label (?session=, ≤64 bytes): attribution
-	// folds into the tenant's aggregate as well as the server-wide one. It
-	// never influences the replay.
+	// Tenant is the opaque session label (?session=, at most MaxTenantLen
+	// bytes): attribution folds into the tenant's aggregate as well as the
+	// server-wide one. It never influences the replay.
 	Tenant string
 }
 
@@ -541,38 +542,30 @@ func ValidCapFrac(f float64) bool { return f > 0 && f <= 16 }
 func ValidPressure(f float64) bool { return f >= 0 && f <= 1 }
 
 // GraphSpec turns the configuration into the tier graph a replay over
-// capacity bytes runs: the one-tier unified baseline (Unified), an arbitrary
-// graph (Tiers), or the stock generational chain from Layout and Threshold.
-// Policy then fills every tier that names none, and SelEpoch, Adaptive and
-// Attrib attach the selector epoch, the split controller, and the
-// attribution ledger; emit makes the ledger publish its cause events. ccsim's
-// flags and the session query string both resolve through it, so ccsim, a
-// served session, and its offline verification build the same graph.
+// capacity bytes runs: the tier string Tiers (DefaultTiers when empty),
+// with Policy, in its canonical spelling, filling every tier that names
+// none. SelEpoch, Adaptive and Attrib then attach the selector epoch, the
+// split controller, and the attribution ledger; emit makes the ledger
+// publish its cause events. ccsim's flags and the session query string both
+// resolve through it, so ccsim, a served session, and its offline
+// verification build the same graph.
 func (c SessionConfig) GraphSpec(capacity uint64, emit bool) (core.GraphSpec, error) {
-	var spec core.GraphSpec
-	switch {
-	case c.Unified:
-		spec = core.UnifiedSpec(capacity)
-	case c.Tiers != "":
-		var err error
-		if spec, err = core.ParseTierSpec(c.Tiers, capacity); err != nil {
-			return spec, err
-		}
-	default:
-		layout := c.Layout
-		if layout == "" {
-			layout = "45-10-45"
-		}
-		fracs, err := ParseLayout(layout)
+	tiers := c.Tiers
+	if tiers == "" {
+		tiers = DefaultTiers
+	}
+	spec, err := core.ParseTierSpec(tiers, capacity)
+	if err != nil {
+		return spec, err
+	}
+	if c.Policy != "" {
+		p, err := core.CanonicalPolicy(c.Policy)
 		if err != nil {
 			return spec, err
 		}
-		spec = core.ThreeTier(capacity, fracs[0], fracs[1], fracs[2], max(c.Threshold, 1))
-	}
-	if c.Policy != "" {
 		for i := range spec.Tiers {
 			if spec.Tiers[i].Policy == "" {
-				spec.Tiers[i].Policy = c.Policy
+				spec.Tiers[i].Policy = p
 			}
 		}
 	}
@@ -589,25 +582,20 @@ func (c SessionConfig) GraphSpec(capacity uint64, emit bool) (core.GraphSpec, er
 }
 
 // Validate builds the configuration's spec over a one-byte capacity, so a
-// malformed tiers, layout or policy is refused before any log is read. A
-// second build checks layout and policy where the configuration's own shape
-// ignores them (Unified, or Tiers naming every tier's policy). The server
-// checks a session's query string through it before admission, and ccsim
-// and the gencached loadtest check their flags through it before they open
-// a log or contact a server.
+// malformed tiers or policy is refused before any log is read; Policy is
+// checked even where every tier names its own. ParseQuery checks a
+// session's query string through it before admission, and ccsim and the
+// gencached loadtest check their flags through it before they open a log or
+// contact a server.
 func (c SessionConfig) Validate() error {
-	for _, probe := range []SessionConfig{c, {Layout: c.Layout, Policy: c.Policy}} {
-		if _, err := probe.GraphSpec(1, false); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err := c.GraphSpec(1, false)
+	return err
 }
 
 // Query encodes the configuration as the query string of POST
 // /v1/sessions, writing each knob that differs from its zero value (the
 // service default). Floats are formatted so they parse back to the same
-// value: the server parses the query of any configuration it accepts back
+// value: ParseQuery reads the query of any configuration it accepts back
 // into a configuration == c. The Go client sends its sessions' queries
 // through it.
 func (c SessionConfig) Query() url.Values {
@@ -634,12 +622,9 @@ func (c SessionConfig) Query() url.Values {
 	}
 	num(ParamCapacity, c.CapacityBytes)
 	frac(ParamCapFrac, c.CapFrac)
-	str(ParamLayout, c.Layout)
-	num(ParamThreshold, c.Threshold)
 	str(ParamTiers, c.Tiers)
 	str(ParamPolicy, c.Policy)
 	num(ParamSelEpoch, c.SelEpoch)
-	flag(ParamUnified, c.Unified)
 	flag(ParamAdaptive, c.Adaptive)
 	num(ParamAdaptEpoch, c.AdaptEpoch)
 	frac(ParamPressure, c.Pressure)
@@ -648,30 +633,82 @@ func (c SessionConfig) Query() url.Values {
 	return q
 }
 
-// ParseLayout parses an N-P-S percentage split ("45-10-45") into fractions.
-// It is the one layout grammar of the system: SessionConfig.GraphSpec
-// resolves Layout through it for ccsim's -layout flag and the service's
-// layout parameter alike. Like ValidCapFrac its checks are acceptances, so
-// NaN fails them. It sums the fractions and bounds the sum exactly as
-// core.GraphSpec.Validate does, so a layout parses exactly when its spec
-// validates.
-func ParseLayout(s string) ([3]float64, error) {
-	var res [3]float64
-	parts := strings.Split(s, "-")
-	if len(parts) != 3 {
-		return res, fmt.Errorf("layout %q must be N-P-S percentages", s)
+// ParseQuery reads a session's configuration off the query string of POST
+// /v1/sessions, and whether the response streams NDJSON events (events=1).
+// It is Query's inverse. A parameter it does not know is refused by name,
+// so a client still sending a retired spelling (unified=1) fails loudly
+// instead of replaying the default shape; of several unknown names, the
+// first in sorted order is reported. Known parameters are read in a fixed
+// order, so a query with several malformed ones always names the same one.
+// The configuration is validated last, so the server refuses a malformed
+// shape or policy before it admits the session or reads its body.
+func ParseQuery(q url.Values) (SessionConfig, bool, error) {
+	var c SessionConfig
+	var events bool
+	keys := make([]string, 0, len(q))
+	for k := range q {
+		keys = append(keys, k)
 	}
-	var sum float64
-	for i, p := range parts {
-		v, err := strconv.ParseFloat(p, 64)
-		if err != nil || !(v > 0) {
-			return res, fmt.Errorf("bad layout component %q", p)
+	sort.Strings(keys)
+	for _, k := range keys {
+		switch k {
+		case ParamCapacity, ParamCapFrac, ParamTiers, ParamPolicy, ParamSelEpoch, ParamEvents,
+			ParamAdaptive, ParamAdaptEpoch, ParamPressure, ParamAttrib, ParamSession:
+		default:
+			return c, false, fmt.Errorf("unknown session parameter %q", k)
 		}
-		res[i] = v / 100
-		sum += res[i]
 	}
-	if !(sum >= 0.999 && sum <= 1.001) {
-		return res, fmt.Errorf("layout %q must sum to 100", s)
+	if v := q.Get(ParamCapacity); v != "" {
+		n, err := strconv.ParseUint(v, 10, 64)
+		if err != nil || n == 0 {
+			return c, false, fmt.Errorf("bad %s %q", ParamCapacity, v)
+		}
+		c.CapacityBytes = n
 	}
-	return res, nil
+	if v := q.Get(ParamCapFrac); v != "" {
+		f, err := strconv.ParseFloat(v, 64)
+		if err != nil || !ValidCapFrac(f) {
+			return c, false, fmt.Errorf("bad %s %q", ParamCapFrac, v)
+		}
+		c.CapFrac = f
+	}
+	c.Tiers = q.Get(ParamTiers)
+	c.Policy = q.Get(ParamPolicy)
+	epochs := [...]*uint64{&c.SelEpoch, &c.AdaptEpoch}
+	for i, name := range [...]string{ParamSelEpoch, ParamAdaptEpoch} {
+		if v := q.Get(name); v != "" {
+			n, err := strconv.ParseUint(v, 10, 64)
+			if err != nil || n == 0 {
+				return c, false, fmt.Errorf("bad %s %q", name, v)
+			}
+			*epochs[i] = n
+		}
+	}
+	if v := q.Get(ParamPressure); v != "" {
+		f, err := strconv.ParseFloat(v, 64)
+		if err != nil || !ValidPressure(f) {
+			return c, false, fmt.Errorf("bad %s %q", ParamPressure, v)
+		}
+		c.Pressure = f
+	}
+	if v := q.Get(ParamSession); v != "" {
+		if len(v) > MaxTenantLen {
+			return c, false, fmt.Errorf("bad %s: label longer than %d bytes", ParamSession, MaxTenantLen)
+		}
+		c.Tenant = v
+	}
+	bools := [...]*bool{&events, &c.Adaptive, &c.Attrib}
+	for i, name := range [...]string{ParamEvents, ParamAdaptive, ParamAttrib} {
+		if v := q.Get(name); v != "" {
+			b, err := strconv.ParseBool(v)
+			if err != nil {
+				return c, false, fmt.Errorf("bad %s %q", name, v)
+			}
+			*bools[i] = b
+		}
+	}
+	if err := c.Validate(); err != nil {
+		return c, false, err
+	}
+	return c, events, nil
 }

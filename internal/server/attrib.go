@@ -67,8 +67,8 @@ func parseAttribQuery(q url.Values) (attribQuery, error) {
 		aq.top = n
 	}
 	if v := q.Get(api.ParamSession); v != "" {
-		if len(v) > maxTenantLen {
-			return aq, fmt.Errorf("bad %s: label longer than %d bytes", api.ParamSession, maxTenantLen)
+		if len(v) > api.MaxTenantLen {
+			return aq, fmt.Errorf("bad %s: label longer than %d bytes", api.ParamSession, api.MaxTenantLen)
 		}
 		aq.session = v
 	}

@@ -52,7 +52,7 @@ func (c *Client) http() *http.Client {
 
 // SessionOptions configure one session: the session's configuration, which
 // travels as the query string (zero values take the server's defaults:
-// capfrac 0.5, layout 45-10-45, threshold 1), and how the result comes back.
+// capfrac 0.5, tiers 45-10-45@1), and how the result comes back.
 type SessionOptions struct {
 	api.SessionConfig
 	// BinaryStats requests the compact binary result framing

@@ -41,7 +41,8 @@ func (s *Server) ServeSession(cfg SessionConfig, logData []byte) (api.SessionRes
 // the same configuration — the offline ccsim ground truth a served session
 // is verified against. No shared tier, no server: the result's Session and
 // Shared fields are zero, and everything else must match the served result
-// bit-for-bit. A nil model selects costmodel.DefaultModel.
+// bit-for-bit. A nil model selects costmodel.DefaultModel, the model every
+// served session charges.
 func OfflineReplay(cfg SessionConfig, model *costmodel.Model, logData []byte) (api.SessionResult, error) {
 	m := costmodel.DefaultModel
 	if model != nil {

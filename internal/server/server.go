@@ -29,7 +29,6 @@ import (
 	"repro/internal/attrib"
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/costmodel"
 	"repro/internal/obs"
 	"repro/internal/persist"
 	"repro/internal/profiling"
@@ -57,8 +56,6 @@ type Config struct {
 	// it outlives its publishing sessions. On is the service default; off
 	// makes a trace drain with its last owning session.
 	KeepWarm bool
-	// Model is the instruction-cost model; nil selects costmodel.DefaultModel.
-	Model *costmodel.Model
 	// Logf receives operational log lines; nil selects log.Printf.
 	Logf func(format string, args ...any)
 	// Clock is the server's time plane. The live daemon leaves it nil (the
@@ -100,7 +97,6 @@ func (c *Config) fillDefaults() {
 // drive its Handler through httptest, cmd/gencached binds it to a real port.
 type Server struct {
 	cfg     Config
-	model   costmodel.Model
 	sp      *core.SharedPersistent
 	counter *stats.EventCounter
 	router  *obsRouter
@@ -170,17 +166,12 @@ type aggregate struct {
 // startup: silently dropping state that should have loaded is how caches rot.
 func New(cfg Config) (*Server, error) {
 	cfg.fillDefaults()
-	model := costmodel.DefaultModel
-	if cfg.Model != nil {
-		model = *cfg.Model
-	}
 	counter := stats.NewEventCounter()
 	router := newObsRouter()
 	sp := core.NewSharedPersistent(cfg.SharedCapacity, obs.Combine(counter, router))
 	clock := simclock.Default(cfg.Clock)
 	s := &Server{
 		cfg:     cfg,
-		model:   model,
 		sp:      sp,
 		counter: counter,
 		router:  router,

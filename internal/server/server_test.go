@@ -65,7 +65,7 @@ func syntheticLog(t *testing.T, bench string) []byte {
 }
 
 // offlineResult replays the log locally with the server's default session
-// configuration (capfrac 0.5, layout 45-10-45, threshold 1) and renders the
+// configuration (capfrac 0.5, tiers 45-10-45@1) and renders the
 // expectation in wire form — the ground truth every served result must hit.
 func offlineResult(t *testing.T, logBytes []byte) api.SessionResult {
 	t.Helper()
@@ -486,12 +486,10 @@ func TestBadRequests(t *testing.T) {
 		{"bad capfrac", base + "?" + api.ParamCapFrac + "=-1", nil, http.StatusBadRequest},
 		{"NaN capfrac", base + "?" + api.ParamCapFrac + "=NaN", data, http.StatusBadRequest},
 		{"NaN pressure", base + "?" + api.ParamPressure + "=NaN", data, http.StatusBadRequest},
-		{"bad layout", base + "?" + api.ParamLayout + "=nope", nil, http.StatusBadRequest},
 		{"bad capacity", base + "?" + api.ParamCapacity + "=0", nil, http.StatusBadRequest},
 		{"bad tiers", base + "?" + api.ParamTiers + "=garbage", data, http.StatusBadRequest},
-		{"NaN layout", base + "?" + api.ParamLayout + "=NaN-50-50", data, http.StatusBadRequest},
 		{"NaN tiers", base + "?" + api.ParamTiers + "=NaN-50-50@1", data, http.StatusBadRequest},
-		{"bad layout, unified", base + "?" + api.ParamUnified + "=1&" + api.ParamLayout + "=nope", data, http.StatusBadRequest},
+		{"ungated NaN tiers", base + "?" + api.ParamTiers + "=NaN-50-50", data, http.StatusBadRequest},
 		{"bad policy, every tier named", base + "?" + api.ParamTiers + "=50@lru-50@trrip&" + api.ParamPolicy + "=nope", data, http.StatusBadRequest},
 		{"empty preemptive-flush window", base + "?" + api.ParamPolicy + "=preemptive-flush:window=0", data, http.StatusBadRequest},
 		{"trrip max past 255", base + "?" + api.ParamPolicy + "=trrip:max=263", data, http.StatusBadRequest},
@@ -505,6 +503,20 @@ func TestBadRequests(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != tc.status {
 			t.Errorf("%s: status %d, want %d", tc.name, resp.StatusCode, tc.status)
+		}
+	}
+	// A retired spelling of the cache shape, or any other unknown
+	// parameter, is refused by name.
+	for _, name := range []string{"layout", "threshold", "unified", "bogus"} {
+		resp, err := http.Post(base+"?"+name+"=1", "application/octet-stream", bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var e api.Error
+		err = json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || err != nil || !strings.Contains(e.Error, strconv.Quote(name)) {
+			t.Errorf("%s=1: status %d, error %q (%v); want 400 naming %q", name, resp.StatusCode, e.Error, err, name)
 		}
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"io"
 	"net/http"
 	"slices"
-	"strconv"
 	"sync"
 
 	"repro/internal/attrib"
@@ -23,83 +22,6 @@ import (
 	"repro/internal/stats"
 	"repro/internal/tracelog"
 )
-
-// maxTenantLen bounds the ?session= label; it is an opaque key into the
-// per-tenant attribution map, not a payload.
-const maxTenantLen = 64
-
-// parseParams reads a session's configuration off the query string, and
-// whether the response streams NDJSON events (events=1). It walks the
-// parameters in a fixed order, the order package api declares them, so a
-// query with several malformed parameters always names the same one.
-func parseParams(r *http.Request) (SessionConfig, bool, error) {
-	var c SessionConfig
-	var events bool
-	q := r.URL.Query()
-	if v := q.Get(api.ParamCapacity); v != "" {
-		n, err := strconv.ParseUint(v, 10, 64)
-		if err != nil || n == 0 {
-			return c, false, fmt.Errorf("bad %s %q", api.ParamCapacity, v)
-		}
-		c.CapacityBytes = n
-	}
-	if v := q.Get(api.ParamCapFrac); v != "" {
-		f, err := strconv.ParseFloat(v, 64)
-		if err != nil || !api.ValidCapFrac(f) {
-			return c, false, fmt.Errorf("bad %s %q", api.ParamCapFrac, v)
-		}
-		c.CapFrac = f
-	}
-	c.Layout = q.Get(api.ParamLayout)
-	if v := q.Get(api.ParamThreshold); v != "" {
-		n, err := strconv.ParseUint(v, 10, 64)
-		if err != nil || n == 0 {
-			return c, false, fmt.Errorf("bad %s %q", api.ParamThreshold, v)
-		}
-		c.Threshold = n
-	}
-	c.Tiers = q.Get(api.ParamTiers)
-	c.Policy = q.Get(api.ParamPolicy)
-	epochs := [...]*uint64{&c.SelEpoch, &c.AdaptEpoch}
-	for i, name := range [...]string{api.ParamSelEpoch, api.ParamAdaptEpoch} {
-		if v := q.Get(name); v != "" {
-			n, err := strconv.ParseUint(v, 10, 64)
-			if err != nil || n == 0 {
-				return c, false, fmt.Errorf("bad %s %q", name, v)
-			}
-			*epochs[i] = n
-		}
-	}
-	if v := q.Get(api.ParamPressure); v != "" {
-		f, err := strconv.ParseFloat(v, 64)
-		if err != nil || !api.ValidPressure(f) {
-			return c, false, fmt.Errorf("bad %s %q", api.ParamPressure, v)
-		}
-		c.Pressure = f
-	}
-	if v := q.Get(api.ParamSession); v != "" {
-		if len(v) > maxTenantLen {
-			return c, false, fmt.Errorf("bad %s: label longer than %d bytes", api.ParamSession, maxTenantLen)
-		}
-		c.Tenant = v
-	}
-	bools := [...]*bool{&c.Unified, &events, &c.Adaptive, &c.Attrib}
-	for i, name := range [...]string{api.ParamUnified, api.ParamEvents, api.ParamAdaptive, api.ParamAttrib} {
-		if v := q.Get(name); v != "" {
-			b, err := strconv.ParseBool(v)
-			if err != nil {
-				return c, false, fmt.Errorf("bad %s %q", name, v)
-			}
-			*bools[i] = b
-		}
-	}
-	// Build the session's spec before admission, so a malformed tiers,
-	// layout or policy is a 400 that takes no replay slot and reads no body.
-	if err := c.Validate(); err != nil {
-		return c, false, err
-	}
-	return c, events, nil
-}
 
 // countingReader tallies how many body bytes a session consumed.
 type countingReader struct {
@@ -350,7 +272,7 @@ func (sr *sessionRun) tryAdopt(local uint16, head uint64, size uint32) bool {
 	st.gid = gid
 	st.adopted = true
 	sr.adoptions++
-	sr.savedGen += sr.srv.model.TraceGen(int(size))
+	sr.savedGen += costmodel.DefaultModel.TraceGen(int(size))
 	return true
 }
 
@@ -376,7 +298,7 @@ func (sr *sessionRun) tryRemoteAdopt(local uint16, head uint64, size uint32) boo
 	if !sr.remote[key] {
 		sr.remote[key] = true
 		sr.peerAdoptions++
-		sr.savedGen += sr.srv.model.TraceGen(int(size))
+		sr.savedGen += costmodel.DefaultModel.TraceGen(int(size))
 		e := obs.Event{
 			Kind:   obs.KindPeerAdopt,
 			Trace:  r.TraceID,
@@ -528,7 +450,7 @@ func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
 		jsonError(w, http.StatusServiceUnavailable, "server is draining")
 		return
 	}
-	cfg, events, err := parseParams(r)
+	cfg, events, err := api.ParseQuery(r.URL.Query())
 	if err != nil {
 		jsonError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -599,7 +521,7 @@ func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
 // since only it knows how many body bytes the session consumed, and closes
 // the session.
 func (s *Server) serveSession(cfg SessionConfig, sr *sessionRun, body io.Reader) (api.SessionResult, error) {
-	out, snap, err := replayLog(cfg, s.model, body, sr)
+	out, snap, err := replayLog(cfg, costmodel.DefaultModel, body, sr)
 	if err != nil {
 		s.recordFailure()
 		return api.SessionResult{}, err

@@ -23,7 +23,7 @@ import (
 // packages while giving users a single import.
 type (
 	// Observer receives cache-lifecycle events (inserts, evictions,
-	// promotions, unmaps, flushes, replay progress).
+	// promotions, unmaps, replay progress).
 	Observer = obs.Observer
 	// ObserverFunc adapts a plain function to an Observer.
 	ObserverFunc = obs.Func
@@ -79,7 +79,6 @@ const (
 	EventEvict    = obs.KindEvict
 	EventPromote  = obs.KindPromote
 	EventUnmap    = obs.KindUnmap
-	EventFlush    = obs.KindFlush
 	EventProgress = obs.KindProgress
 	// EventPolicySwitch reports the online selector making a new local
 	// policy live on a tier.
@@ -146,8 +145,10 @@ func NewTierGraph(spec GraphSpec, o Observer) (*TierGraph, error) {
 	return core.NewGraph(spec, o)
 }
 
-// ParseTierSpec parses a layout string like "45-10-45@1" (or a deeper one
+// ParseTierSpec parses a tier string like "45-10-45@1" (or a deeper one
 // like "30-10-20-40@1,2") into a graph specification over totalCapacity.
+// Without the trailing "@threshold" the probation edge is ungated, so
+// "45-10-45" is not BestLayout.
 func ParseTierSpec(s string, totalCapacity uint64) (GraphSpec, error) {
 	return core.ParseTierSpec(s, totalCapacity)
 }

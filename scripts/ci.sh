@@ -50,8 +50,12 @@ go test ./internal/policy -run '^$' -fuzz FuzzPolicyOps -fuzztime 10s
 # Attribution endpoint fuzz: a short run over the /v1/attrib query parser —
 # seeds the corpus, catches panics and half-validated filters.
 go test ./internal/server -run '^$' -fuzz FuzzAttribQuery -fuzztime 10s
-# Session-query fuzz: whatever the query parser accepts must build a tier
-# graph spec, so a malformed tiers/layout/policy is refused before admission.
+# Session-query codec fuzz: api.ParseQuery refuses unknown parameters by
+# name, and whatever it accepts must round-trip through Query and build a
+# tier graph spec, so a malformed tiers/policy is refused before admission.
+go test ./internal/server/api -run '^$' -fuzz FuzzSessionQuery -fuzztime 10s
+# Session-gate fuzz: the handler refuses a query exactly when ParseQuery
+# does, with a 400 and before it reads a body byte.
 go test ./internal/server -run '^$' -fuzz FuzzSessionQuery -fuzztime 10s
 # Event-line fuzz: the hand-written NDJSON appender must write exactly the
 # bytes json.Encoder writes for every event field, escaping included.
