@@ -22,8 +22,9 @@ import (
 )
 
 // Key is the cluster-wide identity of a publishable trace. It is the
-// portable form of core.ShareKey: server-global module IDs are allocated
-// per node in arrival order and therefore mean nothing across machines, so
+// portable form of the shared tier's (module, head address) identity:
+// server-global module IDs are allocated per node in arrival order and
+// therefore mean nothing across machines, so
 // the exchange protocol keys on the (benchmark, log-local module, head
 // address) triple every node can resolve through its own module namespace.
 type Key struct {

@@ -541,6 +541,35 @@ func TestParseTierSpecCanonicalPolicies(t *testing.T) {
 	}
 }
 
+// TestGraphNameWritesEveryGate: a chain's name carries each gate as the tier
+// string spells it, so chains that differ only in an inner gate get
+// different names, while equal gates still print one value and the stock
+// shapes keep their names.
+func TestGraphNameWritesEveryGate(t *testing.T) {
+	for tiers, want := range map[string]string{
+		"30-10-20-40@1,2":      "generational/30-10-20-40@1,2",
+		"30-10-20-40@2":        "generational/30-10-20-40@2",
+		"30-10-20-40@2,2":      "generational/30-10-20-40@2",
+		"20-10-10-10-50@1,2":   "generational/20-10-10-10-50@1,2",
+		"20-10-10-10-50@3,1,3": "generational/20-10-10-10-50@3,1,3",
+		"45-10-45@1":           "generational/45-10-45@1",
+		"45-10-45":             "generational/45-10-45@0",
+		"50@lru-50":            "generational/50@lru-50@0",
+	} {
+		spec, err := ParseTierSpec(tiers, 10000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := NewGraph(spec, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g.Name() != want {
+			t.Errorf("-tiers %s builds %q, want %q", tiers, g.Name(), want)
+		}
+	}
+}
+
 // TestGenerationalRandomized drives the full Figure 8 machinery with a
 // random mix of inserts, accesses, unmaps, and pins, checking the
 // exactly-one-cache invariant and arena soundness after every step.

@@ -397,8 +397,22 @@ func graphName(spec GraphSpec, g *Graph) string {
 			b.WriteString(t.Policy)
 		}
 	}
-	b.WriteByte('@')
-	b.WriteString(strconv.FormatUint(spec.Tiers[len(spec.Tiers)-2].Threshold, 10))
+	// Every gate from the probation tier on, written as ParseTierSpec reads
+	// the list: a shorter list repeats its last value, so trailing repeats
+	// are dropped and equal gates print one value. A two-tier chain has no
+	// gated tier and prints its first tier's threshold.
+	gates := spec.Tiers[min(1, len(spec.Tiers)-2) : len(spec.Tiers)-1]
+	for len(gates) > 1 && gates[len(gates)-1].Threshold == gates[len(gates)-2].Threshold {
+		gates = gates[:len(gates)-1]
+	}
+	for i, t := range gates {
+		if i == 0 {
+			b.WriteByte('@')
+		} else {
+			b.WriteByte(',')
+		}
+		b.WriteString(strconv.FormatUint(t.Threshold, 10))
+	}
 	return b.String()
 }
 
@@ -554,7 +568,7 @@ func (g *Graph) Access(id uint64) bool {
 		g.ctl.tick(g.stats.Accesses)
 	}
 	if g.sel != nil {
-		g.sel.tick(g.stats.Accesses)
+		g.sel.tick()
 	}
 	for i, t := range g.tiers {
 		hit := t.arena.Access(id)

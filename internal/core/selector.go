@@ -150,10 +150,13 @@ type policySelector struct {
 	g     *Graph
 	tiers []*selTier // indexed by tier position; nil = tier not under selection
 	stats SelectorStats
+	// left counts down the accesses to the next epoch boundary.
+	left uint64
 }
 
 func newPolicySelector(g *Graph, cfg SelectorConfig, nPriv int) *policySelector {
-	return &policySelector{cfg: cfg.withDefaults(), g: g, tiers: make([]*selTier, nPriv)}
+	cfg = cfg.withDefaults()
+	return &policySelector{cfg: cfg, g: g, tiers: make([]*selTier, nPriv), left: cfg.Epoch}
 }
 
 // attach puts tier t under selection. initial names the starting live policy
@@ -197,10 +200,12 @@ func (s *policySelector) attach(t *tier, initial string) error {
 	return nil
 }
 
-// tick runs the selector at deterministic epoch boundaries of the graph's
-// access counter.
-func (s *policySelector) tick(accesses uint64) {
-	if accesses%s.cfg.Epoch == 0 {
+// tick counts one access of the graph and runs the selector at every
+// Epoch-th, the deterministic epoch boundaries of the graph's access
+// counter.
+func (s *policySelector) tick() {
+	if s.left--; s.left == 0 {
+		s.left = s.cfg.Epoch
 		s.epoch()
 	}
 }

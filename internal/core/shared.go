@@ -11,20 +11,14 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/codecache"
 	"repro/internal/obs"
 )
-
-// ShareKey identifies a trace's guest code across processes: traces from the
-// same module at the same head address are the same code, whichever process
-// generated them first.
-type ShareKey struct {
-	Module uint16
-	Head   uint64
-}
 
 // SharedStats aggregates shared-tier activity across all attached processes.
 type SharedStats struct {
@@ -42,19 +36,44 @@ type SharedStats struct {
 // deterministic round-robin schedules used by the experiments serialize
 // calls anyway, but concurrently running processes (and the race detector)
 // see a consistent tier.
+//
+// A trace's guest code is identified across processes by its module and
+// head address: traces from the same module at the same head are the same
+// code, whichever process generated them first.
 type SharedPersistent struct {
 	mu    sync.Mutex
 	arena *codecache.Arena
 	o     obs.Observer
 
-	// byKey maps guest code identity to the canonical resident trace: the
-	// first promotion of a key publishes it; adoption resolves through it.
-	byKey map[ShareKey]uint64
-	// owners records which processes reference each resident trace. The
-	// arena fragment's Refs field mirrors len(owners).
-	owners map[uint64]map[int]struct{}
+	// traces holds the bookkeeping of every resident trace, by trace ID;
+	// modules indexes the same entries by module.
+	traces  map[uint64]*sharedTrace
+	modules []sharedModule
 
 	stats SharedStats
+}
+
+// sharedModule is the tier's index of one module.
+type sharedModule struct {
+	// resident lists the module's resident traces, so an unmap visits only
+	// them instead of scanning the tier.
+	resident []*sharedTrace
+	// published maps a head address to the canonical resident trace of that
+	// code: the first promotion of a (module, head) identity publishes it;
+	// adoption resolves through it.
+	published map[uint64]*sharedTrace
+}
+
+// sharedTrace is the tier's bookkeeping for one resident trace.
+type sharedTrace struct {
+	id, size uint64
+	// owners lists the processes referencing the trace, each once; the arena
+	// fragment's Refs field mirrors len(owners). A trace has few owners (its
+	// publisher, the keep-warm owner, the processes running its module right
+	// now), so a short slice serves where a set would cost a map per trace.
+	owners []int
+	// slot is the entry's index in its module's resident list.
+	slot int
 }
 
 // NewSharedPersistent creates a shared persistent tier of the given
@@ -67,18 +86,31 @@ func NewSharedPersistent(capacity uint64, o obs.Observer) *SharedPersistent {
 	return &SharedPersistent{
 		arena:  arena,
 		o:      o,
-		byKey:  make(map[ShareKey]uint64),
-		owners: make(map[uint64]map[int]struct{}),
+		traces: make(map[uint64]*sharedTrace),
 	}
 }
 
-// dropStateLocked forgets a trace's ownership and publication state. Called
-// after the fragment left the arena (eviction, drain).
+// publishedLocked returns the canonical resident trace of a code identity,
+// or nil.
+func (sp *SharedPersistent) publishedLocked(module uint16, head uint64) *sharedTrace {
+	if int(module) >= len(sp.modules) {
+		return nil
+	}
+	return sp.modules[module].published[head]
+}
+
+// dropStateLocked forgets a trace's ownership, module-index entry and
+// publication. Called after the fragment left the arena (eviction, drain).
 func (sp *SharedPersistent) dropStateLocked(f codecache.Fragment) {
-	delete(sp.owners, f.ID)
-	k := ShareKey{Module: f.Module, Head: f.HeadAddr}
-	if sp.byKey[k] == f.ID {
-		delete(sp.byKey, k)
+	e := sp.traces[f.ID]
+	delete(sp.traces, f.ID)
+	m := &sp.modules[f.Module]
+	last := m.resident[len(m.resident)-1]
+	m.resident[e.slot], last.slot = last, e.slot
+	m.resident[len(m.resident)-1] = nil
+	m.resident = m.resident[:len(m.resident)-1]
+	if m.published[f.HeadAddr] == e {
+		delete(m.published, f.HeadAddr)
 	}
 }
 
@@ -93,59 +125,75 @@ func (sp *SharedPersistent) evictLocked(f codecache.Fragment, proc int) {
 }
 
 // insertLocked places f, owned by the given processes, evicting circularly
-// as needed.
+// as needed, files it under its module, and publishes it if its identity
+// has no resident trace yet.
 func (sp *SharedPersistent) insertLocked(procs []int, f codecache.Fragment, causing int) error {
+	// Room for one more owner: a publication is usually joined by the
+	// keep-warm owner or an adopter.
+	e := &sharedTrace{id: f.ID, size: f.Size, owners: make([]int, 0, len(procs)+1)}
+	for _, p := range procs {
+		if !slices.Contains(e.owners, p) {
+			e.owners = append(e.owners, p)
+		}
+	}
 	f.Undeletable = false
-	f.Refs = uint32(len(procs))
+	f.Refs = uint32(len(e.owners))
 	err := sp.arena.Insert(f, func(v codecache.Fragment) {
 		sp.evictLocked(v, causing)
 	})
 	if err != nil {
 		return err
 	}
-	set := make(map[int]struct{}, len(procs))
-	for _, p := range procs {
-		set[p] = struct{}{}
+	sp.traces[f.ID] = e
+	if int(f.Module) >= len(sp.modules) {
+		sp.modules = append(sp.modules, make([]sharedModule, int(f.Module)+1-len(sp.modules))...)
 	}
-	sp.owners[f.ID] = set
-	k := ShareKey{Module: f.Module, Head: f.HeadAddr}
-	if _, published := sp.byKey[k]; !published {
-		sp.byKey[k] = f.ID
+	m := &sp.modules[f.Module]
+	e.slot = len(m.resident)
+	m.resident = append(m.resident, e)
+	if m.published == nil {
+		m.published = make(map[uint64]*sharedTrace)
+	}
+	if m.published[f.HeadAddr] == nil {
+		m.published[f.HeadAddr] = e
 	}
 	return nil
 }
 
 // attachLocked adds proc as an owner of a resident trace.
-func (sp *SharedPersistent) attachLocked(proc int, id uint64) bool {
-	set := sp.owners[id]
-	if set == nil {
-		return false
+func (sp *SharedPersistent) attachLocked(proc int, e *sharedTrace) {
+	if !slices.Contains(e.owners, proc) {
+		e.owners = append(e.owners, proc)
+		sp.arena.Retain(e.id)
 	}
-	if _, dup := set[proc]; dup {
-		return true
-	}
-	set[proc] = struct{}{}
-	sp.arena.Retain(id)
-	return true
 }
 
 // Promote moves a probation victim from the given process into the shared
 // tier. If the identical trace (same ID) is already resident — another owner
 // re-promoted it first — the promotion merges: proc is attached as an owner
-// and nothing is inserted. The error, when non-nil, means the trace cannot
-// live in the tier (too big) and must die in the caller.
-func (sp *SharedPersistent) Promote(proc int, f codecache.Fragment) error {
+// and nothing is inserted. Either way the keep owners are attached too,
+// without counting an adoption: that is the keep-warm reference a resident
+// service takes on the traces it wants to outlive their publishing sessions,
+// taken under the same lock, so no eviction can slip in between. The error,
+// when non-nil, means the trace cannot live in the tier (too big) and must
+// die in the caller; nobody is attached then.
+func (sp *SharedPersistent) Promote(proc int, f codecache.Fragment, keep ...int) error {
 	sp.mu.Lock()
 	defer sp.mu.Unlock()
-	if sp.arena.Contains(f.ID) {
-		sp.attachLocked(proc, f.ID)
+	e := sp.traces[f.ID]
+	if e != nil {
+		sp.attachLocked(proc, e)
 		sp.stats.Merged++
-		return nil
+	} else {
+		if err := sp.insertLocked([]int{proc}, f, proc); err != nil {
+			return err
+		}
+		sp.stats.Promotions++
+		e = sp.traces[f.ID]
 	}
-	if err := sp.insertLocked([]int{proc}, f, proc); err != nil {
-		return err
+	for _, k := range keep {
+		sp.attachLocked(k, e)
 	}
-	sp.stats.Promotions++
 	return nil
 }
 
@@ -184,8 +232,10 @@ func (sp *SharedPersistent) Contains(id uint64) bool {
 func (sp *SharedPersistent) ResidentKey(module uint16, head uint64) (uint64, bool) {
 	sp.mu.Lock()
 	defer sp.mu.Unlock()
-	id, ok := sp.byKey[ShareKey{Module: module, Head: head}]
-	return id, ok
+	if e := sp.publishedLocked(module, head); e != nil {
+		return e.id, true
+	}
+	return 0, false
 }
 
 // ResidentFragment returns a copy of the canonical resident fragment
@@ -196,25 +246,29 @@ func (sp *SharedPersistent) ResidentKey(module uint16, head uint64) (uint64, boo
 func (sp *SharedPersistent) ResidentFragment(module uint16, head uint64) (codecache.Fragment, bool) {
 	sp.mu.Lock()
 	defer sp.mu.Unlock()
-	id, ok := sp.byKey[ShareKey{Module: module, Head: head}]
-	if !ok {
+	e := sp.publishedLocked(module, head)
+	if e == nil {
 		return codecache.Fragment{}, false
 	}
-	f, ok := sp.arena.Lookup(id)
-	if !ok {
-		return codecache.Fragment{}, false
-	}
+	f, _ := sp.arena.Lookup(e.id)
 	return *f, true
 }
 
-// AttachWarm adds proc as an owner of a resident trace without counting an
-// adoption: it is the keep-warm reference a resident service takes on traces
-// it wants to outlive their publishing sessions, not a cross-process
-// discovery.
-func (sp *SharedPersistent) AttachWarm(proc int, id uint64) bool {
+// Adopt attaches proc to the trace published for a code identity if one is
+// resident and its size matches, in one locked call, and returns the
+// adopted trace's ID. A size mismatch means the published trace came from a
+// different build of the module, not the same code, so it is not shared.
+// Adoptions count exactly as in Attach, a repeated owner included.
+func (sp *SharedPersistent) Adopt(proc int, module uint16, head, size uint64) (uint64, bool) {
 	sp.mu.Lock()
 	defer sp.mu.Unlock()
-	return sp.attachLocked(proc, id)
+	e := sp.publishedLocked(module, head)
+	if e == nil || e.size != size {
+		return 0, false
+	}
+	sp.attachLocked(proc, e)
+	sp.stats.Adoptions++
+	return e.id, true
 }
 
 // Attach adds proc as an owner of a resident trace (an adoption: the process
@@ -223,9 +277,11 @@ func (sp *SharedPersistent) AttachWarm(proc int, id uint64) bool {
 func (sp *SharedPersistent) Attach(proc int, id uint64) bool {
 	sp.mu.Lock()
 	defer sp.mu.Unlock()
-	if !sp.attachLocked(proc, id) {
+	e := sp.traces[id]
+	if e == nil {
 		return false
 	}
+	sp.attachLocked(proc, e)
 	sp.stats.Adoptions++
 	return true
 }
@@ -242,30 +298,33 @@ func (sp *SharedPersistent) SetUndeletable(id uint64, pinned bool) bool {
 // shared traces are dropped. Traces still referenced by other processes stay
 // resident (those processes keep executing them); traces whose last
 // reference drained are deleted and returned, in address order, with one
-// KindUnmap event each.
+// KindUnmap event each. It visits only the module's own traces.
 func (sp *SharedPersistent) UnmapModule(proc int, m uint16) []codecache.Fragment {
 	sp.mu.Lock()
 	defer sp.mu.Unlock()
-	// Collect victims first: deleting mutates the arena's node list. Address
+	if int(m) >= len(sp.modules) {
+		return nil
+	}
+	// Collect victims first: deleting reorders the module's index. Address
 	// order keeps multi-process runs deterministic under a fixed schedule.
-	var drain []uint64
-	for _, f := range sp.arena.Fragments() {
-		if f.Module != m {
+	type victim struct{ off, id uint64 }
+	var drain []victim
+	for _, e := range sp.modules[m].resident {
+		i := slices.Index(e.owners, proc)
+		if i < 0 {
 			continue
 		}
-		set := sp.owners[f.ID]
-		if _, owned := set[proc]; !owned {
-			continue
-		}
-		delete(set, proc)
-		sp.arena.Release(f.ID)
-		if len(set) == 0 {
-			drain = append(drain, f.ID)
+		e.owners = slices.Delete(e.owners, i, i+1)
+		sp.arena.Release(e.id)
+		if len(e.owners) == 0 {
+			off, _ := sp.arena.Offset(e.id)
+			drain = append(drain, victim{off, e.id})
 		}
 	}
+	slices.SortFunc(drain, func(a, b victim) int { return cmp.Compare(a.off, b.off) })
 	var out []codecache.Fragment
-	for _, id := range drain {
-		f, err := sp.arena.Delete(id, true)
+	for _, v := range drain {
+		f, err := sp.arena.Delete(v.id, true)
 		if err != nil {
 			continue
 		}
@@ -282,7 +341,10 @@ func (sp *SharedPersistent) UnmapModule(proc int, m uint16) []codecache.Fragment
 func (sp *SharedPersistent) Owners(id uint64) int {
 	sp.mu.Lock()
 	defer sp.mu.Unlock()
-	return len(sp.owners[id])
+	if e := sp.traces[id]; e != nil {
+		return len(e.owners)
+	}
+	return 0
 }
 
 // Capacity returns the tier's capacity in bytes.
@@ -320,32 +382,57 @@ func (sp *SharedPersistent) Fragments() []codecache.Fragment {
 }
 
 // CheckInvariants validates the tier: the arena is structurally sound, every
-// owned trace is resident with a Refs count matching its owner set, and
-// every published key points at a resident trace of that key. Tests call
-// this.
+// tracked trace is resident with its size and a Refs count matching its
+// distinct owners, the module index holds exactly the resident traces, each
+// under its own module, and every published identity points at a resident
+// trace of that identity. Tests call this.
 func (sp *SharedPersistent) CheckInvariants() error {
 	sp.mu.Lock()
 	defer sp.mu.Unlock()
 	if err := sp.arena.CheckInvariants(); err != nil {
 		return err
 	}
-	for id, set := range sp.owners {
+	for id, e := range sp.traces {
 		f, ok := sp.arena.Lookup(id)
 		if !ok {
 			return fmt.Errorf("core: shared owners track non-resident trace %d", id)
 		}
-		if int(f.Refs) != len(set) {
-			return fmt.Errorf("core: shared trace %d Refs=%d but %d owners", id, f.Refs, len(set))
+		if e.id != id || e.size != f.Size {
+			return fmt.Errorf("core: shared trace %d tracked as trace %d of %d bytes, resident with %d", id, e.id, e.size, f.Size)
+		}
+		if int(f.Refs) != len(e.owners) {
+			return fmt.Errorf("core: shared trace %d Refs=%d but %d owners", id, f.Refs, len(e.owners))
+		}
+		for i, p := range e.owners {
+			if slices.Contains(e.owners[i+1:], p) {
+				return fmt.Errorf("core: shared trace %d lists owner %d twice", id, p)
+			}
+		}
+		if int(f.Module) >= len(sp.modules) || e.slot >= len(sp.modules[f.Module].resident) || sp.modules[f.Module].resident[e.slot] != e {
+			return fmt.Errorf("core: shared trace %d of module %d missing from the module index", id, f.Module)
 		}
 	}
-	for k, id := range sp.byKey {
-		f, ok := sp.arena.Lookup(id)
-		if !ok {
-			return fmt.Errorf("core: shared key %+v published for non-resident trace %d", k, id)
+	indexed := 0
+	for m, mod := range sp.modules {
+		for i, e := range mod.resident {
+			if e.slot != i || sp.traces[e.id] != e {
+				return fmt.Errorf("core: shared module %d index slot %d holds stale trace %d", m, i, e.id)
+			}
 		}
-		if f.Module != k.Module || f.HeadAddr != k.Head {
-			return fmt.Errorf("core: shared key %+v published for mismatched trace %d (%d, %#x)", k, id, f.Module, f.HeadAddr)
+		indexed += len(mod.resident)
+		for head, e := range mod.published {
+			f, ok := sp.arena.Lookup(e.id)
+			if !ok || sp.traces[e.id] != e {
+				return fmt.Errorf("core: shared identity (%d, %#x) published for non-resident trace %d", m, head, e.id)
+			}
+			if int(f.Module) != m || f.HeadAddr != head {
+				return fmt.Errorf("core: shared identity (%d, %#x) published for mismatched trace %d (%d, %#x)", m, head, e.id, f.Module, f.HeadAddr)
+			}
 		}
+	}
+	if indexed != len(sp.traces) || indexed != sp.arena.Len() {
+		return fmt.Errorf("core: shared module index holds %d traces, owners track %d, arena holds %d",
+			indexed, len(sp.traces), sp.arena.Len())
 	}
 	return nil
 }

@@ -57,6 +57,51 @@ func TestSharedPromotePublishAdopt(t *testing.T) {
 	}
 }
 
+// TestSharedAdoptAndKeepOwners: Adopt attaches to a size-matched published
+// trace in one call and counts every success as Attach does, a repeated
+// owner included; Promote's keep owners attach on an insert and on a merge
+// without counting adoptions, and not at all when the tier refuses the
+// trace.
+func TestSharedAdoptAndKeepOwners(t *testing.T) {
+	const keep = 9
+	sp := NewSharedPersistent(1000, nil)
+	if err := sp.Promote(0, sharedFrag(1, 7, 0x40), keep); err != nil {
+		t.Fatal(err)
+	}
+	if n := sp.Owners(1); n != 2 {
+		t.Fatalf("owners after a promotion with a keep owner = %d, want 2", n)
+	}
+	if id, ok := sp.Adopt(1, 7, 0x40, 101); ok {
+		t.Fatalf("Adopt of a size-mismatched trace = (%d, true)", id)
+	}
+	if id, ok := sp.Adopt(1, 7, 0x80, 100); ok {
+		t.Fatalf("Adopt of an unpublished identity = (%d, true)", id)
+	}
+	for i := 0; i < 2; i++ {
+		if id, ok := sp.Adopt(1, 7, 0x40, 100); !ok || id != 1 {
+			t.Fatalf("Adopt #%d = (%d, %v), want (1, true)", i+1, id, ok)
+		}
+	}
+	if err := sp.Promote(2, sharedFrag(1, 7, 0x40), keep); err != nil {
+		t.Fatal(err)
+	}
+	if n := sp.Owners(1); n != 4 {
+		t.Fatalf("owners after adoption and a merging promotion = %d, want 4", n)
+	}
+	if err := sp.Promote(0, codecache.Fragment{ID: 2, Size: 2000, Module: 7, HeadAddr: 0x80}, keep); err == nil {
+		t.Fatal("promotion of a trace bigger than the tier succeeded")
+	}
+	if n := sp.Owners(2); n != 0 {
+		t.Fatalf("refused trace has %d owners", n)
+	}
+	if s := sp.Stats(); s.Promotions != 1 || s.Merged != 1 || s.Adoptions != 2 {
+		t.Errorf("stats = %+v, want 1 promotion, 1 merged, 2 adoptions", s)
+	}
+	if err := sp.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestSharedOwnerAwareUnmap(t *testing.T) {
 	sp := NewSharedPersistent(1000, nil)
 	if err := sp.Promote(0, sharedFrag(1, 7, 0x40)); err != nil {
@@ -213,11 +258,17 @@ func TestSharedConcurrentAccess(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				id := uint64(i%10 + 1)
-				if err := sp.Promote(p, sharedFrag(id, uint16(id%3), 0x40*id)); err != nil {
+				var keep []int
+				if i%20 == 0 {
+					keep = append(keep, 4) // a keep-warm owner no goroutine unmaps
+				}
+				if err := sp.Promote(p, sharedFrag(id, uint16(id%3), 0x40*id), keep...); err != nil {
 					t.Error(err)
 					return
 				}
-				if rid, ok := sp.ResidentKey(uint16(id%3), 0x40*id); ok {
+				if i%2 == 0 {
+					sp.Adopt(p, uint16(id%3), 0x40*id, 100)
+				} else if rid, ok := sp.ResidentKey(uint16(id%3), 0x40*id); ok {
 					sp.Attach(p, rid)
 					sp.Access(p, rid)
 				}

@@ -313,9 +313,11 @@ func TestSessionKeepWarmSurvivesTeardown(t *testing.T) {
 		t.Fatal("process 0 finished without publishing a trace")
 	}
 	warm := residentIDs(sp)
-	for _, id := range warm {
-		if !sp.AttachWarm(keepWarm, id) || sp.Owners(id) != 2 {
-			t.Fatalf("keep-warm attach to trace %d left %d owners, want 2", id, sp.Owners(id))
+	// The keep-warm owner takes its reference as a merging promotion of the
+	// resident trace, which attaches an owner without counting an adoption.
+	for _, f := range sp.Fragments() {
+		if err := sp.Promote(keepWarm, f); err != nil || sp.Owners(f.ID) != 2 {
+			t.Fatalf("keep-warm promotion of trace %d (err %v) left %d owners, want 2", f.ID, err, sp.Owners(f.ID))
 		}
 	}
 	if n := sp.Stats().Adoptions; n != 0 {

@@ -13,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dbt"
 	"repro/internal/trace"
+	"repro/internal/tracelog"
 	"repro/internal/workload"
 )
 
@@ -243,7 +244,9 @@ func TestWarmStartEndToEnd(t *testing.T) {
 }
 
 // TestRebuildRejectsStaleImage: records against a different program image
-// (changed layout) must be rejected, not mis-reused.
+// (changed layout) must be rejected, not mis-reused. The graph gets half of
+// art's unbounded peak, so its run evicts and promotes traces into the
+// persistent cache for the snapshot to carry.
 func TestRebuildRejectsStaleImage(t *testing.T) {
 	p, _ := workload.ByName("art")
 	bench1, err := workload.Synthesize(p.Scaled(0.05))
@@ -257,7 +260,15 @@ func TestRebuildRejectsStaleImage(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	g, err := core.NewGraph(core.Layout451045Threshold1(128<<10), nil)
+	var log bytes.Buffer
+	if _, _, err := bench1.Collect(&log, dbt.Config{}); err != nil {
+		t.Fatal(err)
+	}
+	h, events, err := tracelog.ReadAll(&log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := core.NewGraph(core.Layout451045Threshold1(tracelog.Summarize(h, events).MaxLiveBytes/2), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +281,7 @@ func TestRebuildRejectsStaleImage(t *testing.T) {
 	}
 	img := Snapshot(p.Name, g, e.TraceByID)
 	if len(img.Records) == 0 {
-		t.Skip("no persistent traces to test with")
+		t.Fatal("no persistent traces to test with")
 	}
 	rebuilt, rejected := Rebuild(img, bench2.Image)
 	if rejected == 0 {

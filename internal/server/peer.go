@@ -238,11 +238,7 @@ func (s *Server) importRecord(k cluster.Key, size uint64) bool {
 	if f, resident := s.sp.ResidentFragment(gmod, k.Head); resident {
 		return f.Size == size
 	}
-	var owners []int
-	if s.cfg.KeepWarm {
-		owners = []int{keepWarmOwner}
-	}
-	err := s.sp.InsertWarm(owners, codecache.Fragment{
+	err := s.sp.InsertWarm(s.warmOwners, codecache.Fragment{
 		ID: s.traceIDs.Add(1), Size: size, Module: gmod, HeadAddr: k.Head,
 	})
 	return err == nil

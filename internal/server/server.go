@@ -123,6 +123,10 @@ type Server struct {
 	// allocator, so IDs stay unique across every path into the tier.
 	sessionIDs atomic.Int64
 	traceIDs   atomic.Uint64
+	// warmOwners names the owners every published or imported trace gets
+	// beside its publisher: keepWarmOwner with Config.KeepWarm, none
+	// without.
+	warmOwners []int
 
 	// attrib aggregates every attribution-enabled session's ledger snapshot
 	// into the server-wide /v1/attrib report and miss-cause metrics.
@@ -182,6 +186,9 @@ func New(cfg Config) (*Server, error) {
 		start:   clock.Now(),
 		livePol: make(map[string]string),
 		tenants: make(map[string]*attrib.Aggregate),
+	}
+	if cfg.KeepWarm {
+		s.warmOwners = []int{keepWarmOwner}
 	}
 	if cfg.Cluster != nil {
 		s.peerClient = cfg.Cluster.HTTPClient

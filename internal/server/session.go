@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -95,9 +96,10 @@ func (nw *ndjsonWriter) flush() {
 	}
 }
 
-// identKey names one piece of guest code in the server-global namespace.
+// identKey names one piece of guest code by log-local module and head: the
+// portable cluster namespace the remote-adoption tally is keyed in.
 type identKey struct {
-	module uint16 // global module ID
+	module uint16
 	head   uint64
 }
 
@@ -105,6 +107,19 @@ type identKey struct {
 type identState struct {
 	gid     uint64 // shared-tier trace ID, once known (adopted or published)
 	adopted bool   // session currently holds an adoption ref
+}
+
+// sessionModule is the session's view of one log-local module.
+type sessionModule struct {
+	gmod     uint16 // global module ID, valid when shared
+	resolved bool   // gmod has been looked up
+	shared   bool   // the module has a global ID, so it can be shared
+	// held records that the session holds shared-tier references under
+	// gmod; Unmapped and close release them.
+	held bool
+	// idents holds the session's state for each identity in the module,
+	// keyed by head address.
+	idents map[uint64]*identState
 }
 
 // sessionRun carries one session's replay plus its shared-tier interplay.
@@ -125,14 +140,8 @@ type sessionRun struct {
 	rep *sim.Replayer
 	led *attrib.Ledger // nil unless the session asked for attribution
 
-	// held lists the global modules the session holds shared-tier
-	// references under; close unmaps each.
-	held map[uint16]struct{}
-
-	bench  string
-	gmods  map[uint16]uint16 // log-local module → global module
-	gmodOK map[uint16]bool
-	idents map[identKey]*identState
+	bench string
+	mods  []sessionModule // indexed by log-local module
 
 	// remote tracks identities (keyed by log-local module — the portable
 	// cluster namespace) whose generation cost a peer node absorbed, so the
@@ -156,27 +165,46 @@ type sessionRun struct {
 // newSessionRun opens a session on srv under a fresh session ID. Its caller
 // defers close, the session's drain, and sets enc in events mode.
 func newSessionRun(srv *Server) *sessionRun {
-	return &sessionRun{
-		srv:    srv,
-		id:     int(srv.sessionIDs.Add(1)),
-		held:   make(map[uint16]struct{}),
-		gmods:  make(map[uint16]uint16),
-		gmodOK: make(map[uint16]bool),
-		idents: make(map[identKey]*identState),
-	}
+	return &sessionRun{srv: srv, id: int(srv.sessionIDs.Add(1))}
 }
 
-// globalModule resolves a log-local module into the server-global namespace,
-// memoizing per session. Exhaustion of the 16-bit space disables sharing for
-// the module; the replay is unaffected.
-func (sr *sessionRun) globalModule(local uint16) (uint16, bool) {
-	if ok, seen := sr.gmodOK[local]; seen {
-		return sr.gmods[local], ok
+// module returns the session's entry for a log-local module, mapping the
+// module into the server-global namespace on first sight, or nil when the
+// module cannot be shared: the 16-bit global space is exhausted or the
+// benchmark name is too long (see moduleSpace.global). The replay is
+// unaffected either way. The pointer is valid until the next call.
+func (sr *sessionRun) module(local uint16) *sessionModule {
+	if n := int(local) + 1; n > len(sr.mods) {
+		sr.mods = append(sr.mods, make([]sessionModule, n-len(sr.mods))...)
 	}
-	g, ok := sr.srv.mods.global(sr.bench, local)
-	sr.gmodOK[local] = ok
-	sr.gmods[local] = g
-	return g, ok
+	m := &sr.mods[local]
+	if !m.resolved {
+		m.resolved = true
+		m.gmod, m.shared = sr.srv.mods.global(sr.bench, local)
+		if m.shared {
+			m.idents = make(map[uint64]*identState)
+		}
+	}
+	if !m.shared {
+		return nil
+	}
+	return m
+}
+
+// ident returns the session's state for a code identity and its module's
+// entry, creating the state on first sight; both are nil when the module
+// cannot be shared. The module pointer is valid until the next call.
+func (sr *sessionRun) ident(local uint16, head uint64) (*sessionModule, *identState) {
+	m := sr.module(local)
+	if m == nil {
+		return nil, nil
+	}
+	st := m.idents[head]
+	if st == nil {
+		st = &identState{}
+		m.idents[head] = st
+	}
+	return m, st
 }
 
 // Observe implements obs.Observer as the private manager's one observer,
@@ -219,17 +247,11 @@ func (sr *sessionRun) publish(trace uint64) {
 	if !ok {
 		return
 	}
-	gmod, ok := sr.globalModule(module)
-	if !ok {
+	m, st := sr.ident(module, head)
+	if st == nil {
 		return
 	}
-	key := identKey{module: gmod, head: head}
-	st := sr.idents[key]
-	if st == nil {
-		st = &identState{}
-		sr.idents[key] = st
-	}
-	gid, err := sr.promote(st.gid, gmod, head, uint64(size))
+	gid, err := sr.promote(m, st.gid, head, uint64(size))
 	if err != nil {
 		// The trace cannot live in the shared tier (bigger than the whole
 		// tier); it simply is not shared.
@@ -252,22 +274,16 @@ func (sr *sessionRun) publish(trace uint64) {
 // It reports whether the session now holds (or already held) a shared-tier
 // ref for the identity — i.e. the shared tier has the trace.
 func (sr *sessionRun) tryAdopt(local uint16, head uint64, size uint32) bool {
-	gmod, ok := sr.globalModule(local)
-	if !ok {
+	m, st := sr.ident(local, head)
+	if st == nil {
 		return false
 	}
-	key := identKey{module: gmod, head: head}
-	st := sr.idents[key]
-	if st != nil && st.adopted {
+	if st.adopted {
 		return true
 	}
-	gid, ok := sr.adopt(gmod, head, uint64(size))
+	gid, ok := sr.adopt(m, head, uint64(size))
 	if !ok {
 		return false
-	}
-	if st == nil {
-		st = &identState{}
-		sr.idents[key] = st
 	}
 	st.gid = gid
 	st.adopted = true
@@ -350,27 +366,24 @@ func (sr *sessionRun) Regenerated(trace uint64, size uint32, module uint16, head
 	if sr.led == nil {
 		return
 	}
-	gmod, ok := sr.globalModule(module)
-	if !ok {
-		return
-	}
-	if st := sr.idents[identKey{module: gmod, head: head}]; st != nil && st.gid != 0 {
+	if _, st := sr.ident(module, head); st != nil && st.gid != 0 {
 		sr.led.ReclassifyLastMiss(trace, obs.ReasonAdoptionMiss)
 	}
 }
 
 // Unmapped releases the session's shared-tier references under the module.
+// A module the session holds nothing under needs no call into the tier:
+// the unmap would find no reference of the session's to drop.
 func (sr *sessionRun) Unmapped(module uint16) {
-	if ok, seen := sr.gmodOK[module]; seen && ok {
-		gmod := sr.gmods[module]
-		sr.unmap(gmod)
-		// The refs under this module are gone; a reloaded module may
-		// re-adopt, so the identities forget their held state.
-		for key, st := range sr.idents {
-			if key.module == gmod {
-				st.adopted = false
-			}
-		}
+	if int(module) >= len(sr.mods) || !sr.mods[module].held {
+		return
+	}
+	m := &sr.mods[module]
+	sr.unmap(m)
+	// The refs under this module are gone; a reloaded module may re-adopt,
+	// so its identities forget their held state.
+	for _, st := range m.idents {
+		st.adopted = false
 	}
 }
 
@@ -379,60 +392,57 @@ func (sr *sessionRun) Unmapped(module uint16) {
 // never collides with a session.
 const keepWarmOwner = 0
 
-// adopt attaches the session to the trace published for a code identity,
-// if one is resident and its size matches: a size mismatch means a
-// different build of the module, not the same code, so not shareable. It
-// returns the adopted trace's ID.
-func (sr *sessionRun) adopt(gmod uint16, head, size uint64) (uint64, bool) {
-	sp := sr.srv.sp
-	f, ok := sp.ResidentFragment(gmod, head)
-	if !ok || f.Size != size || !sp.Attach(sr.id, f.ID) {
-		return 0, false
+// adopt attaches the session to the trace published for a code identity in
+// module m, if one is resident and its size matches (SharedPersistent.Adopt,
+// one call into the tier). It returns the adopted trace's ID.
+func (sr *sessionRun) adopt(m *sessionModule, head, size uint64) (uint64, bool) {
+	id, ok := sr.srv.sp.Adopt(sr.id, m.gmod, head, size)
+	if ok {
+		m.held = true
 	}
-	sr.held[gmod] = struct{}{}
-	return f.ID, true
+	return id, ok
 }
 
-// promote publishes a trace into the shared tier, owned by the session. id
-// is the trace's ID from an earlier promote or adopt of the same code, so a
-// re-promotion after an eviction keeps its identity, or 0 to allocate one
-// (before the tier decides: a refused trace still spends it). With KeepWarm
-// the server takes its own reference too, and the trace outlives the
-// session. A non-nil error means the trace cannot live in the tier.
-func (sr *sessionRun) promote(id uint64, gmod uint16, head, size uint64) (uint64, error) {
+// promote publishes a trace of module m into the shared tier, owned by the
+// session, in one call into the tier. id is the trace's ID from an earlier
+// promote or adopt of the same code, so a re-promotion after an eviction
+// keeps its identity, or 0 to allocate one (before the tier decides: a
+// refused trace still spends it). With KeepWarm the server's own reference
+// is taken in the same call, and the trace outlives the session. A non-nil
+// error means the trace cannot live in the tier.
+func (sr *sessionRun) promote(m *sessionModule, id, head, size uint64) (uint64, error) {
 	if id == 0 {
 		id = sr.srv.traceIDs.Add(1)
 	}
-	sp := sr.srv.sp
-	if err := sp.Promote(sr.id, codecache.Fragment{ID: id, Size: size, Module: gmod, HeadAddr: head}); err != nil {
+	f := codecache.Fragment{ID: id, Size: size, Module: m.gmod, HeadAddr: head}
+	if err := sr.srv.sp.Promote(sr.id, f, sr.srv.warmOwners...); err != nil {
 		return id, err
 	}
-	if sr.srv.cfg.KeepWarm {
-		sp.AttachWarm(keepWarmOwner, id)
-	}
-	sr.held[gmod] = struct{}{}
+	m.held = true
 	return id, nil
 }
 
-// unmap releases the session's references under one module: its workload
+// unmap releases the session's references under module m: its workload
 // unloaded the module. Owner-aware: traces another session or the keep-warm
 // owner still holds stay resident; traces whose last owner left drain.
-func (sr *sessionRun) unmap(gmod uint16) {
-	delete(sr.held, gmod)
-	sr.srv.sp.UnmapModule(sr.id, gmod)
+func (sr *sessionRun) unmap(m *sessionModule) {
+	m.held = false
+	sr.srv.sp.UnmapModule(sr.id, m.gmod)
 }
 
 // close is the session's drain: it releases every module the session still
-// holds, owner-aware, in ascending module order, so a session's teardown
-// drains deterministically whatever its peers do. Every session's owner
-// defers it, failed sessions included.
+// holds, owner-aware, in ascending global module order, so a session's
+// teardown drains deterministically whatever its peers do. Every session's
+// owner defers it, failed sessions included.
 func (sr *sessionRun) close() {
-	mods := make([]uint16, 0, len(sr.held))
-	for m := range sr.held {
-		mods = append(mods, m)
+	var held []*sessionModule
+	for i := range sr.mods {
+		if sr.mods[i].held {
+			held = append(held, &sr.mods[i])
+		}
 	}
-	slices.Sort(mods)
-	for _, m := range mods {
+	slices.SortFunc(held, func(a, b *sessionModule) int { return cmp.Compare(a.gmod, b.gmod) })
+	for _, m := range held {
 		sr.unmap(m)
 	}
 }

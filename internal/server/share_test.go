@@ -9,7 +9,8 @@ import (
 
 // TestSessionShare drives sessions' shares of the shared tier (adopt,
 // promote, unmap, close) directly against srv.Shared(), with KeepWarm off
-// and on. Module m names the code identity (m, m<<8). After every step, the
+// and on. Module m names the code identity (m, m<<8), m being log-local
+// and mapped through the session's module table. After every step, the
 // trace published for the step's module must have the step's owner count
 // for that KeepWarm setting, 0 meaning it is gone from the tier. A promote
 // or adopt must succeed, returning the step's trace ID, exactly when that
@@ -78,17 +79,18 @@ func TestSessionShare(t *testing.T) {
 			gids := make(map[uint16]uint64)
 			for i, st := range tc.steps {
 				sr := sessions[st.sess]
+				m := sr.module(st.mod)
 				head := uint64(st.mod) << 8
 				var id uint64
 				ok := false
 				switch st.op {
 				case "promote":
-					id, err = sr.promote(gids[st.mod], st.mod, head, st.size)
+					id, err = sr.promote(m, gids[st.mod], head, st.size)
 					ok = err == nil
 				case "adopt":
-					id, ok = sr.adopt(st.mod, head, st.size)
+					id, ok = sr.adopt(m, head, st.size)
 				case "unmap":
-					sr.unmap(st.mod)
+					sr.unmap(m)
 				case "close":
 					sr.close()
 				}
@@ -113,15 +115,22 @@ func TestSessionShare(t *testing.T) {
 		}
 	}
 
-	// A session's close drains its modules in ascending module order,
-	// whatever order it took them in.
+	// A session's close drains its modules in ascending global module
+	// order, whatever order it took them in. Global IDs are handed out in
+	// order of first sight, so local modules 3, 1, 4, 2 map to globals 1-4:
+	// the session's local order would drain globals 2, 4, 1, 3.
 	srv, err := New(Config{SharedCapacity: 1 << 20, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sr := newSessionRun(srv)
-	for _, m := range []uint16{3, 1, 4, 2} {
-		if _, err := sr.promote(0, m, uint64(m)<<8, 64); err != nil {
+	for i, m := range []uint16{3, 1, 4, 2} {
+		if g := sr.module(m).gmod; g != uint16(i+1) {
+			t.Fatalf("local module %d maps to global %d, want %d", m, g, i+1)
+		}
+	}
+	for _, m := range []uint16{2, 4, 1, 3} {
+		if _, err := sr.promote(sr.module(m), 0, uint64(m)<<8, 64); err != nil {
 			t.Fatal(err)
 		}
 	}

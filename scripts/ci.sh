@@ -47,6 +47,10 @@ go test ./internal/workload -run '^$' -fuzz FuzzStepCuts -fuzztime 10s
 # fit, the recency-list LRU and the resumable TRRIP search to the same
 # victims, errors and layout as the straightforward reference versions.
 go test ./internal/policy -run '^$' -fuzz FuzzPolicyOps -fuzztime 10s
+# Shared-tier fuzz: every op sequence over a small shared tier must keep its
+# invariants, module index included, and every module unmap must drain what
+# the full-tier scan drains, in address order, one unmap event each.
+go test ./internal/core -run '^$' -fuzz FuzzSharedOps -fuzztime 10s
 # Attribution endpoint fuzz: a short run over the /v1/attrib query parser —
 # seeds the corpus, catches panics and half-validated filters.
 go test ./internal/server -run '^$' -fuzz FuzzAttribQuery -fuzztime 10s
