@@ -280,7 +280,7 @@ func runShared(benchmark string, events []tracelog.Event, spec core.GraphSpec, p
 	if err != nil {
 		return err
 	}
-	sh, err := sim.ReplayShared(benchmark, events, spec, costmodel.DefaultModel, procs, stagger, dump.forConfig("shared"))
+	sh, err := sim.ReplayShared(benchmark, events, spec, procs, stagger, dump.forConfig("shared"))
 	if err != nil {
 		return err
 	}
@@ -321,6 +321,8 @@ type eventDumper struct {
 	enc *json.Encoder
 }
 
+// eventRecord is api.FromObs's mapping of an event, tagged with its
+// configuration and in ccsim's own field order.
 type eventRecord struct {
 	Config string `json:"config"`
 	Kind   string `json:"kind"`
@@ -343,21 +345,9 @@ func (d *eventDumper) forConfig(config string) obs.Observer {
 		return nil
 	}
 	return obs.Func(func(e obs.Event) {
-		rec := eventRecord{Config: config, Kind: e.Kind.String(), Proc: e.Proc, Trace: e.Trace, Size: e.Size, Module: e.Module}
-		switch e.Kind {
-		case obs.KindEvict, obs.KindUnmap, obs.KindResize:
-			rec.From = e.From.String()
-		case obs.KindInsert:
-			rec.To = e.To.String()
-		case obs.KindPromote:
-			rec.From, rec.To = e.From.String(), e.To.String()
-		case obs.KindProgress:
-			rec.Done, rec.Total = e.Done, e.Total
-		case obs.KindPolicySwitch:
-			rec.From, rec.Policy = e.From.String(), e.Policy
-		case obs.KindRegenerate:
-			rec.From, rec.Reason = e.From.String(), e.Reason.String()
-		}
+		w := api.FromObs(e)
+		rec := eventRecord{Config: config, Kind: w.Kind, Proc: w.Proc, Trace: w.Trace, Size: w.Size, Module: w.Module,
+			From: w.From, To: w.To, Done: w.Done, Total: w.Total, Policy: w.Policy, Reason: w.Reason}
 		if err := d.enc.Encode(rec); err != nil {
 			fatal(err)
 		}

@@ -29,15 +29,14 @@
 // making the old death/unmap double-attribution unrepresentable.
 package attrib
 
-import "repro/internal/obs"
+import (
+	"repro/internal/idtab"
+	"repro/internal/obs"
+)
 
 // DefaultEpoch is the attribution epoch length in accesses: the granularity
 // of per-epoch cells and the unit of the premature-demotion re-heat window.
 const DefaultEpoch = 4096
-
-// maxDense bounds the dense per-trace record table; IDs above it spill to a
-// map (mirrors the replay simulator's dense/spill split).
-const maxDense = 1 << 22
 
 // Config parameterizes a Ledger.
 type Config struct {
@@ -88,6 +87,7 @@ type rec struct {
 	state        uint8
 	deadByUnmap  bool
 	everPromoted bool
+	known        bool // the identity has a record; a zero rec is no record
 	deathLevel   int16
 	unmapStamp   uint32
 	size         uint32
@@ -127,9 +127,7 @@ type Ledger struct {
 
 	clock uint64
 
-	dense     []rec
-	seenWords []uint64 // occupancy bitmap over dense slots
-	spill     map[uint64]*rec
+	recs idtab.Table[rec]
 
 	// unmapGen counts module unmaps; death records stamp their module's
 	// generation so a later unmap supersedes an unclaimed capacity death.
@@ -165,7 +163,6 @@ func New(cfg Config) *Ledger {
 		reheatWin: cfg.ReheatEpochs * cfg.Epoch,
 		first:     obs.LevelUnified,
 		final:     obs.LevelUnified,
-		spill:     make(map[uint64]*rec),
 	}
 	if !cfg.Light {
 		l.cells = make(map[Key]uint64)
@@ -209,53 +206,22 @@ func (l *Ledger) gen(module uint16) uint32 {
 
 // ref returns the record for id, or nil if the identity is unknown.
 func (l *Ledger) ref(id uint64) *rec {
-	if id < maxDense {
-		if id < uint64(len(l.dense)) && l.seen(id) {
-			return &l.dense[id]
-		}
-		return nil
+	if r := l.recs.At(id); r != nil && r.known {
+		return r
 	}
-	return l.spill[id]
+	return nil
 }
 
 // ensure returns the record for id, creating it when the identity is new;
-// fresh reports creation. Dense growth is amortized (append doubling), so
-// steady-state ensure on a known identity allocates nothing.
+// fresh reports creation. Steady-state ensure on a known identity allocates
+// nothing.
 func (l *Ledger) ensure(id uint64) (r *rec, fresh bool) {
-	if id < maxDense {
-		for uint64(len(l.dense)) <= id {
-			l.dense = append(l.dense, rec{})
-		}
-		r = &l.dense[id]
-		if l.seen(id) {
-			return r, false
-		}
-		l.markSeen(id)
-		*r = rec{deathLevel: int16(obs.LevelNone)}
-		return r, true
-	}
-	if r = l.spill[id]; r != nil {
+	r = l.recs.Ref(id)
+	if r.known {
 		return r, false
 	}
-	r = &rec{deathLevel: int16(obs.LevelNone)}
-	l.spill[id] = r
+	*r = rec{known: true, deathLevel: int16(obs.LevelNone)}
 	return r, true
-}
-
-func (l *Ledger) seen(id uint64) bool {
-	w := id >> 6
-	if w >= uint64(len(l.seenWords)) {
-		return false
-	}
-	return l.seenWords[w]&(1<<(id&63)) != 0
-}
-
-func (l *Ledger) markSeen(id uint64) {
-	w := id >> 6
-	for uint64(len(l.seenWords)) <= w {
-		l.seenWords = append(l.seenWords, 0)
-	}
-	l.seenWords[w] |= 1 << (id & 63)
 }
 
 // Register records a trace identity ahead of (or instead of) its first

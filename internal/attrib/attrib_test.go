@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/idtab"
 	"repro/internal/obs"
 )
 
@@ -45,7 +46,7 @@ func applyOps(l *Ledger, ops []op) {
 
 // refTrace is the brute-force model's per-trace state: a direct, obvious
 // transcription of the taxonomy in the package comment, with none of the
-// ledger's dense/spill/bitmap machinery.
+// ledger's per-trace-ID table.
 type refTrace struct {
 	module     uint16
 	state      uint8 // 0 compiled, 1 resident, 2 dead
@@ -155,7 +156,7 @@ func genOps(seed int64, n int) []op {
 	for i := 0; i < n; i++ {
 		id := uint64(rng.Intn(64))
 		if rng.Intn(20) == 0 {
-			id += maxDense // exercise the spill map
+			id += idtab.Dense // exercise the table's map
 		}
 		module := uint16(rng.Intn(4))
 		switch rng.Intn(10) {

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/idtab"
 	"repro/internal/obs"
 )
 
@@ -70,12 +71,6 @@ type node struct {
 	maxRun          uint64
 }
 
-// maxDenseID bounds the dense fragment-ID index. Trace IDs are assigned
-// sequentially by the engine, so in practice every ID lands in the dense
-// slice; IDs at or above the bound spill into a map so arbitrary IDs still
-// work.
-const maxDenseID = 1 << 21
-
 // Arena is a single code cache. It is not safe for concurrent use; the
 // dynamic optimizer serializes cache operations per thread, as DynamoRIO
 // does.
@@ -88,10 +83,8 @@ type Arena struct {
 	head     *node
 	cursor   *node // pseudo-circular insertion/eviction point
 
-	// byID is the dense fragment index (IDs below maxDenseID, i.e. all of
-	// them in practice); spill holds the rest. count tracks residents.
-	byID  []*node
-	spill map[uint64]*node
+	// byID indexes the resident nodes by fragment ID; count tracks residents.
+	byID  idtab.Table[*node]
 	count int
 
 	used  uint64
@@ -129,54 +122,17 @@ func New(capacity uint64) *Arena {
 }
 
 // lookupNode returns the resident node for an ID, or nil.
-func (a *Arena) lookupNode(id uint64) *node {
-	if id < uint64(len(a.byID)) {
-		return a.byID[id]
-	}
-	return a.spill[id]
-}
+func (a *Arena) lookupNode(id uint64) *node { return a.byID.Get(id) }
 
 // indexNode records n as the resident node for an ID.
 func (a *Arena) indexNode(id uint64, n *node) {
-	if id < maxDenseID {
-		if id >= uint64(len(a.byID)) {
-			grown := make([]*node, growTo(len(a.byID), id))
-			copy(grown, a.byID)
-			a.byID = grown
-		}
-		a.byID[id] = n
-	} else {
-		if a.spill == nil {
-			a.spill = make(map[uint64]*node)
-		}
-		a.spill[id] = n
-	}
+	a.byID.Set(id, n)
 	a.count++
-}
-
-// growTo picks the new dense-index length for an ID: doubling, clamped to
-// the dense bound, and at least id+1.
-func growTo(cur int, id uint64) int {
-	n := cur * 2
-	if n < 64 {
-		n = 64
-	}
-	if uint64(n) <= id {
-		n = int(id) + 1
-	}
-	if n > maxDenseID {
-		n = maxDenseID
-	}
-	return n
 }
 
 // unindexNode forgets the resident node for an ID.
 func (a *Arena) unindexNode(id uint64) {
-	if id < uint64(len(a.byID)) {
-		a.byID[id] = nil
-	} else {
-		delete(a.spill, id)
-	}
+	a.byID.Delete(id)
 	a.count--
 }
 
@@ -241,16 +197,7 @@ func (a *Arena) Offset(id uint64) (uint64, bool) {
 // This is the dispatcher's steady-state path: for the sequentially assigned
 // IDs the engine produces, it is one bounds check and one slice load.
 func (a *Arena) Access(id uint64) bool {
-	if id < uint64(len(a.byID)) {
-		if n := a.byID[id]; n != nil {
-			a.clock++
-			n.frag.AccessCount++
-			n.frag.LastAccess = a.clock
-			return true
-		}
-		return false
-	}
-	n := a.spill[id]
+	n := a.byID.Get(id)
 	if n == nil {
 		return false
 	}
@@ -263,20 +210,14 @@ func (a *Arena) Access(id uint64) bool {
 // AccessRun records hits for the longest leading prefix of ids resident in
 // this arena and returns its length, bumping the clock and the per-fragment
 // bookkeeping exactly as that many Access calls would. The first id not
-// resident here (dense or spilled) ends the prefix unprocessed — the caller
-// decides where that id lives. Batching the run keeps the clock and the
-// dense index in registers across the whole prefix.
+// resident here ends the prefix unprocessed — the caller decides where that
+// id lives. Batching the run keeps the clock in a register across the whole
+// prefix.
 func (a *Arena) AccessRun(ids []uint64) int {
-	byID := a.byID
 	clock := a.clock
 	done := 0
 	for _, id := range ids {
-		var n *node
-		if id < uint64(len(byID)) {
-			n = byID[id]
-		} else {
-			n = a.spill[id]
-		}
+		n := a.byID.Get(id)
 		if n == nil {
 			break
 		}
@@ -771,12 +712,12 @@ func (a *Arena) CheckInvariants() error {
 	if used != a.used {
 		return fmt.Errorf("codecache: used %d, accounted %d", a.used, used)
 	}
-	indexed := len(a.spill)
-	for _, n := range a.byID {
+	indexed := 0
+	a.byID.Each(func(_ uint64, n *node) {
 		if n != nil {
 			indexed++
 		}
-	}
+	})
 	if indexed != a.count {
 		return fmt.Errorf("codecache: index has %d entries, count says %d", indexed, a.count)
 	}

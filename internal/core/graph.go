@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/attrib"
 	"repro/internal/codecache"
+	"repro/internal/idtab"
 	"repro/internal/obs"
 	"repro/internal/policy"
 )
@@ -238,12 +239,12 @@ type Graph struct {
 	sel        *policySelector
 	led        *attrib.Ledger
 
-	// hint caches the tier index that last hit for each trace ID (dense, like
-	// the arena's fragment index). It is purely an ordering hint for
-	// AccessRun's tier probe: arena probes that miss are side-effect-free, so
-	// a stale entry costs one wasted probe and nothing else. The zero value
-	// (tier 0) reproduces the plain Access probe order.
-	hint []uint8
+	// hint caches the tier index that last hit for each trace ID. It is
+	// purely an ordering hint for AccessRun's tier probe: arena probes that
+	// miss are side-effect-free, so a stale entry costs one wasted probe and
+	// nothing else. The zero value (tier 0) reproduces the plain Access probe
+	// order.
+	hint idtab.Table[uint8]
 }
 
 // NewGraph builds a private tier graph from the specification. Lifecycle
@@ -618,30 +619,8 @@ func (g *Graph) noteMiss(id uint64) {
 	}
 }
 
-// hintDenseLimit bounds the tier-hint index, mirroring the arena's dense
-// fragment index: sequentially assigned trace IDs all land below it, and
-// arbitrary IDs simply go unhinted (probed in tier order).
-const hintDenseLimit = 1 << 21
-
 // noteHint remembers which tier a trace last hit in.
-func (g *Graph) noteHint(id uint64, tier int) {
-	if id >= uint64(len(g.hint)) {
-		if id >= hintDenseLimit {
-			return
-		}
-		n := len(g.hint) * 2
-		if n < 64 {
-			n = 64
-		}
-		if uint64(n) <= id {
-			n = int(id) + 1
-		}
-		grown := make([]uint8, n)
-		copy(grown, g.hint)
-		g.hint = grown
-	}
-	g.hint[id] = uint8(tier)
-}
+func (g *Graph) noteHint(id uint64, tier int) { g.hint.Set(id, uint8(tier)) }
 
 // AccessRun is the batched form of Access, for the replay kernel
 // (sim.StepBlock): it processes the longest leading prefix of ids that hit,
@@ -661,10 +640,7 @@ func (g *Graph) AccessRun(ids []uint64) int {
 	done := 0
 	for done < len(ids) {
 		id := ids[done]
-		hi := 0
-		if id < uint64(len(g.hint)) {
-			hi = int(g.hint[id])
-		}
+		hi := int(g.hint.Get(id))
 		t := tiers[hi]
 		if t.noopAccess && !t.promoteOnAccess {
 			// Pure tier — a hit carries no per-hit policy or promotion work,

@@ -102,7 +102,7 @@ func TestReplayMatrixSkipRules(t *testing.T) {
 		t.Fatalf("hits baseline: %+v, %v; want accesses and no misses", u, err)
 	}
 	capacity := misses.MaxTraceBytes() / 2
-	cmp, err := sim.Compare("misses", misses.Events, core.Layout451045Threshold1(capacity), costmodel.DefaultModel)
+	cmp, err := sim.Compare("misses", misses.Events, core.Layout451045Threshold1(capacity))
 	if err != nil {
 		t.Fatal(err)
 	}

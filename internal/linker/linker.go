@@ -12,6 +12,8 @@
 // been linked away and how much unlink work each eviction implies.
 package linker
 
+import "repro/internal/idtab"
+
 // Link is one patched exit: trace From jumps directly to trace To.
 type Link struct {
 	From, To uint64
@@ -32,17 +34,13 @@ type Table struct {
 	live  int
 	stats Stats
 
-	// lastTo caches, per from-trace (dense by the engine's sequential IDs),
-	// the target of its most recently created outgoing link. A hot trace's
-	// exit almost always re-links to the same successor, so the dispatcher's
-	// per-entry Link call usually resolves with one slice load instead of
-	// two map lookups. Entries are cleared when the cached link is severed.
-	lastTo []uint64
+	// lastTo caches, per from-trace, the target of its most recently created
+	// outgoing link. A hot trace's exit almost always re-links to the same
+	// successor, so the dispatcher's per-entry Link call usually resolves
+	// with one slice load instead of two map lookups. Entries are cleared
+	// when the cached link is severed.
+	lastTo idtab.Table[uint64]
 }
-
-// maxDenseLink bounds the lastTo cache; links between traces with larger IDs
-// just skip the cache.
-const maxDenseLink = 1 << 21
 
 // New returns an empty link table.
 func New() *Table {
@@ -52,25 +50,6 @@ func New() *Table {
 	}
 }
 
-func (t *Table) cacheSet(from, to uint64) {
-	if from >= maxDenseLink {
-		return
-	}
-	if from >= uint64(len(t.lastTo)) {
-		n := len(t.lastTo) * 2
-		if n < 64 {
-			n = 64
-		}
-		if uint64(n) <= from {
-			n = int(from) + 1
-		}
-		grown := make([]uint64, n)
-		copy(grown, t.lastTo)
-		t.lastTo = grown
-	}
-	t.lastTo[from] = to
-}
-
 // Link records a direct link from one trace to another. Self-links (a
 // trace's back edge to its own head) are the trace's own business and are
 // ignored. It reports whether a new link was created.
@@ -78,11 +57,11 @@ func (t *Table) Link(from, to uint64) bool {
 	if from == to || from == 0 || to == 0 {
 		return false
 	}
-	if from < uint64(len(t.lastTo)) && t.lastTo[from] == to {
+	if t.lastTo.Get(from) == to {
 		return false // cached: link already live
 	}
 	if t.out[from][to] {
-		t.cacheSet(from, to)
+		t.lastTo.Set(from, to)
 		return false
 	}
 	if t.out[from] == nil {
@@ -93,7 +72,7 @@ func (t *Table) Link(from, to uint64) bool {
 	}
 	t.out[from][to] = true
 	t.in[to][from] = true
-	t.cacheSet(from, to)
+	t.lastTo.Set(from, to)
 	t.live++
 	t.stats.Created++
 	if t.live > t.stats.MaxLinks {
@@ -126,8 +105,8 @@ func (t *Table) Unlink(id uint64) int {
 		if len(t.out[from]) == 0 {
 			delete(t.out, from)
 		}
-		if from < uint64(len(t.lastTo)) && t.lastTo[from] == id {
-			t.lastTo[from] = 0
+		if t.lastTo.Get(from) == id {
+			t.lastTo.Delete(from)
 		}
 		removed++
 	}
@@ -140,9 +119,7 @@ func (t *Table) Unlink(id uint64) int {
 		removed++
 	}
 	delete(t.out, id)
-	if id < uint64(len(t.lastTo)) {
-		t.lastTo[id] = 0
-	}
+	t.lastTo.Delete(id)
 	if removed > 0 {
 		t.live -= removed
 		t.stats.Removed += uint64(removed)
@@ -170,12 +147,13 @@ func (t *Table) CheckInvariants() error {
 	if count != inCount || count != t.live {
 		return errCount(count, inCount, t.live)
 	}
-	for from, to := range t.lastTo {
-		if to != 0 && !t.out[uint64(from)][to] {
-			return linkError("linker: lastTo cache names a dead link")
+	var err error
+	t.lastTo.Each(func(from, to uint64) {
+		if to != 0 && !t.out[from][to] {
+			err = linkError("linker: lastTo cache names a dead link")
 		}
-	}
-	return nil
+	})
+	return err
 }
 
 type linkError string

@@ -12,6 +12,7 @@ import (
 	"slices"
 
 	"repro/internal/codecache"
+	"repro/internal/idtab"
 )
 
 // Local is a replacement policy for one code-cache arena. Implementations
@@ -68,9 +69,8 @@ func (PseudoCircular) OnAccess(*codecache.Arena, uint64) {}
 // accesses an LRU tier's arena then calls OnAccess, so the list orders the
 // residents exactly by LastAccess.
 type LRU struct {
-	// links is the dense table (IDs below denseIDs); spill holds the rest.
-	links []lruLink
-	spill map[uint64]*lruLink
+	// links holds each listed trace's place in the list, by trace ID.
+	links idtab.Table[lruLink]
 
 	// oldest and newest are the list's ends; n counts linked entries.
 	oldest, newest uint64
@@ -89,41 +89,16 @@ func NewLRU() *LRU { return &LRU{} }
 // Name implements Local.
 func (l *LRU) Name() string { return "lru" }
 
-// entry returns the list entry for an ID, growing the table on demand.
-func (l *LRU) entry(id uint64) *lruLink {
-	if id < uint64(len(l.links)) {
-		return &l.links[id]
-	}
-	return l.grow(id)
-}
-
-// grow is entry's slow path, for an ID past the dense table's length.
-func (l *LRU) grow(id uint64) *lruLink {
-	if id < denseIDs {
-		l.links = growDense(l.links, id)
-		return &l.links[id]
-	}
-	e := l.spill[id]
-	if e == nil {
-		if l.spill == nil {
-			l.spill = make(map[uint64]*lruLink)
-		}
-		e = &lruLink{}
-		l.spill[id] = e
-	}
-	return e
-}
-
 // push links id at the newest end, first unlinking it if it is listed.
 func (l *LRU) push(id uint64) {
-	e := l.entry(id)
+	e := l.links.Ref(id)
 	if e.linked {
 		l.unlink(id, e)
 	}
 	if l.n == 0 {
 		l.oldest = id
 	} else {
-		l.entry(l.newest).next = id
+		l.links.Ref(l.newest).next = id
 		e.prev = l.newest
 	}
 	l.newest = id
@@ -136,12 +111,12 @@ func (l *LRU) unlink(id uint64, e *lruLink) {
 	if id == l.oldest {
 		l.oldest = e.next
 	} else {
-		l.entry(e.prev).next = e.next
+		l.links.Ref(e.prev).next = e.next
 	}
 	if id == l.newest {
 		l.newest = e.prev
 	} else {
-		l.entry(e.next).prev = e.prev
+		l.links.Ref(e.next).prev = e.prev
 	}
 	e.linked = false
 	l.n--
@@ -186,7 +161,7 @@ func (l *LRU) Insert(a *codecache.Arena, f codecache.Fragment, onEvict func(code
 func (l *LRU) victim(a *codecache.Arena) (uint64, bool) {
 	id := l.oldest
 	for left := l.n; left > 0; left-- {
-		e := l.entry(id)
+		e := l.links.Ref(id)
 		next := e.next
 		f, ok := a.Lookup(id)
 		switch {
@@ -201,13 +176,11 @@ func (l *LRU) victim(a *codecache.Arena) (uint64, bool) {
 	return 0, false
 }
 
-// drop unlinks id for good; a spilled ID's entry leaves the map too, so the
-// map holds only listed traces.
+// drop unlinks id for good and deletes its entry, so the table's map holds
+// only listed traces.
 func (l *LRU) drop(id uint64, e *lruLink) {
 	l.unlink(id, e)
-	if id >= denseIDs {
-		delete(l.spill, id)
-	}
+	l.links.Delete(id)
 }
 
 // evictor is a policy that picks its own victims for insertEvicting.
@@ -238,30 +211,6 @@ func insertEvicting(a *codecache.Arena, f codecache.Fragment, onEvict func(codec
 		}
 	}
 	return a.PlaceFirstFit(f)
-}
-
-// denseIDs bounds the policies' dense per-trace tables, mirroring the
-// arena's dense fragment index: trace IDs are assigned sequentially, so in
-// practice every ID lands in the table, and IDs at or past the bound spill
-// into a map.
-const denseIDs = 1 << 21
-
-// growDense returns a copy of s long enough to index id (which must be
-// below denseIDs): doubling, at least 64 entries, clamped to the bound.
-func growDense[T any](s []T, id uint64) []T {
-	n := len(s) * 2
-	if n < 64 {
-		n = 64
-	}
-	if uint64(n) <= id {
-		n = int(id) + 1
-	}
-	if n > denseIDs {
-		n = denseIDs
-	}
-	grown := make([]T, n)
-	copy(grown, s)
-	return grown
 }
 
 // FlushWhenFull deletes every deletable fragment when an insertion fails,

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/codecache"
+	"repro/internal/idtab"
 )
 
 // This file keeps the straightforward implementations the indexed first
@@ -353,11 +354,11 @@ const (
 )
 
 // fuzzID maps an operand to a trace ID: 1..fuzzIDs, with the top eight
-// moved past denseIDs so the per-ID tables' spill maps are exercised too.
+// moved past idtab.Dense so the per-ID tables' maps are exercised too.
 func fuzzID(x byte) uint64 {
 	id := 1 + uint64(x)%fuzzIDs
 	if id > fuzzIDs-8 {
-		id += denseIDs
+		id += idtab.Dense
 	}
 	return id
 }

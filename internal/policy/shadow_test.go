@@ -5,7 +5,16 @@ import (
 	"testing"
 
 	"repro/internal/codecache"
+	"repro/internal/idtab"
 )
+
+// tableLen counts the entries a table holds: its slice slots and its map
+// entries.
+func tableLen(t *idtab.Table[lruLink]) int {
+	n := 0
+	t.Each(func(uint64, lruLink) { n++ })
+	return n
+}
 
 // TestLRUBookkeepingStaysBounded: LRU bookkeeping is one list entry per
 // trace ID, however many hits there are. Churn a handful of residents hard,
@@ -16,15 +25,15 @@ func TestLRUBookkeepingStaysBounded(t *testing.T) {
 	l := NewLRU()
 	a := codecache.New(1000)
 	insertN(t, l, a, []uint64{1, 2, 3, 4, 5}, 100)
-	table := len(l.links)
+	table := tableLen(&l.links)
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 10000; i++ {
 		id := uint64(1 + rng.Intn(5))
 		a.Access(id)
 		l.OnAccess(a, id)
-		if l.n != a.Len() || len(l.links) != table {
+		if l.n != a.Len() || tableLen(&l.links) != table {
 			t.Fatalf("after %d accesses: %d list entries, %d-entry table, for %d residents (table was %d)",
-				i+1, l.n, len(l.links), a.Len(), table)
+				i+1, l.n, tableLen(&l.links), a.Len(), table)
 		}
 	}
 	// The bound must survive evictions too: fill the cache so victims leave,
@@ -34,15 +43,15 @@ func TestLRUBookkeepingStaysBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	table = len(l.links)
+	table = tableLen(&l.links)
 	for i := 0; i < 10000; i++ {
 		id := uint64(10 + rng.Intn(10))
 		if a.Access(id) {
 			l.OnAccess(a, id)
 		}
-		if l.n != a.Len() || len(l.links) != table {
+		if l.n != a.Len() || tableLen(&l.links) != table {
 			t.Fatalf("post-eviction churn %d: %d list entries, %d-entry table, for %d residents (table was %d)",
-				i+1, l.n, len(l.links), a.Len(), table)
+				i+1, l.n, tableLen(&l.links), a.Len(), table)
 		}
 	}
 	// The next victim is the LRU resident.
@@ -61,6 +70,17 @@ func TestLRUBookkeepingStaysBounded(t *testing.T) {
 		}
 	} else {
 		t.Fatal("no victim in a full cache")
+	}
+	// IDs past idtab.Dense live in the table's map, and an evicted one must
+	// leave it: the map holds only listed traces.
+	l, a = NewLRU(), codecache.New(1000)
+	for id := uint64(idtab.Dense); id < idtab.Dense+40; id++ {
+		if err := l.Insert(a, codecache.Fragment{ID: id, Size: 100}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := tableLen(&l.links); n != a.Len() {
+		t.Errorf("spilled IDs: %d table entries for %d residents", n, a.Len())
 	}
 }
 

@@ -1,6 +1,9 @@
 package policy
 
-import "repro/internal/codecache"
+import (
+	"repro/internal/codecache"
+	"repro/internal/idtab"
+)
 
 // TRRIP is a trace-cache adaptation of re-reference interval prediction
 // (SRRIP with temperature-seeded insertion). Every resident trace carries a
@@ -24,15 +27,13 @@ type TRRIP struct {
 
 	spec string
 
-	// rrpv is the dense prediction table, indexed by fragment ID (trace IDs
-	// are assigned sequentially); spill holds IDs past the dense bound. Only
-	// entries for resident fragments are meaningful. Entries are stored
-	// relative to bias, so aging every evictable resident by k is bias += k
-	// plus restoring the residents aging skips. The uint8 arithmetic wraps,
-	// which is exact because every resident's RRPV stays within [0, Max].
-	rrpv  []uint8
-	spill map[uint64]uint8
-	bias  uint8
+	// rrpv is the prediction table, by fragment ID. Only entries for
+	// resident fragments are meaningful. Entries are stored relative to
+	// bias, so aging every evictable resident by k is bias += k plus
+	// restoring the residents aging skips. The uint8 arithmetic wraps, which
+	// is exact because every resident's RRPV stays within [0, Max].
+	rrpv idtab.Table[uint8]
+	bias uint8
 
 	// unaged is the current search's pinned and referenced residents with
 	// their RRPVs: aging leaves them alone.
@@ -83,28 +84,10 @@ type trripEntry struct {
 }
 
 // get returns the RRPV recorded for a resident.
-func (t *TRRIP) get(id uint64) uint8 {
-	if id < uint64(len(t.rrpv)) {
-		return t.rrpv[id] + t.bias
-	}
-	return t.spill[id] + t.bias
-}
+func (t *TRRIP) get(id uint64) uint8 { return t.rrpv.Get(id) + t.bias }
 
-// set records the RRPV for an ID, growing the dense table on demand.
-func (t *TRRIP) set(id uint64, v uint8) {
-	v -= t.bias
-	if id < denseIDs {
-		if id >= uint64(len(t.rrpv)) {
-			t.rrpv = growDense(t.rrpv, id)
-		}
-		t.rrpv[id] = v
-		return
-	}
-	if t.spill == nil {
-		t.spill = make(map[uint64]uint8)
-	}
-	t.spill[id] = v
-}
+// set records the RRPV for an ID.
+func (t *TRRIP) set(id uint64, v uint8) { t.rrpv.Set(id, v-t.bias) }
 
 // classify maps a trace's insertion heat to its starting RRPV.
 func (t *TRRIP) classify(f codecache.Fragment) uint8 {

@@ -30,7 +30,6 @@ func TestEventLinesDoNotAllocate(t *testing.T) {
 	defer sr.close()
 	sr.enc = nw
 	sr.acc = costmodel.NewAccum(costmodel.DefaultModel)
-	sr.tally.Proc = sr.id
 
 	events := []obs.Event{
 		{Kind: obs.KindInsert, Trace: 1 << 40, Size: 480, Module: 3, To: obs.LevelNursery, Proc: sr.id},

@@ -12,6 +12,7 @@ package server
 
 import (
 	"bytes"
+	"errors"
 
 	"repro/internal/costmodel"
 	"repro/internal/server/api"
@@ -41,14 +42,14 @@ func (s *Server) ServeSession(cfg SessionConfig, logData []byte) (api.SessionRes
 // the same configuration — the offline ccsim ground truth a served session
 // is verified against. No shared tier, no server: the result's Session and
 // Shared fields are zero, and everything else must match the served result
-// bit-for-bit. A nil model selects costmodel.DefaultModel, the model every
-// served session charges.
+// bit-for-bit. Like every served session, it charges
+// costmodel.DefaultModel: model, kept for perfbench's calls, must be nil or
+// equal to it.
 func OfflineReplay(cfg SessionConfig, model *costmodel.Model, logData []byte) (api.SessionResult, error) {
-	m := costmodel.DefaultModel
-	if model != nil {
-		m = *model
+	if model != nil && *model != costmodel.DefaultModel {
+		return api.SessionResult{}, errors.New("server: a replay charges only costmodel.DefaultModel")
 	}
-	out, _, err := replayLog(cfg, m, bytes.NewReader(logData), nil)
+	out, _, err := replayLog(cfg, bytes.NewReader(logData), nil)
 	return out, err
 }
 

@@ -19,6 +19,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -517,6 +518,56 @@ func TestBadRequests(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest || err != nil || !strings.Contains(e.Error, strconv.Quote(name)) {
 			t.Errorf("%s=1: status %d, error %q (%v); want 400 naming %q", name, resp.StatusCode, e.Error, err, name)
+		}
+	}
+}
+
+// TestSparseTraceIDRefused: a log whose one Create names a trace ID far
+// past the traces registered before it is refused with a 400 naming the ID,
+// in both capacity modes, and the replay refuses it before the ID sizes a
+// per-trace table: an offline replay of it allocates under 8 MiB. The test
+// does not run in parallel, so the allocation count is this test's.
+func TestSparseTraceIDRefused(t *testing.T) {
+	for _, id := range []uint64{1<<21 - 1, 1<<22 - 1} {
+		var buf bytes.Buffer
+		w, err := tracelog.NewWriter(&buf, tracelog.Header{Benchmark: "sparse"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Write(tracelog.Event{Kind: tracelog.KindCreate, Time: 1, Trace: id, Size: 64, Module: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		data := buf.Bytes()
+		named := strconv.FormatUint(id, 10)
+
+		for _, cfg := range []server.SessionConfig{{}, {Attrib: true}} {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := server.OfflineReplay(cfg, nil, data)
+			runtime.ReadMemStats(&after)
+			if err == nil || !strings.Contains(err.Error(), named) {
+				t.Errorf("ID %d, attrib %v: offline replay error %v, want one naming the ID", id, cfg.Attrib, err)
+			}
+			if grew := after.TotalAlloc - before.TotalAlloc; grew >= 8<<20 {
+				t.Errorf("ID %d, attrib %v: offline replay allocated %d bytes", id, cfg.Attrib, grew)
+			}
+		}
+
+		_, c := newTestServer(t, server.Config{})
+		for _, query := range []string{"", "?" + api.ParamCapacity + "=1048576"} {
+			resp, err := http.Post(c.BaseURL+api.SessionsPath+query, "application/octet-stream", bytes.NewReader(data))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var e api.Error
+			err = json.NewDecoder(resp.Body).Decode(&e)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest || err != nil || !strings.Contains(e.Error, named) {
+				t.Errorf("ID %d, query %q: status %d, error %q (%v); want 400 naming the ID", id, query, resp.StatusCode, e.Error, err)
+			}
 		}
 	}
 }

@@ -531,7 +531,7 @@ func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
 // since only it knows how many body bytes the session consumed, and closes
 // the session.
 func (s *Server) serveSession(cfg SessionConfig, sr *sessionRun, body io.Reader) (api.SessionResult, error) {
-	out, snap, err := replayLog(cfg, costmodel.DefaultModel, body, sr)
+	out, snap, err := replayLog(cfg, body, sr)
 	if err != nil {
 		s.recordFailure()
 		return api.SessionResult{}, err
@@ -572,7 +572,7 @@ var accPool = sync.Pool{New: func() any { return new(costmodel.Accum) }}
 // A nil sr replays offline against the private manager alone. The result's
 // Session and Shared fields are left zero; snap is the attribution ledger's
 // snapshot, nil unless cfg.Attrib.
-func replayLog(cfg SessionConfig, model costmodel.Model, body io.Reader, sr *sessionRun) (api.SessionResult, *attrib.Snapshot, error) {
+func replayLog(cfg SessionConfig, body io.Reader, sr *sessionRun) (api.SessionResult, *attrib.Snapshot, error) {
 	// A *bytes.Reader (in-process callers) is a byte source tracelog would
 	// read directly, event by event, having no Peek window; the bufio wrap
 	// gives every source the zero-copy block decode HTTP bodies get.
@@ -613,7 +613,7 @@ func replayLog(cfg SessionConfig, model costmodel.Model, body io.Reader, sr *ses
 		}
 	}
 
-	rep, err := startReplay(cfg, model, lr.Header().Benchmark, capacity, sr)
+	rep, err := startReplay(cfg, lr.Header().Benchmark, capacity, sr)
 	if err != nil {
 		return api.SessionResult{}, nil, err
 	}
@@ -663,8 +663,9 @@ func replayLog(cfg SessionConfig, model costmodel.Model, body io.Reader, sr *ses
 }
 
 // startReplay builds the manager from cfg over capacity bytes and the
-// replayer that drives it, wiring a served session (sr non-nil) in.
-func startReplay(cfg SessionConfig, model costmodel.Model, bench string, capacity uint64, sr *sessionRun) (*sim.Replayer, error) {
+// replayer that drives it, wiring a served session (sr non-nil) in. Costs
+// are charged by costmodel.DefaultModel.
+func startReplay(cfg SessionConfig, bench string, capacity uint64, sr *sessionRun) (*sim.Replayer, error) {
 	// Cause events reach the NDJSON stream only in events mode; a plain
 	// attrib session aggregates silently.
 	spec, err := cfg.GraphSpec(capacity, sr != nil && sr.enc != nil)
@@ -672,14 +673,13 @@ func startReplay(cfg SessionConfig, model costmodel.Model, bench string, capacit
 		return nil, err
 	}
 	acc := accPool.Get().(*costmodel.Accum)
-	acc.Reset(model)
+	acc.Reset(costmodel.DefaultModel)
 	// A served session's manager has one observer, the session's sink; an
 	// offline replay only charges costs.
 	o := sim.CostObserver(acc)
 	var progress obs.Observer
 	if sr != nil {
 		sr.acc = acc
-		sr.tally.Proc = sr.id
 		o = sr
 		if sr.enc != nil {
 			progress = sr.enc

@@ -23,6 +23,7 @@ import (
 	"sync"
 
 	"repro/internal/codecache"
+	"repro/internal/idtab"
 	"repro/internal/tracelog"
 )
 
@@ -124,29 +125,24 @@ func (r *Replayer) StepBlock(b *tracelog.EventBlock) error {
 // thousands of sessions; pooling the tables the way codecache pools arena
 // nodes keeps the per-session allocation cost flat.
 type scratch struct {
-	dense    []meta
+	metas    idtab.Table[meta]
 	byModule map[uint16][]uint64
 }
 
 var scratchPool = sync.Pool{New: func() any {
-	return &scratch{
-		dense:    make([]meta, 0, 1024),
-		byModule: make(map[uint16][]uint64),
-	}
+	return &scratch{byModule: make(map[uint16][]uint64)}
 }}
 
 // Recycle returns the replayer's meta tables to the pool. Call only when
-// done with the replayer; the Result (and its Overhead) stay valid. The
-// tables are truncated, not cleared — store() overwrites every slot it
-// grows into, so stale entries are unreachable by construction.
+// done with the replayer; the Result (and its Overhead) stay valid.
 func (r *Replayer) Recycle() {
-	if r.dense == nil && r.byModule == nil {
+	if r.byModule == nil {
 		return
 	}
-	s := &scratch{dense: r.dense[:0], byModule: r.byModule}
-	for k := range s.byModule {
-		s.byModule[k] = s.byModule[k][:0]
+	r.metas.Reset()
+	for k := range r.byModule {
+		r.byModule[k] = r.byModule[k][:0]
 	}
-	r.dense, r.byModule, r.spill = nil, nil, nil
-	scratchPool.Put(s)
+	scratchPool.Put(&scratch{metas: r.metas, byModule: r.byModule})
+	r.metas, r.byModule = idtab.Table[meta]{}, nil
 }

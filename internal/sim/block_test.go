@@ -329,7 +329,7 @@ func TestStepBlockFigure9(t *testing.T) {
 	events := richLog(23, 160)
 	const capacity = 5000
 	spec := core.Layout451045Threshold1(capacity)
-	got, err := Compare("b", events, spec, costmodel.DefaultModel)
+	got, err := Compare("b", events, spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,8 +71,8 @@ type sharedProc struct {
 // round-robin, with process p admitted after p×stagger total events
 // (stagger ≤ 0 picks len(events)/(2×procs), which overlaps every process
 // while still letting earlier ones warm the tier). The schedule is fixed,
-// so results are deterministic.
-func ReplayShared(benchmark string, events []tracelog.Event, spec core.GraphSpec, model costmodel.Model, procs, stagger int, o obs.Observer) (SharedResult, error) {
+// so results are deterministic. Costs are charged by costmodel.DefaultModel.
+func ReplayShared(benchmark string, events []tracelog.Event, spec core.GraphSpec, procs, stagger int, o obs.Observer) (SharedResult, error) {
 	if procs < 1 {
 		return SharedResult{}, fmt.Errorf("sim: shared replay needs at least 1 process, got %d", procs)
 	}
@@ -83,7 +83,7 @@ func ReplayShared(benchmark string, events []tracelog.Event, spec core.GraphSpec
 	if stagger <= 0 {
 		stagger = len(events) / (2 * procs)
 	}
-	acc := costmodel.NewAccum(model)
+	acc := costmodel.NewAccum(costmodel.DefaultModel)
 	mgrObs := obs.Combine(CostObserver(acc), o)
 	// The tier pools the N per-process persistent shares into one arena:
 	// aggregate memory matches N isolated caches, but traces common across

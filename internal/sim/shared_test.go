@@ -43,7 +43,7 @@ func mkSharedLog(rounds int, unmapModule bool) []tracelog.Event {
 func TestReplaySharedAdoptionSavesGenerations(t *testing.T) {
 	evs := mkSharedLog(20, false)
 	const procs = 3
-	sh, err := ReplayShared("b", evs, sharedSpec(), costmodel.DefaultModel, procs, 0, nil)
+	sh, err := ReplayShared("b", evs, sharedSpec(), procs, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestReplaySharedAdoptionSavesGenerations(t *testing.T) {
 
 func TestReplaySharedSingleProcMatchesGenerational(t *testing.T) {
 	evs := mkSharedLog(12, true)
-	sh, err := ReplayShared("b", evs, sharedSpec(), costmodel.DefaultModel, 1, 0, nil)
+	sh, err := ReplayShared("b", evs, sharedSpec(), 1, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestReplaySharedAdoptLog(t *testing.T) {
 			evs[i].Kind = tracelog.KindAdopt
 		}
 	}
-	one, err := ReplayShared("b", evs, sharedSpec(), costmodel.DefaultModel, 1, 0, nil)
+	one, err := ReplayShared("b", evs, sharedSpec(), 1, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestReplaySharedAdoptLog(t *testing.T) {
 	}
 
 	const procs = 3
-	sh, err := ReplayShared("b", evs, sharedSpec(), costmodel.DefaultModel, procs, 0, nil)
+	sh, err := ReplayShared("b", evs, sharedSpec(), procs, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestReplaySharedAdoptLog(t *testing.T) {
 func TestReplaySharedDeterminism(t *testing.T) {
 	evs := mkSharedLog(20, true)
 	run := func() SharedResult {
-		r, err := ReplayShared("b", evs, sharedSpec(), costmodel.DefaultModel, 4, 7, nil)
+		r, err := ReplayShared("b", evs, sharedSpec(), 4, 7, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,7 +156,7 @@ func TestReplaySharedDeterminism(t *testing.T) {
 
 func TestReplaySharedUnmap(t *testing.T) {
 	evs := mkSharedLog(10, true)
-	sh, err := ReplayShared("b", evs, sharedSpec(), costmodel.DefaultModel, 2, 0, nil)
+	sh, err := ReplayShared("b", evs, sharedSpec(), 2, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,23 +169,23 @@ func TestReplaySharedUnmap(t *testing.T) {
 
 func TestReplaySharedErrors(t *testing.T) {
 	evs := mkSharedLog(2, false)
-	if _, err := ReplayShared("b", evs, sharedSpec(), costmodel.DefaultModel, 0, 0, nil); err == nil {
+	if _, err := ReplayShared("b", evs, sharedSpec(), 0, 0, nil); err == nil {
 		t.Error("procs=0 accepted")
 	}
 	bad := sharedSpec()
 	bad.Tiers[0].Frac = 0
-	if _, err := ReplayShared("b", evs, bad, costmodel.DefaultModel, 2, 0, nil); err == nil {
+	if _, err := ReplayShared("b", evs, bad, 2, 0, nil); err == nil {
 		t.Error("invalid config accepted")
 	}
 	dup := []tracelog.Event{
 		{Kind: tracelog.KindCreate, Time: 1, Trace: 1, Size: 100, Head: 0x10},
 		{Kind: tracelog.KindCreate, Time: 2, Trace: 1, Size: 100, Head: 0x10},
 	}
-	if _, err := ReplayShared("b", dup, sharedSpec(), costmodel.DefaultModel, 2, 0, nil); err == nil {
+	if _, err := ReplayShared("b", dup, sharedSpec(), 2, 0, nil); err == nil {
 		t.Error("duplicate create accepted")
 	}
 	dup[1].Kind = tracelog.KindAdopt
-	if _, err := ReplayShared("b", dup, sharedSpec(), costmodel.DefaultModel, 2, 0, nil); err == nil {
+	if _, err := ReplayShared("b", dup, sharedSpec(), 2, 0, nil); err == nil {
 		t.Error("adopt of a created trace accepted")
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"repro/internal/codecache"
 	"repro/internal/core"
 	"repro/internal/costmodel"
+	"repro/internal/idtab"
 	"repro/internal/obs"
 	"repro/internal/tracelog"
 )
@@ -75,8 +76,7 @@ type Replayer struct {
 	hooks Hooks
 	res   Result
 
-	dense    []meta
-	spill    map[uint64]meta
+	metas    idtab.Table[meta]
 	byModule map[uint16][]uint64
 
 	count uint64 // events stepped so far
@@ -87,8 +87,9 @@ type Replayer struct {
 // context — gencached's shared persistent tier — ride alongside the replay
 // without wrapping every event in its own dispatch. The callout points are
 // part of the replay contract: Registered fires before a Create/Adopt is
-// replayed (even one the replay will then reject as a duplicate), Unmapped
-// fires before an Unmap is replayed, and Regenerated fires after a conflict
+// replayed (even one the replay will then reject as a duplicate or as
+// implausibly sparse), Unmapped fires before an Unmap is replayed, and
+// Regenerated fires after a conflict
 // miss has been charged and re-inserted. Both the per-event and the block
 // kernel honor the same points, so hosts see an identical callout stream
 // either way.
@@ -114,10 +115,6 @@ type meta struct {
 	dead   bool // module unmapped; must never be accessed again
 }
 
-// Trace IDs are assigned sequentially by the engine, so the per-access
-// metadata lookup is a dense slice load; arbitrary IDs spill into a map.
-const maxDenseTrace = 1 << 22
-
 // NewReplayer starts a replay of one event stream against a freshly
 // constructed manager. The manager's observer must be (or fan out to)
 // CostObserver(acc), or pass every event through Charge(acc, ...), so
@@ -138,7 +135,7 @@ func NewReplayer(benchmark string, mgr *core.Graph, acc *costmodel.Accum, o obs.
 			Benchmark: benchmark,
 			Overhead:  acc,
 		},
-		dense:    s.dense[:0],
+		metas:    s.metas,
 		byModule: s.byModule,
 	}
 }
@@ -151,27 +148,8 @@ func (r *Replayer) Ledger() *attrib.Ledger { return r.led }
 func (r *Replayer) SetTotal(n uint64) { r.total = n }
 
 func (r *Replayer) lookup(id uint64) (meta, bool) {
-	if id < uint64(len(r.dense)) {
-		m := r.dense[id]
-		return m, m.known
-	}
-	m, ok := r.spill[id]
-	return m, ok
-}
-
-func (r *Replayer) store(id uint64, m meta) {
-	m.known = true
-	if id < maxDenseTrace {
-		for uint64(len(r.dense)) <= id {
-			r.dense = append(r.dense, meta{})
-		}
-		r.dense[id] = m
-		return
-	}
-	if r.spill == nil {
-		r.spill = make(map[uint64]meta)
-	}
-	r.spill[id] = m
+	m := r.metas.Get(id)
+	return m, m.known
 }
 
 // Step feeds the next event through the replay. It is the per-event
@@ -204,45 +182,40 @@ func (r *Replayer) progress() {
 // count live in the callers.
 func (r *Replayer) step1(e *tracelog.Event) error {
 	switch e.Kind {
-	case tracelog.KindCreate:
+	case tracelog.KindCreate, tracelog.KindAdopt:
+		// An adopted trace was taken from a shared tier during the original
+		// run, so no generation cost was paid. Replaying against a single
+		// private manager, the body still has to be present for the later
+		// accesses, so it is inserted like a created one, but charged
+		// nothing.
 		if r.hooks != nil {
 			r.hooks.Registered(e.Trace, e.Size, e.Module, e.Head)
 		}
 		if _, dup := r.lookup(e.Trace); dup {
-			return fmt.Errorf("sim: duplicate create of trace %d", e.Trace)
+			return fmt.Errorf("sim: duplicate %s of trace %d", e.Kind, e.Trace)
 		}
-		r.store(e.Trace, meta{size: e.Size, module: e.Module, head: e.Head})
+		// Writers number traces from 1, so IDs stay dense. A far sparser ID
+		// would size every per-trace table it reaches by the ID rather than
+		// by the work, so it is refused before any table sees it.
+		if registered := r.res.ColdCreates + r.res.Adoptions; e.Trace >= 2*registered+1<<16 {
+			return fmt.Errorf("sim: trace ID %d is implausibly sparse after %d traces", e.Trace, registered)
+		}
+		r.metas.Set(e.Trace, meta{size: e.Size, module: e.Module, head: e.Head, known: true})
 		r.byModule[e.Module] = append(r.byModule[e.Module], e.Trace)
+		cold := e.Kind == tracelog.KindCreate
 		if r.led != nil {
 			// Before the insert, so the ledger sees the first compile as cold
 			// even when the insert itself is dropped.
-			r.led.Register(e.Trace, e.Module, uint64(e.Size), true)
+			r.led.Register(e.Trace, e.Module, uint64(e.Size), cold)
 		}
-		r.res.ColdCreates++
-		r.acc.ChargeTraceGen(int(e.Size))
+		if cold {
+			r.res.ColdCreates++
+			r.acc.ChargeTraceGen(int(e.Size))
+		} else {
+			r.res.Adoptions++
+		}
 		// Insertion failures (trace bigger than the nursery) leave the
 		// trace uncached; subsequent accesses are misses.
-		_ = r.mgr.Insert(codecache.Fragment{
-			ID: e.Trace, Size: uint64(e.Size), Module: e.Module, HeadAddr: e.Head,
-		})
-
-	case tracelog.KindAdopt:
-		// The trace was adopted from a shared tier during the original
-		// run: no generation cost was paid. Replaying against a single
-		// private manager, the body still has to be present for the
-		// later accesses, so it is inserted — but charged nothing.
-		if r.hooks != nil {
-			r.hooks.Registered(e.Trace, e.Size, e.Module, e.Head)
-		}
-		if _, dup := r.lookup(e.Trace); dup {
-			return fmt.Errorf("sim: duplicate adopt of trace %d", e.Trace)
-		}
-		r.store(e.Trace, meta{size: e.Size, module: e.Module, head: e.Head})
-		r.byModule[e.Module] = append(r.byModule[e.Module], e.Trace)
-		if r.led != nil {
-			r.led.Register(e.Trace, e.Module, uint64(e.Size), false)
-		}
-		r.res.Adoptions++
 		_ = r.mgr.Insert(codecache.Fragment{
 			ID: e.Trace, Size: uint64(e.Size), Module: e.Module, HeadAddr: e.Head,
 		})
@@ -284,10 +257,7 @@ func (r *Replayer) step1(e *tracelog.Event) error {
 			r.acc.ChargeEviction(int(v.Size))
 		}
 		for _, id := range r.byModule[e.Module] {
-			if m, ok := r.lookup(id); ok && !m.dead {
-				m.dead = true
-				r.store(id, m)
-			}
+			r.metas.Ref(id).dead = true
 		}
 		r.byModule[e.Module] = r.byModule[e.Module][:0]
 
@@ -422,13 +392,14 @@ func (c Comparison) OverheadRatio() float64 {
 }
 
 // Compare replays the log under the generational graph spec describes and
-// under a unified cache of the same total capacity.
-func Compare(benchmark string, events []tracelog.Event, spec core.GraphSpec, model costmodel.Model) (Comparison, error) {
-	u, err := ReplayUnified(benchmark, events, spec.TotalCapacity, model)
+// under a unified cache of the same total capacity, both charged by
+// costmodel.DefaultModel.
+func Compare(benchmark string, events []tracelog.Event, spec core.GraphSpec) (Comparison, error) {
+	u, err := ReplayUnified(benchmark, events, spec.TotalCapacity, costmodel.DefaultModel)
 	if err != nil {
 		return Comparison{}, err
 	}
-	g, err := ReplayGenerational(benchmark, events, spec, model)
+	g, err := ReplayGenerational(benchmark, events, spec, costmodel.DefaultModel)
 	if err != nil {
 		return Comparison{}, err
 	}

@@ -194,7 +194,7 @@ func TestGenerationalBeatsUnifiedOnPhasedWorkload(t *testing.T) {
 	// Cache sized well below the per-phase footprint (8+25 traces = 6600B)
 	// so both configurations face real pressure.
 	capacity := uint64(6000)
-	cmp, err := Compare("phased", evs, core.Layout451045Threshold1(capacity), costmodel.DefaultModel)
+	cmp, err := Compare("phased", evs, core.Layout451045Threshold1(capacity))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestGenerationalBeatsUnifiedOnPhasedWorkload(t *testing.T) {
 
 func TestCompareNamesAndConfigs(t *testing.T) {
 	evs := mkLog(3, 50, 2)
-	cmp, err := Compare("b", evs, core.Layout433Threshold10(600), costmodel.DefaultModel)
+	cmp, err := Compare("b", evs, core.Layout433Threshold10(600))
 	if err != nil {
 		t.Fatal(err)
 	}

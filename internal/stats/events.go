@@ -19,24 +19,6 @@ type EventCounter struct {
 	// one (insert, promote) to To. Fixed-size atomics keep Observe
 	// allocation-free.
 	levels [obs.NumKinds][obs.NumLevels]atomic.Uint64
-
-	// procs tallies per-kind, per-process counts so shared-tier events stay
-	// attributable to the front-end process that caused them. Process IDs at
-	// or above MaxDenseProcs share the final overflow slot.
-	procs [obs.NumKinds][MaxDenseProcs + 1]atomic.Uint64
-}
-
-// MaxDenseProcs bounds the per-process attribution table. Simulated systems
-// run a handful of processes; IDs at or above the bound (and negative IDs)
-// are tallied together in an overflow slot.
-const MaxDenseProcs = 64
-
-// procSlot maps a process ID onto its attribution slot.
-func procSlot(proc int) int {
-	if proc < 0 || proc >= MaxDenseProcs {
-		return MaxDenseProcs
-	}
-	return proc
 }
 
 // NewEventCounter returns a zeroed counter.
@@ -54,7 +36,6 @@ func (c *EventCounter) Observe(e obs.Event) {
 	if lvl >= 0 {
 		c.levels[e.Kind][lvl].Add(1)
 	}
-	c.procs[e.Kind][procSlot(e.Proc)].Add(1)
 }
 
 // counted reports whether a counter counts e, and the cache level it
@@ -72,15 +53,6 @@ func counted(e *obs.Event) (obs.Level, bool) {
 		lvl = -1
 	}
 	return lvl, true
-}
-
-// CountForProc returns how many events of kind k were caused by the given
-// process. IDs at or above MaxDenseProcs share one overflow slot.
-func (c *EventCounter) CountForProc(k obs.Kind, proc int) uint64 {
-	if int(k) >= obs.NumKinds {
-		return 0
-	}
-	return c.procs[k][procSlot(proc)].Load()
 }
 
 // CountAtLevel returns how many events of kind k touched cache level l:
@@ -111,12 +83,8 @@ func (c *EventCounter) Bytes(k obs.Kind) uint64 {
 
 // Tally is EventCounter's single-goroutine front for one process's event
 // stream: it counts with the same kind, byte and level rules in plain
-// fields, and Fold adds the counts into a shared counter. A served session's
-// private manager stamps every event with the session's ID, so a Tally has
-// one process slot: Fold charges every counted event to Proc, whatever the
-// event's own Proc field says.
+// fields, and Fold adds the counts into a shared counter.
 type Tally struct {
-	Proc   int
 	counts [obs.NumKinds]uint64
 	bytes  [obs.NumKinds]uint64
 	levels [obs.NumKinds][obs.NumLevels]uint64
@@ -135,10 +103,9 @@ func (t *Tally) Add(e *obs.Event) {
 	}
 }
 
-// Fold adds the tally's counts into c, charged to t.Proc, and zeroes them,
-// so folding again adds only what was counted since.
+// Fold adds the tally's counts into c and zeroes them, so folding again
+// adds only what was counted since.
 func (t *Tally) Fold(c *EventCounter) {
-	slot := procSlot(t.Proc)
 	for k := range t.counts {
 		n := t.counts[k]
 		if n == 0 {
@@ -146,15 +113,13 @@ func (t *Tally) Fold(c *EventCounter) {
 		}
 		c.counts[k].Add(n)
 		c.bytes[k].Add(t.bytes[k])
-		c.procs[k][slot].Add(n)
 		for l, m := range t.levels[k] {
 			if m != 0 {
 				c.levels[k][l].Add(m)
 			}
 		}
 	}
-	proc := t.Proc
-	*t = Tally{Proc: proc}
+	*t = Tally{}
 }
 
 // Table renders the non-zero counts as a plain-text table.

@@ -442,86 +442,26 @@ func Summarize(h Header, events []Event) Summary {
 // one event (or one EventBlock) at a time, so streaming consumers — the
 // gencached buffered session path sizes its cache from a log it never holds
 // as a decoded []Event — share the batch scanner's exact accounting.
+//
+// It keeps no per-trace state. An unmap removes every live byte of its
+// module, so the live bytes kept per module answer it; an adoption's body
+// was accounted by its creator's KindCreate, so it adds no live bytes. For
+// every log the replay accepts (no trace is created twice, or after it was
+// adopted) that is the per-trace accounting exactly.
 type Summarizer struct {
-	s Summary
-	// dense is the trace table for small IDs (the overwhelmingly common
-	// case: writers assign IDs sequentially), indexed by trace ID; spill
-	// holds the rest. Same two-level layout as the replay kernel's meta
-	// table — a create costs an indexed store, not a map insert plus a
-	// heap cell.
-	dense    []sumMeta
-	spill    map[uint64]*sumMeta
-	byModule map[uint16][]uint64
+	s        Summary
+	modLive  map[uint16]uint64 // live bytes by module
 	live     uint64
 	lastTime uint64
 	seen     bool
 }
 
-type sumMeta struct {
-	size   uint32
-	module uint16
-	known  bool
-	live   bool
-}
-
-// sumDenseLimit bounds the dense trace table; IDs at or above it spill to
-// the map.
-const sumDenseLimit = 1 << 21
-
 // NewSummarizer starts an aggregation for one log.
 func NewSummarizer(h Header) *Summarizer {
 	return &Summarizer{
-		s:        Summary{Header: h},
-		byModule: make(map[uint16][]uint64),
+		s:       Summary{Header: h},
+		modLive: make(map[uint16]uint64),
 	}
-}
-
-// trace returns the table cell for id, growing the dense table or lazily
-// creating a spill entry as needed. The cell pointer is valid until the
-// next trace call.
-func (z *Summarizer) trace(id uint64) *sumMeta {
-	if id < sumDenseLimit {
-		if id >= uint64(len(z.dense)) {
-			n := len(z.dense)
-			if n == 0 {
-				n = 1024
-			}
-			for uint64(n) <= id {
-				n *= 2
-			}
-			if n > sumDenseLimit {
-				n = sumDenseLimit
-			}
-			grown := make([]sumMeta, n)
-			copy(grown, z.dense)
-			z.dense = grown
-		}
-		return &z.dense[id]
-	}
-	if z.spill == nil {
-		z.spill = make(map[uint64]*sumMeta)
-	}
-	m := z.spill[id]
-	if m == nil {
-		m = &sumMeta{}
-		z.spill[id] = m
-	}
-	return m
-}
-
-// lookup returns the cell for id if it was ever registered, without growing
-// anything.
-func (z *Summarizer) lookup(id uint64) *sumMeta {
-	if id < uint64(len(z.dense)) {
-		if m := &z.dense[id]; m.known {
-			return m
-		}
-		return nil
-	}
-	if m := z.spill[id]; m != nil && m.known {
-		return m
-	}
-	return nil
 }
 
 // Add folds one event into the summary.
@@ -533,34 +473,21 @@ func (z *Summarizer) Add(e Event) {
 	case KindCreate:
 		z.s.Creates++
 		z.s.CreatedBytes += uint64(e.Size)
-		*z.trace(e.Trace) = sumMeta{size: e.Size, module: e.Module, known: true, live: true}
-		z.byModule[e.Module] = append(z.byModule[e.Module], e.Trace)
+		z.modLive[e.Module] += uint64(e.Size)
 		z.live += uint64(e.Size)
 		if z.live > z.s.MaxLiveBytes {
 			z.s.MaxLiveBytes = z.live
 		}
 		z.s.TraceSizes = append(z.s.TraceSizes, e.Size)
 	case KindAdopt:
-		// The trace body already lives in the shared tier (its creator's
-		// KindCreate accounted the bytes); the adoption only registers the
-		// trace for this process's later accesses and unmaps.
 		z.s.Adoptions++
-		if z.lookup(e.Trace) == nil {
-			*z.trace(e.Trace) = sumMeta{size: e.Size, module: e.Module, known: true}
-			z.byModule[e.Module] = append(z.byModule[e.Module], e.Trace)
-		}
 	case KindAccess:
 		z.s.Accesses++
 	case KindUnmap:
 		z.s.Unmaps++
-		for _, id := range z.byModule[e.Module] {
-			if m := z.lookup(id); m != nil && m.live {
-				m.live = false
-				z.s.UnmappedBytes += uint64(m.size)
-				z.live -= uint64(m.size)
-			}
-		}
-		z.byModule[e.Module] = z.byModule[e.Module][:0]
+		z.s.UnmappedBytes += z.modLive[e.Module]
+		z.live -= z.modLive[e.Module]
+		delete(z.modLive, e.Module)
 	case KindEnd:
 		z.s.EndTime = e.Time
 	}

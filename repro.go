@@ -198,7 +198,7 @@ func ReadLog(r io.Reader) (benchmark string, events []Event, err error) {
 // cache of the same total capacity, returning the paper's headline metrics
 // (miss-rate reduction, misses eliminated, Equation 3 overhead ratio).
 func Compare(benchmark string, events []Event, spec GraphSpec) (Comparison, error) {
-	return sim.Compare(benchmark, events, spec, costmodel.DefaultModel)
+	return sim.Compare(benchmark, events, spec)
 }
 
 // ReplayUnified replays a log under the unified baseline.

@@ -51,6 +51,10 @@ go test ./internal/policy -run '^$' -fuzz FuzzPolicyOps -fuzztime 10s
 # invariants, module index included, and every module unmap must drain what
 # the full-tier scan drains, in address order, one unmap event each.
 go test ./internal/core -run '^$' -fuzz FuzzSharedOps -fuzztime 10s
+# Trace-ID table fuzz: every op sequence must leave the one table keyed by
+# trace ID answering as a map does, across the slice's doubling edges, its
+# bound and Reset.
+go test ./internal/idtab -run '^$' -fuzz FuzzTable -fuzztime 10s
 # Attribution endpoint fuzz: a short run over the /v1/attrib query parser —
 # seeds the corpus, catches panics and half-validated filters.
 go test ./internal/server -run '^$' -fuzz FuzzAttribQuery -fuzztime 10s
