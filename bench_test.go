@@ -41,6 +41,13 @@ func benchSuite(b *testing.B) *experiments.Suite {
 	return suite
 }
 
+// replaySuite returns a suite over s's runs with an empty result memo and
+// the given parallelism. A study run twice on one suite reads its second
+// pass from the memo, so each timed pass gets a suite of its own.
+func replaySuite(s *experiments.Suite, parallel int) *experiments.Suite {
+	return &experiments.Suite{Scale: s.Scale, Parallel: parallel, Runs: s.Runs}
+}
+
 // BenchmarkCollect times the full collection pipeline (synthesis + engine
 // run + log capture) for one representative benchmark per suite.
 func BenchmarkCollect(b *testing.B) {
@@ -53,6 +60,37 @@ func BenchmarkCollect(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkPaperPass is one pass of perfbench's paper workload: collect
+// gzip, gcc, crafty, eon, solitaire and word at 1/16 of the paper's code
+// sizes on a pool of one, then derive Figures 9 and 11 from that fresh
+// suite, where Figure 11 reads Figure 9's replays from the suite's memo. It
+// reports the collected events per second of pass, perfbench's
+// events_per_s.
+func BenchmarkPaperPass(b *testing.B) {
+	opt := experiments.Options{
+		Scale:      1.0 / 16,
+		Benchmarks: []string{"gzip", "gcc", "crafty", "eon", "solitaire", "word"},
+		Parallel:   1,
+	}
+	var events int
+	for i := 0; i < b.N; i++ {
+		s, err := experiments.Collect(opt)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := experiments.Figure9(s); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := experiments.Figure11(s); err != nil {
+			b.Fatal(err)
+		}
+		for _, r := range s.Runs {
+			events += len(r.Events)
+		}
+	}
+	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
 }
 
 // BenchmarkTable1 regenerates the interactive-benchmark table.
@@ -142,7 +180,7 @@ func BenchmarkFigure9(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var err error
-		res, err = experiments.Figure9(s)
+		res, err = experiments.Figure9(replaySuite(s, s.Parallel))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -157,17 +195,14 @@ func BenchmarkFigure9(b *testing.B) {
 // identical to the sequential run at every level.
 func BenchmarkFigure9Parallel(b *testing.B) {
 	s := benchSuite(b)
-	s.Parallel = 1
-	want, err := experiments.Figure9(s)
+	want, err := experiments.Figure9(replaySuite(s, 1))
 	if err != nil {
 		b.Fatal(err)
 	}
 	for _, parallel := range []int{1, 4} {
 		b.Run(fmt.Sprintf("parallel=%d", parallel), func(b *testing.B) {
-			s.Parallel = parallel
-			defer func() { s.Parallel = 0 }()
 			for i := 0; i < b.N; i++ {
-				res, err := experiments.Figure9(s)
+				res, err := experiments.Figure9(replaySuite(s, parallel))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -177,7 +212,6 @@ func BenchmarkFigure9Parallel(b *testing.B) {
 			}
 		})
 	}
-	s.Parallel = 0
 }
 
 // BenchmarkFigure10 regenerates the absolute eliminated-miss counts.
@@ -187,7 +221,7 @@ func BenchmarkFigure10(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var err error
-		res, err = experiments.Figure9(s)
+		res, err = experiments.Figure9(replaySuite(s, s.Parallel))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -216,7 +250,7 @@ func BenchmarkFigure11(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var err error
-		res, err = experiments.Figure11(s)
+		res, err = experiments.Figure11(replaySuite(s, s.Parallel))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -236,7 +270,7 @@ func BenchmarkSweep(b *testing.B) {
 	var res experiments.SweepResult
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err = experiments.Sweep(s)
+		res, err = experiments.Sweep(replaySuite(s, s.Parallel))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -252,7 +286,7 @@ func BenchmarkAblations(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = experiments.Ablations(s)
+		rows, err = experiments.Ablations(replaySuite(s, s.Parallel))
 		if err != nil {
 			b.Fatal(err)
 		}

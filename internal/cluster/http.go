@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 
 	"repro/internal/persist"
 )
@@ -26,9 +27,21 @@ const (
 const maxPeerBody = 64 << 20
 
 // HTTPTransport speaks the trace-exchange protocol to one peer over HTTP.
+// Each POST path's URL is parsed from BaseURL once, at its first request,
+// so BaseURL must not change after that.
 type HTTPTransport struct {
 	BaseURL string
 	Client  *http.Client
+
+	lookup, replicate peerEndpoint
+}
+
+// peerEndpoint is one POST path of a peer: a request built once, with its
+// URL and content type, that every call clones and gives a body.
+type peerEndpoint struct {
+	once sync.Once
+	req  *http.Request
+	err  error
 }
 
 func (t *HTTPTransport) client() *http.Client {
@@ -38,12 +51,23 @@ func (t *HTTPTransport) client() *http.Client {
 	return http.DefaultClient
 }
 
-func (t *HTTPTransport) post(ctx context.Context, path string, body []byte) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, t.BaseURL+path, bytes.NewReader(body))
-	if err != nil {
-		return nil, err
+func (t *HTTPTransport) post(ctx context.Context, ep *peerEndpoint, path string, body []byte) ([]byte, error) {
+	ep.once.Do(func() {
+		ep.req, ep.err = http.NewRequest(http.MethodPost, t.BaseURL+path, nil)
+		if ep.err == nil {
+			ep.req.Header.Set("Content-Type", ExchangeContentType)
+		}
+	})
+	if ep.err != nil {
+		return nil, ep.err
 	}
-	req.Header.Set("Content-Type", ExchangeContentType)
+	// The body is set up as NewRequestWithContext sets up a bytes.Reader.
+	// An exchange message always has a header, so it is never empty and
+	// never needs http.NoBody.
+	req := ep.req.Clone(ctx)
+	req.ContentLength = int64(len(body))
+	req.Body = io.NopCloser(bytes.NewReader(body))
+	req.GetBody = func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(body)), nil }
 	resp, err := t.client().Do(req)
 	if err != nil {
 		return nil, err
@@ -57,7 +81,7 @@ func (t *HTTPTransport) post(ctx context.Context, path string, body []byte) ([]b
 
 // Lookup implements Transport.
 func (t *HTTPTransport) Lookup(ctx context.Context, q LookupRequest) (LookupResponse, error) {
-	body, err := t.post(ctx, PeerLookupPath, EncodeLookupRequest(q))
+	body, err := t.post(ctx, &t.lookup, PeerLookupPath, EncodeLookupRequest(q))
 	if err != nil {
 		return LookupResponse{}, err
 	}
@@ -66,7 +90,7 @@ func (t *HTTPTransport) Lookup(ctx context.Context, q LookupRequest) (LookupResp
 
 // Replicate implements Transport.
 func (t *HTTPTransport) Replicate(ctx context.Context, q ReplicateRequest) (ReplicateResponse, error) {
-	body, err := t.post(ctx, PeerReplicatePath, EncodeReplicateRequest(q))
+	body, err := t.post(ctx, &t.replicate, PeerReplicatePath, EncodeReplicateRequest(q))
 	if err != nil {
 		return ReplicateResponse{}, err
 	}

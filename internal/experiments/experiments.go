@@ -7,6 +7,7 @@
 package experiments
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"fmt"
@@ -74,6 +75,12 @@ type Suite struct {
 	// CLI-level timeout covers the derived replays too. Cancellation is
 	// observed between jobs, not inside a replay.
 	ctx context.Context
+
+	// memo holds the results of replays that keep no graph (replayMatrix),
+	// so each (log, spec) pair replays once per suite: Figure 11 reads
+	// Figure 9's baseline and 45-10-45 @1 results, and the sweep, the
+	// ablations and the capacity sweep read the baselines before them.
+	memo replayMemo
 }
 
 func (s *Suite) context() context.Context {
@@ -206,7 +213,9 @@ func collectOne(p workload.Profile, scale float64, slow bool) (*Run, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiments: running %s: %w", p.Name, err)
 	}
-	h, events, err := tracelog.AppendAll(make([]tracelog.Event, 0, n), &buf)
+	// A bufio window over the buffer puts the decode on the block
+	// decoder's window path; the buffer itself has no window.
+	h, events, err := tracelog.AppendAll(make([]tracelog.Event, 0, n), bufio.NewReaderSize(&buf, tracelog.DefaultBufSize))
 	if err != nil {
 		return nil, fmt.Errorf("experiments: decoding %s log: %w", p.Name, err)
 	}

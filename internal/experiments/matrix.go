@@ -2,6 +2,9 @@ package experiments
 
 import (
 	"context"
+	"fmt"
+	"slices"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/costmodel"
@@ -40,7 +43,9 @@ func (c replayed) vs(i int) sim.Comparison {
 //
 // Only the graph of specs[keep] outlives its replay, for a row that reads
 // the graph's controller or selector counters; every other graph is garbage
-// once its replay ends.
+// once its replay ends. A study that keeps no graph reads and fills the
+// suite's result memo, so a (log, spec) pair another study has replayed on
+// the same suite is not replayed again.
 func replayMatrix[T any](s *Suite, fracs []float64, keep int,
 	specs func(capacity uint64) []core.GraphSpec,
 	row func(c replayed) (T, bool)) ([][]T, error) {
@@ -58,19 +63,21 @@ func replayMatrix[T any](s *Suite, fracs []float64, keep int,
 				}
 				c := replayed{run: r, capacity: capacity}
 				for i, spec := range specs(capacity) {
-					acc := costmodel.NewAccum(costmodel.DefaultModel)
-					g, err := core.NewGraph(spec, sim.CostObserver(acc))
-					if err != nil {
-						return cell{}, err
+					var res sim.Result
+					var err error
+					if keep == noGraph {
+						res, err = s.memo.replay(r, spec)
+					} else {
+						var g *core.Graph
+						res, g, err = replay(r, spec)
+						if i == keep {
+							c.graph = g
+						}
 					}
-					res, err := sim.Replay(r.Profile.Name, r.Events, g, acc, nil)
 					if err != nil {
 						return cell{}, err
 					}
 					c.res = append(c.res, res)
-					if i == keep {
-						c.graph = g
-					}
 				}
 				var out cell
 				out.row, out.ok = row(c)
@@ -90,6 +97,83 @@ func replayMatrix[T any](s *Suite, fracs []float64, keep int,
 		}
 	}
 	return out, nil
+}
+
+// replay runs r's log under spec, charged by the default cost model.
+func replay(r *Run, spec core.GraphSpec) (sim.Result, *core.Graph, error) {
+	acc := costmodel.NewAccum(costmodel.DefaultModel)
+	g, err := core.NewGraph(spec, sim.CostObserver(acc))
+	if err != nil {
+		return sim.Result{}, nil, err
+	}
+	res, err := sim.Replay(r.Profile.Name, r.Events, g, acc, nil)
+	return res, g, err
+}
+
+// replayMemo holds the results of replays whose graph no study keeps, keyed
+// by log and spec, for the life of the suite. Rows only read a result, so a
+// hit hands out the stored one, cost accumulator included. The mutex serves
+// the pipeline's workers; two workers that miss on one key both replay it
+// and store equal results.
+type replayMemo struct {
+	mu  sync.Mutex
+	res map[memoKey]sim.Result
+}
+
+// memoKey names one replay: the log and the canonical text of the spec.
+type memoKey struct {
+	run  *Run
+	spec string
+}
+
+// replay returns r's result under spec, replaying it on the memo's first
+// request for the pair. A spec memoSpec refuses replays every time.
+func (m *replayMemo) replay(r *Run, spec core.GraphSpec) (sim.Result, error) {
+	canon, text, ok := memoSpec(spec)
+	if !ok {
+		res, _, err := replay(r, spec)
+		return res, err
+	}
+	k := memoKey{run: r, spec: text}
+	m.mu.Lock()
+	res, hit := m.res[k]
+	m.mu.Unlock()
+	if hit {
+		return res, nil
+	}
+	res, _, err := replay(r, canon)
+	if err != nil {
+		return res, err
+	}
+	m.mu.Lock()
+	if m.res == nil {
+		m.res = make(map[memoKey]sim.Result)
+	}
+	m.res[k] = res
+	m.mu.Unlock()
+	return res, nil
+}
+
+// memoSpec returns spec with every tier policy in its canonical spelling,
+// and the text that keys its replay: the canonical spec in Go syntax, which
+// spells every field exactly (a float in its shortest round-trip form). Two
+// specs with one text build the same graph, name included, so they replay
+// the same. It refuses (false) a spec with an adaptive controller, a
+// selector configuration or a ledger, whose replay is more than its result,
+// and one whose policy does not parse, which NewGraph reports.
+func memoSpec(spec core.GraphSpec) (core.GraphSpec, string, bool) {
+	if spec.Adaptive != nil || spec.Selector != nil || spec.Attrib != nil {
+		return spec, "", false
+	}
+	spec.Tiers = slices.Clone(spec.Tiers)
+	for i, t := range spec.Tiers {
+		p, err := core.CanonicalPolicy(t.Policy)
+		if err != nil {
+			return spec, "", false
+		}
+		spec.Tiers[i].Policy = p
+	}
+	return spec, fmt.Sprintf("%#v", spec), true
 }
 
 // withBaseline returns the unified pseudo-circular baseline of capacity

@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+
+	"repro/internal/idtab"
 )
 
 // Mean returns the arithmetic mean of xs (0 for empty input).
@@ -137,27 +139,30 @@ func (h *Histogram) FractionBetween(lo, hi float64) float64 {
 //
 //	lifetime_i = (lastExecution_i - firstExecution_i) / totalApplicationExecutionTime
 type Lifetimes struct {
-	// spans holds each trace's times behind a pointer, so a repeat Touch —
-	// one per trace access in a collection run — is a lookup and a field
-	// update with no map store.
-	spans map[uint64]*span
+	// spans holds each trace's times in its trace-ID slot, so a Touch, one
+	// per trace access in a collection run, is a slice index with no
+	// allocation per trace and nothing for the collector to scan.
+	spans idtab.Table[span]
+	n     int // slots a Touch has filled
 }
 
 // span is one trace's first and last use time. last starts at 0 and only
-// moves forward.
-type span struct{ first, last float64 }
+// moves forward. seen marks a filled slot: a trace first executed at time 0
+// has the times of a slot no Touch reached.
+type span struct {
+	first, last float64
+	seen        bool
+}
 
 // NewLifetimes returns an empty lifetime tracker.
-func NewLifetimes() *Lifetimes {
-	return &Lifetimes{spans: make(map[uint64]*span)}
-}
+func NewLifetimes() *Lifetimes { return &Lifetimes{} }
 
 // Touch records that trace id was executed at time t.
 func (l *Lifetimes) Touch(id uint64, t float64) {
-	s := l.spans[id]
-	if s == nil {
-		s = &span{first: t}
-		l.spans[id] = s
+	s := l.spans.Ref(id)
+	if !s.seen {
+		*s = span{first: t, seen: true}
+		l.n++
 	}
 	if t > s.last {
 		s.last = t
@@ -165,7 +170,16 @@ func (l *Lifetimes) Touch(id uint64, t float64) {
 }
 
 // Len returns the number of distinct traces observed.
-func (l *Lifetimes) Len() int { return len(l.spans) }
+func (l *Lifetimes) Len() int { return l.n }
+
+// each calls f with the fractional lifetime of every observed trace.
+func (l *Lifetimes) each(total float64, f func(lifetime float64)) {
+	l.spans.Each(func(_ uint64, s span) {
+		if s.seen {
+			f((s.last - s.first) / total)
+		}
+	})
+}
 
 // Histogram buckets the lifetimes of all observed traces into the given
 // number of equal-width buckets of fractional lifetime, given the total
@@ -175,21 +189,17 @@ func (l *Lifetimes) Histogram(total float64, buckets int) *Histogram {
 	if total <= 0 {
 		return h
 	}
-	for _, s := range l.spans {
-		h.Add((s.last - s.first) / total)
-	}
+	l.each(total, h.Add)
 	return h
 }
 
 // Fractions returns the fraction of traces with fractional lifetime below
 // lo (short-lived), between lo and hi, and above hi (long-lived).
 func (l *Lifetimes) Fractions(total, lo, hi float64) (short, mid, long float64) {
-	if total <= 0 || len(l.spans) == 0 {
+	if total <= 0 || l.n == 0 {
 		return 0, 0, 0
 	}
-	n := float64(len(l.spans))
-	for _, s := range l.spans {
-		lt := (s.last - s.first) / total
+	l.each(total, func(lt float64) {
 		switch {
 		case lt < lo:
 			short++
@@ -198,7 +208,8 @@ func (l *Lifetimes) Fractions(total, lo, hi float64) (short, mid, long float64) 
 		default:
 			mid++
 		}
-	}
+	})
+	n := float64(l.n)
 	return short / n, mid / n, long / n
 }
 

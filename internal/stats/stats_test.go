@@ -3,9 +3,12 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/idtab"
 )
 
 func almost(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
@@ -168,6 +171,100 @@ func TestQuickLifetimeBounds(t *testing.T) {
 		if int(h.N) != l.Len() {
 			t.Fatalf("histogram N %d != tracker len %d", h.N, l.Len())
 		}
+	}
+}
+
+// refLifetimes is the map-backed tracker Lifetimes replaced: one *span per
+// trace, created by its first Touch.
+type refLifetimes map[uint64]*span
+
+func (r refLifetimes) touch(id uint64, t float64) {
+	s := r[id]
+	if s == nil {
+		s = &span{first: t}
+		r[id] = s
+	}
+	if t > s.last {
+		s.last = t
+	}
+}
+
+func (r refLifetimes) fractions(total, lo, hi float64) (short, mid, long float64) {
+	if total <= 0 || len(r) == 0 {
+		return 0, 0, 0
+	}
+	for _, s := range r {
+		switch lt := (s.last - s.first) / total; {
+		case lt < lo:
+			short++
+		case lt > hi:
+			long++
+		default:
+			mid++
+		}
+	}
+	n := float64(len(r))
+	return short / n, mid / n, long / n
+}
+
+// TestLifetimesMatchMapReference replays random touches into Lifetimes and
+// into the map-backed reference: touches at time 0, repeated and
+// out-of-order touches, and IDs below and past idtab.Dense. Len, every
+// histogram bucket and the three fractions must agree exactly.
+func TestLifetimesMatchMapReference(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	for round := 0; round < 50; round++ {
+		l, ref := NewLifetimes(), refLifetimes{}
+		total := 1 + float64(r.Intn(1000))
+		for j, n := 0, 1+r.Intn(400); j < n; j++ {
+			id := uint64(r.Intn(64))
+			switch r.Intn(4) {
+			case 0:
+				id += idtab.Dense // past the slice: a map entry
+			case 1:
+				id += uint64(r.Intn(4096))
+			}
+			at := float64(r.Intn(int(total) + 1))
+			if r.Intn(5) == 0 {
+				at = 0
+			}
+			l.Touch(id, at)
+			ref.touch(id, at)
+		}
+		if l.Len() != len(ref) {
+			t.Fatalf("round %d: Len = %d, reference %d", round, l.Len(), len(ref))
+		}
+		for _, tot := range []float64{total, 0} {
+			h := l.Histogram(tot, 10)
+			want := NewHistogram(0, 1, 10)
+			if tot > 0 {
+				for _, s := range ref {
+					want.Add((s.last - s.first) / tot)
+				}
+			}
+			if h.N != want.N || !slices.Equal(h.Counts, want.Counts) {
+				t.Fatalf("round %d total %v: histogram %d %v, reference %d %v", round, tot, h.N, h.Counts, want.N, want.Counts)
+			}
+			s, m, g := l.Fractions(tot, 0.2, 0.8)
+			ws, wm, wg := ref.fractions(tot, 0.2, 0.8)
+			if s != ws || m != wm || g != wg {
+				t.Fatalf("round %d total %v: fractions %v %v %v, reference %v %v %v", round, tot, s, m, g, ws, wm, wg)
+			}
+		}
+	}
+}
+
+// TestLifetimesTouchZeroAlloc: once the slice reaches an ID, touching that
+// ID or any lower one allocates nothing, first touch or repeat.
+func TestLifetimesTouchZeroAlloc(t *testing.T) {
+	l := NewLifetimes()
+	l.Touch(4095, 1)
+	var id uint64
+	if n := testing.AllocsPerRun(1000, func() {
+		id = id%4095 + 1
+		l.Touch(id, float64(id))
+	}); n != 0 {
+		t.Errorf("Touch allocates %v times per call", n)
 	}
 }
 

@@ -3,6 +3,7 @@ package tracelog
 import (
 	"bufio"
 	"bytes"
+	"fmt"
 	"io"
 	"testing"
 )
@@ -73,7 +74,8 @@ func FuzzReader(f *testing.F) {
 // per-event decoder: for arbitrary bytes, both must agree on the decoded
 // event prefix and on whether the stream is acceptable — across windowed and
 // unwindowed sources and block capacities that force block-boundary and
-// window-edge straddles. It must never panic.
+// window-edge straddles. AppendAll, which decodes through NextBlock, must
+// also return the per-event decoder's error. It must never panic.
 func FuzzNextBlock(f *testing.F) {
 	// A v1 log big enough that a 3-event block straddles its runs, plus its
 	// truncations: the truncated-final-block and cut-mid-event cases.
@@ -130,14 +132,39 @@ func FuzzNextBlock(f *testing.F) {
 	head := []byte("CCLOG1\n\x03bad\x05")
 	f.Add(append(append([]byte{}, head...), byte(KindUnmap), 0x01, 0xff, 0xff, 0x7f))
 	f.Add(append(append([]byte{}, head...), byte(KindAccess), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 0x01))
+	// The same huge module ID after twenty accesses and before a run of
+	// padding: the window decoder, not the per-event fallback, meets it,
+	// with a decoded prefix in the block.
+	mid := append([]byte{}, head...)
+	for range 20 {
+		mid = append(mid, byte(KindAccess), 0x01, 0x01)
+	}
+	mid = append(mid, byte(KindUnmap), 0x01, 0xff, 0xff, 0x7f)
+	f.Add(append(mid, make([]byte, 2*maxEventBytes)...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		wantH, want, wantErr := ReadAll(bytes.NewReader(data))
+		wantH, want, wantErr := readAllNext(bytes.NewReader(data))
 
 		for name, wrap := range map[string]func() io.Reader{
 			"plain":    func() io.Reader { return bytes.NewReader(data) },
 			"windowed": func() io.Reader { return bufio.NewReaderSize(struct{ io.Reader }{bytes.NewReader(data)}, 1<<10) },
 		} {
+			// AppendAll decodes through NextBlock: it must return the
+			// per-event decoder's header, events and error, after whatever
+			// dst already held.
+			dst := []Event{{Kind: KindEnd, Time: 1}}
+			h, got, err := AppendAll(dst, wrap())
+			if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+				t.Fatalf("%s: AppendAll err = %v, per-event err = %v", name, err, wantErr)
+			}
+			if h != wantH || len(got) != 1+len(want) || got[0] != dst[0] {
+				t.Fatalf("%s: AppendAll header %+v and %d events, per-event %+v and %d", name, h, len(got)-1, wantH, len(want))
+			}
+			for i := range want {
+				if got[1+i] != want[i] {
+					t.Fatalf("%s: AppendAll event %d = %+v, want %+v", name, i, got[1+i], want[i])
+				}
+			}
 			for _, blockCap := range []int{1, 3, BlockEvents} {
 				r, err := NewReader(wrap())
 				if err != nil {

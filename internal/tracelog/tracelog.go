@@ -396,21 +396,28 @@ func ReadAll(r io.Reader) (Header, []Event, error) {
 
 // AppendAll decodes every event in the stream and appends them to dst. A
 // caller that knows the event count, such as the Writer that produced the
-// stream, passes a dst of that capacity and decodes without regrowing.
+// stream, passes a dst of that capacity and decodes without regrowing. It
+// decodes through NextBlock, so a source with a buffered window (a bufio
+// Reader, or any source NewReader wraps in one) takes the window decoder;
+// on an error dst holds the events decoded before it, as with Next.
 func AppendAll(dst []Event, r io.Reader) (Header, []Event, error) {
 	rd, err := NewReader(r)
 	if err != nil {
 		return Header{}, dst, err
 	}
+	b := GetBlock()
+	defer PutBlock(b)
 	for {
-		e, err := rd.Next()
+		err := rd.NextBlock(b)
+		for i := range b.N {
+			dst = append(dst, b.Event(i))
+		}
 		if errors.Is(err, io.EOF) {
 			return rd.Header(), dst, nil
 		}
 		if err != nil {
 			return rd.Header(), dst, err
 		}
-		dst = append(dst, e)
 	}
 }
 
