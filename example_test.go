@@ -82,15 +82,24 @@ func Example_quickstart() {
 	// A generational trace cache: 45% nursery, 10% probation, 45%
 	// persistent, single-hit promotion — the paper's best configuration.
 	// Capacity is deliberately tight (128 KB) so the caches have to work.
-	// A custom observer on the manager's event bus counts promotions and
-	// capacity evictions as they happen.
-	var promotions, evictions int
+	// A custom observer on the manager's event bus counts inserts,
+	// promotions by destination and capacity evictions as they happen.
+	var inserts, toProbation, toPersistent, evictions, probationDeaths int
 	counter := repro.ObserverFunc(func(e repro.CacheEvent) {
 		switch e.Kind {
+		case repro.EventInsert:
+			inserts++
 		case repro.EventPromote:
-			promotions++
+			if e.To == repro.LevelProbation {
+				toProbation++
+			} else {
+				toPersistent++
+			}
 		case repro.EventEvict:
 			evictions++
+			if e.From == repro.LevelProbation {
+				probationDeaths++
+			}
 		}
 	})
 	mgr, err := repro.NewTierGraph(repro.BestLayout(128<<10), counter)
@@ -112,12 +121,11 @@ func Example_quickstart() {
 	fmt.Printf("traces created:    %d (%s)\n", s.TracesCreated, kb(s.TraceBytes))
 	fmt.Printf("trace accesses:    %d (%.2f%% misses)\n", s.Accesses, 100*s.MissRate())
 	fmt.Printf("unmapped traces:   %d (%s) after DLL unloads\n", s.UnmappedTraces, kb(s.UnmappedBytes))
-	fmt.Printf("promotions:        %d between generational caches\n", promotions)
+	fmt.Printf("promotions:        %d between generational caches\n", toProbation+toPersistent)
 	fmt.Printf("evictions:         %d traces aged out entirely\n", evictions)
 
-	ms := mgr.Stats()
 	fmt.Printf("\ngenerational manager: %d inserts, %d to probation, %d to persistent, %d probation deaths\n",
-		ms.Inserts, ms.PromotedToProbation, ms.PromotedToPersist, ms.ProbationDeaths)
+		inserts, toProbation, toPersistent, probationDeaths)
 	// Output:
 	// synthesized solitaire: 497 functions, 127.5 KB of code across 11 modules
 	//

@@ -1,5 +1,5 @@
 // Package attrib is the trace-lifecycle attribution ledger: a deterministic
-// consumer of the obs bus that runs a per-trace state machine
+// consumer of a manager's event stream that runs a per-trace state machine
 // (compiled → resident@tier → evicted/unmapped → regenerated → ...) and
 // classifies every miss into an explicit cause taxonomy (obs.Reason):
 //
@@ -18,7 +18,7 @@
 // Cause counts aggregate per module × tier × epoch × proc under a hard
 // conservation invariant: the non-cold causes sum exactly to the total
 // number of regenerations the ledger classified. The ledger is driven
-// synchronously by the manager that owns it (events via Observe, misses via
+// synchronously by the manager that owns it (events via Note, misses via
 // Miss), keyed to the manager's access counter — never wall time — so every
 // report is byte-reproducible across runs and parallelism.
 //
@@ -239,10 +239,10 @@ func (l *Ledger) Register(id uint64, module uint16, size uint64, cold bool) {
 	}
 }
 
-// Observe consumes one bus event. It is attached on the manager's observer
-// chain, runs on the manager's goroutine, and allocates nothing at steady
-// state.
-func (l *Ledger) Observe(e obs.Event) {
+// Note consumes one event of the owning manager's stream. The manager hands
+// each event to its ledger before its observer sees it; Note runs on the
+// manager's goroutine and allocates nothing at steady state.
+func (l *Ledger) Note(e *obs.Event) {
 	switch e.Kind {
 	case obs.KindInsert:
 		r, _ := l.ensure(e.Trace)
@@ -342,7 +342,7 @@ func (l *Ledger) Miss(id uint64) MissInfo {
 		case stateResident:
 			// The ledger thinks the trace is resident but the manager
 			// missed: the final tier is a shared back-end whose evictions
-			// bypass this process's bus. The shared tier lost an identity we
+			// bypass this process's stream. The shared tier lost an identity we
 			// had published or adopted — an adoption miss.
 			if l.shared {
 				mi.Cause = obs.ReasonAdoptionMiss

@@ -27,13 +27,13 @@ func applyOps(l *Ledger, ops []op) {
 		case "register":
 			l.Register(o.id, o.module, o.size, o.cold)
 		case "insert":
-			l.Observe(obs.Event{Kind: obs.KindInsert, Trace: o.id, Module: o.module, Size: o.size, To: o.level})
+			l.Note(&obs.Event{Kind: obs.KindInsert, Trace: o.id, Module: o.module, Size: o.size, To: o.level})
 		case "evict":
-			l.Observe(obs.Event{Kind: obs.KindEvict, Trace: o.id, Module: o.module, Size: o.size, From: o.level})
+			l.Note(&obs.Event{Kind: obs.KindEvict, Trace: o.id, Module: o.module, Size: o.size, From: o.level})
 		case "promote":
-			l.Observe(obs.Event{Kind: obs.KindPromote, Trace: o.id, From: o.level, To: o.level + 1})
+			l.Note(&obs.Event{Kind: obs.KindPromote, Trace: o.id, From: o.level, To: o.level + 1})
 		case "unmap":
-			l.Observe(obs.Event{Kind: obs.KindUnmap, Trace: o.id, Module: o.module, From: o.level})
+			l.Note(&obs.Event{Kind: obs.KindUnmap, Trace: o.id, Module: o.module, From: o.level})
 		case "modunmap":
 			l.NoteModuleUnmap(o.module)
 		case "miss":
@@ -223,8 +223,8 @@ func TestPropertyVsBruteForce(t *testing.T) {
 func TestUnmapSupersession(t *testing.T) {
 	l := New(Config{})
 	l.SetShape(obs.LevelNursery, obs.LevelPersistent, false)
-	l.Observe(obs.Event{Kind: obs.KindInsert, Trace: 7, Module: 3, Size: 64, To: obs.LevelNursery})
-	l.Observe(obs.Event{Kind: obs.KindEvict, Trace: 7, Module: 3, Size: 64, From: obs.LevelProbation})
+	l.Note(&obs.Event{Kind: obs.KindInsert, Trace: 7, Module: 3, Size: 64, To: obs.LevelNursery})
+	l.Note(&obs.Event{Kind: obs.KindEvict, Trace: 7, Module: 3, Size: 64, From: obs.LevelProbation})
 	l.NoteModuleUnmap(3)
 	mi := l.Miss(7)
 	if mi.Cause != obs.ReasonUnmapForced {
@@ -237,8 +237,8 @@ func TestUnmapSupersession(t *testing.T) {
 	// Without the unmap the same sequence is a chargeable premature demotion.
 	l2 := New(Config{})
 	l2.SetShape(obs.LevelNursery, obs.LevelPersistent, false)
-	l2.Observe(obs.Event{Kind: obs.KindInsert, Trace: 7, Module: 3, Size: 64, To: obs.LevelNursery})
-	l2.Observe(obs.Event{Kind: obs.KindEvict, Trace: 7, Module: 3, Size: 64, From: obs.LevelProbation})
+	l2.Note(&obs.Event{Kind: obs.KindInsert, Trace: 7, Module: 3, Size: 64, To: obs.LevelNursery})
+	l2.Note(&obs.Event{Kind: obs.KindEvict, Trace: 7, Module: 3, Size: 64, From: obs.LevelProbation})
 	mi2 := l2.Miss(7)
 	if mi2.Cause != obs.ReasonPrematureDemotion || !mi2.Charge {
 		t.Fatalf("cause without unmap = %v charge=%v, want chargeable premature-demotion", mi2.Cause, mi2.Charge)
@@ -246,8 +246,8 @@ func TestUnmapSupersession(t *testing.T) {
 
 	// A re-insert after the unmap starts a clean life: its next eviction is
 	// chargeable again (generation stamps match once more).
-	l.Observe(obs.Event{Kind: obs.KindInsert, Trace: 7, Module: 3, Size: 64, To: obs.LevelNursery})
-	l.Observe(obs.Event{Kind: obs.KindEvict, Trace: 7, Module: 3, Size: 64, From: obs.LevelPersistent})
+	l.Note(&obs.Event{Kind: obs.KindInsert, Trace: 7, Module: 3, Size: 64, To: obs.LevelNursery})
+	l.Note(&obs.Event{Kind: obs.KindEvict, Trace: 7, Module: 3, Size: 64, From: obs.LevelPersistent})
 	if mi := l.Miss(7); !mi.Charge || mi.Cause != obs.ReasonCapacity {
 		t.Fatalf("post-unmap life: cause=%v charge=%v, want chargeable capacity", mi.Cause, mi.Charge)
 	}
@@ -257,8 +257,8 @@ func TestUnmapSupersession(t *testing.T) {
 func TestDeathConsumedOnce(t *testing.T) {
 	l := New(Config{})
 	l.SetShape(obs.LevelNursery, obs.LevelPersistent, false)
-	l.Observe(obs.Event{Kind: obs.KindInsert, Trace: 1, Module: 1, To: obs.LevelNursery})
-	l.Observe(obs.Event{Kind: obs.KindEvict, Trace: 1, Module: 1, From: obs.LevelPersistent})
+	l.Note(&obs.Event{Kind: obs.KindInsert, Trace: 1, Module: 1, To: obs.LevelNursery})
+	l.Note(&obs.Event{Kind: obs.KindEvict, Trace: 1, Module: 1, From: obs.LevelPersistent})
 	if mi := l.Miss(1); !mi.Charge {
 		t.Fatalf("first miss after death not chargeable: %+v", mi)
 	}
@@ -272,14 +272,14 @@ func TestDeathConsumedOnce(t *testing.T) {
 func TestNeverPromoted(t *testing.T) {
 	l := New(Config{})
 	l.SetShape(obs.LevelNursery, obs.LevelPersistent, false)
-	l.Observe(obs.Event{Kind: obs.KindInsert, Trace: 5, Module: 2, To: obs.LevelNursery})
-	l.Observe(obs.Event{Kind: obs.KindEvict, Trace: 5, Module: 2, From: obs.LevelNursery})
+	l.Note(&obs.Event{Kind: obs.KindInsert, Trace: 5, Module: 2, To: obs.LevelNursery})
+	l.Note(&obs.Event{Kind: obs.KindEvict, Trace: 5, Module: 2, From: obs.LevelNursery})
 	if mi := l.Miss(5); mi.Cause != obs.ReasonNeverPromoted {
 		t.Fatalf("unpromoted nursery death = %v, want never-promoted", mi.Cause)
 	}
-	l.Observe(obs.Event{Kind: obs.KindInsert, Trace: 5, Module: 2, To: obs.LevelNursery})
-	l.Observe(obs.Event{Kind: obs.KindPromote, Trace: 5, From: obs.LevelNursery, To: obs.LevelProbation})
-	l.Observe(obs.Event{Kind: obs.KindEvict, Trace: 5, Module: 2, From: obs.LevelNursery})
+	l.Note(&obs.Event{Kind: obs.KindInsert, Trace: 5, Module: 2, To: obs.LevelNursery})
+	l.Note(&obs.Event{Kind: obs.KindPromote, Trace: 5, From: obs.LevelNursery, To: obs.LevelProbation})
+	l.Note(&obs.Event{Kind: obs.KindEvict, Trace: 5, Module: 2, From: obs.LevelNursery})
 	if mi := l.Miss(5); mi.Cause != obs.ReasonCapacity {
 		t.Fatalf("promoted nursery death = %v, want capacity", mi.Cause)
 	}
@@ -290,14 +290,14 @@ func TestNeverPromoted(t *testing.T) {
 func TestPrematureWindow(t *testing.T) {
 	l := New(Config{Epoch: 100, ReheatEpochs: 1})
 	l.SetShape(obs.LevelNursery, obs.LevelPersistent, false)
-	l.Observe(obs.Event{Kind: obs.KindInsert, Trace: 9, Module: 1, To: obs.LevelProbation})
-	l.Observe(obs.Event{Kind: obs.KindEvict, Trace: 9, Module: 1, From: obs.LevelProbation})
+	l.Note(&obs.Event{Kind: obs.KindInsert, Trace: 9, Module: 1, To: obs.LevelProbation})
+	l.Note(&obs.Event{Kind: obs.KindEvict, Trace: 9, Module: 1, From: obs.LevelProbation})
 	l.Tick(100)
 	if mi := l.Miss(9); mi.Cause != obs.ReasonPrematureDemotion {
 		t.Fatalf("re-heat at window edge = %v, want premature-demotion", mi.Cause)
 	}
-	l.Observe(obs.Event{Kind: obs.KindInsert, Trace: 9, Module: 1, To: obs.LevelProbation})
-	l.Observe(obs.Event{Kind: obs.KindEvict, Trace: 9, Module: 1, From: obs.LevelProbation})
+	l.Note(&obs.Event{Kind: obs.KindInsert, Trace: 9, Module: 1, To: obs.LevelProbation})
+	l.Note(&obs.Event{Kind: obs.KindEvict, Trace: 9, Module: 1, From: obs.LevelProbation})
 	l.Tick(101)
 	if mi := l.Miss(9); mi.Cause != obs.ReasonCapacity {
 		t.Fatalf("re-heat past window = %v, want capacity", mi.Cause)
@@ -310,7 +310,7 @@ func TestAdoptionMiss(t *testing.T) {
 	for _, shared := range []bool{true, false} {
 		l := New(Config{})
 		l.SetShape(obs.LevelNursery, obs.LevelPersistent, shared)
-		l.Observe(obs.Event{Kind: obs.KindInsert, Trace: 3, Module: 1, To: obs.LevelPersistent})
+		l.Note(&obs.Event{Kind: obs.KindInsert, Trace: 3, Module: 1, To: obs.LevelPersistent})
 		mi := l.Miss(3)
 		want := obs.ReasonCapacity
 		if shared {
@@ -349,8 +349,8 @@ func TestReclassifyLastMiss(t *testing.T) {
 func TestLightMode(t *testing.T) {
 	l := New(Config{Light: true})
 	l.SetShape(obs.LevelNursery, obs.LevelPersistent, false)
-	l.Observe(obs.Event{Kind: obs.KindInsert, Trace: 2, Module: 1, To: obs.LevelNursery})
-	l.Observe(obs.Event{Kind: obs.KindEvict, Trace: 2, Module: 1, From: obs.LevelPersistent})
+	l.Note(&obs.Event{Kind: obs.KindInsert, Trace: 2, Module: 1, To: obs.LevelNursery})
+	l.Note(&obs.Event{Kind: obs.KindEvict, Trace: 2, Module: 1, From: obs.LevelPersistent})
 	mi := l.Miss(2)
 	if !mi.Charge || mi.Level != obs.LevelPersistent {
 		t.Fatalf("light miss: %+v, want persistent charge", mi)
@@ -401,24 +401,24 @@ func TestReportDeterministic(t *testing.T) {
 	}
 }
 
-// TestSteadyStateAllocs: the hot path (Tick + Observe + Miss on warmed
+// TestSteadyStateAllocs: the hot path (Tick + Note + Miss on warmed
 // identities) allocates nothing per event.
 func TestSteadyStateAllocs(t *testing.T) {
 	l := New(Config{Epoch: 1 << 30})
 	l.SetShape(obs.LevelNursery, obs.LevelPersistent, false)
 	// Warm every identity, cell, and internal table the loop will touch.
 	for id := uint64(0); id < 16; id++ {
-		l.Observe(obs.Event{Kind: obs.KindInsert, Trace: id, Module: uint16(id % 4), Size: 64, To: obs.LevelNursery})
-		l.Observe(obs.Event{Kind: obs.KindPromote, Trace: id, From: obs.LevelNursery, To: obs.LevelProbation})
-		l.Observe(obs.Event{Kind: obs.KindEvict, Trace: id, Module: uint16(id % 4), Size: 64, From: obs.LevelProbation})
+		l.Note(&obs.Event{Kind: obs.KindInsert, Trace: id, Module: uint16(id % 4), Size: 64, To: obs.LevelNursery})
+		l.Note(&obs.Event{Kind: obs.KindPromote, Trace: id, From: obs.LevelNursery, To: obs.LevelProbation})
+		l.Note(&obs.Event{Kind: obs.KindEvict, Trace: id, Module: uint16(id % 4), Size: 64, From: obs.LevelProbation})
 		l.Miss(id)
 	}
 	var id uint64
 	allocs := testing.AllocsPerRun(1000, func() {
 		id = (id + 1) % 16
 		l.Tick(1)
-		l.Observe(obs.Event{Kind: obs.KindInsert, Trace: id, Module: uint16(id % 4), Size: 64, To: obs.LevelNursery})
-		l.Observe(obs.Event{Kind: obs.KindEvict, Trace: id, Module: uint16(id % 4), Size: 64, From: obs.LevelProbation})
+		l.Note(&obs.Event{Kind: obs.KindInsert, Trace: id, Module: uint16(id % 4), Size: 64, To: obs.LevelNursery})
+		l.Note(&obs.Event{Kind: obs.KindEvict, Trace: id, Module: uint16(id % 4), Size: 64, From: obs.LevelProbation})
 		l.Miss(id)
 	})
 	if allocs != 0 {

@@ -5,6 +5,10 @@
 // §4.2: undeletable traces (the cursor resets to just past them, §4.3) and
 // program-forced evictions (unmapped modules punch holes that are absorbed
 // back into the circular sweep).
+//
+// An arena publishes no events: it returns its victims, and the manager that
+// owns it (internal/core) reports every insert, eviction, promotion, unmap
+// and resize on the obs stream.
 package codecache
 
 import (
@@ -12,7 +16,6 @@ import (
 	"fmt"
 
 	"repro/internal/idtab"
-	"repro/internal/obs"
 )
 
 // Fragment describes one cached code trace.
@@ -99,13 +102,6 @@ type Arena struct {
 	root    *node
 	indexed bool
 	prio    uint32
-
-	// o, when non-nil, receives program-forced deletion events; level names
-	// this arena in them, proc the owning front-end process. Managers attach
-	// their observer at construction.
-	o     obs.Observer
-	level obs.Level
-	proc  int
 }
 
 // New creates an arena with the given capacity in bytes.
@@ -355,23 +351,10 @@ func (a *Arena) Delete(id uint64, force bool) (Fragment, error) {
 	return f, nil
 }
 
-// SetObserver attaches the observer that receives this arena's
-// program-forced deletion events, naming the arena level in them.
-func (a *Arena) SetObserver(o obs.Observer, level obs.Level) {
-	a.o = o
-	a.level = level
-}
-
-// SetProcID names the front-end process that owns this arena; the ID is
-// stamped on the arena's own events so shared-system consumers can attribute
-// them. Single-process systems leave it 0.
-func (a *Arena) SetProcID(proc int) { a.proc = proc }
-
 // DeleteModule removes every fragment belonging to module m (a
 // program-forced eviction). It returns the removed fragments in address
 // order — a deterministic order, so replay cost accounting (and therefore
-// parallel experiment pipelines) is reproducible — and publishes one
-// KindUnmap event per victim.
+// parallel experiment pipelines) is reproducible.
 func (a *Arena) DeleteModule(m uint16) []Fragment {
 	var out []Fragment
 	// Collect first: removing mutates the list. Walking the node list visits
@@ -385,7 +368,6 @@ func (a *Arena) DeleteModule(m uint16) []Fragment {
 	for _, n := range victims {
 		f, _ := a.remove(n)
 		out = append(out, f)
-		obs.Emit(a.o, obs.Event{Kind: obs.KindUnmap, Trace: f.ID, Size: f.Size, Module: f.Module, From: a.level, Proc: a.proc})
 	}
 	return out
 }
@@ -509,8 +491,7 @@ func (a *Arena) place(n *node, f Fragment) {
 // to onEvict (which may be nil) after removal, so a tiered manager can
 // relocate them instead of discarding them. If any such fragment is
 // undeletable the resize fails with ErrResizePinned and the arena is left
-// unmodified. A successful resize publishes one KindResize event carrying the
-// new capacity.
+// unmodified.
 func (a *Arena) Resize(newCapacity uint64, onEvict func(Fragment)) error {
 	if newCapacity == 0 {
 		return fmt.Errorf("codecache: resize to zero capacity")
@@ -540,7 +521,6 @@ func (a *Arena) Resize(newCapacity uint64, onEvict func(Fragment)) error {
 			}
 		}
 		a.capacity = newCapacity
-		obs.Emit(a.o, obs.Event{Kind: obs.KindResize, Size: newCapacity, From: a.level, Proc: a.proc})
 		return nil
 	}
 
@@ -586,7 +566,6 @@ func (a *Arena) Resize(newCapacity uint64, onEvict func(Fragment)) error {
 		a.recycleNode(last)
 	}
 	a.capacity = newCapacity
-	obs.Emit(a.o, obs.Event{Kind: obs.KindResize, Size: newCapacity, From: a.level, Proc: a.proc})
 	return nil
 }
 

@@ -4,8 +4,6 @@ import (
 	"errors"
 	"math/rand"
 	"testing"
-
-	"repro/internal/obs"
 )
 
 func mustInsert(t *testing.T, a *Arena, f Fragment) []Fragment {
@@ -769,43 +767,5 @@ func TestResizeRandomized(t *testing.T) {
 		if a.Used() != want {
 			t.Fatalf("op %d: used %d vs model %d", op, a.Used(), want)
 		}
-	}
-}
-
-func TestResizeEmitsEvent(t *testing.T) {
-	a := New(300)
-	var got []obs.Event
-	a.SetObserver(obs.Func(func(e obs.Event) {
-		if e.Kind == obs.KindResize {
-			got = append(got, e)
-		}
-	}), obs.LevelNursery)
-	a.SetProcID(2)
-	mustInsert(t, a, Fragment{ID: 1, Size: 100})
-	if err := a.Resize(400, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Resize(200, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Resize(200, nil); err != nil { // no-op: no event
-		t.Fatal(err)
-	}
-	if len(got) != 2 {
-		t.Fatalf("got %d resize events, want 2", len(got))
-	}
-	for i, want := range []uint64{400, 200} {
-		e := got[i]
-		if e.Size != want || e.From != obs.LevelNursery || e.Proc != 2 {
-			t.Errorf("event %d = %+v, want Size=%d From=nursery Proc=2", i, e, want)
-		}
-	}
-	// A refused shrink must not emit.
-	a.SetUndeletable(1, true)
-	if err := a.Resize(50, nil); !errors.Is(err, ErrResizePinned) {
-		t.Fatalf("err = %v", err)
-	}
-	if len(got) != 2 {
-		t.Fatalf("refused resize emitted an event")
 	}
 }

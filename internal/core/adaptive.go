@@ -1,16 +1,16 @@
 // The adaptive split controller: demand-driven re-balancing of the capacity
 // split between a graph's generations. The paper hand-tunes the 45-10-45
 // split offline (§6, Table 2); the controller instead attributes every
-// conflict miss to the tier whose eviction killed the trace — deaths are
-// sampled from the graph's own obs event stream, misses from its access
-// path — and at fixed epoch boundaries shifts one capacity step from the
-// tier with the lowest hit density to the tier causing the most misses.
+// conflict miss to the tier whose eviction killed the trace — the graph's
+// attribution ledger traces each miss back to that death — and at fixed
+// epoch boundaries shifts one capacity step from the tier with the lowest
+// hit density to the tier causing the most misses.
 // Decisions run in three phases: a fast bootstrap walk right after the
 // caches first fill, two-window confirmed moves afterwards, and near-frozen
 // once the walk has bracketed its equilibrium (shrinking a tier eventually
 // manufactures that tier's own attributed misses, so chasing the signal
 // forever drives a standing oscillation). Epochs are keyed to the manager's
-// own access counter — never wall time — so adaptive runs stay bit-identical
+// own access count — never wall time — so adaptive runs stay bit-identical
 // across runs and worker-pool sizes.
 package core
 
@@ -53,24 +53,20 @@ type AdaptiveStats struct {
 	Blocked   uint64 // shifts refused (MinFrac floor or pinned fragments)
 }
 
-// adaptiveController re-balances a graph's private tier capacities. It
-// subscribes to the graph's own event stream (windowed per-tier eviction,
-// promotion, and attributed-miss tallies) and is ticked from Graph.Access.
+// adaptiveController re-balances a graph's private tier capacities. It is
+// ticked and fed from the graph's access path.
 type adaptiveController struct {
 	cfg AdaptiveConfig
 	g   *Graph
+	// left counts down the accesses to the next epoch boundary.
+	left uint64
 
 	// Windowed per-tier samples, reset every epoch. Indexed by private tier
-	// position. evicts and promotes are fed by Observe from the graph's obs
-	// stream; hits and missFrom by noteHit/noteMiss from the graph's access
-	// path.
-	// missFrom is fed from Graph.noteMiss: the graph's attribution ledger
-	// (internal/attrib, run in light mode) replays each miss back to the
-	// capacity eviction that caused it, replacing the controller's old
-	// private diedFrom map — and, unlike it, a death superseded by a module
-	// unmap is never charged.
-	evicts   []uint64
-	promotes []uint64
+	// position. hits is fed by noteHit from Graph.Access. missFrom is fed
+	// from Graph.noteMiss: the graph's attribution ledger (internal/attrib,
+	// run in light mode) replays each miss back to the capacity eviction
+	// that caused it, replacing the controller's old private diedFrom map —
+	// and, unlike it, a death superseded by a module unmap is never charged.
 	hits     []uint64
 	missFrom []uint64
 	levelIdx map[Level]int
@@ -111,7 +107,8 @@ type adaptiveController struct {
 }
 
 func newAdaptiveController(g *Graph, cfg AdaptiveConfig) *adaptiveController {
-	return &adaptiveController{cfg: cfg.withDefaults(), g: g,
+	cfg = cfg.withDefaults()
+	return &adaptiveController{cfg: cfg, g: g, left: cfg.Epoch,
 		pendFrom: -1, pendTo: -1, lastFrom: -1, lastTo: -1}
 }
 
@@ -153,29 +150,11 @@ func (c *adaptiveController) setPressure(p float64) {
 
 // bind sizes the controller's per-tier windows once the graph's tiers exist.
 func (c *adaptiveController) bind(g *Graph) {
-	c.evicts = make([]uint64, len(g.tiers))
-	c.promotes = make([]uint64, len(g.tiers))
 	c.hits = make([]uint64, len(g.tiers))
 	c.missFrom = make([]uint64, len(g.tiers))
 	c.levelIdx = make(map[Level]int, len(g.tiers))
 	for i, t := range g.tiers {
 		c.levelIdx[t.level] = i
-	}
-}
-
-// Observe implements obs.Observer: windowed per-tier sampling of the
-// graph's own lifecycle stream. The per-trace death bookkeeping lives in the
-// graph's attribution ledger; the controller only keeps windowed tallies.
-func (c *adaptiveController) Observe(e obs.Event) {
-	switch e.Kind {
-	case obs.KindEvict:
-		if i, ok := c.levelIdx[e.From]; ok {
-			c.evicts[i]++
-		}
-	case obs.KindPromote:
-		if i, ok := c.levelIdx[e.From]; ok {
-			c.promotes[i]++
-		}
 	}
 }
 
@@ -185,10 +164,11 @@ func (c *adaptiveController) noteHit(i int) {
 	c.hits[i]++
 }
 
-// tick runs the controller at deterministic epoch boundaries of the graph's
-// access counter.
-func (c *adaptiveController) tick(accesses uint64) {
-	if accesses%c.cfg.Epoch == 0 {
+// tick counts one access of the graph and runs the controller at every
+// Epoch-th, the deterministic epoch boundaries of the graph's access count.
+func (c *adaptiveController) tick() {
+	if c.left--; c.left == 0 {
+		c.left = c.cfg.Epoch
 		c.epoch()
 	}
 }
@@ -225,8 +205,8 @@ func (c *adaptiveController) epoch() {
 		c.lastFrom, c.lastTo = from, to
 		c.stats.Resizes++
 	}
-	for i := range c.evicts {
-		c.evicts[i], c.promotes[i], c.hits[i], c.missFrom[i] = 0, 0, 0, 0
+	for i := range c.hits {
+		c.hits[i], c.missFrom[i] = 0, 0
 	}
 }
 
@@ -298,8 +278,9 @@ func (c *adaptiveController) minBytes() uint64 {
 // shift moves one capacity step from tier `from` to tier `to`. The donor
 // shrinks first — its displaced traces cascade along its normal eviction
 // edge — and the recipient grows by the same amount, so total capacity is
-// conserved. A shrink blocked by pinned fragments or the floor refuses the
-// whole shift.
+// conserved. Each resize is published with the tier's new capacity, the
+// donor's first. A shrink blocked by pinned fragments or the floor refuses
+// the whole shift and publishes nothing.
 func (c *adaptiveController) shift(from, to int) bool {
 	delta := c.stepBytes()
 	if delta == 0 || from < 0 || to < 0 || from == to {
@@ -315,8 +296,10 @@ func (c *adaptiveController) shift(from, to int) bool {
 		c.stats.Blocked++
 		return false
 	}
+	c.g.emit(obs.Event{Kind: obs.KindResize, Size: d.arena.Capacity(), From: d.level, Proc: c.g.proc})
 	// Growing cannot fail.
 	_ = r.arena.Resize(r.arena.Capacity()+delta, nil)
+	c.g.emit(obs.Event{Kind: obs.KindResize, Size: r.arena.Capacity(), From: r.level, Proc: c.g.proc})
 	if c.g.sel != nil {
 		// Keep the policy selector's shadow arenas byte-matched to the new
 		// tier capacities.

@@ -34,21 +34,6 @@ const (
 	LevelPersistent = obs.LevelPersistent
 )
 
-// Stats aggregates manager activity.
-type Stats struct {
-	Inserts             uint64 // new traces accepted
-	Accesses            uint64 // Access calls
-	Hits                uint64 // Access calls that found the trace resident
-	Evicted             uint64 // traces that left the system from capacity pressure
-	EvictedBytes        uint64
-	PromotedToProbation uint64
-	PromotedToPersist   uint64
-	ProbationDeaths     uint64 // probation victims that failed the threshold
-	ForcedDeletes       uint64 // program-forced (module unmap) deletions
-	ForcedDeleteBytes   uint64
-	DropTooBig          uint64 // traces that could not fit anywhere
-}
-
 // NewUnified creates a unified pseudo-circular cache of the given capacity.
 // Lifecycle events are published to o (nil for none). A cache's local
 // policy is named only by TierSpec.Policy; the middle parameter is kept for

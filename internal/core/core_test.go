@@ -1,9 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -27,7 +29,8 @@ func TestLevelString(t *testing.T) {
 
 func TestUnifiedBasics(t *testing.T) {
 	var evicted []uint64
-	u := NewUnified(300, nil, obs.Func(func(e obs.Event) {
+	ec := stats.NewEventCounter()
+	u := NewUnified(300, nil, obs.NewBus(ec, obs.Func(func(e obs.Event) {
 		if e.Kind != obs.KindEvict {
 			return
 		}
@@ -35,7 +38,7 @@ func TestUnifiedBasics(t *testing.T) {
 			t.Errorf("eviction from %s", e.From)
 		}
 		evicted = append(evicted, e.Trace)
-	}))
+	})))
 	if u.Name() != "unified/pseudo-circular" {
 		t.Errorf("name = %q", u.Name())
 	}
@@ -56,9 +59,8 @@ func TestUnifiedBasics(t *testing.T) {
 	if !u.Contains(3) || u.Contains(1) {
 		t.Error("Contains wrong")
 	}
-	s := u.Stats()
-	if s.Inserts != 4 || s.Accesses != 2 || s.Hits != 1 || s.Evicted != 1 || s.EvictedBytes != 100 {
-		t.Errorf("stats = %+v", s)
+	if ec.Count(obs.KindInsert) != 4 || ec.Bytes(obs.KindEvict) != 100 {
+		t.Errorf("%d insert events and %d evicted bytes, want 4 and 100", ec.Count(obs.KindInsert), ec.Bytes(obs.KindEvict))
 	}
 	if u.Capacity() != 300 || u.Used() != 300 {
 		t.Errorf("capacity/used = %d/%d", u.Capacity(), u.Used())
@@ -66,25 +68,26 @@ func TestUnifiedBasics(t *testing.T) {
 }
 
 func TestUnifiedForcedDeletes(t *testing.T) {
-	u := NewUnified(1000, nil, obs.Func(func(e obs.Event) {
+	ec := stats.NewEventCounter()
+	u := NewUnified(1000, nil, obs.NewBus(ec, obs.Func(func(e obs.Event) {
 		if e.Kind == obs.KindEvict {
 			t.Error("forced delete fired an evict event")
 		}
-	}))
+	})))
 	u.Insert(codecache.Fragment{ID: 1, Size: 100, Module: 5})
 	u.Insert(codecache.Fragment{ID: 2, Size: 100, Module: 6})
 	out := u.DeleteModule(5)
 	if len(out) != 1 || out[0].ID != 1 {
 		t.Fatalf("DeleteModule = %v", out)
 	}
-	s := u.Stats()
-	if s.ForcedDeletes != 1 || s.ForcedDeleteBytes != 100 {
-		t.Errorf("forced delete stats = %+v", s)
+	if ec.Count(obs.KindUnmap) != 1 || ec.Bytes(obs.KindUnmap) != 100 {
+		t.Errorf("%d unmap events of %d bytes, want 1 of 100", ec.Count(obs.KindUnmap), ec.Bytes(obs.KindUnmap))
 	}
 }
 
 func TestUnifiedPinning(t *testing.T) {
-	u := NewUnified(200, nil, nil)
+	ec := stats.NewEventCounter()
+	u := NewUnified(200, nil, ec)
 	u.Insert(codecache.Fragment{ID: 1, Size: 200})
 	if !u.SetUndeletable(1, true) {
 		t.Fatal("pin failed")
@@ -92,8 +95,8 @@ func TestUnifiedPinning(t *testing.T) {
 	if err := u.Insert(codecache.Fragment{ID: 2, Size: 100}); err == nil {
 		t.Error("insert into fully pinned cache should fail")
 	}
-	if u.Stats().DropTooBig != 1 {
-		t.Error("DropTooBig not counted")
+	if n := ec.Count(obs.KindInsert); n != 1 {
+		t.Errorf("%d insert events, want 1: a refused insert publishes nothing", n)
 	}
 	if u.SetUndeletable(42, true) {
 		t.Error("pinning a missing trace should report false")
@@ -215,9 +218,6 @@ func TestGenerationalNurseryToProbation(t *testing.T) {
 	if err := g.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	if g.Stats().PromotedToProbation != 1 {
-		t.Errorf("stats = %+v", g.Stats())
-	}
 }
 
 func TestGenerationalProbationDeath(t *testing.T) {
@@ -244,13 +244,11 @@ func TestGenerationalProbationDeath(t *testing.T) {
 	if g.arenaOf(LevelPersistent).Len() != 0 {
 		t.Error("nothing should have reached the persistent cache")
 	}
-	if g.Stats().ProbationDeaths != 1 {
-		t.Errorf("stats = %+v", g.Stats())
-	}
 }
 
 func TestGenerationalPromotionViaEviction(t *testing.T) {
-	g := mkGen(t, 1, false, nil)
+	ec := stats.NewEventCounter()
+	g := mkGen(t, 1, false, ec)
 	for id := uint64(1); id <= 4; id++ {
 		g.Insert(codecache.Fragment{ID: id, Size: 100})
 	}
@@ -265,8 +263,8 @@ func TestGenerationalPromotionViaEviction(t *testing.T) {
 	if l, ok := g.Where(1); !ok || l != LevelPersistent {
 		t.Fatalf("trace 1 at %v,%v; want persistent", l, ok)
 	}
-	if g.Stats().PromotedToPersist != 1 {
-		t.Errorf("stats = %+v", g.Stats())
+	if n := ec.CountAtLevel(obs.KindPromote, LevelPersistent); n != 1 {
+		t.Errorf("%d promotions into the persistent cache, want 1", n)
 	}
 	if err := g.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -274,7 +272,8 @@ func TestGenerationalPromotionViaEviction(t *testing.T) {
 }
 
 func TestGenerationalPromoteOnAccess(t *testing.T) {
-	g := mkGen(t, 1, true, nil)
+	ec := stats.NewEventCounter()
+	g := mkGen(t, 1, true, ec)
 	for id := uint64(1); id <= 4; id++ {
 		g.Insert(codecache.Fragment{ID: id, Size: 100})
 	}
@@ -289,9 +288,8 @@ func TestGenerationalPromoteOnAccess(t *testing.T) {
 	if !g.Access(1) {
 		t.Error("persistent access failed")
 	}
-	s := g.Stats()
-	if s.Hits != 2 || s.Accesses != 2 || s.PromotedToPersist != 1 {
-		t.Errorf("stats = %+v", s)
+	if n := ec.CountAtLevel(obs.KindPromote, LevelPersistent); n != 1 {
+		t.Errorf("%d promotions into the persistent cache, want 1", n)
 	}
 }
 
@@ -361,7 +359,8 @@ func TestGenerationalPersistentEviction(t *testing.T) {
 }
 
 func TestGenerationalDeleteModuleSpansLevels(t *testing.T) {
-	g := mkGen(t, 1, true, nil)
+	ec := stats.NewEventCounter()
+	g := mkGen(t, 1, true, ec)
 	for id := uint64(1); id <= 4; id++ {
 		g.Insert(codecache.Fragment{ID: id, Size: 100, Module: 7})
 	}
@@ -373,8 +372,96 @@ func TestGenerationalDeleteModuleSpansLevels(t *testing.T) {
 	if g.Used() != 0 {
 		t.Errorf("used = %d after module delete", g.Used())
 	}
-	if g.Stats().ForcedDeletes != 4 {
-		t.Errorf("stats = %+v", g.Stats())
+	if ec.CountAtLevel(obs.KindUnmap, LevelNursery) != 3 || ec.CountAtLevel(obs.KindUnmap, LevelPersistent) != 1 {
+		t.Errorf("unmap events: %d from the nursery, %d from the persistent cache; want 3 and 1",
+			ec.CountAtLevel(obs.KindUnmap, LevelNursery), ec.CountAtLevel(obs.KindUnmap, LevelPersistent))
+	}
+}
+
+// TestGraphPublishesUnmapsAndResizes: the graph publishes the unmaps and
+// resizes its arenas carry out. DeleteModule publishes one unmap per victim,
+// tier by tier in address order, carrying the tier's level and the proc
+// given to SetProcID. A controller shift publishes the donor's resize, then
+// the recipient's, each with the tier's new capacity; a shift refused by a
+// pinned fragment publishes nothing.
+func TestGraphPublishesUnmapsAndResizes(t *testing.T) {
+	// A 450-byte nursery, 100 bytes of probation and a 450-byte persistent
+	// tier, under a controller whose epochs never come: the test shifts.
+	spec := Layout451045Threshold1(1000)
+	spec.Adaptive = &AdaptiveConfig{Epoch: 1 << 30}
+	var got []obs.Event
+	g, err := NewGraph(spec, obs.Func(func(e obs.Event) {
+		if e.Kind == obs.KindUnmap || e.Kind == obs.KindResize {
+			got = append(got, e)
+		}
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.SetProcID(3)
+	insert := func(id uint64, module uint16) {
+		t.Helper()
+		if err := g.Insert(codecache.Fragment{ID: id, Size: 100, Module: module}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Odd IDs are module 7's. Trace 5 wraps and pushes 1 into probation, an
+	// access promotes 1 into the persistent tier, and 6 takes 2's place,
+	// pushing 2 into probation.
+	for id := uint64(1); id <= 5; id++ {
+		insert(id, uint16(7+(id+1)%2))
+	}
+	g.Access(1)
+	insert(6, 7)
+	// Module 7 now holds 5, 6 and 3 at nursery offsets 0, 100 and 200, and 1
+	// in the persistent tier.
+	victims := g.DeleteModule(7)
+	want := []struct {
+		id  uint64
+		lvl Level
+	}{{5, LevelNursery}, {6, LevelNursery}, {3, LevelNursery}, {1, LevelPersistent}}
+	if len(got) != len(want) || len(victims) != len(want) {
+		t.Fatalf("DeleteModule returned %d victims and published %d unmaps, want %d", len(victims), len(got), len(want))
+	}
+	for i, w := range want {
+		e := got[i]
+		if e.Kind != obs.KindUnmap || e.Trace != w.id || e.From != w.lvl || e.Proc != 3 || e.Module != 7 || e.Size != 100 {
+			t.Errorf("unmap %d = %+v, want trace %d from %s by proc 3", i, e, w.id, w.lvl)
+		}
+		if victims[i].ID != w.id {
+			t.Errorf("victim %d is trace %d, want %d", i, victims[i].ID, w.id)
+		}
+	}
+
+	got = got[:0]
+	if !g.ctl.shift(0, 2) {
+		t.Fatal("shift from the nursery to the persistent tier refused")
+	}
+	if len(got) != 2 {
+		t.Fatalf("a shift published %d events, want 2 resizes", len(got))
+	}
+	for i, w := range []struct {
+		lvl Level
+		cap uint64
+	}{{LevelNursery, 410}, {LevelPersistent, 490}} {
+		if e := got[i]; e.Kind != obs.KindResize || e.From != w.lvl || e.Size != w.cap || e.Proc != 3 {
+			t.Errorf("resize %d = %+v, want %s to %d bytes by proc 3", i, e, w.lvl, w.cap)
+		}
+	}
+
+	// Trace 4 sits at nursery offsets 300-400, inside the next shrink's cut.
+	got = got[:0]
+	if !g.SetUndeletable(4, true) {
+		t.Fatal("trace 4 is not resident")
+	}
+	if g.ctl.shift(0, 2) {
+		t.Fatal("shift over a pinned fragment applied")
+	}
+	if len(got) != 0 {
+		t.Errorf("a refused shift published %+v", got)
+	}
+	if caps := g.TierCapacities(); !slices.Equal(caps, []uint64{410, 100, 490}) {
+		t.Errorf("capacities after the refused shift = %v, want [410 100 490]", caps)
 	}
 }
 
@@ -400,19 +487,21 @@ func TestGenerationalSetUndeletable(t *testing.T) {
 }
 
 func TestGenerationalTooBigTrace(t *testing.T) {
-	g := mkGen(t, 1, true, nil)
+	ec := stats.NewEventCounter()
+	g := mkGen(t, 1, true, ec)
 	if err := g.Insert(codecache.Fragment{ID: 1, Size: 500}); err == nil {
 		t.Error("trace larger than nursery should be rejected")
 	}
-	if g.Stats().DropTooBig != 1 {
-		t.Errorf("stats = %+v", g.Stats())
+	if n := ec.Count(obs.KindInsert); n != 0 {
+		t.Errorf("a refused insert published %d insert events", n)
 	}
 }
 
 func TestGenerationalOversizedNurseryVictimDies(t *testing.T) {
 	// A nursery victim too big for the probation cache dies: a 500-byte
 	// nursery, a 100-byte probation cache and a 400-byte persistent cache.
-	g, err := NewGraph(threeTier(1000, 0.5, 0.1, 0.4, 1, false), nil)
+	ec := stats.NewEventCounter()
+	g, err := NewGraph(threeTier(1000, 0.5, 0.1, 0.4, 1, false), ec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,8 +510,9 @@ func TestGenerationalOversizedNurseryVictimDies(t *testing.T) {
 	if g.Contains(1) {
 		t.Error("oversized victim should have died")
 	}
-	if g.Stats().Evicted != 1 {
-		t.Errorf("stats = %+v", g.Stats())
+	if ec.Count(obs.KindEvict) != 1 || ec.CountAtLevel(obs.KindEvict, LevelNursery) != 1 {
+		t.Errorf("%d evict events, %d from the nursery; want one, from the nursery",
+			ec.Count(obs.KindEvict), ec.CountAtLevel(obs.KindEvict, LevelNursery))
 	}
 	if err := g.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -634,69 +724,109 @@ func TestQuickConfigValidate(t *testing.T) {
 	}
 }
 
-// TestObserverFanOutProperty drives a random workload through both manager
-// shapes with an EventCounter on the bus and checks that every logical
-// event fires exactly once: observer tallies must equal the manager's own
-// Stats counters, and a second observer fanned in through obs.Bus must see
-// the identical stream.
-func TestObserverFanOutProperty(t *testing.T) {
-	for _, seed := range []int64{7, 11, 13} {
-		for _, shape := range []string{"unified", "generational"} {
-			r := rand.New(rand.NewSource(seed))
-			ec := stats.NewEventCounter()
-			ec2 := stats.NewEventCounter()
-			bus := obs.NewBus(ec, ec2)
+// residency keeps, per cache level, the traces and bytes a graph's event
+// stream says are resident: inserts and promotions land in a level, and
+// promotions, evictions and unmaps leave one.
+type residency struct {
+	n, bytes map[Level]int64
+}
 
-			spec := UnifiedSpec(4096)
-			if shape == "generational" {
-				spec = threeTier(4096, 0.45, 0.10, 0.45, uint64(1+r.Intn(2)), seed%2 == 0)
+func (r *residency) move(l Level, n int64, size uint64) {
+	r.n[l] += n
+	r.bytes[l] += n * int64(size)
+}
+
+func (r *residency) Observe(e obs.Event) {
+	switch e.Kind {
+	case obs.KindInsert:
+		r.move(e.To, 1, e.Size)
+	case obs.KindPromote:
+		r.move(e.From, -1, e.Size)
+		r.move(e.To, 1, e.Size)
+	case obs.KindEvict, obs.KindUnmap:
+		r.move(e.From, -1, e.Size)
+	}
+}
+
+// TestObserverFanOutProperty drives random inserts (some warm, into the
+// final tier), accesses that regenerate on a miss, pins and module unmaps
+// through five graph shapes and checks after every operation that each
+// logical event fires exactly once, against the arenas themselves: for every
+// private tier, its insert and promote-in events minus its promote-out,
+// evict and unmap events equal the arena's resident count, and the same sums
+// in bytes equal its used bytes. A second observer fanned in through obs.Bus
+// must see the identical stream.
+func TestObserverFanOutProperty(t *testing.T) {
+	shapes := []struct {
+		tiers    string
+		adaptive bool
+	}{
+		{"100", false},
+		{"45-10-45@1", false},
+		{"30-10-20-40@1,2", false},
+		{"45-10-45@1", true},
+		{"40@auto-20-40@2", false},
+	}
+	for _, shape := range shapes {
+		for _, seed := range []int64{1, 2, 3} {
+			name := fmt.Sprintf("%s adaptive=%v seed %d", shape.tiers, shape.adaptive, seed)
+			spec, err := ParseTierSpec(shape.tiers, 4096)
+			if err != nil {
+				t.Fatal(err)
 			}
-			mgr, err := NewGraph(spec, bus)
+			if shape.adaptive {
+				spec.Adaptive = &AdaptiveConfig{Epoch: 64}
+			}
+			spec.Selector = &SelectorConfig{Epoch: 64}
+			res := &residency{n: map[Level]int64{}, bytes: map[Level]int64{}}
+			var first, second []obs.Event
+			record := func(dst *[]obs.Event) obs.Observer {
+				return obs.Func(func(e obs.Event) { *dst = append(*dst, e) })
+			}
+			g, err := NewGraph(spec, obs.NewBus(res, record(&first), record(&second)))
 			if err != nil {
 				t.Fatal(err)
 			}
 
-			var ids []uint64
-			next := uint64(1)
-			for op := 0; op < 3000; op++ {
-				switch k := r.Intn(10); {
-				case k < 4:
-					f := codecache.Fragment{ID: next, Size: uint64(32 + r.Intn(300)), Module: uint16(r.Intn(4))}
-					next++
-					if mgr.Insert(f) == nil {
-						ids = append(ids, f.ID)
+			r := rand.New(rand.NewSource(seed))
+			var frags []codecache.Fragment
+			for op := 0; op < 5000; op++ {
+				switch k := r.Intn(20); {
+				case k < 6:
+					f := codecache.Fragment{ID: uint64(len(frags) + 1), Size: uint64(32 + r.Intn(300)), Module: uint16(r.Intn(4))}
+					frags = append(frags, f)
+					if k == 0 {
+						g.InsertPersistent(f) // a warm start's insert into the final tier
+					} else {
+						g.Insert(f)
 					}
-				case k < 9:
-					if len(ids) > 0 {
-						mgr.Access(ids[r.Intn(len(ids))])
+				case k < 17:
+					if len(frags) > 0 {
+						if f := frags[r.Intn(len(frags))]; !g.Access(f.ID) {
+							g.Insert(f)
+						}
+					}
+				case k < 19:
+					if len(frags) > 0 {
+						g.SetUndeletable(frags[r.Intn(len(frags))].ID, r.Intn(2) == 0)
 					}
 				default:
-					mgr.DeleteModule(uint16(r.Intn(4)))
+					g.DeleteModule(uint16(r.Intn(4)))
+				}
+				for _, tr := range g.tiers {
+					if n, want := res.n[tr.level], int64(tr.arena.Len()); n != want {
+						t.Fatalf("%s op %d: %s events leave %d traces, arena holds %d", name, op, tr.level, n, want)
+					}
+					if b, want := res.bytes[tr.level], int64(tr.arena.Used()); b != want {
+						t.Fatalf("%s op %d: %s events leave %d bytes, arena holds %d", name, op, tr.level, b, want)
+					}
 				}
 			}
-
-			s := mgr.Stats()
-			name := shape
-			check := func(label string, got, want uint64) {
-				t.Helper()
-				if got != want {
-					t.Errorf("seed %d %s: %s = %d, stats say %d", seed, name, label, got, want)
-				}
+			if st, _ := g.AdaptiveStats(); shape.adaptive && st.Resizes == 0 {
+				t.Errorf("%s: the controller never resized", name)
 			}
-			check("insert events", ec.Count(obs.KindInsert), s.Inserts)
-			check("evict events", ec.Count(obs.KindEvict), s.Evicted)
-			check("evict bytes", ec.Bytes(obs.KindEvict), s.EvictedBytes)
-			check("promote events", ec.Count(obs.KindPromote), s.PromotedToProbation+s.PromotedToPersist)
-			check("unmap events", ec.Count(obs.KindUnmap), s.ForcedDeletes)
-			check("unmap bytes", ec.Bytes(obs.KindUnmap), s.ForcedDeleteBytes)
-			if shape == "unified" {
-				check("promote events (unified never promotes)", ec.Count(obs.KindPromote), 0)
-			}
-			for k := obs.Kind(1); int(k) < obs.NumKinds; k++ {
-				if ec.Count(k) != ec2.Count(k) || ec.Bytes(k) != ec2.Bytes(k) {
-					t.Errorf("seed %d %s: bus observers disagree on %s: %d/%d vs %d/%d",
-						seed, name, k, ec.Count(k), ec.Bytes(k), ec2.Count(k), ec2.Bytes(k))
-				}
+			if !slices.Equal(first, second) {
+				t.Errorf("%s: bus observers saw different streams (%d vs %d events)", name, len(first), len(second))
 			}
 		}
 	}

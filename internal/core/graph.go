@@ -11,7 +11,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -229,15 +228,10 @@ type Graph struct {
 	shared *SharedPersistent // replaces the last tier when non-nil
 	proc   int
 	o      obs.Observer
-	stats  Stats
 	name   string
-	// dropAnyErr applies the generational accounting rule (any insert error
-	// counts as DropTooBig); one-tier graphs keep the unified rule (capacity
-	// errors only).
-	dropAnyErr bool
-	ctl        *adaptiveController
-	sel        *policySelector
-	led        *attrib.Ledger
+	ctl    *adaptiveController
+	sel    *policySelector
+	led    *attrib.Ledger
 
 	// hint caches the tier index that last hit for each trace ID. It is
 	// purely an ordering hint for AccessRun's tier probe: arena probes that
@@ -272,7 +266,7 @@ func newGraph(spec GraphSpec, shared *SharedPersistent, proc int, o obs.Observer
 	if shared != nil && n < 2 {
 		return nil, fmt.Errorf("core: shared graph needs at least two tiers")
 	}
-	g := &Graph{spec: spec, shared: shared, proc: proc, o: o, dropAnyErr: n > 1}
+	g := &Graph{spec: spec, shared: shared, proc: proc, o: o}
 	if spec.Adaptive != nil {
 		g.ctl = newAdaptiveController(g, *spec.Adaptive)
 	}
@@ -285,11 +279,6 @@ func newGraph(spec GraphSpec, shared *SharedPersistent, proc int, o obs.Observer
 	}
 	if g.led != nil {
 		g.led.SetProc(proc)
-		if g.ctl != nil {
-			g.o = obs.Combine(obs.Observer(g.led), g.ctl, o)
-		} else {
-			g.o = obs.Combine(obs.Observer(g.led), o)
-		}
 	}
 	// Size the tiers: each gets the floor of its fraction, with the last
 	// private tier of a fully private graph absorbing the rounding remainder
@@ -308,7 +297,6 @@ func newGraph(spec GraphSpec, shared *SharedPersistent, proc int, o obs.Observer
 		}
 		acc += b
 		ts := spec.Tiers[i]
-		lvl := levelFor(i, n)
 		var local policy.Local = policy.PseudoCircular{}
 		if ts.Policy != "" && !isAutoPolicy(ts.Policy) {
 			fac, err := policy.Parse(ts.Policy)
@@ -318,15 +306,13 @@ func newGraph(spec GraphSpec, shared *SharedPersistent, proc int, o obs.Observer
 			local = fac.New()
 		}
 		t := &tier{
-			level:           lvl,
+			level:           levelFor(i, n),
 			idx:             i,
 			arena:           codecache.New(b),
 			local:           local,
 			threshold:       ts.Threshold,
 			promoteOnAccess: ts.PromoteOnAccess,
 		}
-		t.arena.SetObserver(g.o, lvl)
-		t.arena.SetProcID(proc)
 		g.tiers = append(g.tiers, t)
 		if isAutoPolicy(ts.Policy) {
 			if g.sel == nil {
@@ -432,14 +418,21 @@ func (g *Graph) victimHandler(t *tier) func(codecache.Fragment) {
 	}
 }
 
-// die removes a trace from the system: publish the eviction and count it.
-func (g *Graph) die(f codecache.Fragment, from Level) {
-	g.stats.Evicted++
-	g.stats.EvictedBytes += f.Size
-	if from == LevelProbation {
-		g.stats.ProbationDeaths++
+// emit publishes one event of this graph: first to the graph's ledger,
+// whose per-trace state machine runs on the graph's own stream, then to the
+// graph's observer.
+func (g *Graph) emit(e obs.Event) {
+	if g.led != nil {
+		g.led.Note(&e)
 	}
-	obs.Emit(g.o, obs.Event{Kind: obs.KindEvict, Trace: f.ID, Size: f.Size, Module: f.Module, From: from, Proc: g.proc})
+	if g.o != nil {
+		g.o.Observe(e)
+	}
+}
+
+// die removes a trace from the system and publishes the eviction.
+func (g *Graph) die(f codecache.Fragment, from Level) {
+	g.emit(obs.Event{Kind: obs.KindEvict, Trace: f.ID, Size: f.Size, Module: f.Module, From: from, Proc: g.proc})
 }
 
 // promote relocates a victim of tier t into the next tier along its edge (or
@@ -454,16 +447,13 @@ func (g *Graph) promote(t *tier, v codecache.Fragment) {
 	}
 	var err error
 	var to Level
-	var final bool
 	if t.next == nil {
 		err = g.shared.Promote(g.proc, v)
 		to = LevelPersistent
-		final = true
 	} else {
 		n := t.next
 		err = n.local.Insert(n.arena, v, n.onEvict)
 		to = n.level
-		final = n.next == nil && g.shared == nil
 		if err == nil && g.sel != nil {
 			g.sel.noteInsert(n.idx, v)
 		}
@@ -474,21 +464,13 @@ func (g *Graph) promote(t *tier, v codecache.Fragment) {
 		g.die(v, t.level)
 		return
 	}
-	if final {
-		g.stats.PromotedToPersist++
-	} else {
-		g.stats.PromotedToProbation++
-	}
-	obs.Emit(g.o, obs.Event{Kind: obs.KindPromote, Trace: v.ID, Size: v.Size, Module: v.Module, From: t.level, To: to, Proc: g.proc})
+	g.emit(obs.Event{Kind: obs.KindPromote, Trace: v.ID, Size: v.Size, Module: v.Module, From: t.level, To: to, Proc: g.proc})
 }
 
 // SetProcID names the front-end process that owns this manager; the ID is
 // stamped on every event it publishes. Single-process systems leave it 0.
 func (g *Graph) SetProcID(proc int) {
 	g.proc = proc
-	for _, t := range g.tiers {
-		t.arena.SetProcID(proc)
-	}
 	if g.led != nil {
 		g.led.SetProc(proc)
 	}
@@ -542,18 +524,13 @@ func (g *Graph) TierCapacities() []uint64 {
 // the eviction edges.
 func (g *Graph) Insert(f codecache.Fragment) error {
 	t := g.tiers[0]
-	err := t.local.Insert(t.arena, f, t.onEvict)
-	if err != nil {
-		if g.dropAnyErr || errors.Is(err, codecache.ErrTooBig) || errors.Is(err, codecache.ErrNoSpace) {
-			g.stats.DropTooBig++
-		}
+	if err := t.local.Insert(t.arena, f, t.onEvict); err != nil {
 		return err
 	}
 	if g.sel != nil {
 		g.sel.noteInsert(0, f)
 	}
-	g.stats.Inserts++
-	obs.Emit(g.o, obs.Event{Kind: obs.KindInsert, Trace: f.ID, Size: f.Size, Module: f.Module, To: t.level, Proc: g.proc})
+	g.emit(obs.Event{Kind: obs.KindInsert, Trace: f.ID, Size: f.Size, Module: f.Module, To: t.level, Proc: g.proc})
 	return nil
 }
 
@@ -561,12 +538,11 @@ func (g *Graph) Insert(f codecache.Fragment) error {
 // was resident (a code-cache hit). A hit in a promote-on-access tier
 // upgrades the trace along its edge as soon as it reaches the threshold.
 func (g *Graph) Access(id uint64) bool {
-	g.stats.Accesses++
 	if g.led != nil {
 		g.led.Tick(1)
 	}
 	if g.ctl != nil {
-		g.ctl.tick(g.stats.Accesses)
+		g.ctl.tick()
 	}
 	if g.sel != nil {
 		g.sel.tick()
@@ -579,7 +555,6 @@ func (g *Graph) Access(id uint64) bool {
 			g.sel.probe(i, id, hit, t.arena)
 		}
 		if hit {
-			g.stats.Hits++
 			if g.ctl != nil {
 				g.ctl.noteHit(i)
 			}
@@ -591,7 +566,6 @@ func (g *Graph) Access(id uint64) bool {
 		}
 	}
 	if g.shared != nil && g.shared.Access(g.proc, id) {
-		g.stats.Hits++
 		return true
 	}
 	if g.led != nil {
@@ -612,7 +586,7 @@ func (g *Graph) noteMiss(id uint64) {
 		}
 	}
 	if g.led.EmitEvents() {
-		obs.Emit(g.o, obs.Event{
+		g.emit(obs.Event{
 			Kind: obs.KindRegenerate, Trace: id, Size: mi.Size,
 			Module: mi.Module, From: mi.Level, Reason: mi.Cause, Proc: g.proc,
 		})
@@ -627,7 +601,7 @@ func (g *Graph) noteHint(id uint64, tier int) { g.hint.Set(id, uint8(tier)) }
 // exactly as if Access had been called for each, and returns how many it
 // processed. The id at the returned index has not been accessed (it missed,
 // or is resident only in the shared tier, whose bookkeeping the caller's
-// per-event Access performs). The statistics are flushed once at the end and
+// per-event Access performs). The ledger's clock advances once at the end and
 // the probe for each trace starts at the tier it last hit in (a stale hint
 // wastes one side-effect-free probe, nothing more). A graph with an adaptive
 // controller or policy selector attached refuses batching with -1, for good:
@@ -680,8 +654,6 @@ func (g *Graph) AccessRun(ids []uint64) int {
 		}
 		done++
 	}
-	g.stats.Accesses += uint64(done)
-	g.stats.Hits += uint64(done)
 	if g.led != nil {
 		g.led.Tick(uint64(done))
 	}
@@ -736,14 +708,19 @@ func (g *Graph) Where(id uint64) (Level, bool) {
 }
 
 // DeleteModule force-deletes every trace from module m (program-forced
-// eviction, e.g. a DLL unmap) and returns the victims. In shared mode the
-// private tiers drop their copies unconditionally, while the shared tier
-// only drops this process's references: victims returned from there are the
-// traces whose last reference drained.
+// eviction, e.g. a DLL unmap) and returns the victims. Each private tier's
+// victims are published as unmap events, tier by tier in address order. In
+// shared mode the private tiers drop their copies unconditionally, while the
+// shared tier only drops this process's references: victims returned from
+// there are the traces whose last reference drained.
 func (g *Graph) DeleteModule(m uint16) []codecache.Fragment {
 	var out []codecache.Fragment
 	for _, t := range g.tiers {
+		n := len(out)
 		out = append(out, t.arena.DeleteModule(m)...)
+		for _, f := range out[n:] {
+			g.emit(obs.Event{Kind: obs.KindUnmap, Trace: f.ID, Size: f.Size, Module: f.Module, From: t.level, Proc: g.proc})
+		}
 	}
 	if g.sel != nil {
 		// Unmaps are program-forced: mirror them into every shadow directly.
@@ -760,10 +737,6 @@ func (g *Graph) DeleteModule(m uint16) []codecache.Fragment {
 		// this module is now superseded — a later re-heat is unmap-forced,
 		// never a capacity charge.
 		g.led.NoteModuleUnmap(m)
-	}
-	g.stats.ForcedDeletes += uint64(len(out))
-	for _, f := range out {
-		g.stats.ForcedDeleteBytes += f.Size
 	}
 	return out
 }
@@ -812,9 +785,6 @@ func (g *Graph) Used() uint64 {
 	return u
 }
 
-// Stats returns aggregate counters.
-func (g *Graph) Stats() Stats { return g.stats }
-
 // PersistentFragments returns copies of the traces currently resident in
 // the final tier, in address order. Cross-run cache persistence snapshots
 // these.
@@ -841,23 +811,17 @@ func (g *Graph) InsertPersistent(f codecache.Fragment) error {
 	if g.shared == nil && len(g.tiers) == 1 {
 		return g.Insert(f)
 	}
-	var err error
 	if g.shared != nil {
-		err = g.shared.InsertWarm([]int{g.proc}, f)
-	} else {
-		last := g.tiers[len(g.tiers)-1]
-		err = last.local.Insert(last.arena, f, last.onEvict)
-		if err == nil {
-			if g.sel != nil {
-				g.sel.noteInsert(last.idx, f)
-			}
-			obs.Emit(g.o, obs.Event{Kind: obs.KindInsert, Trace: f.ID, Size: f.Size, Module: f.Module, To: last.level, Proc: g.proc})
-		}
+		return g.shared.InsertWarm([]int{g.proc}, f)
 	}
-	if err != nil {
+	last := g.tiers[len(g.tiers)-1]
+	if err := last.local.Insert(last.arena, f, last.onEvict); err != nil {
 		return err
 	}
-	g.stats.Inserts++
+	if g.sel != nil {
+		g.sel.noteInsert(last.idx, f)
+	}
+	g.emit(obs.Event{Kind: obs.KindInsert, Trace: f.ID, Size: f.Size, Module: f.Module, To: last.level, Proc: g.proc})
 	return nil
 }
 

@@ -18,7 +18,7 @@ func TestMissChargeUnmapSupersession(t *testing.T) {
 	lvl := g.tiers[1].level
 
 	// Capacity death, then the module disappears, then the trace re-heats.
-	g.led.Observe(obs.Event{Kind: obs.KindEvict, Trace: 7, Module: 3, Size: 64, From: lvl})
+	g.led.Note(&obs.Event{Kind: obs.KindEvict, Trace: 7, Module: 3, Size: 64, From: lvl})
 	g.led.NoteModuleUnmap(3)
 	g.noteMiss(7)
 	if c.missFrom[1] != 0 {
@@ -26,7 +26,7 @@ func TestMissChargeUnmapSupersession(t *testing.T) {
 	}
 
 	// The same death without the unmap is chargeable — the signal survives.
-	g.led.Observe(obs.Event{Kind: obs.KindEvict, Trace: 8, Module: 3, Size: 64, From: lvl})
+	g.led.Note(&obs.Event{Kind: obs.KindEvict, Trace: 8, Module: 3, Size: 64, From: lvl})
 	g.noteMiss(8)
 	if c.missFrom[1] != 1 {
 		t.Fatalf("controller missed a live capacity death: missFrom[1]=%d, want 1", c.missFrom[1])

@@ -394,7 +394,7 @@ func (s *policySelector) switchTo(st *selTier, c int) {
 	}
 	st.lastFrom, st.lastTo = from, c
 	s.stats.Switches++
-	obs.Emit(s.g.o, obs.Event{Kind: obs.KindPolicySwitch, From: st.t.level, Policy: st.facs[c].Spec(), Proc: s.g.proc})
+	s.g.emit(obs.Event{Kind: obs.KindPolicySwitch, From: st.t.level, Policy: st.facs[c].Spec(), Proc: s.g.proc})
 }
 
 // ---------------------------------------------------------------------------

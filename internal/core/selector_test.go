@@ -6,15 +6,17 @@ import (
 
 	"repro/internal/codecache"
 	"repro/internal/obs"
+	"repro/internal/stats"
 )
 
 // selectorRun drives a deterministic synthetic workload through a one-tier
 // auto graph and returns everything observable about the selection: switch
-// events in order, final live policies, selector counters, and graph stats.
+// events in order, final live policies, selector counters, and a tally of
+// the graph's event stream.
 // The workload has two phases — a stable hot set, then a phase change to a
 // second hot set — with regeneration on miss, the way the replayer (and the
 // real DBT) responds to a cache miss.
-func selectorRun(t *testing.T) (switches []string, live []string, ss SelectorStats, stats Stats) {
+func selectorRun(t *testing.T) (switches []string, live []string, ss SelectorStats, tally stats.Tally) {
 	t.Helper()
 	spec := UnifiedSpec(1000)
 	spec.Tiers[0].Policy = "auto"
@@ -23,6 +25,7 @@ func selectorRun(t *testing.T) (switches []string, live []string, ss SelectorSta
 	// shadow must build a commanding lead and force a switch.
 	spec.Selector = &SelectorConfig{Epoch: 64, Candidates: []string{"flush-when-full", "lru"}}
 	g, err := NewGraph(spec, obs.Func(func(e obs.Event) {
+		tally.Add(&e)
 		if e.Kind == obs.KindPolicySwitch {
 			switches = append(switches, e.Policy)
 		}
@@ -59,7 +62,7 @@ func selectorRun(t *testing.T) (switches []string, live []string, ss SelectorSta
 	if !ok {
 		t.Fatal("auto graph reports no selector stats")
 	}
-	return switches, g.LivePolicies(), ssOut, g.Stats()
+	return switches, g.LivePolicies(), ssOut, tally
 }
 
 // TestSelectorSwitchesOffPathologicalPolicy: the online selector must abandon
@@ -86,8 +89,8 @@ func TestSelectorSwitchesOffPathologicalPolicy(t *testing.T) {
 
 // TestSelectorDeterministic: two identical runs must agree on every
 // observable — switch sequence, live policies, selector counters, and the
-// graph's own hit/miss stats. Selection is keyed to the access counter, so
-// there is no scheduling or timing input to diverge on.
+// graph's event tally. Selection is keyed to the access counter, so there is
+// no scheduling or timing input to diverge on.
 func TestSelectorDeterministic(t *testing.T) {
 	sw1, live1, ss1, st1 := selectorRun(t)
 	sw2, live2, ss2, st2 := selectorRun(t)
@@ -101,15 +104,15 @@ func TestSelectorDeterministic(t *testing.T) {
 		t.Errorf("selector stats differ: %+v vs %+v", ss1, ss2)
 	}
 	if st1 != st2 {
-		t.Errorf("graph stats differ: %+v vs %+v", st1, st2)
+		t.Errorf("event tallies differ: %+v vs %+v", st1, st2)
 	}
 }
 
 // TestSelectorDisabledMatchesStatic: a graph with selection disabled must
 // behave bit-identically to a static graph — the selector must be pay-for-use.
 func TestSelectorDisabledMatchesStatic(t *testing.T) {
-	run := func(spec GraphSpec) Stats {
-		g, err := NewGraph(spec, nil)
+	run := func(spec GraphSpec) (tally stats.Tally) {
+		g, err := NewGraph(spec, obs.Func(func(e obs.Event) { tally.Add(&e) }))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,7 +124,7 @@ func TestSelectorDisabledMatchesStatic(t *testing.T) {
 				}
 			}
 		}
-		return g.Stats()
+		return tally
 	}
 	static := run(UnifiedSpec(800))
 	spec := UnifiedSpec(800)

@@ -81,10 +81,8 @@ type sharedTrace struct {
 // design). Lifecycle events are published to o (nil for none) stamped with
 // the causing process.
 func NewSharedPersistent(capacity uint64, o obs.Observer) *SharedPersistent {
-	arena := codecache.New(capacity)
-	arena.SetObserver(o, obs.LevelPersistent)
 	return &SharedPersistent{
-		arena:  arena,
+		arena:  codecache.New(capacity),
 		o:      o,
 		traces: make(map[uint64]*sharedTrace),
 	}

@@ -1,14 +1,14 @@
-// Package obs is the observer/metrics bus shared by every cache layer. The
-// managers in internal/core, the arenas in internal/codecache, and the
-// replay simulator in internal/sim all publish their lifecycle events —
-// trace insertion, eviction, promotion, program-forced deletion, and replay
-// progress — through one Observer interface instead of package-private hook
-// structs and ad-hoc counters. A local policy's whole-cache flush has no
-// event of its own: each flushed trace leaves along its tier's eviction
-// edge like any other victim.
+// Package obs is the observer/metrics bus of the cache layers. The managers
+// in internal/core publish every cache lifecycle event — trace insertion,
+// eviction, promotion, program-forced deletion, capacity resize, policy
+// switch — and the replay simulator in internal/sim publishes replay
+// progress, through one Observer interface instead of package-private hook
+// structs and ad-hoc counters. The arenas and local policies below the
+// managers publish nothing: a manager reports what they did. A local
+// policy's whole-cache flush has no event of its own: each flushed trace
+// leaves along its tier's eviction edge like any other victim.
 //
-// The package sits below every other cache package (it imports nothing from
-// the repo), so any layer can publish and any consumer can subscribe.
+// The package imports nothing from the repo, so any consumer can subscribe.
 // internal/stats provides the standard metrics consumer (EventCounter);
 // cmd/ccsim can dump the raw stream.
 package obs

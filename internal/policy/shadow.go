@@ -20,21 +20,18 @@ import (
 // the decisions under test, and the shadow's policy replays them itself
 // during Insert. Only non-policy removals — promote-on-access upgrades,
 // module unmaps, pins, capacity shifts — are forwarded, because the live
-// tier would have experienced those under any policy. Shadow arenas carry no
-// observer, so counterfactual activity never reaches the obs stream or any
+// tier would have experienced those under any policy. Arenas publish no
+// events, so counterfactual activity never reaches the obs stream or any
 // stats consumer.
 type Shadow struct {
 	arena *codecache.Arena
 	local Local
 
-	probes uint64
-	hits   uint64
-
-	// Lifetime totals, never reset: the selector demands a cumulative lead
-	// as well as a window win before switching, so one lucky window cannot
+	hits uint64
+	// totalHits is never reset: the selector demands a cumulative lead as
+	// well as a window win before switching, so one lucky window cannot
 	// steal a tier from the policy that serves it best overall.
-	totalProbes uint64
-	totalHits   uint64
+	totalHits uint64
 }
 
 // NewShadow builds a shadow of a tier with the given capacity, running the
@@ -53,8 +50,6 @@ func (s *Shadow) Arena() *codecache.Arena { return s.arena }
 // hit. This is the hot path: one arena access plus the policy's recency
 // bookkeeping, allocation-free in steady state.
 func (s *Shadow) Probe(id uint64) bool {
-	s.probes++
-	s.totalProbes++
 	if s.arena.Access(id) {
 		s.hits++
 		s.totalHits++
@@ -129,8 +124,5 @@ func (s *Shadow) WindowHits() uint64 { return s.hits }
 // TotalHits returns the hits scored over the shadow's whole lifetime.
 func (s *Shadow) TotalHits() uint64 { return s.totalHits }
 
-// TotalProbes returns the probes seen over the shadow's whole lifetime.
-func (s *Shadow) TotalProbes() uint64 { return s.totalProbes }
-
-// ResetWindow zeroes the window counters at an epoch boundary.
-func (s *Shadow) ResetWindow() { s.hits, s.probes = 0, 0 }
+// ResetWindow zeroes the window hit count at an epoch boundary.
+func (s *Shadow) ResetWindow() { s.hits = 0 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/costmodel"
 	"repro/internal/obs"
+	"repro/internal/stats"
 	"repro/internal/tracelog"
 )
 
@@ -182,12 +183,15 @@ func resultsEqual(t *testing.T, label string, got, want Result) {
 
 // TestStepBlockMatchesStep is the kernel's core equivalence claim: for every
 // manager family the service can build, the block kernel's counters,
-// overhead accounting, manager statistics, event count, and hook callout
-// sequence are bit-identical to the per-event path — at every block size,
-// including sizes that split access runs across blocks.
+// overhead accounting, per-kind and per-level tally of the manager's events,
+// event count, and hook callout sequence are bit-identical to the per-event
+// path — at every block size, including sizes that split access runs across
+// blocks.
 func TestStepBlockMatchesStep(t *testing.T) {
 	events := richLog(7, 120)
-	for name, build := range kernelConfigs(t, nil) {
+	var tally stats.Tally
+	for name, build := range kernelConfigs(t, obs.Func(func(e obs.Event) { tally.Add(&e) })) {
+		tally = stats.Tally{}
 		mgr, acc := build()
 		want := NewReplayer("b", mgr, acc, nil)
 		wantHooks := &recordingHooks{}
@@ -196,8 +200,10 @@ func TestStepBlockMatchesStep(t *testing.T) {
 			t.Fatalf("%s: per-event: %v", name, err)
 		}
 		wantRes := want.Finish()
+		wantTally := tally
 
 		for _, blockCap := range []int{1, 13, 257, tracelog.BlockEvents} {
+			tally = stats.Tally{}
 			mgr, acc := build()
 			got := NewReplayer("b", mgr, acc, nil)
 			gotHooks := &recordingHooks{}
@@ -209,6 +215,9 @@ func TestStepBlockMatchesStep(t *testing.T) {
 				t.Errorf("%s/cap=%d: events = %d, want %d", name, blockCap, got.Events(), want.Events())
 			}
 			resultsEqual(t, name, got.Finish(), wantRes)
+			if tally != wantTally {
+				t.Errorf("%s/cap=%d: event tally = %+v, want %+v", name, blockCap, tally, wantTally)
+			}
 			if !reflect.DeepEqual(gotHooks.calls, wantHooks.calls) {
 				t.Errorf("%s/cap=%d: hook sequence diverged (%d vs %d calls)",
 					name, blockCap, len(gotHooks.calls), len(wantHooks.calls))

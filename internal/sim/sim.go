@@ -38,9 +38,6 @@ type Result struct {
 
 	// Overhead aggregates instruction costs per the Table 2 model.
 	Overhead *costmodel.Accum
-
-	// Manager is the manager's own counter set after the run.
-	Manager core.Stats
 }
 
 // MissRate returns misses per access (0 for an access-free log).
@@ -285,19 +282,18 @@ func (r *Replayer) TraceInfo(id uint64) (size uint32, module uint16, head uint64
 	return m.size, m.module, m.head, ok
 }
 
-// Result returns a snapshot of the counters accumulated so far, without the
-// manager's final statistics; error paths report it as the partial result.
+// Result returns a snapshot of the counters accumulated so far; error paths
+// report it as the partial result.
 func (r *Replayer) Result() Result { return r.res }
 
-// Finish closes the replay: it publishes the final progress event and fills
-// in the manager's own counter set.
+// Finish closes the replay: it publishes the final progress event and
+// returns the result.
 func (r *Replayer) Finish() Result {
 	total := r.total
 	if total == 0 {
 		total = r.count
 	}
 	obs.Emit(r.o, obs.Event{Kind: obs.KindProgress, Benchmark: r.res.Benchmark, Done: total, Total: total})
-	r.res.Manager = r.mgr.Stats()
 	return r.res
 }
 

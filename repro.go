@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"bufio"
 	"io"
 
 	"repro/internal/codecache"
@@ -188,9 +189,16 @@ func NewLogWriter(w io.Writer, benchmark string, durationMicros uint64) (*tracel
 	return tracelog.NewWriter(w, tracelog.Header{Benchmark: benchmark, DurationMicros: durationMicros})
 }
 
-// ReadLog decodes a cache-event log.
+// ReadLog decodes a cache-event log. It reads through a buffered window so
+// the block decoder runs on it: a source that is not already a
+// *bufio.Reader is wrapped in one of tracelog.DefaultBufSize bytes, which
+// may read past the log's end.
 func ReadLog(r io.Reader) (benchmark string, events []Event, err error) {
-	h, evs, err := tracelog.ReadAll(r)
+	br, ok := r.(*bufio.Reader)
+	if !ok {
+		br = bufio.NewReaderSize(r, tracelog.DefaultBufSize)
+	}
+	h, evs, err := tracelog.ReadAll(br)
 	return h.Benchmark, evs, err
 }
 
